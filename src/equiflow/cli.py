@@ -19,6 +19,7 @@ import numpy as np
 from .dual import duality_gap, solve_assignment, solve_multistage
 from .network import NetworkError, load_network
 from .od import balancing_oracle, solve_entropy_od
+from .solvers import DivergedOracleError
 from .softmin import hard_shortest, softmin_potentials, effective_weights
 
 FLOAT_FMT = "%.17g"
@@ -226,39 +227,64 @@ def cmd_compare(args) -> int:
     return 0 if all_ok else 2
 
 
-def _read_cost_csv(path):
-    entries = {}
+def _csv_records(path, n_ids):
+    """(line number, integer ids, value) per record of a comma-separated file."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            i, j, v = line.split(",")
-            entries[(int(i), int(j))] = float(v)
-    rows = sorted({i for i, _ in entries})
-    cols = sorted({j for _, j in entries})
-    T = np.empty((len(rows), len(cols)))
-    for (i, j), v in entries.items():
-        T[rows.index(i), cols.index(j)] = v
-    return T
+            fields = line.split(",")
+            try:
+                ids = tuple(int(x) for x in fields[:-1])
+                value = float(fields[-1])
+            except ValueError:
+                ids = None
+            if ids is None or len(ids) != n_ids:
+                raise ValueError(f"{path}: line {lineno}: expected {n_ids} integer ids "
+                                 f"and a value, got {line!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: value must be finite, got {value}")
+            yield lineno, ids, value
 
 
 def _read_marginal_csv(path):
+    """Zone ids in ascending order and their marginals."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            i, v = line.split(",")
-            values[int(i)] = float(v)
-    return np.array([values[k] for k in sorted(values)])
+    for lineno, (zone,), v in _csv_records(path, 1):
+        if zone in values:
+            raise ValueError(f"{path}: line {lineno}: duplicate zone {zone}")
+        values[zone] = v
+    zones = sorted(values)
+    return zones, np.array([values[z] for z in zones])
+
+
+def _read_cost_csv(path, rows, cols):
+    """Cost matrix over the marginal files' zones; every pair needs one entry."""
+    row_at = {z: k for k, z in enumerate(rows)}
+    col_at = {z: k for k, z in enumerate(cols)}
+    T = np.zeros((len(rows), len(cols)))
+    seen = np.zeros(T.shape, dtype=bool)
+    for lineno, (i, j), v in _csv_records(path, 2):
+        if i not in row_at or j not in col_at:
+            raise ValueError(f"{path}: line {lineno}: zone pair {i},{j} is not in the "
+                             f"row and column marginal files")
+        r, c = row_at[i], col_at[j]
+        if seen[r, c]:
+            raise ValueError(f"{path}: line {lineno}: duplicate zone pair {i},{j}")
+        T[r, c] = v
+        seen[r, c] = True
+    if not seen.all():
+        r, c = np.argwhere(~seen)[0]
+        raise ValueError(f"{path}: no cost for zone pair {rows[r]},{cols[c]} "
+                         f"({int((~seen).sum())} of {seen.size} pairs missing)")
+    return T
 
 
 def cmd_od(args) -> int:
-    T = _read_cost_csv(args.costs)
-    L = _read_marginal_csv(args.rows)
-    W = _read_marginal_csv(args.cols)
+    rows, L = _read_marginal_csv(args.rows)
+    cols, W = _read_marginal_csv(args.cols)
+    T = _read_cost_csv(args.costs, rows, cols)
     gamma = args.gamma_od if args.gamma_od is not None else 1.0
     eps = args.eps if args.eps is not None else 1e-8
     eps_res = args.eps_residual if args.eps_residual is not None else 1e-6
@@ -353,7 +379,8 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args)
         return args.func(args)
-    except (NetworkError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (NetworkError, ValueError, OSError, json.JSONDecodeError,
+            DivergedOracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

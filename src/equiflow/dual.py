@@ -52,6 +52,7 @@ class DualOracle(SmoothOracle):
         self.linear = linear
         self.last_flow = None  # FlowState at the most recent gradient point
         self.last_grad_point = None
+        self._memo = (None, None)  # (t.tobytes(), assignment) at the last point
 
     def prox(self):
         return EuclideanProx(lower=self.lower, upper=self.upper, linear=self.linear)
@@ -67,7 +68,17 @@ class DualOracle(SmoothOracle):
         return value, grad
 
     def assignment(self, t):
-        return assignment_flows(self.network, t, self.gammas, self.hops)
+        """(soft-min value, FlowState) at t, shared with value and value_grad.
+
+        The last point's assignment is kept, so the line search's final
+        value(x) also serves the stop test's assignment(x).  The returned
+        flows must not be modified.
+        """
+        t = np.asarray(t, dtype=float)
+        key = t.tobytes()
+        if self._memo[0] != key:
+            self._memo = (key, assignment_flows(self.network, t, self.gammas, self.hops))
+        return self._memo[1]
 
     def value(self, t):
         softmin_value, _ = self.assignment(t)
@@ -347,7 +358,8 @@ def solve_assignment(
 
     averaged = model in ("stable_dynamics", "mixed")
     acc = FlowState.zeros(network)
-    best = {"flows": None, "t": None, "cert": math.inf}
+    # rank (not certified, certificate value): a certified candidate always wins
+    best = {"flows": None, "t": None, "rank": (True, math.inf)}
     comp_tol = 10.0 * max(eps, eps_residual)
     cached_points = variance_bound is None  # mini-batch runs don't cache flows
 
@@ -366,8 +378,8 @@ def solve_assignment(
             _, gap = duality_gap(network, t_pt, flows)
             cert = gap
             ok = gap <= eps
-        if cert < best["cert"]:
-            best.update(cert=cert, flows=flows, t=np.array(t_pt, dtype=float))
+        if (not ok, cert) < best["rank"]:
+            best.update(rank=(not ok, cert), flows=flows, t=np.array(t_pt, dtype=float))
         return gap, ok
 
     def on_step(state):

@@ -179,12 +179,27 @@ class LevelGraph:
         )
 
     @cached_property
-    def in_edges(self) -> list:
-        """Incoming edge-index array per vertex."""
-        buckets = [[] for _ in range(self.n_vertices)]
-        for idx, h in enumerate(self.heads):
-            buckets[h].append(idx)
-        return [np.array(b, dtype=np.intp) for b in buckets]
+    def head_groups(self) -> tuple:
+        """Edges grouped by head vertex; see `_edge_groups`."""
+        return _edge_groups(self.heads)
+
+    @cached_property
+    def tail_groups(self) -> tuple:
+        """Edges grouped by tail vertex; see `_edge_groups`."""
+        return _edge_groups(self.tails)
+
+
+def _edge_groups(ends) -> tuple:
+    """(order, starts, vertices) for segment reductions over edge ends.
+
+    order sorts the edge indices stably by `ends`; starts[i] is where the
+    run of vertices[i] begins in that order.  Vertices without an edge
+    end have no run.
+    """
+    order = np.argsort(ends, kind="stable")
+    ordered = ends[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    return order, starts, ordered[starts]
 
 
 @dataclass(eq=False)
@@ -240,23 +255,23 @@ def validate(levels, demands) -> list:
         return ["network has no levels"]
     m = len(levels)
     for k, lg in enumerate(levels, start=1):
-        if lg.gamma < 0:
-            bad.append(f"level {k}: negative gamma {lg.gamma}")
+        if not 0 <= lg.gamma < math.inf:
+            bad.append(f"level {k}: gamma must be finite and nonnegative, got {lg.gamma}")
         for tail, head, model in lg.plain_edges:
             where = f"level {k} edge {tail}->{head}"
             if tail == head:
                 bad.append(f"{where}: self-loop")
             if not (0 <= tail < lg.n_vertices and 0 <= head < lg.n_vertices):
                 bad.append(f"{where}: vertex out of range")
-            if not model.t_free > 0:
-                bad.append(f"{where}: t_free must be positive")
+            if not 0 < model.t_free < math.inf:
+                bad.append(f"{where}: t_free must be positive and finite")
             if not model.capacity > 0:
                 bad.append(f"{where}: capacity must be positive")
             if model.kind == BPR:
                 if math.isinf(model.capacity) and model.bpr_gain > 0:
                     bad.append(f"{where}: BPR edge needs a finite capacity")
-                if model.bpr_gain < 0:
-                    bad.append(f"{where}: negative bpr_gain")
+                if not 0 <= model.bpr_gain < math.inf:
+                    bad.append(f"{where}: bpr_gain must be finite and nonnegative")
                 if not (0 < model.bpr_power <= 1):
                     bad.append(f"{where}: bpr_power outside (0, 1]")
         for tail, head, od in lg.nested_edges:
@@ -279,8 +294,8 @@ def validate(levels, demands) -> list:
             bad.append(f"{where}: vertex outside level 1")
         if o == d:
             bad.append(f"{where}: origin equals destination")
-        if not dem > 0:
-            bad.append(f"{where}: demand must be positive")
+        if not 0 < dem < math.inf:
+            bad.append(f"{where}: demand must be positive and finite")
     if not demands:
         bad.append("no level-1 demands")
     return bad

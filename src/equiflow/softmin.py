@@ -1,12 +1,20 @@
 """Smoothed shortest paths: log-sum-exp potentials, Gibbs flows, hard routes.
 
 The "path set" of an OD pair is the set of walks of at most H hops.  A
-forward dynamic program computes, per origin, the soft-min potential
-u_v = -gamma * log(sum over walks of exp(-length/gamma)); a backward
-(adjoint) sweep over the same recursion yields the Gibbs edge flows,
-which are the exact gradient of the demand-weighted soft-min value with
-respect to the edge weights.  With gamma = 0 the same interfaces fall
-back to hard shortest paths and all-or-nothing loading.
+forward dynamic program computes the soft-min potential
+u_v = -gamma * log(sum over walks of exp(-length/gamma)) from every origin
+of a level at once; a backward (adjoint) sweep over the same recursion
+yields the Gibbs edge flows, which are the exact gradient of the
+demand-weighted soft-min value with respect to the edge weights.
+
+Both sweeps are batched over origins: a hop updates one (vertices x
+origins) array, with the edges grouped by head (forward) or by tail
+(backward) and each group reduced by np.minimum.reduceat/np.add.reduceat,
+so the numpy calls per hop do not grow with the number of origins.  The
+backward sweep reads every forward round, (H+1) x vertices x origins
+floats; origins are swept in chunks whose rounds fit in ROUNDS_CAP_BYTES.
+A single origin is a batch of one.  With gamma = 0 the same interfaces
+fall back to hard shortest paths and all-or-nothing loading.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import math
 import numpy as np
 
 from .network import FlowState, LevelGraph, Network, NetworkError
+
+ROUNDS_CAP_BYTES = 32 << 20  # forward rounds kept per chunk of origins
 
 
 class UnreachableError(NetworkError):
@@ -29,47 +39,75 @@ class UnreachableError(NetworkError):
         self.od = (origin, dest)
 
 
-def _forward(graph: LevelGraph, weights, origin, gamma, hops):
-    """Per-round potentials U[h][v] over walks of at most h hops."""
-    n = graph.n_vertices
-    tails, heads = graph.tails, graph.heads
-    u = np.full(n, math.inf)
-    u[origin] = 0.0
-    rounds = [u]
-    for _ in range(hops):
-        cand = weights + u[tails]
-        finite = np.isfinite(cand)
-        shift = np.full(n, math.inf)
-        np.minimum.at(shift, heads[finite], cand[finite])
-        shift[origin] = min(shift[origin], 0.0)
-        acc = np.zeros(n)
-        np.add.at(acc, heads[finite], np.exp(-(cand[finite] - shift[heads[finite]]) / gamma))
-        acc[origin] += math.exp(-(0.0 - shift[origin]) / gamma)
-        nxt = np.full(n, math.inf)
-        ok = acc > 0.0
-        nxt[ok] = shift[ok] - gamma * np.log(acc[ok])
-        rounds.append(nxt)
-        u = nxt
-    return rounds
+def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep_rounds=False):
+    """Potentials over walks of at most `hops` hops from each origin.
+
+    Returns (u, rounds): u[v, b] is the potential of v seen from
+    origins[b] (+inf when unreachable); rounds stacks u after 0..hops
+    hops, shape (hops+1, V, B), when keep_rounds is set, else None.
+    """
+    n, batch = graph.n_vertices, len(origins)
+    order, starts, ends = graph.head_groups
+    tails, heads = graph.tails[order], graph.heads[order]
+    w = weights[order, None]
+    # flat index of entry (origins[b], b) of a (V, B) array
+    at_origin = np.asarray(origins, dtype=np.intp) * batch + np.arange(batch)
+    u = np.full((n, batch), math.inf)
+    u.reshape(-1)[at_origin] = 0.0
+    rounds = np.empty((hops + 1, n, batch)) if keep_rounds else None
+    if keep_rounds:
+        rounds[0] = u
+    # inf - inf where neither end of an edge is reached; log(0) at such heads
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for h in range(1, hops + 1):
+            cand = w + u[tails]
+            shift = np.full((n, batch), math.inf)
+            shift[ends] = np.minimum.reduceat(cand, starts, axis=0)
+            # the empty walk keeps every origin at length 0
+            empty = np.minimum(shift.reshape(-1)[at_origin], 0.0)
+            shift.reshape(-1)[at_origin] = empty
+            z = np.exp((shift[heads] - cand) / gamma)
+            z[np.isnan(z)] = 0.0
+            acc = np.zeros((n, batch))
+            acc[ends] = np.add.reduceat(z, starts, axis=0)
+            acc.reshape(-1)[at_origin] += np.exp(empty / gamma)
+            u = shift - gamma * np.log(acc)
+            if keep_rounds:
+                rounds[h] = u
+    return u, rounds
 
 
-def _backward(graph: LevelGraph, weights, gamma, rounds, sink_mass):
-    """Adjoint sweep: route sink_mass backwards, returning edge flows."""
-    tails, heads = graph.tails, graph.heads
-    flows = np.zeros(graph.n_edges)
-    p = sink_mass.astype(float).copy()
-    for h in range(len(rounds) - 1, 0, -1):
-        u_h, u_prev = rounds[h], rounds[h - 1]
-        with np.errstate(invalid="ignore"):
-            expo = u_h[heads] - weights - u_prev[tails]
-        live = np.isfinite(expo) & (p[heads] > 0.0)
-        contrib = np.zeros(graph.n_edges)
-        contrib[live] = p[heads[live]] * np.exp(np.minimum(expo[live] / gamma, 0.0))
-        flows += contrib
-        p = np.zeros(graph.n_vertices)
-        np.add.at(p, tails, contrib)
-        # mass not propagated is absorbed by the empty walk at the origin
+def _sweep_backward(graph: LevelGraph, weights, gamma, rounds, sink_mass):
+    """Adjoint sweep: route sink_mass[v, b] back to origin b.
+
+    Returns the edge flows summed over the batch.
+    """
+    order, starts, ends = graph.tail_groups
+    tails, heads = graph.tails[order], graph.heads[order]
+    w = weights[order, None]
+    per_origin = np.zeros((graph.n_edges, sink_mass.shape[1]))
+    p = sink_mass
+    with np.errstate(invalid="ignore"):
+        for h in range(len(rounds) - 1, 0, -1):
+            expo = (rounds[h][heads] - w - rounds[h - 1][tails]) / gamma
+            # fmin maps the NaN of inf - inf to 0; p is 0 at heads unreached
+            # in h hops, so such edges carry nothing
+            contrib = p[heads] * np.exp(np.fmin(expo, 0.0))
+            per_origin += contrib
+            p = np.zeros_like(sink_mass)
+            p[ends] = np.add.reduceat(contrib, starts, axis=0)
+            # mass not propagated is absorbed by the empty walk at the origin
+    flows = np.empty(graph.n_edges)
+    flows[order] = per_origin.sum(axis=1)
     return flows
+
+
+def _by_origin(demands):
+    """{origin: [(dest, demand), ...]} in the demands' order."""
+    groups = {}
+    for (o, d), dem in demands.items():
+        groups.setdefault(o, []).append((d, dem))
+    return groups
 
 
 def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
@@ -83,7 +121,8 @@ def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
     if hops < 1:
         raise ValueError("hop bound must be at least 1")
     weights = np.asarray(weights, dtype=float)
-    return _forward(graph, weights, origin, gamma, hops)[-1]
+    u, _ = _sweep_forward(graph, weights, [origin], gamma, hops)
+    return u[:, 0]
 
 
 def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1):
@@ -94,21 +133,22 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1):
     exact gradient of value with respect to the edge weights.
     """
     weights = np.asarray(weights, dtype=float)
-    by_origin = {}
-    for (o, d), dem in demands.items():
-        by_origin.setdefault(o, []).append((d, dem))
+    by_origin = _by_origin(demands)
+    origins = sorted(by_origin)
+    chunk = max(1, ROUNDS_CAP_BYTES // (8 * (hops + 1) * graph.n_vertices))
     value = 0.0
     flows = np.zeros(graph.n_edges)
-    for o in sorted(by_origin):
-        rounds = _forward(graph, weights, o, gamma, hops)
-        sink = np.zeros(graph.n_vertices)
-        for d, dem in by_origin[o]:
-            u = rounds[-1][d]
-            if not math.isfinite(u):
-                raise UnreachableError(level, o, d, hops)
-            value += dem * u
-            sink[d] += dem
-        flows += _backward(graph, weights, gamma, rounds, sink)
+    for lo in range(0, len(origins), chunk):
+        batch = origins[lo:lo + chunk]
+        u, rounds = _sweep_forward(graph, weights, batch, gamma, hops, keep_rounds=True)
+        sink = np.zeros_like(u)
+        for b, o in enumerate(batch):
+            for d, dem in by_origin[o]:
+                if not math.isfinite(u[d, b]):
+                    raise UnreachableError(level, o, d, hops)
+                value += dem * u[d, b]
+                sink[d, b] += dem
+        flows += _sweep_backward(graph, weights, gamma, rounds, sink)
     return value, flows
 
 
@@ -181,9 +221,7 @@ def all_or_nothing(graph: LevelGraph, weights, demands, method="auto", level=1):
     subgradient element of the hard-min aggregate.
     """
     weights = np.asarray(weights, dtype=float)
-    by_origin = {}
-    for (o, d), dem in demands.items():
-        by_origin.setdefault(o, []).append((d, dem))
+    by_origin = _by_origin(demands)
     value = 0.0
     flows = np.zeros(graph.n_edges)
     hops = graph.n_vertices - 1
@@ -231,20 +269,18 @@ def effective_weights(network: Network, t, gammas=None, hops=None):
 
 def _od_values(graph, weights, od_pairs, gamma, hops, level):
     """Shortest-path (soft or hard) value per requested OD pair."""
-    by_origin = {}
-    for o, d in set(od_pairs):
-        by_origin.setdefault(o, set()).add(d)
-    table = {}
-    for o in sorted(by_origin):
-        if gamma > 0:
-            u = softmin_potentials(graph, weights, o, gamma, hops)
-        else:
-            u, _ = hard_shortest(graph, weights, o)
-        for d in by_origin[o]:
-            if not math.isfinite(u[d]):
-                raise UnreachableError(level, o, d, hops)
-            table[(o, d)] = u[d]
-    return np.array([table[od] for od in od_pairs])
+    origins = sorted({o for o, _ in od_pairs})
+    if gamma > 0:
+        weights = np.asarray(weights, dtype=float)
+        u, _ = _sweep_forward(graph, weights, origins, gamma, hops)
+    else:
+        u = np.column_stack([hard_shortest(graph, weights, o)[0] for o in origins])
+    column = {o: b for b, o in enumerate(origins)}
+    values = u[[d for _, d in od_pairs], [column[o] for o, _ in od_pairs]]
+    for (o, d), v in zip(od_pairs, values):
+        if not math.isfinite(v):
+            raise UnreachableError(level, o, d, hops)
+    return values
 
 
 def _hop_bounds(network, hops):

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from equiflow.cli import main
@@ -14,6 +15,42 @@ from conftest import (
     SD_TWO_LINK_INSTANCE,
     write_instance,
 )
+
+
+# 3x3 grid, row-aligned demand, binding hard-capacity (sd) crossings, gamma 0.1.
+# An early averaged candidate of the mixed solve has the lowest
+# max(gap, violation, complementarity) but a capacity violation above
+# eps_residual; a later candidate certifies.
+CAPACITY_MIXED_INSTANCE = """\
+1 0 1 sd 1.91719905784275 0.074999999999999997
+1 1 0 bpr 1.6702061762409512 1.4141979894671532 0.60587326016049103 1
+1 0 3 sd 1.1543498682785396 0.74964952348431946
+1 3 0 bpr 1.6880622077578478 1.6083741787552293 0.97968071478054686 0.25
+1 1 2 bpr 1.8688697084208927 1.8757635622875666 0.9982002546055474 0.25
+1 2 1 sd 1.4525961056500809 0.69031959893510964
+1 1 4 sd 1.8972079891427827 0.54656488541744785
+1 4 1 bpr 1.1140814081082329 2.190997924252672 0.82558316627546713 0.5
+1 2 5 bpr 1.7806748889630408 1.3378670800431005 0.86848750493579685 1
+1 5 2 bpr 1.2782904765249212 1.4673843616033735 0.7119565160179826 0.5
+1 3 4 bpr 1.5886995549060403 1.154335355354267 0.8594987391542569 0.25
+1 4 3 bpr 1.8692502508983235 1.9773604634089406 0.98096407100989746 0.5
+1 3 6 bpr 1.5963255718893521 2.5881679258617769 0.80022438457188616 0.5
+1 6 3 bpr 1.7053425296955529 1.1405740022098025 0.8830981849438504 0.25
+1 4 5 bpr 1.0072157657521843 2.545929736686328 0.83552886816156691 0.5
+1 5 4 bpr 1.9322875968095243 2.859917261908413 0.50447126662125508 1
+1 4 7 bpr 1.3066504934900949 1.1926957362357917 0.70345456803533457 0.25
+1 7 4 bpr 1.4734586076488867 1.8164156296526708 0.74303921726340361 0.5
+1 5 8 bpr 1.4413239955490551 1.9475046000086227 0.5870568536290568 0.25
+1 8 5 bpr 1.5670369615792625 1.078199055757203 0.9330443299281348 0.25
+1 6 7 sd 1.4838678418953659 0.074999999999999997
+1 7 6 sd 1.5954323553660705 0.84557229678546997
+1 7 8 bpr 1.2260371354753095 2.7775998999759217 0.94062861683673538 0.5
+1 8 7 sd 1.4904829163017497 0.85966257209753349
+od 1 0 2 0.14343360370833125
+od 1 3 5 0.27850165831812712
+od 1 6 8 0.078064737973541617
+gamma 1 0.10000000000000001
+"""
 
 
 def read_solution(path):
@@ -157,6 +194,65 @@ class TestCompare:
         assert "OD set" in capsys.readouterr().err
 
 
+class TestCertifiedOutput:
+    @pytest.mark.parametrize("model", ["mixed", "stable_dynamics"])
+    def test_converged_flows_meet_every_tolerance(self, tmp_path, model):
+        from equiflow import capacity_violation, complementarity_residual, duality_gap
+        from equiflow.network import load_network
+
+        inst = write_instance(tmp_path / "cap.net", CAPACITY_MIXED_INSTANCE)
+        out = tmp_path / "out"
+        eps = 1e-3
+        code = main(["solve", inst, "--model", model, "--eps", repr(eps), "--verify",
+                     "--out", str(out)])
+        summary = json.load(open(out / "summary.json"))
+        assert code == 0 and summary["converged"] is True
+        rows = read_solution(out / "solution.csv")
+        t = np.array([float(r[4]) for r in rows])
+        f = np.array([float(r[5]) for r in rows])
+        net = load_network(inst)
+        assert duality_gap(net, t, f)[1] <= eps
+        assert capacity_violation(net, f) <= eps
+        assert complementarity_residual(net, t, f) <= 10 * eps
+
+
+class TestBadInput:
+    VALID = ["1 0 1 bpr 1.0 1.0 0.5 1.0", "1 0 1 bpr 2.0 1.0 0.0 1.0", "od 1 0 1 1.0",
+             "gamma 1 1.0"]
+
+    @pytest.mark.parametrize("line, record", [
+        (3, "gamma 1 nan"),
+        (3, "gamma 1 inf"),
+        (0, "1 0 1 bpr 1.0 1.0 nan 1.0"),
+        (0, "1 0 1 bpr 1.0 1.0 inf 1.0"),
+        (0, "1 0 1 bpr 1.0 1.0 0.5 nan"),
+        (0, "1 0 1 bpr inf 1.0 0.5 1.0"),
+        (1, "1 0 1 sd nan 1.0"),
+        (2, "od 1 0 1 nan"),
+        (2, "od 1 0 1 inf"),
+    ])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, line, record):
+        lines = list(self.VALID)
+        lines[line] = record
+        inst = write_instance(tmp_path / "nan.net", "\n".join(lines) + "\n")
+        code = main(["solve", inst, "--model", "stochastic", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_diverged_solver_exits_1(self, tmp_path, capsys, monkeypatch):
+        from equiflow import cli
+        from equiflow.solvers import DivergedOracleError
+
+        def diverge(*args, **kwargs):
+            raise DivergedOracleError("line-search L exceeded ceiling")
+
+        monkeypatch.setattr(cli, "solve_assignment", diverge)
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        assert main(["solve", inst, "--out", str(tmp_path / "o")]) == 1
+        assert "error: line-search L exceeded ceiling" in capsys.readouterr().err
+
+
 class TestOd:
     def test_uniform_two_by_two(self, tmp_path, capsys):
         costs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}
@@ -181,6 +277,31 @@ class TestOd:
         c, r, w = od_inputs(tmp_path, costs, [1.0, 1.0], [1.0, 2.0])
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert "unbalanced" in capsys.readouterr().err
+
+    def test_missing_cost_entry_rejected(self, tmp_path, capsys):
+        costs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0}
+        c, r, w = od_inputs(tmp_path, costs, [1.0, 1.0], [1.0, 1.0])
+        assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
+        assert "no cost for zone pair 1,1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_cost_zone_outside_marginals_rejected(self, tmp_path, capsys):
+        costs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0, (2, 1): 1.0}
+        c, r, w = od_inputs(tmp_path, costs, [1.0, 1.0], [1.0, 1.0])
+        assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
+        assert "line 5: zone pair 2,1 is not in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record, message", [
+        ("0;0;1.0", "line 2: expected 2 integer ids and a value"),
+        ("0,1,nan", "line 2: value must be finite"),
+        ("0,1,inf", "line 2: value must be finite"),
+    ])
+    def test_malformed_cost_line_rejected(self, tmp_path, capsys, record, message):
+        c, r, w = od_inputs(tmp_path, {(0, 0): 1.0}, [1.0], [1.0, 1.0])
+        with open(c, "a") as fh:
+            fh.write(record + "\n")
+        assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_deterministic_matrix(self, tmp_path):
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}

@@ -88,6 +88,54 @@ class TestDualOracle:
         assert math.isinf(prox.upper[1])
 
 
+class TestAssignmentMemo:
+    def point(self, seed=22):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, gamma=0.5)
+        return net, net.free_flow_times() + rng.uniform(0.05, 0.8, size=net.n_times)
+
+    def test_one_assignment_per_point(self, monkeypatch):
+        import equiflow.dual as dual
+
+        calls = []
+        real = dual.assignment_flows
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dual, "assignment_flows", counting)
+        net, t = self.point()
+        oracle = DualOracle(net)
+        v = oracle.value(t)
+        v2, _ = oracle.value_grad(t.copy())
+        oracle.assignment(t)
+        assert len(calls) == 1 and v == v2
+        oracle.value(t + 0.1)
+        assert len(calls) == 2
+
+    def test_new_point_not_stale(self):
+        net, t = self.point()
+        oracle = DualOracle(net)
+        oracle.value(t)
+        t2 = t + 0.3
+        v, g = oracle.value_grad(t2)
+        v_ref, g_ref = DualOracle(net).value_grad(t2)
+        assert v == v_ref
+        assert np.array_equal(g, g_ref)
+
+    def test_in_place_mutation_not_stale(self):
+        net, t = self.point()
+        oracle = DualOracle(net)
+        oracle.value(t)
+        t[0] += 0.25
+        v, g = oracle.value_grad(t)
+        v_ref, g_ref = DualOracle(net).value_grad(t.copy())
+        assert v == v_ref
+        assert np.array_equal(g, g_ref)
+        assert np.array_equal(oracle.last_grad_point, t)
+
+
 class TestDualityGap:
     def test_zero_when_times_match_costs(self):
         rng = np.random.default_rng(24)

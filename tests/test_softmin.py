@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from equiflow import softmin
 from equiflow import (
     EdgeCostModel,
     LevelGraph,
@@ -261,3 +262,160 @@ class TestNestedPricing:
         net = Network([outer, inner], {(0, 1): 1.0})
         w = effective_weights(net, np.array([1.0, 1.2]))
         assert w[0][0] == pytest.approx(1.0, abs=1e-12)  # hard minimum, no -ln 2
+
+
+def reference_rounds(graph, weights, origin, gamma, hops):
+    """Per-origin forward rounds, one scatter (ufunc.at) pass per hop."""
+    n = graph.n_vertices
+    tails, heads = graph.tails, graph.heads
+    u = np.full(n, math.inf)
+    u[origin] = 0.0
+    rounds = [u]
+    for _ in range(hops):
+        cand = weights + u[tails]
+        finite = np.isfinite(cand)
+        shift = np.full(n, math.inf)
+        np.minimum.at(shift, heads[finite], cand[finite])
+        shift[origin] = min(shift[origin], 0.0)
+        acc = np.zeros(n)
+        np.add.at(acc, heads[finite], np.exp(-(cand[finite] - shift[heads[finite]]) / gamma))
+        acc[origin] += math.exp(shift[origin] / gamma)
+        nxt = np.full(n, math.inf)
+        ok = acc > 0.0
+        nxt[ok] = shift[ok] - gamma * np.log(acc[ok])
+        rounds.append(nxt)
+        u = nxt
+    return rounds
+
+
+def reference_flows(graph, weights, demands, gamma, hops):
+    """Per-origin soft-min value and Gibbs flows by the adjoint recursion."""
+    weights = np.asarray(weights, dtype=float)
+    tails, heads = graph.tails, graph.heads
+    value, flows = 0.0, np.zeros(graph.n_edges)
+    for o in sorted({o for o, _ in demands}):
+        rounds = reference_rounds(graph, weights, o, gamma, hops)
+        p = np.zeros(graph.n_vertices)
+        for (oo, d), dem in demands.items():
+            if oo == o:
+                value += dem * rounds[-1][d]
+                p[d] += dem
+        for h in range(hops, 0, -1):
+            with np.errstate(invalid="ignore"):
+                expo = rounds[h][heads] - weights - rounds[h - 1][tails]
+            live = np.isfinite(expo) & (p[heads] > 0.0)
+            contrib = np.zeros(graph.n_edges)
+            contrib[live] = p[heads[live]] * np.exp(np.minimum(expo[live] / gamma, 0.0))
+            flows += contrib
+            p = np.zeros(graph.n_vertices)
+            np.add.at(p, tails, contrib)
+    return value, flows
+
+
+def ragged_graph():
+    """Vertex 0 has no in-edges, 5 no out-edges, 6 no edges at all;
+    1 -> 2 is doubled and 1 -> 2 -> 3 -> 1 is a cycle."""
+    pairs = [(0, 1), (0, 2), (1, 2), (1, 2), (2, 3), (3, 1), (1, 4), (2, 4), (4, 5)]
+    return LevelGraph(7, plain_edges=[(a, b, fixed_edge(1.0)) for a, b in pairs])
+
+
+def close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+class TestBatchedSweep:
+    """The one batched sweep against the per-origin reference above."""
+
+    def test_potentials_from_every_vertex(self):
+        rng = np.random.default_rng(30)
+        g = ragged_graph()
+        w = rng.uniform(0.2, 2.0, size=g.n_edges)
+        for gamma in (0.3, 1.0):
+            for o in range(g.n_vertices):
+                expect = reference_rounds(g, w, o, gamma, 6)[-1]
+                got = softmin_potentials(g, w, o, gamma, 6)
+                close(got, expect)
+        # unreachable: the isolated vertex, and vertex 0 from anywhere else
+        u = softmin_potentials(g, w, 3, 1.0, 6)
+        assert math.isinf(u[6]) and math.isinf(u[0])
+
+    def test_shared_destinations_and_dead_ends(self):
+        rng = np.random.default_rng(31)
+        g = ragged_graph()
+        w = rng.uniform(0.2, 2.0, size=g.n_edges)
+        w[3] = w[2]
+        demands = {(0, 5): 1.0, (0, 4): 0.5, (1, 5): 2.0, (2, 5): 0.7, (3, 4): 1.1, (2, 1): 0.4}
+        value, flows = softmin_flows(g, w, demands, 0.8, 6)
+        ev, ef = reference_flows(g, w, demands, 0.8, 6)
+        assert value == pytest.approx(ev, rel=1e-12, abs=1e-12)
+        close(flows, ef)
+        assert flows[2] == pytest.approx(flows[3], rel=1e-12)  # parallel twins
+
+    def test_random_networks_all_pairs(self):
+        rng = np.random.default_rng(32)
+        for _ in range(8):
+            lg = random_network(rng).levels[0]
+            w = rng.uniform(0.2, 2.0, size=lg.n_edges)
+            hops = lg.n_vertices - 1
+            dist = [hard_shortest(lg, w, o)[0] for o in range(lg.n_vertices)]
+            demands = {(o, d): float(rng.uniform(0.5, 2.0))
+                       for o in range(lg.n_vertices) for d in range(lg.n_vertices)
+                       if o != d and math.isfinite(dist[o][d])}
+            value, flows = softmin_flows(lg, w, demands, 0.5, hops)
+            ev, ef = reference_flows(lg, w, demands, 0.5, hops)
+            assert value == pytest.approx(ev, rel=1e-12, abs=1e-12)
+            close(flows, ef)
+
+    def test_origins_beyond_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        g = ragged_graph()
+        w = rng.uniform(0.2, 2.0, size=g.n_edges)
+        hops = 6
+        demands = {(0, 5): 1.0, (1, 5): 2.0, (2, 4): 0.7, (3, 5): 1.1, (4, 5): 0.3}
+        # room for the rounds of two origins per chunk
+        monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES", 2 * 8 * (hops + 1) * g.n_vertices)
+        sweeps = []
+        forward = softmin._sweep_forward
+
+        def counting(graph, weights, origins, *args, **kwargs):
+            sweeps.append(len(origins))
+            return forward(graph, weights, origins, *args, **kwargs)
+
+        monkeypatch.setattr(softmin, "_sweep_forward", counting)
+        value, flows = softmin_flows(g, w, demands, 0.6, hops)
+        assert sweeps == [2, 2, 1]
+        ev, ef = reference_flows(g, w, demands, 0.6, hops)
+        assert value == pytest.approx(ev, rel=1e-12, abs=1e-12)
+        close(flows, ef)
+
+    def test_two_level_nested(self):
+        rng = np.random.default_rng(34)
+        inner = random_network(rng).levels[0]
+        n_in = inner.n_vertices
+        refs = [(0, n_in - 1), (0, n_in - 2), (1, n_in - 1), (0, n_in - 1)]
+        outer = LevelGraph(
+            3,
+            plain_edges=[(0, 1, fixed_edge(1.0)), (1, 2, fixed_edge(1.0)), (0, 2, fixed_edge(3.0))],
+            nested_edges=[(0, 1, refs[0]), (0, 2, refs[1]), (1, 2, refs[2]), (0, 2, refs[3])],
+            gamma=0.7,
+        )
+        inner = LevelGraph(n_in, inner.plain_edges, gamma=0.4)
+        net = Network([outer, inner], {(0, 2): 1.5, (1, 2): 0.5})
+        t = net.free_flow_times() + rng.uniform(0.0, 0.5, size=net.n_times)
+        t_in = t[net.plain_slices[1]]
+        hops = [2, n_in - 1]
+
+        w = effective_weights(net, t)
+        nested_w = [reference_rounds(inner, t_in, o, 0.4, hops[1])[-1][d] for o, d in refs]
+        close(w[0][3:], nested_w)
+
+        value, flow = assignment_flows(net, t)
+        ev, ef_out = reference_flows(outer, w[0], net.demands, 0.7, hops[0])
+        inner_demands = {}
+        for od, f in zip(refs, ef_out[3:]):
+            inner_demands[od] = inner_demands.get(od, 0.0) + f
+        _, ef_in = reference_flows(inner, t_in, inner_demands, 0.4, hops[1])
+        assert value == pytest.approx(ev, rel=1e-12, abs=1e-12)
+        close(flow.plain[0], ef_out[:3])
+        close(flow.nested[0], ef_out[3:])
+        close(flow.plain[1], ef_in)
