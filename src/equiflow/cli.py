@@ -1,9 +1,10 @@
 """Command-line front end: solve instances, compare scenarios, fit OD matrices.
 
 Exit codes: 0 when every requested certificate was met, 1 on input or
-validation errors, 2 when the budget ran out (best-so-far files are still
-written).  All floats are serialized with 17 significant digits so files
-round-trip exactly; identical config and seed give byte-identical output.
+validation errors or a failed --verify, 2 when the budget ran out
+(best-so-far files are still written).  All floats are serialized with 17
+significant digits so files round-trip exactly; identical config and seed
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -149,11 +150,21 @@ def _write_potentials(path, network, report):
                 fh.write(f"{o},{v},{fmt(u[v])}\n")
 
 
+def _tolerance(value, default, flag):
+    """A positive, finite tolerance from the command line, or the default."""
+    if value is None:
+        return default
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} must be positive and finite, got {value}")
+    return value
+
+
 def _solve_one(instance, args):
     network = load_network(instance)
     gammas = _gamma_overrides(network, args.gamma)
-    eps = args.eps if args.eps is not None else 1e-6
-    eps_res = args.eps_residual
+    eps = _tolerance(args.eps, 1e-6, "--eps")
+    eps_res = _tolerance(args.eps_residual, None, "--eps-residual")
     max_iter = args.max_iter if args.max_iter is not None else 200000
     model = args.model or "beckmann"
     if network.n_levels > 1 or model == "multistage":
@@ -286,8 +297,8 @@ def cmd_od(args) -> int:
     cols, W = _read_marginal_csv(args.cols)
     T = _read_cost_csv(args.costs, rows, cols)
     gamma = args.gamma_od if args.gamma_od is not None else 1.0
-    eps = args.eps if args.eps is not None else 1e-8
-    eps_res = args.eps_residual if args.eps_residual is not None else 1e-6
+    eps = _tolerance(args.eps, 1e-8, "--eps")
+    eps_res = _tolerance(args.eps_residual, 1e-6, "--eps-residual")
     sol = solve_entropy_od(
         L, W, T, gamma, eps=eps, eps_residual=eps_res,
         max_iter=args.max_iter if args.max_iter is not None else 100000,
@@ -307,6 +318,7 @@ def cmd_od(args) -> int:
         "converged": sol.converged,
         "iterations": sol.solver.iterations,
         "dropped_constraint": sol.extra["dropped_constraint"],
+        "primal": sol.extra["primal"],
     })
     if args.verify:
         ref, ok = balancing_oracle(L, W, T, gamma)
@@ -314,7 +326,7 @@ def cmd_od(args) -> int:
         passed = ok and err <= 1e-6
         print(f"verification {'PASS' if passed else 'FAIL'}: max deviation {fmt(err)}")
         if not passed:
-            return 2
+            return 1
     print(f"{'certified' if sol.converged else 'uncertified'} "
           f"gap={fmt(sol.gap)} residual={fmt(sol.residual)}")
     return 0 if sol.converged else 2
@@ -363,19 +375,13 @@ def build_parser():
     p_od.add_argument("cols", help="CSV of zone,marginal (column sums)")
     p_od.add_argument("--gamma", dest="gamma_od", type=float, default=None)
     common(p_od)
-    p_od.set_defaults(func=cmd_od)
+    p_od.set_defaults(func=cmd_od, gamma=None, dump_potentials=None, model=None)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "gamma"):
-        args.gamma = None
-    if not hasattr(args, "dump_potentials"):
-        args.dump_potentials = None
-    if not hasattr(args, "model"):
-        args.model = None
     try:
         args = _merge_config(args)
         return args.func(args)

@@ -4,8 +4,11 @@ The most-likely OD matrix consistent with zone marginals and travel costs
 minimizes <c, x> + gamma * sum x ln x over the simplex subject to row and
 column sums.  The dual in the constraint multipliers is smooth with a
 closed-form softmax primal map; it is minimized by the same adaptive
-accelerated method used elsewhere, with primal iterates recovered as a
-step-weighted average and certified by value gap plus marginal residual.
+accelerated method used elsewhere, with the constraints applied as row and
+column sums (no stored matrix).  The step-weighted average of the softmax
+points and the softmax at the current dual point are both certified by
+value gap plus marginal residual; the average carries the convergence
+guarantee, the current point usually certifies much sooner.
 """
 
 from __future__ import annotations
@@ -28,6 +31,32 @@ class UnsupportedRegimeError(ValueError):
     """Requested parameters fall outside the supported solver regime."""
 
 
+class MarginalMap:
+    """ELP constraint matrix as an operator that stores no matrix.
+
+    ``A @ x``: row sums, then all but the last column sum, of
+    ``x.reshape(nr, nc)``.  ``A.T @ y``: ``y_row[:, None] + [y_col, 0]``.
+    """
+
+    nbytes = 0
+
+    def __init__(self, nr, nc, transposed=False):
+        self.nr, self.nc, self.transposed = nr, nc, transposed
+        rows, n = nr + nc - 1, nr * nc
+        self.shape = (n, rows) if transposed else (rows, n)
+
+    @property
+    def T(self):
+        return MarginalMap(self.nr, self.nc, not self.transposed)
+
+    def __matmul__(self, v):
+        nr, nc = self.nr, self.nc
+        if self.transposed:
+            return (v[:nr, None] + np.append(v[nr:], 0.0)[None, :]).ravel()
+        m = v.reshape(nr, nc)
+        return np.concatenate((m.sum(axis=1), m[:, :-1].sum(axis=0)))
+
+
 @dataclass
 class ElpProblem:
     """Entropy-linear program over the flattened, mass-normalized matrix.
@@ -37,7 +66,7 @@ class ElpProblem:
     """
 
     cost: np.ndarray        # (n_rows * n_cols,) flattened
-    A: np.ndarray           # constraints x marginals
+    A: MarginalMap          # constraints x marginals
     b: np.ndarray
     gamma: float
     shape: tuple
@@ -49,12 +78,12 @@ class ElpProblem:
 
 
 def build_elp(L, W, T, gamma) -> ElpProblem:
-    """Normalize marginals to unit mass and assemble the constraint system."""
+    """Normalize marginals to unit mass and set up the constraint operator."""
     L = np.asarray(L, dtype=float)
     W = np.asarray(W, dtype=float)
     T = np.asarray(T, dtype=float)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if np.any(L <= 0) or np.any(W <= 0):
         raise ValueError("marginals must be positive")
     mass = L.sum()
@@ -63,17 +92,8 @@ def build_elp(L, W, T, gamma) -> ElpProblem:
     nr, nc = len(L), len(W)
     if T.shape != (nr, nc):
         raise ValueError(f"cost matrix shape {T.shape} != ({nr}, {nc})")
-    n = nr * nc
-    rows = nr + nc - 1
-    A = np.zeros((rows, n))
-    b = np.empty(rows)
-    for i in range(nr):
-        A[i, i * nc:(i + 1) * nc] = 1.0
-        b[i] = L[i] / mass
-    for j in range(nc - 1):
-        A[nr + j, j::nc] = 1.0
-        b[nr + j] = W[j] / mass
-    return ElpProblem(cost=T.ravel().copy(), A=A, b=b, gamma=float(gamma),
+    return ElpProblem(cost=T.ravel().copy(), A=MarginalMap(nr, nc),
+                      b=np.concatenate((L, W[:-1])) / mass, gamma=float(gamma),
                       shape=(nr, nc), mass=mass)
 
 
@@ -144,9 +164,11 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
                      max_iter=100000, l0=1.0) -> ElpSolution:
     """Certified OD matrix from marginals L, W and cost matrix T.
 
-    Minimizes the smooth dual; the reported matrix is the step-weighted
-    average of the softmax primal points, accepted only once both the
-    primal-dual value gap and the marginal residual are within tolerance.
+    Minimizes the smooth dual and, after each step, certifies two primal
+    candidates against the dual value there: the step-weighted average of
+    the softmax points and, failing that, the softmax at the current point.
+    The first to meet both the value-gap and residual tolerances is
+    returned, else the one closest to them; ``extra["primal"]`` names it.
     """
     problem = build_elp(L, W, T, gamma)
     oracle = ElpDualOracle(problem)
@@ -159,38 +181,42 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
     eps_res_n = eps_residual / scale
 
     acc = np.zeros(problem.n)
-    state_best = {"x": None, "cert": math.inf, "gap": math.nan, "res": math.nan}
+    best = {"x": None}
+
+    def consider(x, dual, primal):
+        """Certify primal candidate x against dual value `dual`; keep the best."""
+        gap = dual + primal_value(problem, x)
+        res = float(np.linalg.norm(problem.A @ x - problem.b))
+        cert = max(gap / eps_n, res / eps_res_n)
+        if best["x"] is None or cert < best["cert"]:
+            best.update(x=x, cert=cert, gap=gap, res=res, primal=primal)
+        return gap, gap <= eps_n and res <= eps_res_n
 
     def on_step(state):
         acc[:] += state.alpha * oracle.last_x
 
     def stop(state):
-        x = acc / state.A
-        gap = oracle.value(state.x) + primal_value(problem, x)
-        res = float(np.linalg.norm(problem.A @ x - problem.b))
+        # state.fx is the dual value the line search computed at state.x
+        gap, ok = consider(acc / state.A, state.fx, "average")
         state.report.gap_trace.append(gap)
-        cert = max(gap / eps_n, res / eps_res_n)
-        if cert < state_best["cert"]:
-            state_best.update(cert=cert, x=x.copy(), gap=gap, res=res)
-        if gap <= eps_n and res <= eps_res_n:
-            return "certified"
-        return None
+        if not ok:
+            _, ok = consider(oracle.primal(state.x), state.fx, "last_iterate")
+        return "certified" if ok else None
 
     y, rep = umt_minimize(
         oracle, prox, y0, eps_n, mu=0.0, max_iter=max_iter, l0=l0,
         stop=stop, callback=on_step,
     )
-    x = state_best["x"]
-    converged = rep.termination == "certified"
     return ElpSolution(
-        matrix=(x * problem.mass).reshape(problem.shape),
+        matrix=(best["x"] * problem.mass).reshape(problem.shape),
         potentials=y,
-        gap=state_best["gap"] * problem.mass,
-        residual=state_best["res"] * problem.mass,
+        gap=best["gap"] * problem.mass,
+        residual=best["res"] * problem.mass,
         gamma=float(gamma),
-        converged=converged,
+        converged=rep.termination == "certified",
         solver=rep,
-        extra={"dropped_constraint": "last column marginal", "mass": problem.mass},
+        extra={"dropped_constraint": "last column marginal", "mass": problem.mass,
+               "primal": best["primal"]},
     )
 
 

@@ -116,6 +116,24 @@ class TestSolve:
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["gammas"] == ["0.20000000000000001"]
 
+    @pytest.mark.parametrize("flag", ["--eps", "--eps-residual"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_tolerance_exits_1(self, tmp_path, capsys, flag, value):
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        code = main(["solve", inst, flag, value, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {flag} must be positive and finite")
+
+    def test_failed_verify_exits_1(self, tmp_path, capsys, monkeypatch):
+        from equiflow import cli
+
+        monkeypatch.setattr(cli, "duality_gap", lambda *args: (None, 1.0))
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        code = main(["solve", inst, "--eps", "1e-9", "--verify", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "verification FAIL" in capsys.readouterr().out
+
     def test_bad_gamma_override(self, tmp_path):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         assert main(["solve", inst, "--gamma", "2=0.5",
@@ -302,6 +320,40 @@ class TestOd:
             fh.write(record + "\n")
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma", "inf"], "gamma must be positive and finite, got inf"),
+        (["--gamma", "nan"], "gamma must be positive and finite, got nan"),
+        (["--eps", "nan"], "--eps must be positive and finite, got nan"),
+        (["--eps", "-1"], "--eps must be positive and finite, got -1"),
+        (["--eps-residual", "nan"], "--eps-residual must be positive and finite, got nan"),
+        (["--eps-residual", "inf"], "--eps-residual must be positive and finite, got inf"),
+    ], ids=["gamma-inf", "gamma-nan", "eps-nan", "eps-negative", "eps-residual-nan",
+            "eps-residual-inf"])
+    def test_bad_parameter_exits_1(self, tmp_path, capsys, flags, message):
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        assert main(["od", c, r, w, *flags, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_failed_verify_exits_1(self, tmp_path, capsys, monkeypatch):
+        from equiflow import cli
+
+        monkeypatch.setattr(cli, "balancing_oracle",
+                            lambda L, W, T, gamma: (np.zeros((len(L), len(W))), True))
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        assert main(["od", c, r, w, "--verify", "--out", str(tmp_path / "o")]) == 1
+        assert "verification FAIL" in capsys.readouterr().out
+
+    def test_certificate_names_primal_candidate(self, tmp_path):
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        out = tmp_path / "out"
+        assert main(["od", c, r, w, "--gamma", "0.5", "--out", str(out)]) == 0
+        cert = json.load(open(out / "certificate.json"))
+        assert cert["primal"] == "last_iterate"
 
     def test_deterministic_matrix(self, tmp_path):
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from equiflow import od
 from equiflow import (
     UnsupportedRegimeError,
     balancing_oracle,
@@ -23,6 +24,26 @@ def random_balanced(rng, nr, nc):
     W *= L.sum() / W.sum()
     T = rng.uniform(0.0, 3.0, size=(nr, nc))
     return L, W, T
+
+
+def euclidean_zones(rng, n):
+    """Distance costs between random zones and marginals as the bench draws them."""
+    pts = rng.uniform(0.0, 4.0, size=(n, 2))
+    T = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    L = rng.uniform(1.0, 10.0, size=n)
+    W = rng.uniform(1.0, 10.0, size=n)
+    W *= L.sum() / W.sum()
+    return L, W, T
+
+
+def dense_constraints(nr, nc):
+    """Row sums, then all but the last column sum, as an explicit matrix."""
+    A = np.zeros((nr + nc - 1, nr * nc))
+    for i in range(nr):
+        A[i, i * nc:(i + 1) * nc] = 1.0
+    for j in range(nc - 1):
+        A[nr + j, j::nc] = 1.0
+    return A
 
 
 class TestBuildElp:
@@ -43,6 +64,25 @@ class TestBuildElp:
     def test_bad_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             build_elp([1.0], [1.0], np.zeros((1, 1)), 0.0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            build_elp([1.0], [1.0], np.zeros((1, 1)), gamma)
+
+
+class TestMarginalMap:
+    @pytest.mark.parametrize("nr, nc", [(1, 1), (1, 5), (5, 1), (3, 4), (7, 5)])
+    def test_matches_dense_matrix(self, nr, nc):
+        rng = np.random.default_rng(nr * 10 + nc)
+        A = build_elp(np.ones(nr), np.full(nc, nr / nc), np.zeros((nr, nc)), 1.0).A
+        dense = dense_constraints(nr, nc)
+        assert A.shape == dense.shape and A.T.shape == dense.T.shape
+        assert A.nbytes == 0
+        x = rng.random(nr * nc)
+        y = rng.normal(size=nr + nc - 1)
+        assert np.abs(A @ x - dense @ x).max() <= 1e-15
+        assert np.abs(A.T @ y - dense.T @ y).max() <= 1e-15
 
 
 class TestDualOracle:
@@ -109,6 +149,36 @@ class TestSolveEntropyOd:
         a = solve_entropy_od(L, W, T, 0.5, eps=1e-10, eps_residual=1e-8)
         b = solve_entropy_od(L, W, 10.0 * T, 5.0, eps=1e-10, eps_residual=1e-8)
         assert np.abs(a.matrix - b.matrix).max() <= 1e-6
+
+    def test_stop_makes_no_dual_call(self, monkeypatch):
+        # every value() call comes from the line search; stop() reuses its value
+        calls = []
+        value = od.ElpDualOracle.value
+        monkeypatch.setattr(od.ElpDualOracle, "value",
+                            lambda self, y: calls.append(1) or value(self, y))
+        rng = np.random.default_rng(39)
+        sol = solve_entropy_od(*random_balanced(rng, 4, 3), 0.5)
+        rep = sol.solver
+        assert sol.converged and rep.iterations > 10
+        assert len(calls) == rep.value_calls - rep.grad_calls
+
+    def test_last_iterate_certifies_ten_zones_sooner(self):
+        rng = np.random.default_rng(0)
+        L, W, T = euclidean_zones(rng, 10)
+        sol = solve_entropy_od(L, W, T, 1.0)
+        ref, ok = balancing_oracle(L, W, T, 1.0)
+        assert sol.converged and ok
+        assert sol.solver.iterations < 5000
+        assert sol.extra["primal"] in ("average", "last_iterate")
+        assert np.abs(sol.matrix - ref).max() <= 1e-6
+
+    def test_nan_certificate_still_returns_a_matrix(self, monkeypatch):
+        monkeypatch.setattr(od, "primal_value", lambda problem, x: math.nan)
+        rng = np.random.default_rng(40)
+        L, W, T = random_balanced(rng, 2, 3)
+        sol = solve_entropy_od(L, W, T, 0.5, max_iter=5)
+        assert not sol.converged
+        assert sol.matrix.shape == (2, 3) and np.isfinite(sol.matrix).all()
 
     def test_large_gamma_approaches_outer_product(self):
         rng = np.random.default_rng(36)
