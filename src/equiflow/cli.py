@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .dual import duality_gap, solve_assignment, solve_multistage
+from .dual import MODELS, duality_gap, solve_assignment, solve_multistage
 from .network import NetworkError, load_network
 from .od import balancing_oracle, solve_entropy_od
 from .solvers import DivergedOracleError
@@ -30,38 +30,45 @@ def fmt(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-CONFIG_KEYS = {
-    "model", "eps", "eps_residual", "gamma", "seed", "max_iter",
-    "out", "trace", "verify", "dump_potentials", "hops",
+# JSON types of the config keys; bool passes only where it is listed
+CONFIG_TYPES = {
+    "model": str, "eps": (int, float), "eps_residual": (int, float),
+    "gamma": (dict, list, int, float), "seed": int, "max_iter": int,
+    "out": str, "trace": bool, "verify": bool, "dump_potentials": bool,
 }
 
 
 def _load_config(path):
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    unknown = set(cfg) - CONFIG_KEYS
+    unknown = set(cfg) - CONFIG_TYPES.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        types = CONFIG_TYPES[key]
+        if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
+            names = [t.__name__ for t in (types if isinstance(types, tuple) else (types,))]
+            raise ValueError(f"config key {key!r} must be {' or '.join(names)}, got {value!r}")
     return cfg
 
 
 def _merge_config(args):
     """Config file supplies defaults; explicit flags win."""
     cfg = _load_config(args.config) if args.config else {}
-    for key in CONFIG_KEYS:
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None and key in cfg:
-            setattr(args, key, cfg[key])
-    if isinstance(args.gamma, dict):  # from config file: {"1": 0.5}
-        args.gamma = [f"{k}={v}" for k, v in sorted(args.gamma.items())]
+    for key, value in cfg.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, value)
     return args
 
 
 def _gamma_overrides(network, gamma_flags):
+    if isinstance(gamma_flags, dict):  # from a config file: {"1": 0.5}
+        gamma_flags = [f"{k}={v}" for k, v in sorted(gamma_flags.items())]
+    elif not isinstance(gamma_flags, (list, type(None))):
+        raise ValueError(f"config key 'gamma' must be per-level overrides, got {gamma_flags!r}")
     gammas = list(network.gammas())
     for item in gamma_flags or []:
-        level, _, value = item.partition("=")
+        level, _, value = str(item).partition("=")
         try:
             k = int(level)
             v = float(value)
@@ -166,8 +173,8 @@ def _solve_one(instance, args):
     eps = _tolerance(args.eps, 1e-6, "--eps")
     eps_res = _tolerance(args.eps_residual, None, "--eps-residual")
     max_iter = args.max_iter if args.max_iter is not None else 200000
-    model = args.model or "beckmann"
-    if network.n_levels > 1 or model == "multistage":
+    model = args.model or ("multistage" if network.n_levels > 1 else "beckmann")
+    if model == "multistage":
         report = solve_multistage(
             network, eps=eps, eps_residual=eps_res,
             gammas=gammas if args.gamma else None, max_iter=max_iter,
@@ -296,7 +303,9 @@ def cmd_od(args) -> int:
     rows, L = _read_marginal_csv(args.rows)
     cols, W = _read_marginal_csv(args.cols)
     T = _read_cost_csv(args.costs, rows, cols)
-    gamma = args.gamma_od if args.gamma_od is not None else 1.0
+    gamma = args.gamma if args.gamma is not None else 1.0
+    if not isinstance(gamma, (int, float)):  # a config file's per-level overrides
+        raise ValueError(f"config key 'gamma' must be a number for od, got {gamma!r}")
     eps = _tolerance(args.eps, 1e-8, "--eps")
     eps_res = _tolerance(args.eps_residual, 1e-6, "--eps-residual")
     sol = solve_entropy_od(
@@ -351,9 +360,7 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="solve one assignment instance")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--model", default=None,
-                         choices=["beckmann", "beckmann_md", "stochastic",
-                                  "stable_dynamics", "mixed", "multistage"])
+    p_solve.add_argument("--model", default=None, choices=MODELS)
     p_solve.add_argument("--gamma", action="append", metavar="LEVEL=VALUE", default=None)
     p_solve.add_argument("--dump-potentials", dest="dump_potentials",
                          action="store_true", default=None)
@@ -362,9 +369,7 @@ def build_parser():
 
     p_cmp = sub.add_parser("compare", help="solve and rank several scenarios")
     p_cmp.add_argument("instances", nargs="+")
-    p_cmp.add_argument("--model", default=None,
-                       choices=["beckmann", "beckmann_md", "stochastic",
-                                "stable_dynamics", "mixed", "multistage"])
+    p_cmp.add_argument("--model", default=None, choices=MODELS)
     p_cmp.add_argument("--gamma", action="append", metavar="LEVEL=VALUE", default=None)
     common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
@@ -373,9 +378,9 @@ def build_parser():
     p_od.add_argument("costs", help="CSV of row,col,cost")
     p_od.add_argument("rows", help="CSV of zone,marginal (row sums)")
     p_od.add_argument("cols", help="CSV of zone,marginal (column sums)")
-    p_od.add_argument("--gamma", dest="gamma_od", type=float, default=None)
+    p_od.add_argument("--gamma", type=float, default=None)
     common(p_od)
-    p_od.set_defaults(func=cmd_od, gamma=None, dump_potentials=None, model=None)
+    p_od.set_defaults(func=cmd_od, dump_potentials=None, model=None)
     return parser
 
 

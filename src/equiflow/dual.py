@@ -14,17 +14,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import (
-    BPR,
-    SD,
-    FlowState,
-    Network,
-    bpr_conjugate,
-    bpr_cost,
-    bpr_integral,
-)
+from .network import FlowState, Network, by_origin
 from .softmin import all_or_nothing, assignment_flows, effective_weights
-from .solvers import EuclideanProx, SmoothOracle, umt_minimize, umt_stochastic
+from .solvers import (
+    EuclideanProx, SmoothOracle, SolverReport, umt_minimize, umt_stochastic,
+)
+
+MODELS = ["beckmann", "beckmann_md", "stochastic", "stable_dynamics", "mixed", "multistage"]
+
+
+def _flat(flows) -> np.ndarray:
+    """Plain-edge flows aligned with the time vector."""
+    return flows.plain_flat() if isinstance(flows, FlowState) else np.asarray(flows, dtype=float)
+
+
+def _conjugates(edges, t):
+    """Value and gradient of the smooth (BPR) conjugate terms at t.
+
+    Capacitated conjugates are linear and go to the composite term;
+    pinned edges stay at t_free, where their conjugate is 0.
+    """
+    value, flow = edges.conjugate(t)
+    return float(value[edges.smooth].sum()), np.where(edges.smooth, flow, 0.0)
 
 
 class DualOracle(SmoothOracle):
@@ -40,32 +51,16 @@ class DualOracle(SmoothOracle):
         self.network = network
         self.gammas = list(network.gammas()) if gammas is None else list(gammas)
         self.hops = hops
+        edges = network.edges
         self.lower = network.free_flow_times()
-        upper = np.full(network.n_times, math.inf)
-        linear = np.zeros(network.n_times)
-        for i, mdl in enumerate(network.cost_models):
-            if mdl.pinned:
-                upper[i] = mdl.t_free
-            elif mdl.kind == SD:
-                linear[i] = mdl.capacity
-        self.upper = upper
-        self.linear = linear
+        self.upper = np.where(edges.pinned, edges.t_free, math.inf)
+        self.linear = np.where(edges.capped, edges.capacity, 0.0)
         self.last_flow = None  # FlowState at the most recent gradient point
         self.last_grad_point = None
         self._memo = (None, None)  # (t.tobytes(), assignment) at the last point
 
     def prox(self):
         return EuclideanProx(lower=self.lower, upper=self.upper, linear=self.linear)
-
-    def _conjugates(self, t):
-        value = 0.0
-        grad = np.zeros(len(t))
-        for i, mdl in enumerate(self.network.cost_models):
-            if mdl.kind == BPR and not mdl.pinned:
-                v, f = bpr_conjugate(mdl, t[i])
-                value += v
-                grad[i] = f
-        return value, grad
 
     def assignment(self, t):
         """(soft-min value, FlowState) at t, shared with value and value_grad.
@@ -82,12 +77,12 @@ class DualOracle(SmoothOracle):
 
     def value(self, t):
         softmin_value, _ = self.assignment(t)
-        conj_value, _ = self._conjugates(t)
+        conj_value, _ = _conjugates(self.network.edges, t)
         return -softmin_value + conj_value
 
     def value_grad(self, t):
         softmin_value, flow = self.assignment(t)
-        conj_value, conj_grad = self._conjugates(t)
+        conj_value, conj_grad = _conjugates(self.network.edges, t)
         self.last_flow = flow
         self.last_grad_point = np.array(t, dtype=float)
         return -softmin_value + conj_value, -flow.plain_flat() + conj_grad
@@ -98,15 +93,11 @@ class DualOracle(SmoothOracle):
         Linear-cost (power 1) BPR conjugates have constant curvature
         capacity/(gain * t_free); any other free edge contributes 0.
         """
-        mu = math.inf
-        for mdl in self.network.cost_models:
-            if mdl.pinned:
-                continue
-            if mdl.kind == BPR and mdl.bpr_power == 1.0:
-                mu = min(mu, mdl.capacity / (mdl.bpr_gain * mdl.t_free))
-            else:
-                return 0.0
-        return 0.0 if math.isinf(mu) else mu
+        e = self.network.edges
+        s = e.smooth
+        if e.capped.any() or not s.any() or np.any(e.power[s] != 1.0):
+            return 0.0
+        return float(np.min(e.capacity[s] / (e.gain[s] * e.t_free[s])))
 
 
 class StochasticDualOracle(DualOracle):
@@ -115,10 +106,9 @@ class StochasticDualOracle(DualOracle):
     def __init__(self, network, gammas=None, hops=None, variance_bound=None):
         super().__init__(network, gammas, hops)
         self.variance_bound = variance_bound
-        self._origins = network.origins()
-        weights = np.array(
-            [sum(d for (o, _), d in network.demands.items() if o == org) for org in self._origins]
-        )
+        groups = by_origin(network.demands)
+        self._origins = list(groups)
+        weights = np.array([sum(g.values()) for g in groups.values()])
         self._probs = weights / weights.sum()
 
     def stochastic_grad(self, t, rng, batch):
@@ -138,21 +128,15 @@ def stochastic_origin_oracle(network, t, origins, gammas=None, hops=None):
     if not origins:
         raise ValueError("empty origin batch")
     t = np.asarray(t, dtype=float)
-    per_origin = {}
-    for (o, d), dem in network.demands.items():
-        per_origin.setdefault(o, {})[(o, d)] = dem
-    totals = {o: sum(ds.values()) for o, ds in per_origin.items()}
+    groups = by_origin(network.demands)
+    totals = {o: sum(g.values()) for o, g in groups.items()}
     grand = sum(totals.values())
     est = np.zeros(network.n_times)
     for o in origins:
-        _, flow = assignment_flows(network, t, gammas, hops, demands=per_origin[o])
+        _, flow = assignment_flows(network, t, gammas, hops, demands=groups[o])
         est += flow.plain_flat() * (grand / totals[o])
     est /= len(origins)
-    conj_grad = np.zeros(network.n_times)
-    for i, mdl in enumerate(network.cost_models):
-        if mdl.kind == BPR and not mdl.pinned:
-            conj_grad[i] = bpr_conjugate(mdl, t[i])[1]
-    return -est + conj_grad
+    return -est + _conjugates(network.edges, t)[1]
 
 
 def dual_value_grad(network, t, gammas=None, hops=None):
@@ -166,41 +150,34 @@ def duality_gap(network, t, flows):
     """Per-edge Fenchel terms and their sum for a time/flow pair.
 
     Each term sigma_e(f) - f*t + sigma*_e(t) is nonnegative for feasible
-    t and in-domain f; capacitated flows are clamped to capacity here and
-    the excess reported through capacity_violation instead.
+    t and in-domain f.  On SD edges it reduces to (t - t_free) *
+    (capacity - f), with f clamped to capacity (the excess is reported
+    through capacity_violation instead), and to 0 without a capacity.
+    Pinned BPR edges count their conjugate as 0: their time stays at
+    t_free, up to the rounding of the solver's averaging steps.
     """
+    e = network.edges
     t = np.asarray(t, dtype=float)
-    f = flows.plain_flat() if isinstance(flows, FlowState) else np.asarray(flows, dtype=float)
-    terms = np.zeros(network.n_times)
-    for i, mdl in enumerate(network.cost_models):
-        if mdl.kind == BPR:
-            sigma_star = 0.0 if mdl.pinned else bpr_conjugate(mdl, t[i])[0]
-            terms[i] = bpr_integral(mdl, f[i]) - f[i] * t[i] + sigma_star
-        else:
-            fc = min(f[i], mdl.capacity)
-            terms[i] = (t[i] - mdl.t_free) * (mdl.capacity - fc) if math.isfinite(mdl.capacity) else 0.0
+    f = _flat(flows)
+    bpr = e.integral(f) - f * t + np.where(e.pinned, 0.0, e.conjugate(t)[0])
+    sd = (t - e.t_free) * np.maximum(np.where(e.capped, e.capacity, f) - f, 0.0)
+    terms = np.where(e.is_sd, sd, bpr)
     return terms, float(terms.sum())
 
 
 def capacity_violation(network, flows):
     """Largest flow excess over a hard (capacitated) edge capacity."""
-    f = flows.plain_flat() if isinstance(flows, FlowState) else np.asarray(flows, dtype=float)
-    worst = 0.0
-    for i, mdl in enumerate(network.cost_models):
-        if mdl.kind == SD and math.isfinite(mdl.capacity):
-            worst = max(worst, f[i] - mdl.capacity)
-    return worst
+    c = network.edges.capped
+    return float(np.max(_flat(flows)[c] - network.edges.capacity[c], initial=0.0))
 
 
 def complementarity_residual(network, t, flows):
     """max |(t_e - t_free_e) * (capacity_e - f_e)| over capacitated edges."""
+    e = network.edges
+    c = e.capped
     t = np.asarray(t, dtype=float)
-    f = flows.plain_flat() if isinstance(flows, FlowState) else np.asarray(flows, dtype=float)
-    worst = 0.0
-    for i, mdl in enumerate(network.cost_models):
-        if mdl.kind == SD and math.isfinite(mdl.capacity):
-            worst = max(worst, abs((t[i] - mdl.t_free) * (mdl.capacity - f[i])))
-    return worst
+    residual = (t[c] - e.t_free[c]) * (e.capacity[c] - _flat(flows)[c])
+    return float(np.max(np.abs(residual), initial=0.0))
 
 
 def frank_wolfe_gap(network, flows):
@@ -211,14 +188,11 @@ def frank_wolfe_gap(network, flows):
     """
     if network.n_levels != 1:
         raise ValueError("equilibrium gap is defined for single-level networks")
-    lg = network.levels[0]
-    f = flows.plain_flat() if isinstance(flows, FlowState) else np.asarray(flows, dtype=float)
-    tau = np.empty(len(f))
-    for i, mdl in enumerate(network.cost_models):
-        if mdl.kind != BPR:
-            raise ValueError("equilibrium gap needs BPR cost maps on every edge")
-        tau[i] = bpr_cost(mdl, f[i])
-    best, _ = all_or_nothing(lg, tau, network.demands)
+    if network.edges.is_sd.any():
+        raise ValueError("equilibrium gap needs BPR cost maps on every edge")
+    f = _flat(flows)
+    tau = network.edges.cost(f)
+    best, _ = all_or_nothing(network.levels[0], tau, network.demands)
     return max(0.0, float(tau @ f - best))
 
 
@@ -228,18 +202,8 @@ def experienced_times(network, t, flows):
     BPR edges report their cost map at the flow; capacitated edges keep
     the dual time (free-flow plus congestion multiplier).
     """
-    t = np.asarray(t, dtype=float)
-    f = flows.plain_flat() if isinstance(flows, FlowState) else np.asarray(flows, dtype=float)
-    tau = np.empty(network.n_times)
-    for i, mdl in enumerate(network.cost_models):
-        tau[i] = bpr_cost(mdl, f[i]) if mdl.kind == BPR else t[i]
-    return tau
-
-
-def _flow_axpy(acc: FlowState, a: float, flow: FlowState):
-    for k in range(len(acc.plain)):
-        acc.plain[k] += a * flow.plain[k]
-        acc.nested[k] += a * flow.nested[k]
+    e = network.edges
+    return np.where(e.is_sd, np.asarray(t, dtype=float), e.cost(_flat(flows)))
 
 
 @dataclass
@@ -272,14 +236,13 @@ def _build_report(network, model, eps, eps_residual, t, flows, last_flows, gamma
     total_time = float(tau @ f_flat)
     # shortest paths under the experienced costs, hard at every level
     weights = effective_weights(network, tau, [0.0] * network.n_levels)
-    from .softmin import hard_shortest  # local import avoids cycle at module load
+    # imported at call time, so bench/tracing.py's patch of it is seen
+    from .softmin import hard_shortest
 
     shortest = {}
-    for o in network.origins():
+    for o, group in by_origin(network.demands).items():
         dist, _ = hard_shortest(network.levels[0], weights[0], o)
-        for (oo, d) in network.demands:
-            if oo == o:
-                shortest[(o, d)] = float(dist[d])
+        shortest.update({(o, d): float(dist[d]) for (_, d) in group})
     return EquilibriumReport(
         model=model,
         eps=eps,
@@ -315,7 +278,7 @@ def solve_assignment(
     sd_gamma: float = 0.1,
     variance_bound: float = None,
 ) -> EquilibriumReport:
-    """Solve a single-level assignment model to a certified tolerance.
+    """Solve an assignment model to a certified tolerance.
 
     Models:
       stochastic       — Gibbs route choice at the network's smoothing
@@ -330,7 +293,16 @@ def solve_assignment(
                          step-weighted average over gradient points, and
                          stopping needs gap, capacity violation, and
                          complementarity all within tolerance.
+      multistage       — joint solve of a nested multilevel network at the
+                         network's smoothing scales (a zero scale loads its
+                         level all-or-nothing); flows on every level come
+                         from the chain rule through the nested edge
+                         pricing, and the Fenchel gap is summed edge-wise
+                         across levels.
+    The first three models need a single-level network.
     """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if model in ("stochastic", "beckmann", "beckmann_md") and network.n_levels != 1:
         raise ValueError(f"model {model!r} expects a single-level network")
     if eps_residual is None:
@@ -345,7 +317,7 @@ def solve_assignment(
             gammas = [sd_gamma] * network.n_levels
         else:
             gammas = list(network.gammas())
-    if any(g <= 0 for g in gammas):
+    if model != "multistage" and any(g <= 0 for g in gammas):
         raise ValueError("smooth dual solve needs positive smoothing at every level")
 
     if variance_bound is not None:
@@ -354,9 +326,8 @@ def solve_assignment(
         oracle = DualOracle(network, gammas, hops)
     prox = oracle.prox()
     t0 = network.free_flow_times()
-    mu = oracle.strong_convexity() if model in ("beckmann", "stochastic") else 0.0
-
     averaged = model in ("stable_dynamics", "mixed")
+    mu = 0.0 if averaged else oracle.strong_convexity()
     acc = FlowState.zeros(network)
     # rank (not certified, certificate value): a certified candidate always wins
     best = {"flows": None, "t": None, "rank": (True, math.inf)}
@@ -384,8 +355,9 @@ def solve_assignment(
 
     def on_step(state):
         # oracle.last_flow is the assignment at the accepted gradient point
-        if averaged:
-            _flow_axpy(acc, state.alpha, oracle.last_flow)
+        flow = oracle.last_flow
+        for a, f in zip(acc.plain + acc.nested, flow.plain + flow.nested):
+            a += state.alpha * f
 
     def stop(state):
         if averaged:
@@ -401,23 +373,22 @@ def solve_assignment(
         state.report.gap_trace.append(gap)
         return "certified" if ok else None
 
+    callback = on_step if averaged else None
     if variance_bound is not None:
         t_final, rep = umt_stochastic(
             oracle, prox, t0, eps, mu=mu, seed=seed, max_iter=max_iter, l0=l0,
-            stop=stop, callback=on_step,
+            stop=stop, callback=callback,
         )
     else:
         t_final, rep = umt_minimize(
             oracle, prox, t0, eps, mu=mu, max_iter=max_iter, l0=l0,
-            stop=stop, callback=on_step,
+            stop=stop, callback=callback,
         )
     converged = rep.termination == "certified"
     _, last_flows = oracle.assignment(t_final)
     if best["flows"] is None:
         best.update(flows=last_flows, t=t_final)
-    fw = math.nan
-    if model == "beckmann":
-        fw = frank_wolfe_gap(network, best["flows"])
+    fw = frank_wolfe_gap(network, best["flows"]) if model == "beckmann" else math.nan
     return _build_report(
         network, model, eps, eps_residual, best["t"], best["flows"], last_flows,
         gammas, converged, rep, fw_gap=fw,
@@ -428,27 +399,21 @@ def _solve_beckmann_md(network, eps, eps_residual, max_iter):
     """Projected subgradient on the nonsmooth dual with averaged loads."""
     oracle = DualOracle(network, gammas=[0.0])
     lg = network.levels[0]
-    t = network.free_flow_times().astype(float)
+    t = network.free_flow_times()
     lower, upper = oracle.lower, oracle.upper
     acc = np.zeros(network.n_times)
-    best = {"flows": None, "gap": math.inf, "t": t.copy()}
-    from .solvers import SolverReport
-
+    best = {"flows": None, "gap": math.inf}
     rep = SolverReport()
     for k in range(1, max_iter + 1):
         _, aon = all_or_nothing(lg, t, network.demands)
-        conj_grad = np.array(
-            [0.0 if m.pinned else bpr_conjugate(m, t[i])[1]
-             for i, m in enumerate(network.cost_models)]
-        )
-        g = -aon + conj_grad
+        g = -aon + _conjugates(network.edges, t)[1]
         rep.grad_calls += 1
         acc += aon
         f_avg = acc / k
         gap = frank_wolfe_gap(network, f_avg)
         rep.gap_trace.append(gap)
         if gap < best["gap"]:
-            best.update(gap=gap, flows=f_avg.copy(), t=t.copy())
+            best.update(gap=gap, flows=f_avg.copy())
         if gap <= eps:
             rep.termination = "certified"
             break
@@ -460,9 +425,7 @@ def _solve_beckmann_md(network, eps, eps_residual, max_iter):
         rep.termination = "max_iter"
     rep.iterations = k
     flows = FlowState(plain=[best["flows"]], nested=[np.zeros(0)])
-    t_best = np.array(
-        [bpr_cost(m, best["flows"][i]) for i, m in enumerate(network.cost_models)]
-    )
+    t_best = network.edges.cost(best["flows"])
     converged = rep.termination == "certified"
     return _build_report(
         network, "beckmann_md", eps, eps_residual, t_best, flows, flows,
@@ -473,44 +436,5 @@ def _solve_beckmann_md(network, eps, eps_residual, max_iter):
 def solve_multistage(network: Network, eps: float = 1e-6, eps_residual: float = None,
                      gammas=None, hops=None, max_iter: int = 200000,
                      l0: float = 1.0) -> EquilibriumReport:
-    """Joint dual solve of a nested multilevel network.
-
-    One run over the full time vector; flows on every level come from the
-    chain rule through the nested edge pricing, and the Fenchel gap is
-    summed edge-wise across levels.
-    """
-    if eps_residual is None:
-        eps_residual = eps
-    gammas = list(network.gammas()) if gammas is None else list(gammas)
-    oracle = DualOracle(network, gammas, hops)
-    prox = oracle.prox()
-    t0 = network.free_flow_times()
-    mu = oracle.strong_convexity()
-    best = {"flows": None, "t": None, "gap": math.inf}
-
-    def consider(t_pt, flows):
-        _, gap = duality_gap(network, t_pt, flows)
-        if gap < best["gap"]:
-            best.update(gap=gap, flows=flows, t=np.array(t_pt, dtype=float))
-        return gap
-
-    def stop(state):
-        gap = math.inf
-        if oracle.last_flow is not None:
-            gap = consider(oracle.last_grad_point, oracle.last_flow)
-        _, flows_x = oracle.assignment(state.x)
-        gap = min(gap, consider(state.x, flows_x))
-        state.report.gap_trace.append(gap)
-        return "certified" if gap <= eps else None
-
-    t_final, rep = umt_minimize(
-        oracle, prox, t0, eps, mu=mu, max_iter=max_iter, l0=l0, stop=stop
-    )
-    converged = rep.termination == "certified"
-    _, last_flows = oracle.assignment(t_final)
-    if best["flows"] is None:
-        best.update(flows=last_flows, t=t_final)
-    return _build_report(
-        network, "multistage", eps, eps_residual, best["t"], best["flows"], last_flows,
-        gammas, converged, rep,
-    )
+    """Joint dual solve of a nested multilevel network; see solve_assignment."""
+    return solve_assignment(network, "multistage", eps, eps_residual, gammas, hops, max_iter, l0=l0)

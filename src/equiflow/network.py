@@ -11,7 +11,7 @@ reference them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -69,51 +69,127 @@ class EdgeCostModel:
             return self.bpr_gain == 0.0
         return math.isinf(self.capacity)
 
+    @cached_property
+    def table(self) -> "EdgeTable":
+        """One-edge EdgeTable of this model, for the scalar cost functions."""
+        return EdgeTable.of([self])
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Cost parameters of every plain edge, as read-only arrays.
+
+    The arrays align with the time vector.  gain is 0 on SD edges.
+    smooth marks positive-gain BPR edges, whose conjugate is smooth in t;
+    capped marks capacitated SD edges, whose conjugate is linear and
+    whose flow is bounded by capacity; pinned marks zero-gain BPR and
+    uncapacitated SD edges, whose time stays at t_free.  The methods
+    evaluate the cost map, its integral and the integral's conjugate on
+    all edges at once; the scalar bpr_* / sd_* functions are one-edge
+    views of them.
+    """
+
+    t_free: np.ndarray
+    capacity: np.ndarray
+    gain: np.ndarray
+    power: np.ndarray
+    is_sd: np.ndarray
+    pinned: np.ndarray
+    smooth: np.ndarray
+    capped: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    @classmethod
+    def of(cls, models: list) -> "EdgeTable":
+        gain = np.array([0.0 if m.kind == SD else m.bpr_gain for m in models], dtype=float)
+        is_sd = np.array([m.kind == SD for m in models], dtype=bool)
+        pinned = np.array([m.pinned for m in models], dtype=bool)
+        return cls(
+            t_free=np.array([m.t_free for m in models], dtype=float),
+            capacity=np.array([m.capacity for m in models], dtype=float),
+            gain=gain,
+            power=np.array([m.bpr_power for m in models], dtype=float),
+            is_sd=is_sd,
+            pinned=pinned,
+            smooth=gain > 0,
+            capped=is_sd & ~pinned,
+        )
+
+    def cost(self, f) -> np.ndarray:
+        """Travel time t_free * (1 + gain * (f/capacity)**power) at flows f.
+
+        Zero gain, SD edges included, makes it exactly t_free.
+        """
+        return self.t_free * (1.0 + self.gain * (_flows(f) / self.capacity) ** self.power)
+
+    def integral(self, f) -> np.ndarray:
+        """Cost integral sigma_e(f) from 0 to f; +inf for SD flow above capacity."""
+        f = _flows(f)
+        s = self.smooth
+        mu = self.power[s]
+        out = self.t_free * f
+        out[s] += (self.t_free[s] * self.gain[s] * self.capacity[s] / (1.0 + mu)
+                   * (f[s] / self.capacity[s]) ** (1.0 + mu))
+        out[self.is_sd & (f > self.capacity)] = math.inf
+        return out
+
+    def conjugate(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Conjugate sigma*_e(t) of the cost integral and its maximizing flow.
+
+        Both are 0 at or below t_free, except on capacitated SD edges:
+        value capacity * (t - t_free) and flow capacity from t_free on
+        (not defined below it).  Above t_free a smooth edge's flow inverts
+        its cost map, f(t) solves t = cost(f), and integrating f over
+        [t_free, t] gives the value mu/(1+mu) * f(t) * (t - t_free);
+        pinned edges give +inf.
+        """
+        dt = np.asarray(t, dtype=float) - self.t_free
+        value, flow = np.zeros(len(dt)), np.zeros(len(dt))
+        s = self.smooth & (dt > 0)
+        mu = self.power[s]
+        flow[s] = self.capacity[s] * (dt[s] / (self.gain[s] * self.t_free[s])) ** (1.0 / mu)
+        value[s] = mu / (1.0 + mu) * flow[s] * dt[s]
+        c = self.capped
+        flow[c] = self.capacity[c]
+        value[c] = self.capacity[c] * dt[c]
+        p = self.pinned & (dt > 0)
+        value[p] = flow[p] = math.inf
+        return value, flow
+
+
+def _flows(f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    low = f.min(initial=0.0)
+    if low < 0:
+        raise ValueError(f"negative flow {low}")
+    return f
+
+
+def _edge(model: EdgeCostModel, kind: str, caller: str) -> EdgeTable:
+    """One-edge table of `model`, which must be of the given kind."""
+    if model.kind != kind:
+        raise ValueError(f"{caller} requires a {kind.upper()} edge")
+    return model.table
+
 
 def bpr_cost(model: EdgeCostModel, f: float) -> float:
     """Travel time t_free * (1 + gain * (f/capacity)**power) at flow f."""
-    if model.kind != BPR:
-        raise ValueError("bpr_cost requires a BPR edge")
-    if f < 0:
-        raise ValueError(f"negative flow {f}")
-    if model.bpr_gain == 0.0:
-        return model.t_free
-    return model.t_free * (1.0 + model.bpr_gain * (f / model.capacity) ** model.bpr_power)
+    return float(_edge(model, BPR, "bpr_cost").cost([f])[0])
 
 
 def bpr_integral(model: EdgeCostModel, f: float) -> float:
     """Closed-form integral of bpr_cost from 0 to f."""
-    if model.kind != BPR:
-        raise ValueError("bpr_integral requires a BPR edge")
-    if f < 0:
-        raise ValueError(f"negative flow {f}")
-    if model.bpr_gain == 0.0:
-        return model.t_free * f
-    mu = model.bpr_power
-    ratio = f / model.capacity
-    return model.t_free * f + (
-        model.t_free * model.bpr_gain * model.capacity / (1.0 + mu) * ratio ** (1.0 + mu)
-    )
+    return float(_edge(model, BPR, "bpr_integral").integral([f])[0])
 
 
 def bpr_conjugate(model: EdgeCostModel, t: float) -> tuple[float, float]:
-    """Value and derivative of the convex conjugate of the BPR integral.
-
-    The maximizing flow inverts the cost map, f(t) solves t = cost(f);
-    integrating f over [t_free, t] gives the conjugate value
-    mu/(1+mu) * f(t) * (t - t_free).  Returns (value, flow).
-    """
-    if model.kind != BPR:
-        raise ValueError("bpr_conjugate requires a BPR edge")
-    if t <= model.t_free:
-        return 0.0, 0.0
-    if model.bpr_gain == 0.0:
-        # constant-cost edge: any flow is optimal once t exceeds t_free
-        return math.inf, math.inf
-    mu = model.bpr_power
-    flow = model.capacity * ((t - model.t_free) / (model.bpr_gain * model.t_free)) ** (1.0 / mu)
-    value = mu / (1.0 + mu) * flow * (t - model.t_free)
-    return value, flow
+    """Value and derivative (the maximizing flow) of the convex conjugate
+    of the BPR integral; see EdgeTable.conjugate."""
+    value, flow = _edge(model, BPR, "bpr_conjugate").conjugate([t])
+    return float(value[0]), float(flow[0])
 
 
 def bpr_conjugate_curvature(model: EdgeCostModel, t: float) -> float:
@@ -131,20 +207,16 @@ def sd_conjugate(model: EdgeCostModel, t: float) -> tuple[float, float]:
     Raises OutOfDomainError for t < t_free; solvers must keep the time
     vector inside the box [t_free, inf).
     """
-    if model.kind != SD:
-        raise ValueError("sd_conjugate requires an SD edge")
+    table = _edge(model, SD, "sd_conjugate")
     if t < model.t_free:
         raise OutOfDomainError(f"t={t} below free-flow time {model.t_free}")
-    return model.capacity * (t - model.t_free), model.capacity
+    value, flow = table.conjugate([t])
+    return float(value[0]), float(flow[0])
 
 
 def edge_integral(model: EdgeCostModel, f: float) -> float:
     """Cost integral sigma_e(f); +inf for SD flow above capacity."""
-    if model.kind == BPR:
-        return bpr_integral(model, f)
-    if f > model.capacity:
-        return math.inf
-    return model.t_free * f
+    return float(model.table.integral([f])[0])
 
 
 @dataclass(eq=False)
@@ -237,8 +309,13 @@ class Network:
         """Flat list of EdgeCostModel aligned with the time vector."""
         return [e[2] for lg in self.levels for e in lg.plain_edges]
 
+    @cached_property
+    def edges(self) -> EdgeTable:
+        """Cost parameters of cost_models as one table of arrays."""
+        return EdgeTable.of(self.cost_models)
+
     def free_flow_times(self) -> np.ndarray:
-        return np.array([m.t_free for m in self.cost_models])
+        return self.edges.t_free.copy()
 
     def gammas(self) -> list:
         return [lg.gamma for lg in self.levels]
@@ -246,6 +323,14 @@ class Network:
     def origins(self) -> list:
         """Distinct level-1 origins in sorted order."""
         return sorted({o for (o, _) in self.demands})
+
+
+def by_origin(demands) -> dict:
+    """{origin: {(origin, dest): demand}}, origins ascending, pairs in demand order."""
+    groups = {}
+    for (o, d), dem in demands.items():
+        groups.setdefault(o, {})[(o, d)] = dem
+    return dict(sorted(groups.items()))
 
 
 def validate(levels, demands) -> list:
@@ -306,13 +391,11 @@ class FlowState:
     """Edge flows per level, plain and nested separately indexed.
 
     plain[k] aligns with levels[k].plain_edges, nested[k] with
-    levels[k].nested_edges.  path_flows is populated only on tiny
-    instances by tests.
+    levels[k].nested_edges.
     """
 
     plain: list
     nested: list
-    path_flows: dict | None = None
 
     @classmethod
     def zeros(cls, network: Network) -> "FlowState":

@@ -107,30 +107,35 @@ class ElpDualOracle(SmoothOracle):
     def __init__(self, problem: ElpProblem):
         self.p = problem
         self.last_x = None
+        self._memo = (None, None, None)  # (y.tobytes(), log-sum-exp, softmax)
 
-    def _logits(self, y):
-        return -(self.p.cost + self.p.A.T @ y) / self.p.gamma
+    def _softmax(self, y):
+        """(log-sum-exp, softmax) of the logits -(c + A^T y)/gamma.
+
+        The last point's pair is kept, so the stop test's primal(x) reads
+        what the line search's value(x) computed.
+        """
+        y = np.asarray(y, dtype=float)
+        key = y.tobytes()
+        if self._memo[0] != key:
+            logits = -(self.p.cost + self.p.A.T @ y) / self.p.gamma
+            m = logits.max()
+            e = np.exp(logits - m)
+            s = e.sum()
+            self._memo = (key, m + math.log(s), e / s)
+        return self._memo[1:]
 
     def primal(self, y):
-        logits = self._logits(y)
-        z = logits - logits.max()
-        e = np.exp(z)
-        return e / e.sum()
+        return self._softmax(y)[1]
 
     def value(self, y):
-        logits = self._logits(y)
-        m = logits.max()
-        return float(y @ self.p.b) + self.p.gamma * (m + math.log(np.exp(logits - m).sum()))
+        lse, _ = self._softmax(y)
+        return float(y @ self.p.b) + self.p.gamma * lse
 
     def value_grad(self, y):
-        logits = self._logits(y)
-        m = logits.max()
-        e = np.exp(logits - m)
-        s = e.sum()
-        x = e / s
+        lse, x = self._softmax(y)
         self.last_x = x
-        value = float(y @ self.p.b) + self.p.gamma * (m + math.log(s))
-        return value, self.p.b - self.p.A @ x
+        return float(y @ self.p.b) + self.p.gamma * lse, self.p.b - self.p.A @ x
 
 
 def elp_dual_oracle(problem: ElpProblem, y):

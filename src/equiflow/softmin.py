@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .network import FlowState, LevelGraph, Network, NetworkError
+from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
 
 ROUNDS_CAP_BYTES = 32 << 20  # forward rounds kept per chunk of origins
 
@@ -102,14 +102,6 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, rounds, sink_mass):
     return flows
 
 
-def _by_origin(demands):
-    """{origin: [(dest, demand), ...]} in the demands' order."""
-    groups = {}
-    for (o, d), dem in demands.items():
-        groups.setdefault(o, []).append((d, dem))
-    return groups
-
-
 def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
     """Soft-min potentials from origin over walks of at most `hops` hops.
 
@@ -133,8 +125,8 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1):
     exact gradient of value with respect to the edge weights.
     """
     weights = np.asarray(weights, dtype=float)
-    by_origin = _by_origin(demands)
-    origins = sorted(by_origin)
+    groups = by_origin(demands)
+    origins = list(groups)
     chunk = max(1, ROUNDS_CAP_BYTES // (8 * (hops + 1) * graph.n_vertices))
     value = 0.0
     flows = np.zeros(graph.n_edges)
@@ -143,7 +135,7 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1):
         u, rounds = _sweep_forward(graph, weights, batch, gamma, hops, keep_rounds=True)
         sink = np.zeros_like(u)
         for b, o in enumerate(batch):
-            for d, dem in by_origin[o]:
+            for (_, d), dem in groups[o].items():
                 if not math.isfinite(u[d, b]):
                     raise UnreachableError(level, o, d, hops)
                 value += dem * u[d, b]
@@ -182,10 +174,10 @@ def hard_shortest(graph: LevelGraph, weights, origin, method="auto"):
             return improved
         return False
 
+    out = [[] for _ in range(n)]
+    for e, t in enumerate(tails):
+        out[t].append(e)
     if method == "bellman-ford":
-        out = [[] for _ in range(n)]
-        for e, t in enumerate(tails):
-            out[t].append(e)
         for _ in range(n - 1):
             changed = False
             for v in range(n):
@@ -195,9 +187,6 @@ def hard_shortest(graph: LevelGraph, weights, origin, method="auto"):
             if not changed:
                 break
     elif method == "dijkstra":
-        out = [[] for _ in range(n)]
-        for e, t in enumerate(tails):
-            out[t].append(e)
         heap = [(0.0, origin)]
         done = np.zeros(n, dtype=bool)
         while heap:
@@ -221,13 +210,12 @@ def all_or_nothing(graph: LevelGraph, weights, demands, method="auto", level=1):
     subgradient element of the hard-min aggregate.
     """
     weights = np.asarray(weights, dtype=float)
-    by_origin = _by_origin(demands)
     value = 0.0
     flows = np.zeros(graph.n_edges)
     hops = graph.n_vertices - 1
-    for o in sorted(by_origin):
+    for o, group in by_origin(demands).items():
         dist, pred_edge = hard_shortest(graph, weights, o, method=method)
-        for d, dem in by_origin[o]:
+        for (_, d), dem in group.items():
             if not math.isfinite(dist[d]):
                 raise UnreachableError(level, o, d, hops)
             value += dem * dist[d]

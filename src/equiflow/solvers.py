@@ -215,6 +215,18 @@ def umt_minimize(
         mu_t = 0.0
     rep = SolverReport()
 
+    def finish(state):
+        """Trace an accepted step, then run the callback and the stop tests."""
+        rep.alpha_trace.append(state.alpha)
+        rep.lipschitz_trace.append(state.L)
+        rep.value_trace.append(state.fx + prox.composite_value(state.x))
+        if callback is not None:
+            callback(state)
+        reason = stop(state) if stop is not None else None
+        if reason is None and r2 is not None and r2 / state.A <= 0.5 * eps:
+            reason = "certified"
+        return reason
+
     def full_grad(y, A_new, alpha, L):
         if mini_batch:
             D = oracle.variance_bound
@@ -249,17 +261,8 @@ def umt_minimize(
     x = x0.copy()
     G = (1.0 / L) * g0
     Y = (1.0 / L) * y0
-    rep.alpha_trace.append(1.0 / L)
-    rep.lipschitz_trace.append(L)
-    rep.value_trace.append(fx0 + prox.composite_value(x0))
-    state = UmtState(k=0, x=x, u=u, y=y0, alpha=A, A=A, L=L, fy=f0, gy=g0, fx=fx0, report=rep)
-    if callback is not None:
-        callback(state)
-    reason = None
-    if stop is not None:
-        reason = stop(state)
-    if reason is None and r2 is not None and r2 / A <= 0.5 * eps:
-        reason = "certified"
+    reason = finish(UmtState(k=0, x=x, u=u, y=y0, alpha=A, A=A, L=L, fy=f0, gy=g0, fx=fx0,
+                             report=rep))
 
     k = 0
     while reason is None:
@@ -293,16 +296,8 @@ def umt_minimize(
         x = x_new
         G = G + alpha * gy
         Y = Y + alpha * y
-        rep.alpha_trace.append(alpha)
-        rep.lipschitz_trace.append(L)
-        rep.value_trace.append(fx + prox.composite_value(x))
-        state = UmtState(k=k, x=x, u=u, y=y, alpha=alpha, A=A, L=L, fy=fy, gy=gy, fx=fx, report=rep)
-        if callback is not None:
-            callback(state)
-        if stop is not None:
-            reason = stop(state)
-        if reason is None and r2 is not None and r2 / A <= 0.5 * eps:
-            reason = "certified"
+        reason = finish(UmtState(k=k, x=x, u=u, y=y, alpha=alpha, A=A, L=L, fy=fy, gy=gy, fx=fx,
+                                 report=rep))
 
     rep.iterations = k
     rep.final_value = rep.value_trace[-1]

@@ -53,6 +53,16 @@ gamma 1 0.10000000000000001
 """
 
 
+# two levels: a plain outer link and a nested one priced by a two-route inner level
+NESTED_INSTANCE = """\
+1 0 1 bpr 1.0 1.0 0.5 1.0
+1 0 1 nested 0:1
+2 0 1 bpr 0.5 1.0 0.5 1.0
+2 0 1 bpr 0.6 1.0 0.3 0.5
+od 1 0 1 1.0
+"""
+
+
 def read_solution(path):
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -160,6 +170,25 @@ class TestSolve:
         assert os.path.exists(os.path.join(out, "summary.json"))
 
 
+class TestModelRouting:
+    @pytest.mark.parametrize("model", ["mixed", "stable_dynamics", None])
+    def test_nested_network_runs_requested_model(self, tmp_path, model):
+        inst = write_instance(tmp_path / "nested.net", NESTED_INSTANCE)
+        out = tmp_path / "out"
+        flags = ["--model", model] if model else []
+        assert main(["solve", inst, *flags, "--eps", "1e-4", "--out", str(out)]) == 0
+        summary = json.load(open(out / "summary.json"))
+        assert summary["model"] == (model or "multistage")
+        assert summary["converged"] is True
+
+    @pytest.mark.parametrize("model", ["stochastic", "beckmann", "beckmann_md"])
+    def test_single_level_models_reject_nested_network(self, tmp_path, capsys, model):
+        inst = write_instance(tmp_path / "nested.net", NESTED_INSTANCE)
+        assert main(["solve", inst, "--model", model, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: model {model!r} expects a single-level network\n"
+
+
 class TestConfig:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
@@ -177,6 +206,37 @@ class TestConfig:
         cfg.write_text(json.dumps({"epz": 1e-3}))
         assert main(["solve", inst, "--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_hops_key_rejected(self, tmp_path, capsys):
+        # no subcommand has a hop flag, so the key would be dropped silently
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hops": 3}))
+        assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config keys: ['hops']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iter", "50"), ("max_iter", 50.0), ("seed", True), ("eps", "1e-3"),
+        ("trace", "yes"), ("model", 3), ("gamma", 0.5), ("gamma", "1=0.5"),
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, key, value):
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r} must be ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("model", "wardrop", "error: unknown model 'wardrop'"),
+        ("gamma", [1], "error: bad gamma override 1"),
+    ])
+    def test_bad_value_rejected(self, tmp_path, capsys, key, value, message):
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(message)
 
 
 class TestCompare:
@@ -354,6 +414,27 @@ class TestOd:
         assert main(["od", c, r, w, "--gamma", "0.5", "--out", str(out)]) == 0
         cert = json.load(open(out / "certificate.json"))
         assert cert["primal"] == "last_iterate"
+
+    def test_config_gamma_applies(self, tmp_path):
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0.5}))
+        out = tmp_path / "out"
+        assert main(["od", c, r, w, "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.load(open(out / "certificate.json"))["gamma"] == "0.5"
+
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "gamma must be positive and finite, got nan"),
+        ({"1": 0.5}, "config key 'gamma' must be a number"),
+    ])
+    def test_config_gamma_checked(self, tmp_path, capsys, value, message):
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": value}))
+        assert main(["od", c, r, w, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_deterministic_matrix(self, tmp_path):
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}

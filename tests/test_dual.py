@@ -12,7 +12,9 @@ from equiflow import (
     LevelGraph,
     Network,
     StochasticDualOracle,
+    bpr_conjugate,
     bpr_cost,
+    bpr_integral,
     capacity_violation,
     complementarity_residual,
     dual_value_grad,
@@ -23,6 +25,8 @@ from equiflow import (
     stochastic_origin_oracle,
     umt_stochastic,
 )
+
+from equiflow.dual import experienced_times
 
 from conftest import braess_network, fixed_edge, linear_edge, random_network
 
@@ -163,6 +167,66 @@ class TestDualityGap:
         assert capacity_violation(net, np.array([1.3, 0.7])) == pytest.approx(0.3)
         assert complementarity_residual(net, [1.5, 2.0], [0.5, 1.5]) == pytest.approx(0.25)
 
+    def test_pinned_time_one_ulp_above_free_flow(self):
+        # the solver's averaging steps can round a pinned time just above t_free
+        lg = LevelGraph(2, plain_edges=[
+            (0, 1, fixed_edge(1e-6)),
+            (0, 1, EdgeCostModel("sd", 2.5, math.inf)),
+            (0, 1, EdgeCostModel("sd", 1.0, 2.0)),
+        ])
+        net = Network([lg], {(0, 1): 1.0})
+        t = np.nextafter(net.free_flow_times(), math.inf)
+        f = np.array([0.7, 0.3, 2.0])
+        terms, total = duality_gap(net, t, f)
+        assert terms.tolist() == [1e-6 * f[0] - f[0] * t[0], 0.0, 0.0]
+        assert total == terms[0]
+
+
+class TestEdgeKinds:
+    """Array certificates against a per-edge loop over the cost models."""
+
+    def network(self):
+        lg = LevelGraph(3, plain_edges=[
+            (0, 1, EdgeCostModel("bpr", 1.0, 1.0, 0.5, 0.5)),
+            (1, 2, EdgeCostModel("sd", 1.0, 0.6)),
+            (0, 2, EdgeCostModel("sd", 2.5, math.inf)),
+            (0, 2, fixed_edge(3.0)),
+            (0, 1, EdgeCostModel("bpr", 0.5, 2.0, 0.3, 1.0)),
+            (1, 2, EdgeCostModel("sd", 0.4, 1.2)),
+        ])
+        return Network([lg], {(0, 2): 1.0})
+
+    def test_matches_per_edge_reference(self):
+        net = self.network()
+        models = net.cost_models
+        t = net.free_flow_times() + np.array([0.3, 0.2, 0.0, 0.0, 0.7, 0.0])
+        f = np.array([0.4, 0.9, 0.3, 0.2, 1.1, 0.5])
+        terms, conj_grad, tau = [], [], []
+        for m, tk, fk in zip(models, t, f):
+            if m.kind == "bpr":
+                conj = (0.0, 0.0) if m.pinned else bpr_conjugate(m, tk)
+                terms.append(bpr_integral(m, fk) - fk * tk + conj[0])
+                conj_grad.append(conj[1])
+                tau.append(bpr_cost(m, fk))
+            else:
+                capped = math.isfinite(m.capacity)
+                terms.append((tk - m.t_free) * (m.capacity - min(fk, m.capacity))
+                             if capped else 0.0)
+                conj_grad.append(0.0)
+                tau.append(tk)
+        got, total = duality_gap(net, t, f)
+        assert got == pytest.approx(terms, abs=1e-14)
+        assert total == pytest.approx(sum(terms), abs=1e-14)
+        assert capacity_violation(net, f) == pytest.approx(0.3)
+        assert complementarity_residual(net, t, f) == pytest.approx(0.2 * 0.3)
+        assert np.array_equal(experienced_times(net, t, f), tau)
+        oracle = DualOracle(net, gammas=[0.5])
+        _, grad = oracle.value_grad(t)
+        assert grad + oracle.last_flow.plain_flat() == pytest.approx(conj_grad, abs=1e-14)
+        assert oracle.upper.tolist() == [math.inf, math.inf, 2.5, 3.0, math.inf, math.inf]
+        assert oracle.linear.tolist() == [0.0, 0.6, 0.0, 0.0, 0.0, 1.2]
+        assert oracle.strong_convexity() == 0.0  # capacitated edges are free
+
 
 class TestBeckmannSolve:
     def test_pigou_equilibrium(self, pigou_network):
@@ -302,3 +366,28 @@ class TestMultistage:
         assert rep.total_gap <= 1e-6
         # nested flows equal the inner-level demand they induce
         assert rep.flows.nested[0].sum() >= 0.0
+
+    def test_wrapper_is_solve_assignment(self):
+        net = random_network(np.random.default_rng(27), m=2, gamma=0.5)
+        a = solve_multistage(net, eps=1e-6)
+        b = solve_assignment(net, model="multistage", eps=1e-6)
+        assert a.model == b.model == "multistage"
+        assert a.solver.iterations == b.solver.iterations
+        assert a.solver.gap_trace == b.solver.gap_trace
+        assert np.array_equal(a.t, b.t)
+        for fa, fb in zip(a.flows.plain + a.flows.nested, b.flows.plain + b.flows.nested):
+            assert np.array_equal(fa, fb)
+        assert np.array_equal(a.per_edge_gap, b.per_edge_gap)
+
+    def test_zero_gamma_level_certifies(self):
+        # the inner level loads all-or-nothing; only multistage accepts that
+        net = random_network(np.random.default_rng(27), m=2)
+        rep = solve_multistage(net, gammas=[0.5, 0.0])
+        assert rep.converged and rep.total_gap <= 1e-6
+        assert rep.solver.iterations == 60
+        with pytest.raises(ValueError, match="positive smoothing"):
+            solve_assignment(net, model="mixed", gammas=[0.5, 0.0])
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="unknown model 'wardrop'"):
+            solve_assignment(random_network(np.random.default_rng(3)), model="wardrop")

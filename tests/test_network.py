@@ -15,10 +15,11 @@ from equiflow import (
     bpr_conjugate,
     bpr_cost,
     bpr_integral,
+    edge_integral,
     load_network,
     sd_conjugate,
 )
-from equiflow.network import bpr_conjugate_curvature, validate
+from equiflow.network import EdgeTable, bpr_conjugate_curvature, validate
 
 from conftest import PIGOU_INSTANCE, BRAESS_SHORTCUT_INSTANCE, write_instance
 
@@ -149,6 +150,69 @@ class TestSdConjugate:
         m = EdgeCostModel("sd", 1.0, 2.0)
         with pytest.raises(OutOfDomainError):
             sd_conjugate(m, 0.5)
+
+
+class TestEdgeTable:
+    MODELS = [
+        EdgeCostModel("bpr", 1.2, math.inf, 0.0, 1.0),  # pinned, uncapacitated
+        EdgeCostModel("sd", 1.5, 2.0),
+        EdgeCostModel("sd", 0.8, math.inf),
+        EdgeCostModel("bpr", 1.0, 2.0, 0.5, 0.25),
+        EdgeCostModel("bpr", 0.7, 1.5, 0.8, 0.5),
+        EdgeCostModel("bpr", 2.0, 3.0, 1.5, 1.0),
+    ]
+
+    @staticmethod
+    def same(a, b):
+        assert a == pytest.approx(b, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("offset", [-0.3, 0.0, 0.4], ids=["below", "at", "above"])
+    def test_conjugate_matches_scalar_wrappers(self, offset):
+        table = EdgeTable.of(self.MODELS)
+        t = table.t_free + offset
+        values, flows = table.conjugate(t)
+        for m, tk, v, f in zip(self.MODELS, t, values, flows):
+            if m.kind == "bpr":
+                self.same((v, f), bpr_conjugate(m, tk))
+            elif offset < 0:
+                with pytest.raises(OutOfDomainError):
+                    sd_conjugate(m, tk)
+            else:
+                self.same((v, f), sd_conjugate(m, tk))
+
+    @pytest.mark.parametrize("f", [0.0, 0.6, 1.9, 2.5])
+    def test_integral_and_cost_match_scalar_wrappers(self, f):
+        table = EdgeTable.of(self.MODELS)
+        flows = np.full(len(self.MODELS), f)
+        integral, cost = table.integral(flows), table.cost(flows)
+        for m, i, c in zip(self.MODELS, integral, cost):
+            self.same(i, edge_integral(m, f))
+            if m.kind == "bpr":
+                self.same(i, bpr_integral(m, f))
+                self.same(c, bpr_cost(m, f))
+            else:
+                assert c == m.t_free
+
+    def test_negative_flow_rejected(self):
+        table = EdgeTable.of(self.MODELS)
+        flows = np.full(len(self.MODELS), 0.5)
+        flows[2] = -1e-9
+        with pytest.raises(ValueError, match="negative flow"):
+            table.cost(flows)
+        with pytest.raises(ValueError, match="negative flow"):
+            table.integral(flows)
+        with pytest.raises(ValueError, match="negative flow"):
+            bpr_integral(self.MODELS[3], -0.5)
+        with pytest.raises(ValueError, match="requires a BPR edge"):
+            bpr_integral(self.MODELS[1], 0.5)
+
+    def test_network_table_is_read_only(self, tmp_path):
+        net = load_network(write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE))
+        assert net.edges.t_free.tolist() == [1.0, 1e-6]
+        with pytest.raises(ValueError):
+            net.edges.t_free[0] = 2.0
+        net.free_flow_times()[0] = 2.0
+        assert net.edges.t_free[0] == 1.0
 
 
 class TestLoadNetwork:
