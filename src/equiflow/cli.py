@@ -1,10 +1,11 @@
 """Command-line front end: solve instances, compare scenarios, fit OD matrices.
 
 Exit codes: 0 when every requested certificate was met, 1 on input or
-validation errors or a failed --verify, 2 when the budget ran out
-(best-so-far files are still written).  All floats are serialized with 17
-significant digits so files round-trip exactly; identical config and seed
-give byte-identical output.
+validation errors, a failed --verify or a diverged or stalled solve, 2
+when the budget ran out (best-so-far files are still written).  Each
+subcommand takes only the flags and config keys it reads.  All floats
+are serialized with 17 significant digits so files round-trip exactly;
+identical config and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ def _merge_config(args):
     """Config file supplies defaults; explicit flags win."""
     cfg = _load_config(args.config) if args.config else {}
     for key, value in cfg.items():
-        if hasattr(args, key) and getattr(args, key) is None:
+        if not hasattr(args, key):  # the subcommand has no such flag
+            raise ValueError(f"config key {key!r} is not used by {args.command}")
+        if getattr(args, key) is None:
             setattr(args, key, value)
     return args
 
@@ -349,29 +352,32 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        """Flags every subcommand reads."""
         p.add_argument("--config", help="JSON config file; explicit flags win")
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--eps-residual", dest="eps_residual", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        p.add_argument("--trace", action="store_true", default=None)
-        p.add_argument("--verify", action="store_true", default=None)
         p.add_argument("--out", default=None)
+
+    def routing(p):
+        """Flags of the assignment subcommands, solve and compare."""
+        p.add_argument("--model", default=None, choices=MODELS)
+        p.add_argument("--gamma", action="append", metavar="LEVEL=VALUE", default=None)
+        p.add_argument("--seed", type=int, default=None)
+        common(p)
 
     p_solve = sub.add_parser("solve", help="solve one assignment instance")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--model", default=None, choices=MODELS)
-    p_solve.add_argument("--gamma", action="append", metavar="LEVEL=VALUE", default=None)
+    routing(p_solve)
+    p_solve.add_argument("--verify", action="store_true", default=None)
+    p_solve.add_argument("--trace", action="store_true", default=None)
     p_solve.add_argument("--dump-potentials", dest="dump_potentials",
                          action="store_true", default=None)
-    common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="solve and rank several scenarios")
     p_cmp.add_argument("instances", nargs="+")
-    p_cmp.add_argument("--model", default=None, choices=MODELS)
-    p_cmp.add_argument("--gamma", action="append", metavar="LEVEL=VALUE", default=None)
-    common(p_cmp)
+    routing(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_od = sub.add_parser("od", help="entropy OD-matrix fit from marginals and costs")
@@ -380,7 +386,8 @@ def build_parser():
     p_od.add_argument("cols", help="CSV of zone,marginal (column sums)")
     p_od.add_argument("--gamma", type=float, default=None)
     common(p_od)
-    p_od.set_defaults(func=cmd_od, dump_potentials=None, model=None)
+    p_od.add_argument("--verify", action="store_true", default=None)
+    p_od.set_defaults(func=cmd_od)
     return parser
 
 

@@ -66,7 +66,9 @@ class DualOracle(SmoothOracle):
         """(soft-min value, FlowState) at t, shared with value and value_grad.
 
         The last point's assignment is kept, so the line search's final
-        value(x) also serves the stop test's assignment(x).  The returned
+        value(x) also serves the stop test's assignment(x).  The flows are
+        deferred: their backward sweeps run on first read, so a value at a
+        point whose flows nobody reads sweeps forward only.  The returned
         flows must not be modified.
         """
         t = np.asarray(t, dtype=float)

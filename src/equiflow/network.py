@@ -11,7 +11,7 @@ reference them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -219,20 +219,25 @@ def edge_integral(model: EdgeCostModel, f: float) -> float:
     return float(model.table.integral([f])[0])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LevelGraph:
-    """Directed multigraph of one level.
+    """Directed multigraph of one level; immutable, so its caches stay valid.
 
     plain_edges:  (tail, head, EdgeCostModel)
     nested_edges: (tail, head, (origin, dest)) referencing an OD pair of
                   the next level.
-    Edge indices run over plain edges first, then nested edges.
+    Both are stored as tuples.  Edge indices run over plain edges first,
+    then nested edges.
     """
 
     n_vertices: int
-    plain_edges: list = field(default_factory=list)
-    nested_edges: list = field(default_factory=list)
+    plain_edges: tuple = ()
+    nested_edges: tuple = ()
     gamma: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "plain_edges", tuple(self.plain_edges))
+        object.__setattr__(self, "nested_edges", tuple(self.nested_edges))
 
     @property
     def n_edges(self) -> int:
@@ -240,38 +245,42 @@ class LevelGraph:
 
     @cached_property
     def tails(self) -> np.ndarray:
-        return np.array(
-            [e[0] for e in self.plain_edges] + [e[0] for e in self.nested_edges], dtype=np.intp
-        )
+        return np.array([e[0] for e in self.plain_edges + self.nested_edges], dtype=np.intp)
 
     @cached_property
     def heads(self) -> np.ndarray:
-        return np.array(
-            [e[1] for e in self.plain_edges] + [e[1] for e in self.nested_edges], dtype=np.intp
-        )
+        return np.array([e[1] for e in self.plain_edges + self.nested_edges], dtype=np.intp)
 
     @cached_property
     def head_groups(self) -> tuple:
-        """Edges grouped by head vertex; see `_edge_groups`."""
-        return _edge_groups(self.heads)
+        """In-edges grouped by head, each group closed by one virtual edge.
+
+        Virtual edge E + v (E = n_edges) runs from row n_vertices + v to
+        v; a soft-min sweep keeps round 0 in those rows, so the virtual
+        edge carries the empty walk at an origin, and every vertex has a
+        group.  Returns (order, tails, starts, counts): order sorts the
+        indices 0..E+n_vertices-1 stably by head, tails are their tails in
+        that order, and v's group has counts[v] entries from starts[v] on.
+        """
+        n = self.n_vertices
+        heads = np.concatenate([self.heads, np.arange(n)])
+        tails = np.concatenate([self.tails, n + np.arange(n)])
+        order = np.argsort(heads, kind="stable")
+        counts = np.bincount(heads, minlength=n)
+        return order, tails[order], np.cumsum(counts) - counts, counts
 
     @cached_property
     def tail_groups(self) -> tuple:
-        """Edges grouped by tail vertex; see `_edge_groups`."""
-        return _edge_groups(self.tails)
+        """(order, starts, vertices) for segment reductions over edge tails.
 
-
-def _edge_groups(ends) -> tuple:
-    """(order, starts, vertices) for segment reductions over edge ends.
-
-    order sorts the edge indices stably by `ends`; starts[i] is where the
-    run of vertices[i] begins in that order.  Vertices without an edge
-    end have no run.
-    """
-    order = np.argsort(ends, kind="stable")
-    ordered = ends[order]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    return order, starts, ordered[starts]
+        order sorts the edge indices stably by tail; starts[i] is where the
+        run of vertices[i] begins in that order.  Vertices without an
+        out-edge have no run.
+        """
+        order = np.argsort(self.tails, kind="stable")
+        ordered = self.tails[order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        return order, starts, ordered[starts]
 
 
 @dataclass(eq=False)
@@ -396,6 +405,23 @@ class FlowState:
 
     plain: list
     nested: list
+
+    @classmethod
+    def deferred(cls, fill) -> "FlowState":
+        """A FlowState whose arrays are computed by `fill()` on first read."""
+        flow = cls.__new__(cls)
+        flow._fill = fill
+        return flow
+
+    def __getattr__(self, name):
+        # reached only while plain/nested are unset, i.e. in a deferred state
+        fill = self.__dict__.get("_fill")
+        if fill is None or name not in ("plain", "nested"):
+            raise AttributeError(name)
+        done = fill()
+        self.plain, self.nested = done.plain, done.nested
+        del self._fill  # releases what fill holds, such as kept sweep rounds
+        return self.__dict__[name]
 
     @classmethod
     def zeros(cls, network: Network) -> "FlowState":

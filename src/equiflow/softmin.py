@@ -8,25 +8,38 @@ yields the Gibbs edge flows, which are the exact gradient of the
 demand-weighted soft-min value with respect to the edge weights.
 
 Both sweeps are batched over origins: a hop updates one (vertices x
-origins) array, with the edges grouped by head (forward) or by tail
-(backward) and each group reduced by np.minimum.reduceat/np.add.reduceat,
-so the numpy calls per hop do not grow with the number of origins.  The
-backward sweep reads every forward round, (H+1) x vertices x origins
-floats; origins are swept in chunks whose rounds fit in ROUNDS_CAP_BYTES.
-A single origin is a batch of one.  With gamma = 0 the same interfaces
-fall back to hard shortest paths and all-or-nothing loading.
+origins) array of scaled potentials u/gamma, with the edges grouped by
+head (forward) or by tail (backward) and each group reduced by
+np.minimum.reduceat/np.add.reduceat into preallocated buffers, so the
+numpy calls per hop do not grow with the number of origins.  The empty
+walk at an origin is one more (virtual) in-edge per vertex, read from a
+copy of round 0, so it needs no separate pass.  The backward sweep reads
+every forward round, (H+1) x vertices x origins floats; origins are
+swept in chunks whose rounds fit in ROUNDS_CAP_BYTES.  A single origin
+is a batch of one.
+
+assignment_flows runs only the forward sweeps, which give the value.  It
+keeps the rounds of level 1 and of each deeper level's pricing sweep
+(when one chunk holds them) and returns a deferred FlowState: the first
+read of its flows runs the backward sweeps from those rounds, so a point
+whose flows are never read pays for no backward sweep, and a nested
+level is swept forward once per point.  Beyond one chunk the flows rerun
+the forward sweeps.  With gamma = 0 the same interfaces fall back to
+hard shortest paths and all-or-nothing loading.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 
 import numpy as np
 
 from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
 
 ROUNDS_CAP_BYTES = 32 << 20  # forward rounds kept per chunk of origins
+_BIG = sys.float_info.max
 
 
 class UnreachableError(NetworkError):
@@ -40,66 +53,91 @@ class UnreachableError(NetworkError):
 
 
 def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep_rounds=False):
-    """Potentials over walks of at most `hops` hops from each origin.
+    """Scaled potentials over walks of at most `hops` hops from each origin.
 
-    Returns (u, rounds): u[v, b] is the potential of v seen from
-    origins[b] (+inf when unreachable); rounds stacks u after 0..hops
-    hops, shape (hops+1, V, B), when keep_rounds is set, else None.
+    Returns (s, rounds): s[v, b] = u[v, b] / gamma, u the potential of v
+    seen from origins[b] (+inf when unreachable); rounds stacks s after
+    0..hops hops, shape (hops+1, V, B), when keep_rounds is set, else None.
     """
     n, batch = graph.n_vertices, len(origins)
-    order, starts, ends = graph.head_groups
-    tails, heads = graph.tails[order], graph.heads[order]
-    w = weights[order, None]
-    # flat index of entry (origins[b], b) of a (V, B) array
-    at_origin = np.asarray(origins, dtype=np.intp) * batch + np.arange(batch)
-    u = np.full((n, batch), math.inf)
-    u.reshape(-1)[at_origin] = 0.0
+    order, tails, starts, counts = graph.head_groups
+    c = np.concatenate([np.asarray(weights, dtype=float) / gamma, np.zeros(n)])[order, None]
+    # rows n.. keep round 0, the tails of the virtual empty-walk edges
+    state = np.full((2 * n, batch), math.inf)
+    state[origins, np.arange(batch)] = 0.0
+    state[n:] = state[:n]
+    u = state[:n]
     rounds = np.empty((hops + 1, n, batch)) if keep_rounds else None
     if keep_rounds:
         rounds[0] = u
-    # inf - inf where neither end of an edge is reached; log(0) at such heads
+    cand, low, acc = np.empty((len(tails), batch)), np.empty((n, batch)), np.empty((n, batch))
+    # log(0) and inf - inf where no walk of h hops reaches a vertex; its
+    # clamped minimum keeps the exponents at -inf and u at +inf
     with np.errstate(invalid="ignore", divide="ignore"):
         for h in range(1, hops + 1):
-            cand = w + u[tails]
-            shift = np.full((n, batch), math.inf)
-            shift[ends] = np.minimum.reduceat(cand, starts, axis=0)
-            # the empty walk keeps every origin at length 0
-            empty = np.minimum(shift.reshape(-1)[at_origin], 0.0)
-            shift.reshape(-1)[at_origin] = empty
-            z = np.exp((shift[heads] - cand) / gamma)
-            z[np.isnan(z)] = 0.0
-            acc = np.zeros((n, batch))
-            acc[ends] = np.add.reduceat(z, starts, axis=0)
-            acc.reshape(-1)[at_origin] += np.exp(empty / gamma)
-            u = shift - gamma * np.log(acc)
+            state.take(tails, axis=0, out=cand)
+            cand += c
+            np.minimum.reduceat(cand, starts, axis=0, out=low)
+            np.minimum(low, _BIG, out=low)
+            np.subtract(low.repeat(counts, axis=0), cand, out=cand)
+            np.exp(cand, out=cand)
+            np.add.reduceat(cand, starts, axis=0, out=acc)
+            np.log(acc, out=acc)
+            np.subtract(low, acc, out=u)
             if keep_rounds:
                 rounds[h] = u
-    return u, rounds
+    return u.copy(), rounds
 
 
 def _sweep_backward(graph: LevelGraph, weights, gamma, rounds, sink_mass):
-    """Adjoint sweep: route sink_mass[v, b] back to origin b.
+    """Adjoint sweep over scaled rounds: route sink_mass[v, b] back to origin b.
 
     Returns the edge flows summed over the batch.
     """
     order, starts, ends = graph.tail_groups
     tails, heads = graph.tails[order], graph.heads[order]
-    w = weights[order, None]
-    per_origin = np.zeros((graph.n_edges, sink_mass.shape[1]))
-    p = sink_mass
+    c = np.asarray(weights, dtype=float)[order, None] / gamma
+    shape = (len(order), sink_mass.shape[1])
+    x, y, per_origin = np.empty(shape), np.empty(shape), np.zeros(shape)
+    p, below = sink_mass, np.zeros_like(sink_mass)
     with np.errstate(invalid="ignore"):
         for h in range(len(rounds) - 1, 0, -1):
-            expo = (rounds[h][heads] - w - rounds[h - 1][tails]) / gamma
+            rounds[h].take(heads, axis=0, out=x)
+            rounds[h - 1].take(tails, axis=0, out=y)
+            y += c
+            x -= y
             # fmin maps the NaN of inf - inf to 0; p is 0 at heads unreached
             # in h hops, so such edges carry nothing
-            contrib = p[heads] * np.exp(np.fmin(expo, 0.0))
-            per_origin += contrib
-            p = np.zeros_like(sink_mass)
-            p[ends] = np.add.reduceat(contrib, starts, axis=0)
+            np.fmin(x, 0.0, out=x)
+            np.exp(x, out=x)
+            p.take(heads, axis=0, out=y)
+            x *= y
+            per_origin += x
             # mass not propagated is absorbed by the empty walk at the origin
+            below[ends] = np.add.reduceat(x, starts, axis=0)
+            p = below
     flows = np.empty(graph.n_edges)
     flows[order] = per_origin.sum(axis=1)
     return flows
+
+
+def _chunks(graph, origins, hops):
+    """Batches of origins whose forward rounds fit in ROUNDS_CAP_BYTES."""
+    size = max(1, ROUNDS_CAP_BYTES // (8 * (hops + 1) * graph.n_vertices))
+    return [origins[lo:lo + size] for lo in range(0, len(origins), size)]
+
+
+def _sink(groups, origins, s, gamma, level, hops):
+    """Value sum_w d_w * u_dest of one batch and its sink masses."""
+    sink = np.zeros_like(s)
+    value = 0.0
+    for b, o in enumerate(origins):
+        for (_, d), dem in groups.get(o, {}).items():
+            if not math.isfinite(s[d, b]):
+                raise UnreachableError(level, o, d, hops)
+            value += dem * (gamma * s[d, b])
+            sink[d, b] += dem
+    return value, sink
 
 
 def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
@@ -112,36 +150,47 @@ def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
         raise ValueError("gamma must be positive; use hard_shortest for gamma=0")
     if hops < 1:
         raise ValueError("hop bound must be at least 1")
-    weights = np.asarray(weights, dtype=float)
-    u, _ = _sweep_forward(graph, weights, [origin], gamma, hops)
-    return u[:, 0]
+    s, _ = _sweep_forward(graph, weights, [origin], gamma, hops)
+    return gamma * s[:, 0]
 
 
-def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1):
+def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, forward=None):
     """Aggregated soft-min value and its gradient (Gibbs edge flows).
 
     demands maps (origin, dest) to a positive demand.  Returns
     (value, flows) where value = sum_w d_w * u_dest and flows is the
     exact gradient of value with respect to the edge weights.
+
+    `forward`, a kept forward sweep (origins, rounds) of the same weights,
+    gamma and hops whose origins include every origin of demands, replaces
+    the forward sweep; rounds are the scaled rounds of _sweep_forward.
     """
     weights = np.asarray(weights, dtype=float)
     groups = by_origin(demands)
-    origins = list(groups)
-    chunk = max(1, ROUNDS_CAP_BYTES // (8 * (hops + 1) * graph.n_vertices))
     value = 0.0
     flows = np.zeros(graph.n_edges)
-    for lo in range(0, len(origins), chunk):
-        batch = origins[lo:lo + chunk]
-        u, rounds = _sweep_forward(graph, weights, batch, gamma, hops, keep_rounds=True)
-        sink = np.zeros_like(u)
-        for b, o in enumerate(batch):
-            for (_, d), dem in groups[o].items():
-                if not math.isfinite(u[d, b]):
-                    raise UnreachableError(level, o, d, hops)
-                value += dem * u[d, b]
-                sink[d, b] += dem
+    batches = _chunks(graph, list(groups), hops) if forward is None else [forward[0]]
+    for batch in batches:
+        if forward is None:
+            _, rounds = _sweep_forward(graph, weights, batch, gamma, hops, keep_rounds=True)
+        else:
+            rounds = forward[1]
+        v, sink = _sink(groups, batch, rounds[-1], gamma, level, hops)
+        value += v
         flows += _sweep_backward(graph, weights, gamma, rounds, sink)
     return value, flows
+
+
+def _softmin_value(graph: LevelGraph, weights, demands, gamma, hops, level):
+    """Forward sweeps only: value and the kept sweep (origins, rounds), which
+    is None beyond one chunk."""
+    groups = by_origin(demands)
+    chunks = _chunks(graph, list(groups), hops)
+    value = 0.0
+    for batch in chunks:
+        s, rounds = _sweep_forward(graph, weights, batch, gamma, hops, keep_rounds=len(chunks) == 1)
+        value += _sink(groups, batch, s, gamma, level, hops)[0]
+    return value, (chunks[0], rounds) if len(chunks) == 1 else None
 
 
 def hard_shortest(graph: LevelGraph, weights, origin, method="auto"):
@@ -235,32 +284,41 @@ def effective_weights(network: Network, t, gammas=None, hops=None):
     smoothing scale.  Returns one weight array per level, aligned with
     the level's edge indexing.
     """
-    t = np.asarray(t, dtype=float)
     gammas = list(network.gammas()) if gammas is None else list(gammas)
-    hops = _hop_bounds(network, hops)
+    return _price(network, t, gammas, _hop_bounds(network, hops))[0]
+
+
+def _price(network, t, gammas, hops):
+    """(weights, kept): effective weights and, per level, the kept pricing
+    sweep (origins, rounds) when its rounds fit in ROUNDS_CAP_BYTES (else None)."""
+    t = np.asarray(t, dtype=float)
     m = network.n_levels
-    weights = [None] * m
+    weights, kept = [None] * m, [None] * m
     for k in range(m - 1, -1, -1):
         lg = network.levels[k]
         plain_w = t[network.plain_slices[k]]
         if not lg.nested_edges:
-            weights[k] = np.asarray(plain_w, dtype=float).copy()
+            weights[k] = plain_w.copy()
             continue
-        inner = network.levels[k + 1]
         refs = [od for (_, _, od) in lg.nested_edges]
-        values = _od_values(
-            inner, weights[k + 1], refs, gammas[k + 1], hops[k + 1], level=k + 2
+        values, kept[k + 1] = _od_values(
+            network.levels[k + 1], weights[k + 1], refs, gammas[k + 1], hops[k + 1],
+            level=k + 2,
         )
         weights[k] = np.concatenate([plain_w, values])
-    return weights
+    return weights, kept
 
 
 def _od_values(graph, weights, od_pairs, gamma, hops, level):
-    """Shortest-path (soft or hard) value per requested OD pair."""
+    """Shortest-path (soft or hard) value per requested OD pair, and the
+    kept soft sweep (origins, rounds) when its rounds fit in one chunk."""
     origins = sorted({o for o, _ in od_pairs})
+    forward = None
     if gamma > 0:
-        weights = np.asarray(weights, dtype=float)
-        u, _ = _sweep_forward(graph, weights, origins, gamma, hops)
+        keep = len(_chunks(graph, origins, hops)) == 1
+        s, rounds = _sweep_forward(graph, weights, origins, gamma, hops, keep_rounds=keep)
+        u = gamma * s
+        forward = (origins, rounds) if keep else None
     else:
         u = np.column_stack([hard_shortest(graph, weights, o)[0] for o in origins])
     column = {o: b for b, o in enumerate(origins)}
@@ -268,7 +326,7 @@ def _od_values(graph, weights, od_pairs, gamma, hops, level):
     for (o, d), v in zip(od_pairs, values):
         if not math.isfinite(v):
             raise UnreachableError(level, o, d, hops)
-    return values
+    return values, forward
 
 
 def _hop_bounds(network, hops):
@@ -288,28 +346,43 @@ def assignment_flows(network: Network, t, gammas=None, hops=None, demands=None):
     (exact gradient); gamma = 0 levels use tie-broken all-or-nothing
     (a subgradient element).  Returns (value, FlowState) with value the
     level-1 aggregate.
+
+    Only the forward sweeps run here.  The FlowState is deferred: its
+    first read runs the backward sweeps from the kept rounds of level 1
+    and of the deeper levels' pricing sweeps.
     """
     gammas = list(network.gammas()) if gammas is None else list(gammas)
     hops = _hop_bounds(network, hops)
-    weights = effective_weights(network, t, gammas, hops)
-    flow = FlowState.zeros(network)
+    weights, kept = _price(network, t, gammas, hops)
     demands = dict(network.demands if demands is None else demands)
-    value = None
-    for k, lg in enumerate(network.levels):
-        if not demands:
-            break
-        if gammas[k] > 0:
-            val, edge_flows = softmin_flows(lg, weights[k], demands, gammas[k], hops[k], level=k + 1)
-        else:
-            val, edge_flows = all_or_nothing(lg, weights[k], demands, level=k + 1)
-        if k == 0:
-            value = val
-        n_plain = len(lg.plain_edges)
-        flow.plain[k] = edge_flows[:n_plain]
-        flow.nested[k] = edge_flows[n_plain:]
-        demands = {}
-        for j, (_, _, od) in enumerate(lg.nested_edges):
-            f = flow.nested[k][j]
-            if f > 0.0:
-                demands[od] = demands.get(od, 0.0) + f
-    return value, flow
+    top = network.levels[0]
+    if gammas[0] > 0:
+        value, kept[0] = _softmin_value(top, weights[0], demands, gammas[0], hops[0], level=1)
+        top_flows = None
+    else:
+        value, top_flows = all_or_nothing(top, weights[0], demands, level=1)
+
+    def fill():
+        flow = FlowState.zeros(network)
+        level_demands = demands
+        for k, lg in enumerate(network.levels):
+            if not level_demands:
+                break
+            if k == 0 and top_flows is not None:
+                edge_flows = top_flows
+            elif gammas[k] > 0:
+                _, edge_flows = softmin_flows(lg, weights[k], level_demands, gammas[k],
+                                              hops[k], level=k + 1, forward=kept[k])
+            else:
+                _, edge_flows = all_or_nothing(lg, weights[k], level_demands, level=k + 1)
+            n_plain = len(lg.plain_edges)
+            flow.plain[k] = edge_flows[:n_plain]
+            flow.nested[k] = edge_flows[n_plain:]
+            level_demands = {}
+            for j, (_, _, od) in enumerate(lg.nested_edges):
+                f = flow.nested[k][j]
+                if f > 0.0:
+                    level_demands[od] = level_demands.get(od, 0.0) + f
+        return flow
+
+    return value, FlowState.deferred(fill)

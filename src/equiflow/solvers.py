@@ -16,10 +16,12 @@ import numpy as np
 
 
 class DivergedOracleError(RuntimeError):
-    """Line-search Lipschitz estimate blew past the ceiling.
+    """The accelerated method cannot go on.
 
-    Almost always means the oracle's gradient is inconsistent with its
-    values.
+    Either the line-search Lipschitz estimate blew past the ceiling, which
+    almost always means the oracle's gradient is inconsistent with its
+    values, or the step aggregate overflowed (the solver stalled) before
+    the stop test certified.
     """
 
 
@@ -276,7 +278,12 @@ def umt_minimize(
             base = (1.0 + A * mu_t) / (2.0 * L)
             alpha = base + math.sqrt(base * base + A * (1.0 + A * mu_t) / L)
             A_new = A + alpha
-            y = (alpha * u + A * x) / A_new
+            y = (alpha * u + A * x) / A_new if math.isfinite(A_new) else None
+            if y is None or not np.isfinite(y).all():
+                raise DivergedOracleError(
+                    f"solver stalled at step {k}: the step aggregate A = {A_new:.3g} or the "
+                    f"point y overflowed (L = {L:.3g}) before the stop test certified"
+                )
             fy, gy = full_grad(y, A_new, alpha, L)
             u_new = prox.model_argmin(y0, G + alpha * gy, A_new, mu_t, Y + alpha * y)
             x_new = (alpha * u_new + A * x) / A_new

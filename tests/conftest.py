@@ -123,7 +123,7 @@ def enumerated_softmin(graph, weights, origin, dest, gamma, hops):
 
 def random_network(rng, m=1, gamma=1.0):
     """Small random connected instance for property checks."""
-    levels = []
+    plain = []
     for k in range(m):
         n = int(rng.integers(4, 8))
         edges = []
@@ -134,14 +134,11 @@ def random_network(rng, m=1, gamma=1.0):
             a, b = rng.integers(0, n, size=2)
             if a != b:
                 edges.append((int(a), int(b), _random_model(rng)))
-        levels.append(LevelGraph(n, plain_edges=edges, gamma=gamma))
-    if m == 2:
-        inner_n = levels[1].n_vertices
-        levels[0].nested_edges.append((0, levels[0].n_vertices - 1, (0, inner_n - 1)))
-        # invalidate cached index arrays built before the append
-        levels[0] = LevelGraph(
-            levels[0].n_vertices, levels[0].plain_edges, levels[0].nested_edges, gamma
-        )
+        plain.append((n, edges))
+    # with two levels, level 1 gets a nested edge over the whole of level 2
+    nested = [(0, plain[0][0] - 1, (0, plain[1][0] - 1))] if m == 2 else []
+    levels = [LevelGraph(n, plain_edges=edges, nested_edges=nested if k == 0 else (), gamma=gamma)
+              for k, (n, edges) in enumerate(plain)]
     demands = {(0, levels[0].n_vertices - 1): float(rng.uniform(0.5, 2.0))}
     return Network(levels, demands)
 

@@ -330,6 +330,48 @@ class TestBadInput:
         assert main(["solve", inst, "--out", str(tmp_path / "o")]) == 1
         assert "error: line-search L exceeded ceiling" in capsys.readouterr().err
 
+    def test_step_aggregate_overflow_reported(self, tmp_path, capsys):
+        # beckmann on Pigou has mu = 1, so the step aggregate grows
+        # geometrically and overflows before the stop test certifies
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        assert main(["solve", inst, "--gamma", "1=0.5", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver stalled at step ")
+        assert "the step aggregate A = inf or the point y overflowed" in err
+        assert "no walk" not in err
+
+
+class TestUnreadOptions:
+    """Each subcommand takes only the flags and config keys it reads."""
+
+    def inputs(self, tmp_path, command):
+        if command == "od":
+            return od_inputs(tmp_path, {(0, 0): 1.0}, [1.0], [1.0])
+        return [write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("compare", "--verify"), ("compare", "--trace"), ("od", "--seed=1"), ("od", "--trace"),
+    ])
+    def test_flag_rejected(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit):
+            main([command, *self.inputs(tmp_path, command), flag, "--out", str(tmp_path / "o")])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("compare", "dump_potentials", True), ("compare", "trace", True),
+        ("compare", "verify", True), ("od", "model", "beckmann"), ("od", "seed", 1),
+        ("od", "trace", True), ("od", "dump_potentials", True),
+    ])
+    def test_config_key_rejected(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        inputs = self.inputs(tmp_path, command)
+        assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r} is not used by {command}\n")
+        assert not out.exists()
+
 
 class TestOd:
     def test_uniform_two_by_two(self, tmp_path, capsys):

@@ -140,6 +140,34 @@ class TestAssignmentMemo:
         assert np.array_equal(oracle.last_grad_point, t)
 
 
+class TestForwardOnlyValue:
+    """value() sweeps forward only; flows are finished when first read."""
+
+    def test_value_then_value_grad(self, monkeypatch):
+        from equiflow import softmin
+
+        calls = []
+        for name in ("_sweep_forward", "_sweep_backward"):
+            real = getattr(softmin, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(softmin, name, counting)
+        rng = np.random.default_rng(26)
+        net = random_network(rng, gamma=0.5)
+        t = net.free_flow_times() + rng.uniform(0.05, 0.8, size=net.n_times)
+        oracle = DualOracle(net)
+        v = oracle.value(t)
+        assert calls == ["_sweep_forward"]
+        v2, g = oracle.value_grad(t)
+        assert calls == ["_sweep_forward", "_sweep_backward"]
+        v_ref, g_ref = DualOracle(net).value_grad(t)
+        assert v == v2 == v_ref
+        assert np.array_equal(g, g_ref)
+
+
 class TestDualityGap:
     def test_zero_when_times_match_costs(self):
         rng = np.random.default_rng(24)

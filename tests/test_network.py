@@ -250,7 +250,7 @@ class TestLoadNetwork:
         )
         net = load_network(write_instance(tmp_path / "m2.net", text))
         assert net.n_levels == 2
-        assert net.levels[0].nested_edges == [(0, 1, (0, 1))]
+        assert net.levels[0].nested_edges == ((0, 1, (0, 1)),)
 
     def test_duplicate_demand_rejected(self, tmp_path):
         text = PIGOU_INSTANCE + "od 1 0 1 2.0\n"

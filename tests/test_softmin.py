@@ -419,3 +419,118 @@ class TestBatchedSweep:
         close(flow.plain[0], ef_out[:3])
         close(flow.nested[0], ef_out[3:])
         close(flow.plain[1], ef_in)
+
+
+def eager_assignment(net, t, gammas, hops):
+    """Level-by-level assignment with eager softmin_flows at every level."""
+    weights = effective_weights(net, t, gammas, hops)
+    demands, values, flows = dict(net.demands), [], []
+    for k, lg in enumerate(net.levels):
+        v, f = softmin_flows(lg, weights[k], demands, gammas[k], hops[k], level=k + 1)
+        values.append(v)
+        flows.append(f)
+        demands = {}
+        for (_, _, od), fe in zip(lg.nested_edges, f[len(lg.plain_edges):]):
+            if fe > 0.0:
+                demands[od] = demands.get(od, 0.0) + fe
+    return values[0], flows
+
+
+class TestDeferredFlows:
+    """assignment_flows runs the forward sweeps; the flows wait for a read."""
+
+    def ragged_network(self):
+        g = ragged_graph()
+        demands = {(0, 5): 1.0, (0, 4): 0.5, (1, 5): 2.0, (2, 5): 0.7, (3, 4): 1.1, (2, 1): 0.4}
+        return Network([LevelGraph(7, g.plain_edges, gamma=0.8)], demands)
+
+    def two_level_network(self, rng):
+        inner = random_network(rng).levels[0]
+        n_in = inner.n_vertices
+        refs = [(0, n_in - 1), (0, n_in - 2), (1, n_in - 1), (0, n_in - 1)]
+        outer = LevelGraph(
+            3,
+            plain_edges=[(0, 1, fixed_edge(1.0)), (1, 2, fixed_edge(1.0)), (0, 2, fixed_edge(3.0))],
+            nested_edges=[(0, 1, refs[0]), (0, 2, refs[1]), (1, 2, refs[2]), (0, 2, refs[3])],
+            gamma=0.7,
+        )
+        inner = LevelGraph(n_in, inner.plain_edges, gamma=0.4)
+        return Network([outer, inner], {(0, 2): 1.5, (1, 2): 0.5})
+
+    def check(self, net, t):
+        gammas = net.gammas()
+        hops = [lg.n_vertices - 1 for lg in net.levels]
+        value, flow = assignment_flows(net, t)
+        ev, eflows = eager_assignment(net, t, gammas, hops)
+        assert value == pytest.approx(ev, rel=1e-12, abs=1e-12)
+        for k, lg in enumerate(net.levels):
+            n_plain = len(lg.plain_edges)
+            close(flow.plain[k], eflows[k][:n_plain])
+            close(flow.nested[k], eflows[k][n_plain:])
+
+    def test_ragged(self):
+        net = self.ragged_network()
+        rng = np.random.default_rng(40)
+        self.check(net, rng.uniform(0.2, 2.0, size=net.n_times))
+
+    def test_random(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            net = random_network(rng, gamma=0.5)
+            self.check(net, net.free_flow_times() + rng.uniform(0.0, 0.5, size=net.n_times))
+
+    def test_beyond_one_chunk(self, monkeypatch):
+        net = self.ragged_network()
+        # room for the rounds of two origins per chunk
+        monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES", 2 * 8 * 7 * 7)
+        rng = np.random.default_rng(42)
+        self.check(net, rng.uniform(0.2, 2.0, size=net.n_times))
+
+    def test_two_level(self):
+        rng = np.random.default_rng(43)
+        net = self.two_level_network(rng)
+        self.check(net, net.free_flow_times() + rng.uniform(0.0, 0.5, size=net.n_times))
+
+    def count_sweeps(self, monkeypatch):
+        calls = []
+        for name in ("_sweep_forward", "_sweep_backward"):
+            real = getattr(softmin, name)
+
+            def counting(graph, *args, _real=real, _name=name, **kwargs):
+                calls.append((_name, graph))
+                return _real(graph, *args, **kwargs)
+
+            monkeypatch.setattr(softmin, name, counting)
+        return calls
+
+    def test_flows_wait_for_first_read(self, monkeypatch):
+        net = self.ragged_network()
+        t = np.random.default_rng(44).uniform(0.2, 2.0, size=net.n_times)
+        calls = self.count_sweeps(monkeypatch)
+        _, flow = assignment_flows(net, t)
+        assert [name for name, _ in calls] == ["_sweep_forward"]
+        flow.plain_flat()
+        flow.nested
+        assert [name for name, _ in calls] == ["_sweep_forward", "_sweep_backward"]
+
+    def test_two_level_sweeps_inner_level_forward_once(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        net = self.two_level_network(rng)
+        t = net.free_flow_times() + rng.uniform(0.0, 0.5, size=net.n_times)
+        calls = self.count_sweeps(monkeypatch)
+        assignment_flows(net, t)[1].plain_flat()
+        outer, inner = net.levels
+        assert calls == [("_sweep_forward", inner), ("_sweep_forward", outer),
+                         ("_sweep_backward", outer), ("_sweep_backward", inner)]
+
+    def test_vertex_without_in_edges_stays_unreachable(self):
+        g = ragged_graph()  # vertex 0 has no in-edges, 6 no edges at all
+        w = np.random.default_rng(46).uniform(0.2, 2.0, size=g.n_edges)
+        s, _ = softmin._sweep_forward(g, w, [0, 3, 1], 0.5, 6)
+        assert s[0].tolist() == [0.0, math.inf, math.inf]
+        assert np.isinf(s[6]).all() and np.isfinite(s[5]).all()
+        with pytest.raises(UnreachableError, match="no walk from 3 to 0"):
+            softmin_flows(g, w, {(0, 5): 1.0, (3, 0): 1.0}, 0.5, 6)
+        net = Network([LevelGraph(7, g.plain_edges, gamma=0.5)], {(1, 5): 1.0, (3, 0): 1.0})
+        with pytest.raises(UnreachableError, match="no walk from 3 to 0"):
+            assignment_flows(net, w)
