@@ -1,11 +1,11 @@
 """Command-line front end: solve instances, compare scenarios, fit OD matrices.
 
 Exit codes: 0 when every requested certificate was met, 1 on input or
-validation errors, a failed --verify or a diverged or stalled solve, 2
-when the budget ran out (best-so-far files are still written).  Each
-subcommand takes only the flags and config keys it reads.  All floats
-are serialized with 17 significant digits so files round-trip exactly;
-identical config and seed give byte-identical output.
+validation errors (usage errors too), a failed --verify or a diverged
+or stalled solve, 2 when the budget ran out (best-so-far files are still
+written).  Each subcommand takes only the flags and config keys it reads.
+All floats are serialized with 17 significant digits so files round-trip
+exactly; identical inputs and config give byte-identical output.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def fmt(x) -> str:
 # JSON types of the config keys; bool passes only where it is listed
 CONFIG_TYPES = {
     "model": str, "eps": (int, float), "eps_residual": (int, float),
-    "gamma": (dict, list, int, float), "seed": int, "max_iter": int,
+    "gamma": (dict, list, int, float), "max_iter": int,
     "out": str, "trace": bool, "verify": bool, "dump_potentials": bool,
 }
 
@@ -186,7 +186,6 @@ def _solve_one(instance, args):
         report = solve_assignment(
             network, model=model, eps=eps, eps_residual=eps_res,
             gammas=gammas if args.gamma else None, max_iter=max_iter,
-            seed=args.seed or 0,
         )
     return network, report
 
@@ -344,8 +343,14 @@ def cmd_od(args) -> int:
     return 0 if sol.converged else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 1 like other input errors; 2 means the budget ran out."""
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equiflow",
         description="Equilibrium assignment and OD-matrix solvers with gap certificates",
     )
@@ -363,7 +368,6 @@ def build_parser():
         """Flags of the assignment subcommands, solve and compare."""
         p.add_argument("--model", default=None, choices=MODELS)
         p.add_argument("--gamma", action="append", metavar="LEVEL=VALUE", default=None)
-        p.add_argument("--seed", type=int, default=None)
         common(p)
 
     p_solve = sub.add_parser("solve", help="solve one assignment instance")

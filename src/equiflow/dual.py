@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import FlowState, Network, by_origin
-from .softmin import all_or_nothing, assignment_flows, effective_weights
+from .softmin import _od_values, all_or_nothing, assignment_flows, effective_weights
 from .solvers import (
     EuclideanProx, SmoothOracle, SolverReport, umt_minimize, umt_stochastic,
 )
@@ -238,13 +238,9 @@ def _build_report(network, model, eps, eps_residual, t, flows, last_flows, gamma
     total_time = float(tau @ f_flat)
     # shortest paths under the experienced costs, hard at every level
     weights = effective_weights(network, tau, [0.0] * network.n_levels)
-    # imported at call time, so bench/tracing.py's patch of it is seen
-    from .softmin import hard_shortest
-
-    shortest = {}
-    for o, group in by_origin(network.demands).items():
-        dist, _ = hard_shortest(network.levels[0], weights[0], o)
-        shortest.update({(o, d): float(dist[d]) for (_, d) in group})
+    lg = network.levels[0]
+    dist, _ = _od_values(lg, weights[0], list(network.demands), 0.0, lg.n_vertices - 1, level=1)
+    shortest = dict(zip(network.demands, dist.tolist()))
     return EquilibriumReport(
         model=model,
         eps=eps,
@@ -400,14 +396,13 @@ def solve_assignment(
 def _solve_beckmann_md(network, eps, eps_residual, max_iter):
     """Projected subgradient on the nonsmooth dual with averaged loads."""
     oracle = DualOracle(network, gammas=[0.0])
-    lg = network.levels[0]
     t = network.free_flow_times()
     lower, upper = oracle.lower, oracle.upper
     acc = np.zeros(network.n_times)
     best = {"flows": None, "gap": math.inf}
     rep = SolverReport()
     for k in range(1, max_iter + 1):
-        _, aon = all_or_nothing(lg, t, network.demands)
+        _, aon = all_or_nothing(network.levels[0], t, network.demands)
         g = -aon + _conjugates(network.edges, t)[1]
         rep.grad_calls += 1
         acc += aon

@@ -7,30 +7,27 @@ of a level at once; a backward (adjoint) sweep over the same recursion
 yields the Gibbs edge flows, which are the exact gradient of the
 demand-weighted soft-min value with respect to the edge weights.
 
-Both sweeps are batched over origins: a hop updates one (vertices x
-origins) array of scaled potentials u/gamma, with the edges grouped by
-head (forward) or by tail (backward) and each group reduced by
-np.minimum.reduceat/np.add.reduceat into preallocated buffers, so the
-numpy calls per hop do not grow with the number of origins.  The empty
-walk at an origin is one more (virtual) in-edge per vertex, read from a
-copy of round 0, so it needs no separate pass.  The backward sweep reads
-every forward round, (H+1) x vertices x origins floats; origins are
-swept in chunks whose rounds fit in ROUNDS_CAP_BYTES.  A single origin
-is a batch of one.
+One forward kernel serves every gamma >= 0.  A hop updates one (vertices
+x origins) array of scaled potentials u/gamma: the edges, grouped by head,
+are reduced by np.minimum.reduceat (then np.add.reduceat) into preallocated
+buffers, so the numpy calls per hop do not grow with the origins.  The
+empty walk at an origin is one more (virtual) in-edge per vertex, read from
+a copy of round 0.  At gamma = 0 the hop is min-plus (a take, an add and the
+minimum) over u itself, run to its fixed point or n-1 hops: the hard
+shortest paths of hard_shortest, all_or_nothing and gamma = 0 pricing.
 
-assignment_flows runs only the forward sweeps, which give the value.  It
-keeps the rounds of level 1 and of each deeper level's pricing sweep
-(when one chunk holds them) and returns a deferred FlowState: the first
-read of its flows runs the backward sweeps from those rounds, so a point
-whose flows are never read pays for no backward sweep, and a nested
-level is swept forward once per point.  Beyond one chunk the flows rerun
-the forward sweeps.  With gamma = 0 the same interfaces fall back to
-hard shortest paths and all-or-nothing loading.
+The backward sweep reads every forward round, (H+1) x vertices x origins
+floats, so origins are swept in chunks whose rounds fit in
+ROUNDS_CAP_BYTES.  assignment_flows runs only the forward sweeps, which give
+the value, and returns a deferred FlowState: the first read of its flows
+runs the backward sweeps from the kept rounds of level 1 and of each deeper
+level's pricing sweep (beyond one chunk, the forward sweeps rerun).  A
+point whose flows are never read pays for no backward sweep, a nested level
+is swept forward once per point, and gamma = 0 levels load all-or-nothing.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 
@@ -58,10 +55,12 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep_rounds
     Returns (s, rounds): s[v, b] = u[v, b] / gamma, u the potential of v
     seen from origins[b] (+inf when unreachable); rounds stacks s after
     0..hops hops, shape (hops+1, V, B), when keep_rounds is set, else None.
+    With gamma = 0, s = u is the minimum walk length (min-plus hops) and
+    the sweep stops at its fixed point; keep_rounds is for gamma > 0.
     """
     n, batch = graph.n_vertices, len(origins)
     order, tails, starts, counts = graph.head_groups
-    c = np.concatenate([np.asarray(weights, dtype=float) / gamma, np.zeros(n)])[order, None]
+    c = np.concatenate([np.asarray(weights, dtype=float) / (gamma or 1.0), np.zeros(n)])[order, None]
     # rows n.. keep round 0, the tails of the virtual empty-walk edges
     state = np.full((2 * n, batch), math.inf)
     state[origins, np.arange(batch)] = 0.0
@@ -78,6 +77,11 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep_rounds
             state.take(tails, axis=0, out=cand)
             cand += c
             np.minimum.reduceat(cand, starts, axis=0, out=low)
+            if gamma == 0:
+                if np.array_equal(low, u):
+                    break
+                u[:] = low
+                continue
             np.minimum(low, _BIG, out=low)
             np.subtract(low.repeat(counts, axis=0), cand, out=cand)
             np.exp(cand, out=cand)
@@ -193,84 +197,54 @@ def _softmin_value(graph: LevelGraph, weights, demands, gamma, hops, level):
     return value, (chunks[0], rounds) if len(chunks) == 1 else None
 
 
-def hard_shortest(graph: LevelGraph, weights, origin, method="auto"):
-    """Exact shortest-walk distances with a deterministic tie-break.
+def _shortest(graph: LevelGraph, weights, origins):
+    """(dist, pred_edge) of hard_shortest, (V, B) each, from one min-plus sweep.
 
-    Ties are resolved toward the lexicographically smallest
-    (predecessor vertex, edge index) pair.  Returns (dist, pred_edge)
-    with pred_edge = -1 at the origin and unreachable vertices.
+    pred_edge is the smallest (tail, edge) among the tight in-edges,
+    dist[tail] + w == dist[head], of each reached vertex but the origin.
     """
     weights = np.asarray(weights, dtype=float)
-    if method == "auto":
-        method = "dijkstra" if np.all(weights >= 0) else "bellman-ford"
-    if method == "dijkstra" and np.any(weights < 0):
-        raise ValueError("dijkstra requires nonnegative weights")
-    n = graph.n_vertices
-    tails, heads = graph.tails, graph.heads
-    dist = np.full(n, math.inf)
-    pred = np.full(n, n, dtype=np.intp)  # sentinel larger than any vertex
-    pred_edge = np.full(n, -1, dtype=np.intp)
-    dist[origin] = 0.0
-
-    def relax(e):
-        t, h = tails[e], heads[e]
-        nd = dist[t] + weights[e]
-        if nd < dist[h] or (nd == dist[h] and (t, e) < (pred[h], pred_edge[h])):
-            improved = nd < dist[h]
-            dist[h] = nd
-            pred[h] = t
-            pred_edge[h] = e
-            return improved
-        return False
-
-    out = [[] for _ in range(n)]
-    for e, t in enumerate(tails):
-        out[t].append(e)
-    if method == "bellman-ford":
-        for _ in range(n - 1):
-            changed = False
-            for v in range(n):
-                if math.isfinite(dist[v]):
-                    for e in out[v]:
-                        changed |= relax(e)
-            if not changed:
-                break
-    elif method == "dijkstra":
-        heap = [(0.0, origin)]
-        done = np.zeros(n, dtype=bool)
-        while heap:
-            d, v = heapq.heappop(heap)
-            if done[v] or d > dist[v]:
-                continue
-            done[v] = True
-            for e in out[v]:
-                if relax(e):
-                    heapq.heappush(heap, (dist[heads[e]], heads[e]))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    pred_edge[origin] = -1
+    dist, _ = _sweep_forward(graph, weights, origins, 0.0, graph.n_vertices - 1)
+    tails, heads, m = graph.tails, graph.heads, graph.n_edges
+    at_head = dist[heads]
+    e, b = np.nonzero(np.isfinite(at_head) & (dist[tails] + weights[:, None] == at_head))
+    none = graph.n_vertices * m  # beyond every (tail, edge) key
+    key = np.full(dist.shape, none, dtype=np.intp)
+    np.minimum.at(key, (heads[e], b), tails[e] * m + e)
+    pred_edge = np.where(key < none, key % max(m, 1), -1)
+    pred_edge[origins, np.arange(len(origins))] = -1
     return dist, pred_edge
 
 
-def all_or_nothing(graph: LevelGraph, weights, demands, method="auto", level=1):
+def hard_shortest(graph: LevelGraph, weights, origin):
+    """Shortest-walk distances with a deterministic tie-break.
+
+    Exact for nonnegative weights and for negative weights without a
+    negative cycle; otherwise dist is the minimum over walks of at most
+    n-1 hops.  Ties go to the lexicographically smallest (predecessor
+    vertex, edge index) pair.  Returns (dist, pred_edge) with
+    pred_edge = -1 at the origin and unreachable vertices.
+    """
+    dist, pred_edge = _shortest(graph, weights, [origin])
+    return dist[:, 0], pred_edge[:, 0]
+
+
+def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
     """Load each OD's full demand on its tie-broken shortest path.
 
-    Returns (value, flows): value = sum_w d_w * dist_w, flows a valid
-    subgradient element of the hard-min aggregate.
+    One batched sweep serves every origin; the distances are those of
+    hard_shortest.  Returns (value, flows): value = sum_w d_w * dist_w,
+    flows a valid subgradient element of the hard-min aggregate.
     """
-    weights = np.asarray(weights, dtype=float)
-    value = 0.0
+    groups = by_origin(demands)
+    origins = list(groups)
+    dist, pred_edge = _shortest(graph, weights, origins)
+    value, _ = _sink(groups, origins, dist, 1.0, level, graph.n_vertices - 1)
     flows = np.zeros(graph.n_edges)
-    hops = graph.n_vertices - 1
-    for o, group in by_origin(demands).items():
-        dist, pred_edge = hard_shortest(graph, weights, o, method=method)
-        for (_, d), dem in group.items():
-            if not math.isfinite(dist[d]):
-                raise UnreachableError(level, o, d, hops)
-            value += dem * dist[d]
-            v = d
+    for b, o in enumerate(origins):
+        for (_, v), dem in groups[o].items():
             while v != o:
-                e = pred_edge[v]
+                e = pred_edge[v, b]
                 flows[e] += dem
                 v = graph.tails[e]
     return value, flows
@@ -313,20 +287,17 @@ def _od_values(graph, weights, od_pairs, gamma, hops, level):
     """Shortest-path (soft or hard) value per requested OD pair, and the
     kept soft sweep (origins, rounds) when its rounds fit in one chunk."""
     origins = sorted({o for o, _ in od_pairs})
-    forward = None
-    if gamma > 0:
-        keep = len(_chunks(graph, origins, hops)) == 1
-        s, rounds = _sweep_forward(graph, weights, origins, gamma, hops, keep_rounds=keep)
-        u = gamma * s
-        forward = (origins, rounds) if keep else None
-    else:
-        u = np.column_stack([hard_shortest(graph, weights, o)[0] for o in origins])
+    keep = gamma > 0 and len(_chunks(graph, origins, hops)) == 1
+    # gamma = 0 prices the exact shortest paths that all_or_nothing loads
+    swept = hops if gamma > 0 else graph.n_vertices - 1
+    s, rounds = _sweep_forward(graph, weights, origins, gamma, swept, keep_rounds=keep)
+    u = (gamma or 1.0) * s
     column = {o: b for b, o in enumerate(origins)}
     values = u[[d for _, d in od_pairs], [column[o] for o, _ in od_pairs]]
     for (o, d), v in zip(od_pairs, values):
         if not math.isfinite(v):
             raise UnreachableError(level, o, d, hops)
-    return values, forward
+    return values, (origins, rounds) if keep else None
 
 
 def _hop_bounds(network, hops):

@@ -332,7 +332,7 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", threads)
         out = str(tmp_path / run)
         assert main(["solve", inst, "--model", "beckmann", "--eps", "1e-9",
-                     "--seed", "3", "--trace", "--out", out]) == 0
+                     "--trace", "--out", out]) == 0
         assert main(["od", str(costs), str(rows), str(cols), "--gamma", "0.5",
                      "--out", out]) == 0
         files = {}

@@ -155,7 +155,7 @@ class TestSolve:
         for name in ("a", "b"):
             out = str(tmp_path / name)
             assert main(["solve", inst, "--model", "beckmann", "--eps", "1e-9",
-                         "--seed", "7", "--out", out]) == 0
+                         "--out", out]) == 0
             outs.append(out)
         for fname in ("solution.csv", "summary.json"):
             a = open(os.path.join(outs[0], fname), "rb").read()
@@ -207,6 +207,14 @@ class TestConfig:
         assert main(["solve", inst, "--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_seed_key_rejected(self, tmp_path, capsys):
+        # the CLI runs no mini-batch solve, so a seed would change nothing
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
     def test_hops_key_rejected(self, tmp_path, capsys):
         # no subcommand has a hop flag, so the key would be dropped silently
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
@@ -216,7 +224,7 @@ class TestConfig:
         assert "unknown config keys: ['hops']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("max_iter", "50"), ("max_iter", 50.0), ("seed", True), ("eps", "1e-3"),
+        ("max_iter", "50"), ("max_iter", 50.0), ("eps", "1e-3"),
         ("trace", "yes"), ("model", 3), ("gamma", 0.5), ("gamma", "1=0.5"),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, key, value):
@@ -351,15 +359,18 @@ class TestUnreadOptions:
 
     @pytest.mark.parametrize("command, flag", [
         ("compare", "--verify"), ("compare", "--trace"), ("od", "--seed=1"), ("od", "--trace"),
+        ("solve", "--seed=1"),
     ])
     def test_flag_rejected(self, tmp_path, capsys, command, flag):
-        with pytest.raises(SystemExit):
+        # usage errors exit 1 like other input errors; 2 means budget exhausted
+        with pytest.raises(SystemExit) as exc:
             main([command, *self.inputs(tmp_path, command), flag, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key, value", [
         ("compare", "dump_potentials", True), ("compare", "trace", True),
-        ("compare", "verify", True), ("od", "model", "beckmann"), ("od", "seed", 1),
+        ("compare", "verify", True), ("od", "model", "beckmann"),
         ("od", "trace", True), ("od", "dump_potentials", True),
     ])
     def test_config_key_rejected(self, tmp_path, capsys, command, key, value):

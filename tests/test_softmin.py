@@ -1,6 +1,8 @@
 """Soft-min potentials, Gibbs flows, hard shortest paths, nested pricing."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from equiflow import (
     softmin_potentials,
 )
 
-from conftest import braess_network, enumerated_softmin, fixed_edge, random_network
+from conftest import (
+    braess_network, enumerate_walks, enumerated_softmin, fixed_edge, random_network,
+)
 
 
 def chain_graph():
@@ -28,6 +32,48 @@ def chain_graph():
 
 def parallel_graph():
     return LevelGraph(2, plain_edges=[(0, 1, fixed_edge(1.0)), (0, 1, fixed_edge(1.0))])
+
+
+def random_graph(rng, n, m):
+    """m random edges over n vertices, some of them possibly unreachable."""
+    pairs = [rng.choice(n, size=2, replace=False) for _ in range(m)]
+    return LevelGraph(n, plain_edges=[(int(a), int(b), fixed_edge(1.0)) for a, b in pairs])
+
+
+def grid_graph(k):
+    """k x k grid, both directions on every side."""
+    edges = []
+    for v in range(k * k):
+        r, c = divmod(v, k)
+        for nb in ([v + 1] if c < k - 1 else []) + ([v + k] if r < k - 1 else []):
+            edges += [(v, nb, fixed_edge(1.0)), (nb, v, fixed_edge(1.0))]
+    return LevelGraph(k * k, plain_edges=edges)
+
+
+def fold(w, walk):
+    """Walk length summed left to right, as a forward sweep adds it."""
+    return functools.reduce(operator.add, (w[e] for e in walk), 0.0)
+
+
+def simple_path_minima(graph, w, origin):
+    """Per vertex, the least left-folded length over simple paths from origin.
+
+    With nonnegative weights no walk is shorter, in floating point too:
+    cutting a cycle out of a walk never raises a left-folded sum.
+    """
+    best = [math.inf] * graph.n_vertices
+    best[origin] = 0.0
+
+    def rec(v, length, seen):
+        for e in range(graph.n_edges):
+            h = graph.heads[e]
+            if graph.tails[e] == v and h not in seen:
+                nxt = length + w[e]
+                best[h] = min(best[h], nxt)
+                rec(h, nxt, seen | {h})
+
+    rec(origin, 0.0, {origin})
+    return best
 
 
 class TestPotentials:
@@ -178,16 +224,29 @@ class TestHardShortest:
         walks_best = 0.1 + 0.05 + 0.1  # via the shortcut
         assert dist[3] == pytest.approx(walks_best, abs=1e-12)
 
-    def test_methods_agree(self):
+    def test_matches_walk_enumeration(self):
+        # tied integer weights, zero weights, unreachable vertices and
+        # negative weights w = base + p[tail] - p[head] (no negative cycle)
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            net = random_network(rng)
-            lg = net.levels[0]
-            w = rng.uniform(0.1, 2.0, size=lg.n_edges)
-            d1, p1 = hard_shortest(lg, w, 0, method="dijkstra")
-            d2, p2 = hard_shortest(lg, w, 0, method="bellman-ford")
-            assert d1 == pytest.approx(d2, abs=1e-12)
-            assert np.array_equal(p1, p2)
+        for trial in range(40):
+            n = int(rng.integers(3, 7))
+            lg = random_graph(rng, n, int(rng.integers(2, 2 * n + 1)))
+            w = rng.integers(0, 4, size=lg.n_edges).astype(float)
+            if trial % 2:
+                p = rng.integers(-3, 4, size=n)
+                w += p[lg.tails] - p[lg.heads]
+            for o in range(n):
+                dist, pred_edge = hard_shortest(lg, w, o)
+                ref = [0.0 if v == o else math.inf for v in range(n)]
+                for v in range(n):
+                    for walk in enumerate_walks(lg, o, v, n - 1):
+                        ref[v] = min(ref[v], fold(w, walk))
+                assert dist.tolist() == ref
+                for v in range(n):
+                    tight = [(lg.tails[e], e) for e in range(lg.n_edges) if lg.heads[e] == v
+                             and ref[lg.tails[e]] + w[e] == ref[v]]
+                    reached = v != o and math.isfinite(ref[v])
+                    assert pred_edge[v] == (min(tight)[1] if reached else -1)
 
 
 class TestAllOrNothing:
@@ -207,11 +266,39 @@ class TestAllOrNothing:
         lg = net.levels[0]
         w = rng.uniform(0.2, 1.5, size=lg.n_edges)
         value, flows = all_or_nothing(lg, w, {(0, 3): 2.0})
-        from conftest import enumerate_walks
         walks = enumerate_walks(lg, 0, 3, 3)
         best = min(sum(w[e] for e in walk) for walk in walks)
         assert value == pytest.approx(2.0 * best, abs=1e-12)
         assert flows.sum() > 0
+
+
+    def test_batched_origins_on_grid(self):
+        # 4x4 grid, every ordered pair among 6 origins: edges carry 3+ ODs
+        rng = np.random.default_rng(9)
+        lg = grid_graph(4)
+        w = rng.integers(1, 4, size=lg.n_edges).astype(float)
+        zones = [0, 3, 5, 10, 12, 15]
+        demands = {(o, d): float(rng.uniform(0.1, 2.0)) for o in zones for d in zones if o != d}
+        value, flows = all_or_nothing(lg, w, demands)
+        ref = {o: simple_path_minima(lg, w, o) for o in zones}
+        expected = 0.0
+        for (o, d), dem in demands.items():
+            expected += dem * ref[o][d]
+        assert value == expected
+        # one OD at a time, summed in demand order: the same flows
+        per_od = [all_or_nothing(lg, w, {od: dem})[1] for od, dem in demands.items()]
+        assert np.array_equal(flows, sum(per_od, np.zeros(lg.n_edges)))
+        assert max(np.count_nonzero([f[e] for f in per_od]) for e in range(lg.n_edges)) >= 3
+        net = np.zeros(lg.n_vertices)
+        np.add.at(net, lg.heads, flows)
+        np.subtract.at(net, lg.tails, flows)
+        for (o, d), dem in demands.items():
+            net[d] -= dem
+            net[o] += dem
+        assert net == pytest.approx(0.0, abs=1e-12)
+        for e in np.flatnonzero(flows):
+            t, h = lg.tails[e], lg.heads[e]
+            assert any(ref[o][t] + w[e] == ref[o][h] for o in zones)
 
 
 class TestNestedPricing:
