@@ -4,19 +4,14 @@ from .network import (
     BPR,
     SD,
     EdgeCostModel,
+    EdgeTable,
     FlowState,
     LevelGraph,
     Network,
     NetworkError,
-    OutOfDomainError,
     ParseError,
     ValidationError,
-    bpr_conjugate,
-    bpr_cost,
-    bpr_integral,
-    edge_integral,
     load_network,
-    sd_conjugate,
 )
 from .softmin import (
     UnreachableError,

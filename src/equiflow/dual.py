@@ -21,6 +21,8 @@ from .solvers import (
 )
 
 MODELS = ["beckmann", "beckmann_md", "stochastic", "stable_dynamics", "mixed", "multistage"]
+BECKMANN_GAMMA = 1e-6  # default smoothing of `beckmann`
+SD_GAMMA = 0.1  # default smoothing of `stable_dynamics` and `mixed`, per level
 
 
 def _flat(flows) -> np.ndarray:
@@ -271,9 +273,6 @@ def solve_assignment(
     hops=None,
     max_iter: int = 200000,
     seed: int = 0,
-    l0: float = 1.0,
-    beckmann_gamma: float = 1e-6,
-    sd_gamma: float = 0.1,
     variance_bound: float = None,
 ) -> EquilibriumReport:
     """Solve an assignment model to a certified tolerance.
@@ -310,9 +309,9 @@ def solve_assignment(
 
     if gammas is None:
         if model == "beckmann":
-            gammas = [beckmann_gamma]
+            gammas = [BECKMANN_GAMMA]
         elif model in ("stable_dynamics", "mixed"):
-            gammas = [sd_gamma] * network.n_levels
+            gammas = [SD_GAMMA] * network.n_levels
         else:
             gammas = list(network.gammas())
     if model != "multistage" and any(g <= 0 for g in gammas):
@@ -371,17 +370,11 @@ def solve_assignment(
         state.report.gap_trace.append(gap)
         return "certified" if ok else None
 
-    callback = on_step if averaged else None
+    run = dict(mu=mu, max_iter=max_iter, stop=stop, callback=on_step if averaged else None)
     if variance_bound is not None:
-        t_final, rep = umt_stochastic(
-            oracle, prox, t0, eps, mu=mu, seed=seed, max_iter=max_iter, l0=l0,
-            stop=stop, callback=callback,
-        )
+        t_final, rep = umt_stochastic(oracle, prox, t0, eps, seed=seed, **run)
     else:
-        t_final, rep = umt_minimize(
-            oracle, prox, t0, eps, mu=mu, max_iter=max_iter, l0=l0,
-            stop=stop, callback=callback,
-        )
+        t_final, rep = umt_minimize(oracle, prox, t0, eps, **run)
     converged = rep.termination == "certified"
     _, last_flows = oracle.assignment(t_final)
     if best["flows"] is None:
@@ -431,7 +424,6 @@ def _solve_beckmann_md(network, eps, eps_residual, max_iter):
 
 
 def solve_multistage(network: Network, eps: float = 1e-6, eps_residual: float = None,
-                     gammas=None, hops=None, max_iter: int = 200000,
-                     l0: float = 1.0) -> EquilibriumReport:
+                     gammas=None, hops=None, max_iter: int = 200000) -> EquilibriumReport:
     """Joint dual solve of a nested multilevel network; see solve_assignment."""
-    return solve_assignment(network, "multistage", eps, eps_residual, gammas, hops, max_iter, l0=l0)
+    return solve_assignment(network, "multistage", eps, eps_residual, gammas, hops, max_iter)

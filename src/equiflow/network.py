@@ -40,10 +40,6 @@ class ValidationError(NetworkError):
         self.violations = list(violations)
 
 
-class OutOfDomainError(NetworkError):
-    """Conjugate of a capacitated edge queried below its free-flow time."""
-
-
 @dataclass(frozen=True)
 class EdgeCostModel:
     """Per-edge cost family: BPR power law or its stable-dynamics limit."""
@@ -58,22 +54,6 @@ class EdgeCostModel:
         if self.kind not in (BPR, SD):
             raise ValueError(f"unknown cost kind {self.kind!r}")
 
-    @property
-    def pinned(self) -> bool:
-        """True when the edge time is forced to stay at t_free.
-
-        Holds for zero-gain BPR edges (constant cost) and uncapacitated
-        SD edges; their conjugate is 0 at t_free and +inf above it.
-        """
-        if self.kind == BPR:
-            return self.bpr_gain == 0.0
-        return math.isinf(self.capacity)
-
-    @cached_property
-    def table(self) -> "EdgeTable":
-        """One-edge EdgeTable of this model, for the scalar cost functions."""
-        return EdgeTable.of([self])
-
 
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
@@ -85,8 +65,7 @@ class EdgeTable:
     whose flow is bounded by capacity; pinned marks zero-gain BPR and
     uncapacitated SD edges, whose time stays at t_free.  The methods
     evaluate the cost map, its integral and the integral's conjugate on
-    all edges at once; the scalar bpr_* / sd_* functions are one-edge
-    views of them.
+    all edges at once.
     """
 
     t_free: np.ndarray
@@ -105,11 +84,12 @@ class EdgeTable:
     @classmethod
     def of(cls, models: list) -> "EdgeTable":
         gain = np.array([0.0 if m.kind == SD else m.bpr_gain for m in models], dtype=float)
+        capacity = np.array([m.capacity for m in models], dtype=float)
         is_sd = np.array([m.kind == SD for m in models], dtype=bool)
-        pinned = np.array([m.pinned for m in models], dtype=bool)
+        pinned = np.where(is_sd, np.isinf(capacity), gain == 0)
         return cls(
             t_free=np.array([m.t_free for m in models], dtype=float),
-            capacity=np.array([m.capacity for m in models], dtype=float),
+            capacity=capacity,
             gain=gain,
             power=np.array([m.bpr_power for m in models], dtype=float),
             is_sd=is_sd,
@@ -166,57 +146,6 @@ def _flows(f) -> np.ndarray:
     if low < 0:
         raise ValueError(f"negative flow {low}")
     return f
-
-
-def _edge(model: EdgeCostModel, kind: str, caller: str) -> EdgeTable:
-    """One-edge table of `model`, which must be of the given kind."""
-    if model.kind != kind:
-        raise ValueError(f"{caller} requires a {kind.upper()} edge")
-    return model.table
-
-
-def bpr_cost(model: EdgeCostModel, f: float) -> float:
-    """Travel time t_free * (1 + gain * (f/capacity)**power) at flow f."""
-    return float(_edge(model, BPR, "bpr_cost").cost([f])[0])
-
-
-def bpr_integral(model: EdgeCostModel, f: float) -> float:
-    """Closed-form integral of bpr_cost from 0 to f."""
-    return float(_edge(model, BPR, "bpr_integral").integral([f])[0])
-
-
-def bpr_conjugate(model: EdgeCostModel, t: float) -> tuple[float, float]:
-    """Value and derivative (the maximizing flow) of the convex conjugate
-    of the BPR integral; see EdgeTable.conjugate."""
-    value, flow = _edge(model, BPR, "bpr_conjugate").conjugate([t])
-    return float(value[0]), float(flow[0])
-
-
-def bpr_conjugate_curvature(model: EdgeCostModel, t: float) -> float:
-    """Second derivative f'(t) of the BPR conjugate (0 at or below t_free)."""
-    if t <= model.t_free or model.bpr_gain == 0.0:
-        return 0.0
-    mu = model.bpr_power
-    g = model.bpr_gain * model.t_free
-    return model.capacity / (mu * g) * ((t - model.t_free) / g) ** ((1.0 - mu) / mu)
-
-
-def sd_conjugate(model: EdgeCostModel, t: float) -> tuple[float, float]:
-    """Conjugate capacity*(t - t_free) of a stable-dynamics edge.
-
-    Raises OutOfDomainError for t < t_free; solvers must keep the time
-    vector inside the box [t_free, inf).
-    """
-    table = _edge(model, SD, "sd_conjugate")
-    if t < model.t_free:
-        raise OutOfDomainError(f"t={t} below free-flow time {model.t_free}")
-    value, flow = table.conjugate([t])
-    return float(value[0]), float(flow[0])
-
-
-def edge_integral(model: EdgeCostModel, f: float) -> float:
-    """Cost integral sigma_e(f); +inf for SD flow above capacity."""
-    return float(model.table.integral([f])[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -166,7 +166,7 @@ class ElpSolution:
 
 
 def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
-                     max_iter=100000, l0=1.0) -> ElpSolution:
+                     max_iter=100000) -> ElpSolution:
     """Certified OD matrix from marginals L, W and cost matrix T.
 
     Minimizes the smooth dual and, after each step, certifies two primal
@@ -209,8 +209,7 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
         return "certified" if ok else None
 
     y, rep = umt_minimize(
-        oracle, prox, y0, eps_n, mu=0.0, max_iter=max_iter, l0=l0,
-        stop=stop, callback=on_step,
+        oracle, prox, y0, eps_n, mu=0.0, max_iter=max_iter, stop=stop, callback=on_step,
     )
     return ElpSolution(
         matrix=(best["x"] * problem.mass).reshape(problem.shape),
@@ -247,7 +246,7 @@ def balancing_oracle(L, W, T, gamma, tol=1e-12, max_iter=100000):
     return (u[:, None] * K) * v[None, :], converged
 
 
-def entropy_regression_simplex(A, b, mu, eps, max_iter=100000, l0=1.0):
+def entropy_regression_simplex(A, b, mu, eps, max_iter=100000):
     """Minimize 0.5*|Ax - b|^2 + mu * sum x ln x over the simplex.
 
     Supported only in the small-entropy regime 0 < mu < eps/(2 ln n),
@@ -272,7 +271,6 @@ def entropy_regression_simplex(A, b, mu, eps, max_iter=100000, l0=1.0):
     )
     prox = EntropySimplexProx(n, entropy_weight=mu)
     x, rep = umt_minimize(
-        oracle, prox, prox.center, eps, mu=0.0, max_iter=max_iter, l0=l0,
-        r2=math.log(n),
+        oracle, prox, prox.center, eps, mu=0.0, max_iter=max_iter, r2=math.log(n),
     )
     return x, rep

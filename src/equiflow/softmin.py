@@ -234,7 +234,10 @@ def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
 
     One batched sweep serves every origin; the distances are those of
     hard_shortest.  Returns (value, flows): value = sum_w d_w * dist_w,
-    flows a valid subgradient element of the hard-min aggregate.
+    flows a valid subgradient element of the hard-min aggregate.  Raises
+    ValueError when an OD pair's predecessors do not lead back to its
+    origin within n-1 edges, which a zero- or negative-weight cycle can
+    cause.
     """
     groups = by_origin(demands)
     origins = list(groups)
@@ -242,11 +245,17 @@ def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
     value, _ = _sink(groups, origins, dist, 1.0, level, graph.n_vertices - 1)
     flows = np.zeros(graph.n_edges)
     for b, o in enumerate(origins):
-        for (_, v), dem in groups[o].items():
+        for (_, d), dem in groups[o].items():
+            v, steps = d, 0
             while v != o:
                 e = pred_edge[v, b]
+                if e < 0 or steps == graph.n_vertices - 1:
+                    raise ValueError(
+                        f"level {level}: no shortest path to load for OD {o}->{d}; "
+                        "the weights have a zero- or negative-weight cycle")
                 flows[e] += dem
                 v = graph.tails[e]
+                steps += 1
     return value, flows
 
 

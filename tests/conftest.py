@@ -1,6 +1,9 @@
-"""Shared fixtures: classic tiny networks, instance writers, enumeration oracle."""
+"""Shared fixtures: classic tiny networks, instance writers, enumeration and
+closed-form per-edge cost oracles."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -17,6 +20,42 @@ def linear_edge(t_small=1e-6):
 def fixed_edge(cost):
     """Constant-cost edge (zero gain pins its time)."""
     return EdgeCostModel("bpr", t_free=cost, capacity=1.0, bpr_gain=0.0, bpr_power=1.0)
+
+
+def edge_cost(m, f):
+    """Closed-form travel time of one edge at flow f (SD: t_free)."""
+    if m.kind == "sd":
+        return m.t_free
+    return m.t_free * (1.0 + m.bpr_gain * (f / m.capacity) ** m.bpr_power)
+
+
+def edge_integral(m, f):
+    """Closed-form integral of edge_cost from 0 to f; inf for SD flow above capacity."""
+    if m.kind == "sd":
+        return m.t_free * f if f <= m.capacity else math.inf
+    if m.bpr_gain == 0.0:
+        return m.t_free * f
+    p = m.bpr_power
+    return m.t_free * f + m.t_free * m.bpr_gain * m.capacity / (1.0 + p) * (f / m.capacity) ** (1.0 + p)
+
+
+def edge_conjugate(m, t):
+    """(sup_f t*f - edge_integral(f), its maximizer) in closed form.
+
+    A capacitated SD edge gives capacity * (t - t_free) with flow capacity
+    (defined from t_free on); a positive-gain BPR edge is maximized where
+    edge_cost(f) = t, and t*f - edge_integral(f) there simplifies to
+    p/(1+p) * f * (t - t_free); any other edge gives 0 at or below t_free
+    and inf above.
+    """
+    if m.kind == "sd" and math.isfinite(m.capacity):
+        return m.capacity * (t - m.t_free), m.capacity
+    if t <= m.t_free:
+        return 0.0, 0.0
+    if m.kind == "sd" or m.bpr_gain == 0.0:
+        return math.inf, math.inf
+    f = m.capacity * ((t - m.t_free) / (m.bpr_gain * m.t_free)) ** (1.0 / m.bpr_power)
+    return m.bpr_power / (1.0 + m.bpr_power) * f * (t - m.t_free), f
 
 
 @pytest.fixture
@@ -80,6 +119,21 @@ SD_TWO_LINK_INSTANCE = """\
 1 0 1 sd 2.0 inf
 od 1 0 1 2.0
 """
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a hang fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def write_instance(path, text):

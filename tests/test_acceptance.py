@@ -23,7 +23,6 @@ from equiflow import (
     SmoothOracle,
     assignment_flows,
     balancing_oracle,
-    bpr_integral,
     dual_value_grad,
     mirror_descent_constrained,
     restart_wrapper,
@@ -41,6 +40,7 @@ from conftest import (
     BRAESS_BASE_INSTANCE,
     BRAESS_SHORTCUT_INSTANCE,
     enumerate_walks,
+    edge_integral,
     enumerated_softmin,
     random_network,
     write_instance,
@@ -245,7 +245,7 @@ def _toy_primal(net, z):
     sb = 1.0 / (1.0 + math.exp(-z[4]))
     y = np.array([x[1] * sa, x[1] * (1 - sa), x[2] * sb, x[2] * (1 - sb)])
     models = net.levels[1].plain_edges
-    val = 2.2 * x[0] + sum(bpr_integral(m, y[i]) for i, (_, _, m) in enumerate(models))
+    val = 2.2 * x[0] + sum(edge_integral(m, y[i]) for i, (_, _, m) in enumerate(models))
     # route entropies, each relative to the demand feeding its level
     val += sum(v * math.log(v) for v in x if v > 0)
     for j, splits in ((1, (sa, 1 - sa)), (2, (sb, 1 - sb))):

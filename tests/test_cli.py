@@ -13,6 +13,7 @@ from conftest import (
     BRAESS_SHORTCUT_INSTANCE,
     PIGOU_INSTANCE,
     SD_TWO_LINK_INSTANCE,
+    deadline,
     write_instance,
 )
 
@@ -50,6 +51,23 @@ od 1 0 2 0.14343360370833125
 od 1 3 5 0.27850165831812712
 od 1 6 8 0.078064737973541617
 gamma 1 0.10000000000000001
+"""
+
+
+# level-2 soft values at gamma 10 price both nested edges far below 0, so
+# level 1 has a negative cycle 0 -> 1 -> 0 and no shortest-path tree
+NEGATIVE_CYCLE_INSTANCE = """\
+1 2 0 bpr 1.0 1.0 1.0 1.0
+1 3 2 bpr 1.0 1.0 1.0 1.0
+1 0 1 nested 0:1
+1 1 0 nested 1:0
+2 0 1 bpr 0.1 1.0 1.0 1.0
+2 0 1 bpr 0.1 1.0 1.0 1.0
+2 0 1 bpr 0.1 1.0 1.0 1.0
+2 1 0 bpr 0.1 1.0 1.0 1.0
+2 1 0 bpr 0.1 1.0 1.0 1.0
+2 1 0 bpr 0.1 1.0 1.0 1.0
+od 1 2 1 1.0
 """
 
 
@@ -103,6 +121,15 @@ class TestSolve:
         code = main(["solve", inst, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_negative_cycle_exits_1(self, tmp_path, capsys):
+        inst = write_instance(tmp_path / "neg.net", NEGATIVE_CYCLE_INSTANCE)
+        with deadline(60):
+            code = main(["solve", inst, "--model", "multistage", "--gamma", "1=0",
+                         "--gamma", "2=10", "--max-iter", "5", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: level 1: ") and "OD 2->1" in err and "cycle" in err
 
     def test_budget_exhausted_is_uncertified(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "sd.net", SD_TWO_LINK_INSTANCE)

@@ -12,9 +12,6 @@ from equiflow import (
     LevelGraph,
     Network,
     StochasticDualOracle,
-    bpr_conjugate,
-    bpr_cost,
-    bpr_integral,
     capacity_violation,
     complementarity_residual,
     dual_value_grad,
@@ -28,7 +25,10 @@ from equiflow import (
 
 from equiflow.dual import experienced_times
 
-from conftest import braess_network, fixed_edge, linear_edge, random_network
+from conftest import (
+    braess_network, edge_conjugate, edge_cost, edge_integral, fixed_edge, linear_edge,
+    random_network,
+)
 
 
 def two_origin_network():
@@ -173,7 +173,7 @@ class TestDualityGap:
         rng = np.random.default_rng(24)
         net = random_network(rng)
         f = rng.uniform(0.1, 2.0, size=net.n_times)
-        t = np.array([bpr_cost(m, fi) for m, fi in zip(net.cost_models, f)])
+        t = net.edges.cost(f)
         _, total = duality_gap(net, t, f)
         assert abs(total) <= 1e-10
 
@@ -232,10 +232,10 @@ class TestEdgeKinds:
         terms, conj_grad, tau = [], [], []
         for m, tk, fk in zip(models, t, f):
             if m.kind == "bpr":
-                conj = (0.0, 0.0) if m.pinned else bpr_conjugate(m, tk)
-                terms.append(bpr_integral(m, fk) - fk * tk + conj[0])
+                conj = (0.0, 0.0) if m.bpr_gain == 0.0 else edge_conjugate(m, tk)
+                terms.append(edge_integral(m, fk) - fk * tk + conj[0])
                 conj_grad.append(conj[1])
-                tau.append(bpr_cost(m, fk))
+                tau.append(edge_cost(m, fk))
             else:
                 capped = math.isfinite(m.capacity)
                 terms.append((tk - m.t_free) * (m.capacity - min(fk, m.capacity))

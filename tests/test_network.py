@@ -7,41 +7,44 @@ import pytest
 
 from equiflow import (
     EdgeCostModel,
+    EdgeTable,
     LevelGraph,
     Network,
-    OutOfDomainError,
     ParseError,
     ValidationError,
-    bpr_conjugate,
-    bpr_cost,
-    bpr_integral,
-    edge_integral,
     load_network,
-    sd_conjugate,
 )
-from equiflow.network import EdgeTable, bpr_conjugate_curvature, validate
+from equiflow.network import validate
 
-from conftest import PIGOU_INSTANCE, BRAESS_SHORTCUT_INSTANCE, write_instance
+from conftest import (
+    PIGOU_INSTANCE, BRAESS_SHORTCUT_INSTANCE, edge_conjugate, edge_cost, edge_integral,
+    write_instance,
+)
+
+
+def repeated(model, n):
+    """Table of n copies of one edge, to evaluate it at n points in one call."""
+    return EdgeTable.of([model] * n)
 
 
 def quad_integral(model, f, n=20000):
     """Quadrature oracle for the cost integral."""
     z = np.linspace(0.0, f, n)
-    return np.trapezoid([bpr_cost(model, v) for v in z], z)
+    return np.trapezoid(repeated(model, n).cost(z), z)
 
 
 class TestBprCost:
     def test_zero_flow_gives_free_flow_time(self):
         m = EdgeCostModel("bpr", 1.0, 1.0, 1.0, 0.25)
-        assert bpr_cost(m, 0.0) == 1.0
+        assert EdgeTable.of([m]).cost([0.0]).tolist() == [1.0]
 
     def test_capacity_flow_doubles_unit_gain(self):
         m = EdgeCostModel("bpr", 1.0, 1.0, 1.0, 0.25)
-        assert bpr_cost(m, 1.0) == 2.0
+        assert EdgeTable.of([m]).cost([1.0]).tolist() == [2.0]
 
     def test_reference_parameters(self):
         m = EdgeCostModel("bpr", 2.0, 10.0, 0.15, 0.25)
-        assert bpr_cost(m, 10.0) == pytest.approx(2.3, abs=1e-12)
+        assert EdgeTable.of([m]).cost([10.0])[0] == pytest.approx(2.3, abs=1e-12)
         # cross-check against numerically differentiated quadrature integral
         h = 1e-4
         fd = (quad_integral(m, 10.0 + h) - quad_integral(m, 10.0 - h)) / (2 * h)
@@ -50,7 +53,7 @@ class TestBprCost:
     def test_negative_flow_rejected(self):
         m = EdgeCostModel("bpr", 1.0, 1.0, 1.0, 0.25)
         with pytest.raises(ValueError):
-            bpr_cost(m, -0.5)
+            EdgeTable.of([m]).cost([-0.5])
 
     def test_monotone_in_flow(self):
         rng = np.random.default_rng(7)
@@ -58,34 +61,35 @@ class TestBprCost:
             m = EdgeCostModel("bpr", rng.uniform(0.5, 3), rng.uniform(0.5, 3),
                               rng.uniform(0, 2), rng.uniform(0.05, 1.0))
             fs = np.sort(rng.uniform(0, 5, size=5))
-            costs = [bpr_cost(m, f) for f in fs]
-            assert all(a <= b + 1e-15 for a, b in zip(costs, costs[1:]))
+            costs = repeated(m, len(fs)).cost(fs)
+            assert np.all(costs[:-1] <= costs[1:] + 1e-15)
 
 
 class TestBprConjugate:
     def test_at_free_flow_time(self):
         m = EdgeCostModel("bpr", 1.0, 1.0, 1.0, 0.25)
-        assert bpr_conjugate(m, 1.0) == (0.0, 0.0)
+        value, flow = EdgeTable.of([m]).conjugate([1.0])
+        assert (value.tolist(), flow.tolist()) == ([0.0], [0.0])
 
     def test_linear_cost_closed_form(self):
         # linear cost t = 1 + f: conjugate (t-1)^2/2
         m = EdgeCostModel("bpr", 1.0, 1.0, 1.0, 1.0)
-        value, flow = bpr_conjugate(m, 2.0)
-        assert value == pytest.approx(0.5, abs=1e-12)
-        assert flow == pytest.approx(1.0, abs=1e-12)
+        value, flow = EdgeTable.of([m]).conjugate([2.0])
+        assert value[0] == pytest.approx(0.5, abs=1e-12)
+        assert flow[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_quartic_root_value(self):
         m = EdgeCostModel("bpr", 1.0, 1.0, 1.0, 0.25)
-        value, flow = bpr_conjugate(m, 2.0)
-        assert flow == pytest.approx(1.0, abs=1e-12)
-        assert value == pytest.approx(0.2, abs=1e-12)
+        value, flow = EdgeTable.of([m]).conjugate([2.0])
+        assert flow[0] == pytest.approx(1.0, abs=1e-12)
+        assert value[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_numerical_sup_oracle(self):
         m = EdgeCostModel("bpr", 1.0, 1.0, 1.0, 0.25)
         fs = np.linspace(0.0, 10.0, 400001)
-        sup = (fs * 2.0 - np.array([bpr_integral(m, f) for f in fs])).max()
-        value, _ = bpr_conjugate(m, 2.0)
-        assert value == pytest.approx(sup, abs=1e-8)
+        sup = (fs * 2.0 - repeated(m, len(fs)).integral(fs)).max()
+        value, _ = EdgeTable.of([m]).conjugate([2.0])
+        assert value[0] == pytest.approx(sup, abs=1e-8)
 
     def test_conjugacy_random(self):
         rng = np.random.default_rng(11)
@@ -93,34 +97,30 @@ class TestBprConjugate:
             m = EdgeCostModel("bpr", rng.uniform(0.5, 2), rng.uniform(0.5, 2),
                               rng.uniform(0.2, 2), rng.uniform(0.2, 1.0))
             t = m.t_free + rng.uniform(0.1, 2.0)
-            value, flow = bpr_conjugate(m, t)
+            (value,), (flow,) = EdgeTable.of([m]).conjugate([t])
             fs = np.linspace(0, 3 * flow + 1, 20000)
-            sup = max(f * t - bpr_integral(m, f) for f in fs)
+            sup = (fs * t - repeated(m, len(fs)).integral(fs)).max()
             assert abs(value - sup) <= 1e-6 * (1 + abs(value))
 
     def test_derivative_inverts_cost(self):
         rng = np.random.default_rng(5)
+        models, ts = [], []
         for _ in range(10):
             m = EdgeCostModel("bpr", rng.uniform(0.5, 2), rng.uniform(0.5, 2),
                               rng.uniform(0.2, 2), rng.uniform(0.2, 1.0))
-            t = m.t_free + rng.uniform(0.1, 2.0)
-            _, flow = bpr_conjugate(m, t)
-            assert bpr_cost(m, flow) == pytest.approx(t, rel=1e-8)
+            models.append(m)
+            ts.append(m.t_free + rng.uniform(0.1, 2.0))
+        table = EdgeTable.of(models)
+        _, flow = table.conjugate(ts)
+        assert table.cost(flow) == pytest.approx(ts, rel=1e-8)
 
     def test_value_convex_in_t(self):
         rng = np.random.default_rng(3)
         m = EdgeCostModel("bpr", 1.0, 2.0, 0.5, 0.5)
-        for _ in range(30):
-            a, b = np.sort(rng.uniform(0.5, 4.0, size=2))
-            mid = 0.5 * (a + b)
-            va, vb = bpr_conjugate(m, a)[0], bpr_conjugate(m, b)[0]
-            assert bpr_conjugate(m, mid)[0] <= 0.5 * (va + vb) + 1e-12
-
-    def test_curvature_matches_fd(self):
-        m = EdgeCostModel("bpr", 1.0, 2.0, 0.5, 0.5)
-        t, h = 2.0, 1e-6
-        fd = (bpr_conjugate(m, t + h)[1] - bpr_conjugate(m, t - h)[1]) / (2 * h)
-        assert bpr_conjugate_curvature(m, t) == pytest.approx(fd, rel=1e-6)
+        a, b = np.array([np.sort(rng.uniform(0.5, 4.0, size=2)) for _ in range(30)]).T
+        table = repeated(m, 30)
+        va, vb = table.conjugate(a)[0], table.conjugate(b)[0]
+        assert np.all(table.conjugate(0.5 * (a + b))[0] <= 0.5 * (va + vb) + 1e-12)
 
     def test_small_power_approaches_capacitated_limit(self):
         # as the power vanishes the congestion step concentrates at time
@@ -128,31 +128,29 @@ class TestBprConjugate:
         # onto the capacitated edge's (zero), monotonically
         t = 1.7  # inside (t_free, t_free*(1+gain)) = (1, 2)
         sd = EdgeCostModel("sd", 2.0, 2.0)
-        target, _ = sd_conjugate(sd, t + 0.3)  # 0 at its free-flow time
-        assert target == 0.0
-        gaps = []
-        for power in (0.25, 0.1, 0.02):
-            m = EdgeCostModel("bpr", 1.0, 2.0, 1.0, power)
-            gaps.append(abs(bpr_conjugate(m, t)[0]))
+        target, _ = EdgeTable.of([sd]).conjugate([t + 0.3])  # 0 at its free-flow time
+        assert target.tolist() == [0.0]
+        table = EdgeTable.of([EdgeCostModel("bpr", 1.0, 2.0, 1.0, power)
+                              for power in (0.25, 0.1, 0.02)])
+        gaps = np.abs(table.conjugate([t] * 3)[0])
         assert gaps[0] > gaps[1] > gaps[2]
 
 
 class TestSdConjugate:
     def test_at_free_flow_time(self):
         m = EdgeCostModel("sd", 1.0, 2.0)
-        assert sd_conjugate(m, 1.0) == (0.0, 2.0)
+        value, flow = EdgeTable.of([m]).conjugate([1.0])
+        assert (value.tolist(), flow.tolist()) == ([0.0], [2.0])
 
     def test_linear_above(self):
         m = EdgeCostModel("sd", 1.0, 2.0)
-        assert sd_conjugate(m, 3.0) == (4.0, 2.0)
-
-    def test_below_domain(self):
-        m = EdgeCostModel("sd", 1.0, 2.0)
-        with pytest.raises(OutOfDomainError):
-            sd_conjugate(m, 0.5)
+        value, flow = EdgeTable.of([m]).conjugate([3.0])
+        assert (value.tolist(), flow.tolist()) == ([4.0], [2.0])
 
 
 class TestEdgeTable:
+    """The table against the closed-form per-edge formulas of conftest."""
+
     MODELS = [
         EdgeCostModel("bpr", 1.2, math.inf, 0.0, 1.0),  # pinned, uncapacitated
         EdgeCostModel("sd", 1.5, 2.0),
@@ -172,13 +170,9 @@ class TestEdgeTable:
         t = table.t_free + offset
         values, flows = table.conjugate(t)
         for m, tk, v, f in zip(self.MODELS, t, values, flows):
-            if m.kind == "bpr":
-                self.same((v, f), bpr_conjugate(m, tk))
-            elif offset < 0:
-                with pytest.raises(OutOfDomainError):
-                    sd_conjugate(m, tk)
-            else:
-                self.same((v, f), sd_conjugate(m, tk))
+            if not (m.kind == "sd" and math.isfinite(m.capacity) and offset < 0):
+                # a capacitated edge's conjugate is undefined below t_free
+                self.same((v, f), edge_conjugate(m, tk))
 
     @pytest.mark.parametrize("f", [0.0, 0.6, 1.9, 2.5])
     def test_integral_and_cost_match_scalar_wrappers(self, f):
@@ -187,11 +181,13 @@ class TestEdgeTable:
         integral, cost = table.integral(flows), table.cost(flows)
         for m, i, c in zip(self.MODELS, integral, cost):
             self.same(i, edge_integral(m, f))
-            if m.kind == "bpr":
-                self.same(i, bpr_integral(m, f))
-                self.same(c, bpr_cost(m, f))
-            else:
-                assert c == m.t_free
+            self.same(c, edge_cost(m, f))
+
+    def test_pinned_smooth_capped_masks(self):
+        table = EdgeTable.of(self.MODELS)
+        assert table.pinned.tolist() == [True, False, True, False, False, False]
+        assert table.smooth.tolist() == [False, False, False, True, True, True]
+        assert table.capped.tolist() == [False, True, False, False, False, False]
 
     def test_negative_flow_rejected(self):
         table = EdgeTable.of(self.MODELS)
@@ -201,10 +197,6 @@ class TestEdgeTable:
             table.cost(flows)
         with pytest.raises(ValueError, match="negative flow"):
             table.integral(flows)
-        with pytest.raises(ValueError, match="negative flow"):
-            bpr_integral(self.MODELS[3], -0.5)
-        with pytest.raises(ValueError, match="requires a BPR edge"):
-            bpr_integral(self.MODELS[1], 0.5)
 
     def test_network_table_is_read_only(self, tmp_path):
         net = load_network(write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE))

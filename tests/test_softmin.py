@@ -22,7 +22,7 @@ from equiflow import (
 )
 
 from conftest import (
-    braess_network, enumerate_walks, enumerated_softmin, fixed_edge, random_network,
+    braess_network, deadline, enumerate_walks, enumerated_softmin, fixed_edge, random_network,
 )
 
 
@@ -271,6 +271,14 @@ class TestAllOrNothing:
         assert value == pytest.approx(2.0 * best, abs=1e-12)
         assert flows.sum() > 0
 
+    def test_zero_weight_cycle_raises(self):
+        # 0 -> 1 and 1 -> 0 both cost 0, so each is the other's tight
+        # predecessor and the walk back from 0 never reaches origin 2
+        e = fixed_edge(1.0)
+        g = LevelGraph(3, [(0, 1, e), (1, 0, e), (2, 0, e), (2, 1, e)])
+        assert hard_shortest(g, [0.0, 0.0, 1.0, 1.0], 2)[1].tolist() == [1, 0, -1]
+        with deadline(10), pytest.raises(ValueError, match=r"level 1: .* OD 2->0; .*cycle"):
+            all_or_nothing(g, [0.0, 0.0, 1.0, 1.0], {(2, 0): 1.0})
 
     def test_batched_origins_on_grid(self):
         # 4x4 grid, every ordered pair among 6 origins: edges carry 3+ ODs
