@@ -10,7 +10,7 @@ are read off the gradient and certified by per-edge Fenchel gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,38 +57,32 @@ class DualOracle(SmoothOracle):
         self.lower = network.free_flow_times()
         self.upper = np.where(edges.pinned, edges.t_free, math.inf)
         self.linear = np.where(edges.capped, edges.capacity, 0.0)
-        self.last_flow = None  # FlowState at the most recent gradient point
-        self.last_grad_point = None
-        self._memo = (None, None)  # (t.tobytes(), assignment) at the last point
 
     def prox(self):
         return EuclideanProx(lower=self.lower, upper=self.upper, linear=self.linear)
 
+    def _by_products(self, t):
+        return assignment_flows(self.network, t, self.gammas, self.hops)
+
     def assignment(self, t):
         """(soft-min value, FlowState) at t, shared with value and value_grad.
 
-        The last point's assignment is kept, so the line search's final
-        value(x) also serves the stop test's assignment(x).  The flows are
-        deferred: their backward sweeps run on first read, so a value at a
-        point whose flows nobody reads sweeps forward only.  The returned
-        flows must not be modified.
+        Kept per point (SmoothOracle._per_point), so the stop test's reads
+        at the gradient point y and at the accepted trial point x sweep
+        nothing new.  The flows are deferred: their backward sweeps run on
+        first read, so a point that is only valued sweeps forward only.
+        The returned flows must not be modified.
         """
-        t = np.asarray(t, dtype=float)
-        key = t.tobytes()
-        if self._memo[0] != key:
-            self._memo = (key, assignment_flows(self.network, t, self.gammas, self.hops))
-        return self._memo[1]
+        return self._per_point(t, read=True)
 
     def value(self, t):
-        softmin_value, _ = self.assignment(t)
+        softmin_value, _ = self._per_point(t, read=False)
         conj_value, _ = _conjugates(self.network.edges, t)
         return -softmin_value + conj_value
 
     def value_grad(self, t):
         softmin_value, flow = self.assignment(t)
         conj_value, conj_grad = _conjugates(self.network.edges, t)
-        self.last_flow = flow
-        self.last_grad_point = np.array(t, dtype=float)
         return -softmin_value + conj_value, -flow.plain_flat() + conj_grad
 
     def strong_convexity(self):
@@ -146,8 +140,8 @@ def stochastic_origin_oracle(network, t, origins, gammas=None, hops=None):
 def dual_value_grad(network, t, gammas=None, hops=None):
     """Dual value, gradient, and the flow state realizing the gradient."""
     oracle = DualOracle(network, gammas, hops)
-    value, grad = oracle.value_grad(np.asarray(t, dtype=float))
-    return value, grad, oracle.last_flow
+    value, grad = oracle.value_grad(t)
+    return value, grad, oracle.assignment(t)[1]
 
 
 def duality_gap(network, t, flows):
@@ -217,7 +211,6 @@ class EquilibriumReport:
     eps_residual: float
     t: np.ndarray
     flows: FlowState
-    last_flows: FlowState
     per_edge_gap: np.ndarray
     total_gap: float
     fw_gap: float
@@ -229,11 +222,10 @@ class EquilibriumReport:
     gammas: list
     converged: bool
     solver: object = None
-    extra: dict = field(default_factory=dict)
 
 
-def _build_report(network, model, eps, eps_residual, t, flows, last_flows, gammas,
-                  converged, solver, fw_gap=math.nan):
+def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged, solver,
+                  fw_gap=math.nan):
     per_edge, total = duality_gap(network, t, flows)
     f_flat = flows.plain_flat()
     tau = experienced_times(network, t, flows)
@@ -249,7 +241,6 @@ def _build_report(network, model, eps, eps_residual, t, flows, last_flows, gamma
         eps_residual=eps_residual,
         t=t,
         flows=flows,
-        last_flows=last_flows,
         per_edge_gap=per_edge,
         total_gap=total,
         fw_gap=fw_gap,
@@ -329,7 +320,6 @@ def solve_assignment(
     # rank (not certified, certificate value): a certified candidate always wins
     best = {"flows": None, "t": None, "rank": (True, math.inf)}
     comp_tol = 10.0 * max(eps, eps_residual)
-    cached_points = variance_bound is None  # mini-batch runs don't cache flows
 
     def consider(t_pt, flows):
         """Certify a candidate (t, flows) pair; remember the best one."""
@@ -351,8 +341,7 @@ def solve_assignment(
         return gap, ok
 
     def on_step(state):
-        # oracle.last_flow is the assignment at the accepted gradient point
-        flow = oracle.last_flow
+        _, flow = oracle.assignment(state.y)
         for a, f in zip(acc.plain + acc.nested, flow.plain + flow.nested):
             a += state.alpha * f
 
@@ -360,12 +349,8 @@ def solve_assignment(
         if averaged:
             gap, ok = consider(state.x, acc.scaled(1.0 / state.A))
         else:
-            ok = False
-            gap = math.inf
-            if cached_points and oracle.last_flow is not None:
-                gap, ok = consider(oracle.last_grad_point, oracle.last_flow)
-            _, flows_x = oracle.assignment(state.x)
-            gap_x, ok_x = consider(state.x, flows_x)
+            gap, ok = consider(state.y, oracle.assignment(state.y)[1])
+            gap_x, ok_x = consider(state.x, oracle.assignment(state.x)[1])
             gap, ok = min(gap, gap_x), ok or ok_x
         state.report.gap_trace.append(gap)
         return "certified" if ok else None
@@ -376,13 +361,12 @@ def solve_assignment(
     else:
         t_final, rep = umt_minimize(oracle, prox, t0, eps, **run)
     converged = rep.termination == "certified"
-    _, last_flows = oracle.assignment(t_final)
     if best["flows"] is None:
-        best.update(flows=last_flows, t=t_final)
+        best.update(flows=oracle.assignment(t_final)[1], t=t_final)
     fw = frank_wolfe_gap(network, best["flows"]) if model == "beckmann" else math.nan
     return _build_report(
-        network, model, eps, eps_residual, best["t"], best["flows"], last_flows,
-        gammas, converged, rep, fw_gap=fw,
+        network, model, eps, eps_residual, best["t"], best["flows"], gammas, converged, rep,
+        fw_gap=fw,
     )
 
 
@@ -418,8 +402,8 @@ def _solve_beckmann_md(network, eps, eps_residual, max_iter):
     t_best = network.edges.cost(best["flows"])
     converged = rep.termination == "certified"
     return _build_report(
-        network, "beckmann_md", eps, eps_residual, t_best, flows, flows,
-        [0.0], converged, rep, fw_gap=best["gap"],
+        network, "beckmann_md", eps, eps_residual, t_best, flows, [0.0], converged, rep,
+        fw_gap=best["gap"],
     )
 
 

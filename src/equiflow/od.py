@@ -106,43 +106,33 @@ class ElpDualOracle(SmoothOracle):
 
     def __init__(self, problem: ElpProblem):
         self.p = problem
-        self.last_x = None
-        self._memo = (None, None, None)  # (y.tobytes(), log-sum-exp, softmax)
 
-    def _softmax(self, y):
-        """(log-sum-exp, softmax) of the logits -(c + A^T y)/gamma.
-
-        The last point's pair is kept, so the stop test's primal(x) reads
-        what the line search's value(x) computed.
-        """
-        y = np.asarray(y, dtype=float)
-        key = y.tobytes()
-        if self._memo[0] != key:
-            logits = -(self.p.cost + self.p.A.T @ y) / self.p.gamma
-            m = logits.max()
-            e = np.exp(logits - m)
-            s = e.sum()
-            self._memo = (key, m + math.log(s), e / s)
-        return self._memo[1:]
+    def _by_products(self, y):
+        """(log-sum-exp, softmax) of the logits -(c + A^T y)/gamma, kept per point."""
+        logits = -(self.p.cost + self.p.A.T @ y) / self.p.gamma
+        m = logits.max()
+        e = np.exp(logits - m)
+        s = e.sum()
+        return m + math.log(s), e / s
 
     def primal(self, y):
-        return self._softmax(y)[1]
+        return self._per_point(y, read=True)[1]
 
     def value(self, y):
-        lse, _ = self._softmax(y)
+        lse, _ = self._per_point(y, read=False)
         return float(y @ self.p.b) + self.p.gamma * lse
 
     def value_grad(self, y):
-        lse, x = self._softmax(y)
-        self.last_x = x
+        lse, x = self._per_point(y, read=True)
         return float(y @ self.p.b) + self.p.gamma * lse, self.p.b - self.p.A @ x
 
 
 def elp_dual_oracle(problem: ElpProblem, y):
     """(value, gradient, primal softmax point) of the dual at y."""
     oracle = ElpDualOracle(problem)
-    value, grad = oracle.value_grad(np.asarray(y, dtype=float))
-    return value, grad, oracle.last_x
+    y = np.asarray(y, dtype=float)
+    value, grad = oracle.value_grad(y)
+    return value, grad, oracle.primal(y)
 
 
 def primal_value(problem: ElpProblem, x):
@@ -198,7 +188,7 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
         return gap, gap <= eps_n and res <= eps_res_n
 
     def on_step(state):
-        acc[:] += state.alpha * oracle.last_x
+        acc[:] += state.alpha * oracle.primal(state.y)
 
     def stop(state):
         # state.fx is the dual value the line search computed at state.x

@@ -22,8 +22,9 @@ ROUNDS_CAP_BYTES.  assignment_flows runs only the forward sweeps, which give
 the value, and returns a deferred FlowState: the first read of its flows
 runs the backward sweeps from the kept rounds of level 1 and of each deeper
 level's pricing sweep (beyond one chunk, the forward sweeps rerun).  A
-point whose flows are never read pays for no backward sweep, a nested level
-is swept forward once per point, and gamma = 0 levels load all-or-nothing.
+point whose flows are never read pays for no backward sweep, every level is
+swept forward once per point (by _od_values), and gamma = 0 levels load
+all-or-nothing when their flows are read.
 """
 
 from __future__ import annotations
@@ -185,18 +186,6 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
     return value, flows
 
 
-def _softmin_value(graph: LevelGraph, weights, demands, gamma, hops, level):
-    """Forward sweeps only: value and the kept sweep (origins, rounds), which
-    is None beyond one chunk."""
-    groups = by_origin(demands)
-    chunks = _chunks(graph, list(groups), hops)
-    value = 0.0
-    for batch in chunks:
-        s, rounds = _sweep_forward(graph, weights, batch, gamma, hops, keep_rounds=len(chunks) == 1)
-        value += _sink(groups, batch, s, gamma, level, hops)[0]
-    return value, (chunks[0], rounds) if len(chunks) == 1 else None
-
-
 def _shortest(graph: LevelGraph, weights, origins):
     """(dist, pred_edge) of hard_shortest, (V, B) each, from one min-plus sweep.
 
@@ -305,7 +294,7 @@ def _od_values(graph, weights, od_pairs, gamma, hops, level):
     values = u[[d for _, d in od_pairs], [column[o] for o, _ in od_pairs]]
     for (o, d), v in zip(od_pairs, values):
         if not math.isfinite(v):
-            raise UnreachableError(level, o, d, hops)
+            raise UnreachableError(level, o, d, swept)
     return values, (origins, rounds) if keep else None
 
 
@@ -329,18 +318,18 @@ def assignment_flows(network: Network, t, gammas=None, hops=None, demands=None):
 
     Only the forward sweeps run here.  The FlowState is deferred: its
     first read runs the backward sweeps from the kept rounds of level 1
-    and of the deeper levels' pricing sweeps.
+    and of the deeper levels' pricing sweeps (gamma = 0 levels load then).
     """
     gammas = list(network.gammas()) if gammas is None else list(gammas)
     hops = _hop_bounds(network, hops)
     weights, kept = _price(network, t, gammas, hops)
     demands = dict(network.demands if demands is None else demands)
-    top = network.levels[0]
-    if gammas[0] > 0:
-        value, kept[0] = _softmin_value(top, weights[0], demands, gammas[0], hops[0], level=1)
-        top_flows = None
-    else:
-        value, top_flows = all_or_nothing(top, weights[0], demands, level=1)
+    pairs = [od for group in by_origin(demands).values() for od in group]
+    values, kept[0] = _od_values(network.levels[0], weights[0], pairs, gammas[0], hops[0],
+                                 level=1)
+    value = 0.0
+    for od, v in zip(pairs, values):
+        value += demands[od] * v
 
     def fill():
         flow = FlowState.zeros(network)
@@ -348,9 +337,7 @@ def assignment_flows(network: Network, t, gammas=None, hops=None, demands=None):
         for k, lg in enumerate(network.levels):
             if not level_demands:
                 break
-            if k == 0 and top_flows is not None:
-                edge_flows = top_flows
-            elif gammas[k] > 0:
+            if gammas[k] > 0:
                 _, edge_flows = softmin_flows(lg, weights[k], level_demands, gammas[k],
                                               hops[k], level=k + 1, forward=kept[k])
             else:

@@ -5,6 +5,10 @@ search on the local Lipschitz estimate and an eps-slack in the exit test,
 so it self-tunes to the smoothness of the objective (from nonsmooth to
 Lipschitz-gradient) and tolerates inexact oracles.  Composite terms are
 handled unlinearized through the prox setup's model-minimization step.
+
+An oracle whose value and gradient share a by-product (an assignment, a
+softmax) computes it once per point (SmoothOracle._per_point); solve loops
+read it back by point, as oracle.assignment(y), not from the last call.
 """
 
 from __future__ import annotations
@@ -26,10 +30,30 @@ class DivergedOracleError(RuntimeError):
 
 
 class SmoothOracle:
-    """Value/gradient oracle; subclasses may declare inexactness or noise."""
+    """Value/gradient oracle; subclasses may declare a gradient variance bound."""
 
-    delta = 0.0
     variance_bound = None
+    _read = _valued = (None, None)  # (x.tobytes(), by-products) per cache slot
+
+    def _per_point(self, x, read):
+        """self._by_products(x), which a subclass defines, kept in two slots.
+
+        The read slot holds the last point whose by-products were read, the
+        valued slot the last point only valued.  Every lookup checks both, so
+        the line search's trial values never evict the gradient point.
+        """
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        for held, result in (self._read, self._valued):
+            if held == key:
+                break
+        else:
+            result = self._by_products(x)
+        if read:
+            self._read = (key, result)
+        else:
+            self._valued = (key, result)
+        return result
 
     def value(self, x):
         raise NotImplementedError
@@ -61,16 +85,11 @@ class EuclideanProx:
     """
 
     omega_tilde = 1.0
-    omega = 1.0
 
     def __init__(self, lower=None, upper=None, linear=None):
         self.lower = None if lower is None else np.asarray(lower, dtype=float)
         self.upper = None if upper is None else np.asarray(upper, dtype=float)
         self.linear = None if linear is None else np.asarray(linear, dtype=float)
-
-    def recenter(self, _center):
-        # the squared distance shifts trivially; box and linear term are kept
-        return self
 
     def clip(self, x):
         if self.lower is not None or self.upper is not None:
@@ -153,7 +172,6 @@ class SolverReport:
     iterations: int = 0
     value_calls: int = 0
     grad_calls: int = 0
-    stochastic_grad_calls: int = 0
     final_value: float = math.nan
     termination: str = ""
     value_trace: list = field(default_factory=list)
@@ -161,7 +179,6 @@ class SolverReport:
     alpha_trace: list = field(default_factory=list)
     gap_trace: list = field(default_factory=list)
     batch_trace: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -194,7 +211,6 @@ def umt_minimize(
     callback=None,
     l_ceiling=1e18,
     rng=None,
-    mini_batch=False,
 ):
     """Composite minimization by the adaptive accelerated triangle scheme.
 
@@ -202,11 +218,12 @@ def umt_minimize(
     the model inequality (with slack alpha/(2A)*eps) holds; the step
     aggregate solves A_{k+1}(1 + A_k*mu_t) = L*alpha^2 exactly.  With
     r2 >= V(x*, y0) given, stops once r2/A <= eps/2, which certifies
-    F(x) - F* <= eps.  `stop` may end the run early with a reason.
+    F(x) - F* <= eps.  `stop` may end the run early with a reason.  Given
+    `rng`, the gradients at y are mini-batch means (see umt_stochastic).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if mini_batch and oracle.variance_bound is None:
+    if rng is not None and oracle.variance_bound is None:
         raise ValueError("mini-batch run requires the oracle's variance bound")
     y0 = np.asarray(y0, dtype=float)
     if mu > 0.0:
@@ -230,11 +247,10 @@ def umt_minimize(
         return reason
 
     def full_grad(y, A_new, alpha, L):
-        if mini_batch:
+        if rng is not None:
             D = oracle.variance_bound
             m = max(1, math.ceil(8.0 * D * A_new / (L * alpha * eps)))
             g = oracle.stochastic_grad(y, rng, m)
-            rep.stochastic_grad_calls += m
             rep.batch_trace.append(m)
             fy = oracle.value(y)
             rep.value_calls += 1
@@ -318,10 +334,8 @@ def umt_stochastic(oracle, prox, y0, eps, mu=0.0, seed=0, **kwargs):
     With variance bound D = 0 the trajectory coincides with the
     deterministic method draw for draw.
     """
-    if oracle.variance_bound is None:
-        raise ValueError("stochastic run requires oracle.variance_bound")
     rng = np.random.default_rng(seed)
-    return umt_minimize(oracle, prox, y0, eps, mu=mu, rng=rng, mini_batch=True, **kwargs)
+    return umt_minimize(oracle, prox, y0, eps, mu=mu, rng=rng, **kwargs)
 
 
 class RegularizedOracle(SmoothOracle):
@@ -371,10 +385,10 @@ def restart_wrapper(
 ):
     """Geometric restarts for a mu-strongly-convex objective.
 
-    Each leg runs the mu = 0 method for ceil(sqrt(16*L*omega/mu))
-    iterations from the previous output and recenters the prox there;
-    the objective gap halves per restart.  The restart count comes
-    either from `restarts` or from r0_sq >= |y0 - x*|^2 and eps.
+    Each leg runs the mu = 0 method for ceil(sqrt(16*L/mu)) iterations
+    (omega = 1 for the Euclidean prox) from the previous output, which
+    centers its prox; the objective gap halves per restart.  The restart
+    count comes either from `restarts` or from r0_sq >= |y0 - x*|^2 and eps.
     """
     if mu <= 0:
         raise ValueError("restart schedule requires mu > 0")
@@ -382,14 +396,12 @@ def restart_wrapper(
         if r0_sq is None:
             raise ValueError("give either restarts or r0_sq")
         restarts = max(0, math.ceil(math.log2(max(mu * r0_sq / eps, 1.0))))
-    omega = getattr(prox, "omega", 1.0)
-    n_inner = math.ceil(math.sqrt(16.0 * lipschitz * omega / mu))
+    n_inner = math.ceil(math.sqrt(16.0 * lipschitz / mu))
     point = np.asarray(y0, dtype=float)
     total = SolverReport()
     for leg in range(restarts + 1):
-        leg_prox = prox.recenter(point)
         point, rep = umt_minimize(
-            oracle, leg_prox, point, eps, mu=0.0, max_iter=n_inner, **umt_kwargs
+            oracle, prox, point, eps, mu=0.0, max_iter=n_inner, **umt_kwargs
         )
         total.iterations += rep.iterations
         total.value_calls += rep.value_calls

@@ -118,6 +118,40 @@ class TestAssignmentMemo:
         oracle.value(t + 0.1)
         assert len(calls) == 2
 
+    def test_trial_values_keep_the_gradient_point(self, monkeypatch):
+        # the initial line search values several trial points after one
+        # value_grad(y); the stop test then reads y's flows without a new sweep
+        import equiflow.dual as dual
+
+        calls = []
+        real = dual.assignment_flows
+        monkeypatch.setattr(dual, "assignment_flows",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        net, t = self.point()
+        oracle = DualOracle(net)
+        oracle.value_grad(t)
+        oracle.value(t + 0.1)
+        oracle.value(t + 0.2)
+        _, flow = oracle.assignment(t)
+        oracle.assignment(t + 0.2)
+        assert len(calls) == 3
+        _, _, flow_ref = dual_value_grad(net, t)
+        assert np.array_equal(flow.plain_flat(), flow_ref.plain_flat())
+
+    @pytest.mark.parametrize("model", ["stochastic", "multistage"])
+    def test_one_assignment_per_solver_call(self, monkeypatch, model):
+        import equiflow.dual as dual
+
+        calls = []
+        real = dual.assignment_flows
+        monkeypatch.setattr(dual, "assignment_flows",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        net = random_network(np.random.default_rng(27), m=1 if model == "stochastic" else 2,
+                             gamma=0.5)
+        rep = solve_assignment(net, model=model, eps=1e-6)
+        assert rep.converged and rep.solver.iterations > 5
+        assert len(calls) == rep.solver.value_calls
+
     def test_new_point_not_stale(self):
         net, t = self.point()
         oracle = DualOracle(net)
@@ -137,7 +171,8 @@ class TestAssignmentMemo:
         v_ref, g_ref = DualOracle(net).value_grad(t.copy())
         assert v == v_ref
         assert np.array_equal(g, g_ref)
-        assert np.array_equal(oracle.last_grad_point, t)
+        _, flow_ref = DualOracle(net).assignment(t.copy())
+        assert np.array_equal(oracle.assignment(t)[1].plain_flat(), flow_ref.plain_flat())
 
 
 class TestForwardOnlyValue:
@@ -250,7 +285,7 @@ class TestEdgeKinds:
         assert np.array_equal(experienced_times(net, t, f), tau)
         oracle = DualOracle(net, gammas=[0.5])
         _, grad = oracle.value_grad(t)
-        assert grad + oracle.last_flow.plain_flat() == pytest.approx(conj_grad, abs=1e-14)
+        assert grad + oracle.assignment(t)[1].plain_flat() == pytest.approx(conj_grad, abs=1e-14)
         assert oracle.upper.tolist() == [math.inf, math.inf, 2.5, 3.0, math.inf, math.inf]
         assert oracle.linear.tolist() == [0.0, 0.6, 0.0, 0.0, 0.0, 1.2]
         assert oracle.strong_convexity() == 0.0  # capacitated edges are free
@@ -353,12 +388,18 @@ class TestStochasticOracle:
         with pytest.raises(ValueError):
             stochastic_origin_oracle(pigou_network, [1.0, 1.0], [])
 
-    def test_zero_variance_matches_deterministic_solver(self, pigou_network):
-        det = solve_assignment(pigou_network, model="stochastic", gammas=[0.2],
-                               eps=1e-6)
-        sto = solve_assignment(pigou_network, model="stochastic", gammas=[0.2],
-                               eps=1e-6, variance_bound=0.0)
+    @pytest.mark.parametrize("model,network,run", [
+        ("stochastic", "pigou_network", dict(gammas=[0.2], eps=1e-6)),
+        ("mixed", "sd_two_link", dict(eps=1e-3)),
+        ("stable_dynamics", "sd_two_link", dict(eps=1e-3)),
+    ], ids=["stochastic", "mixed", "stable_dynamics"])
+    def test_zero_variance_matches_deterministic_solver(self, request, model, network, run):
+        # one origin: every mini-batch draw is the exact gradient
+        net = request.getfixturevalue(network)
+        det = solve_assignment(net, model=model, **run)
+        sto = solve_assignment(net, model=model, variance_bound=0.0, **run)
         assert sto.converged
+        assert sto.solver.iterations == det.solver.iterations
         assert np.array_equal(det.t, sto.t)
         assert np.array_equal(det.flows.plain_flat(), sto.flows.plain_flat())
 

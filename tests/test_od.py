@@ -113,6 +113,24 @@ class TestDualOracle:
             x = rng.dirichlet(np.ones(p.n))
             assert elp_dual_oracle(p, y)[0] + primal_value(p, x) >= -1e-12
 
+    def test_one_softmax_per_point(self, monkeypatch):
+        # the solve loop reads primal(y) after value_grad(y) and primal(x)
+        # after the line search's value(x): two points, two softmaxes
+        calls = []
+        real = od.ElpDualOracle._by_products
+        monkeypatch.setattr(od.ElpDualOracle, "_by_products",
+                            lambda self, y: calls.append(1) or real(self, y))
+        rng = np.random.default_rng(33)
+        p = build_elp(*random_balanced(rng, 3, 2), gamma=0.5)
+        y, x = rng.normal(size=(2, p.A.shape[0]))
+        oracle = od.ElpDualOracle(p)
+        _, grad = oracle.value_grad(y)
+        oracle.value(x)
+        x_at_y, x_at_x = oracle.primal(y), oracle.primal(x)
+        assert len(calls) == 2
+        assert np.array_equal(p.b - p.A @ x_at_y, grad)
+        assert np.array_equal(x_at_x, elp_dual_oracle(p, x)[2])
+
 
 class TestSolveEntropyOd:
     def test_single_cell(self):
