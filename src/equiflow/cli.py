@@ -134,14 +134,15 @@ def _write_json(path, payload):
 
 
 def _write_trace(path, report):
+    """One row per iteration; nan where the method traces no such value."""
     rep = report.solver
+    traces = (rep.value_trace, rep.lipschitz_trace, rep.gap_trace)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# floats formatted %.17g\n")
         fh.write("iter,value,lipschitz,gap\n")
-        for i, v in enumerate(rep.value_trace):
-            lip = rep.lipschitz_trace[i] if i < len(rep.lipschitz_trace) else math.nan
-            gap = rep.gap_trace[i] if i < len(rep.gap_trace) else math.nan
-            fh.write(f"{i},{fmt(v)},{fmt(lip)},{fmt(gap)}\n")
+        for i in range(max(map(len, traces))):
+            row = (fmt(tr[i] if i < len(tr) else math.nan) for tr in traces)
+            fh.write(f"{i},{','.join(row)}\n")
 
 
 def _write_potentials(path, network, report):
@@ -205,8 +206,9 @@ def cmd_solve(args) -> int:
         print(f"verification {'PASS' if ok else 'FAIL'}: recomputed gap {fmt(total)}")
         if not ok:
             return 1
+    fw = "" if math.isnan(report.fw_gap) else f" fw_gap={fmt(report.fw_gap)}"
     print(f"{'certified' if report.converged else 'uncertified'} "
-          f"gap={fmt(report.total_gap)} total_time={fmt(report.total_time)}")
+          f"gap={fmt(report.total_gap)}{fw} total_time={fmt(report.total_time)}")
     return 0 if report.converged else 2
 
 

@@ -3,8 +3,9 @@
 The workhorse is an accelerated gradient method with a doubling line
 search on the local Lipschitz estimate and an eps-slack in the exit test,
 so it self-tunes to the smoothness of the objective (from nonsmooth to
-Lipschitz-gradient) and tolerates inexact oracles.  Composite terms are
-handled unlinearized through the prox setup's model-minimization step.
+Lipschitz-gradient) and tolerates inexact oracles.  One step loop does
+every step; step 0 is the step from A = 0.  Composite terms are handled
+unlinearized through the prox setup's model-minimization step.
 
 An oracle whose value and gradient share a by-product (an assignment, a
 softmax) computes it once per point (SmoothOracle._per_point); solve loops
@@ -192,8 +193,6 @@ class UmtState:
     alpha: float
     A: float
     L: float
-    fy: float
-    gy: np.ndarray
     fx: float
     report: SolverReport = None
 
@@ -216,7 +215,8 @@ def umt_minimize(
 
     Each outer step halves the Lipschitz estimate, then doubles it until
     the model inequality (with slack alpha/(2A)*eps) holds; the step
-    aggregate solves A_{k+1}(1 + A_k*mu_t) = L*alpha^2 exactly.  With
+    aggregate solves A_{k+1}(1 + A_k*mu_t) = L*alpha^2 exactly.  Step 0 is
+    the same step taken from A = 0, u = x = y0 with the estimate l0.  With
     r2 >= V(x*, y0) given, stops once r2/A <= eps/2, which certifies
     F(x) - F* <= eps.  `stop` may end the run early with a reason.  Given
     `rng`, the gradients at y are mini-batch means (see umt_stochastic).
@@ -234,73 +234,34 @@ def umt_minimize(
         mu_t = 0.0
     rep = SolverReport()
 
-    def finish(state):
-        """Trace an accepted step, then run the callback and the stop tests."""
-        rep.alpha_trace.append(state.alpha)
-        rep.lipschitz_trace.append(state.L)
-        rep.value_trace.append(state.fx + prox.composite_value(state.x))
-        if callback is not None:
-            callback(state)
-        reason = stop(state) if stop is not None else None
-        if reason is None and r2 is not None and r2 / state.A <= 0.5 * eps:
-            reason = "certified"
-        return reason
-
-    def full_grad(y, A_new, alpha, L):
-        if rng is not None:
-            D = oracle.variance_bound
-            m = max(1, math.ceil(8.0 * D * A_new / (L * alpha * eps)))
-            g = oracle.stochastic_grad(y, rng, m)
-            rep.batch_trace.append(m)
-            fy = oracle.value(y)
-            rep.value_calls += 1
-            return fy, g
-        rep.value_calls += 1
-        rep.grad_calls += 1
-        return oracle.value_grad(y)
-
-    # initial line search: alpha0 = A0 = 1/L
-    L = float(l0)
-    f0, g0 = full_grad(y0, 1.0 / L, 1.0 / L, L)
-    while True:
-        alpha0 = 1.0 / L
-        x0 = prox.model_argmin(y0, alpha0 * g0, alpha0, mu_t, alpha0 * y0)
-        fx0 = oracle.value(x0)
-        rep.value_calls += 1
-        d = x0 - y0
-        model = f0 + float(g0 @ d) + 0.5 * L * prox.norm_sq(d) + 0.5 * eps
-        if model >= fx0:
-            break
-        L *= 2.0
-        if L > l_ceiling:
-            raise DivergedOracleError(f"initial L exceeded ceiling {l_ceiling}")
-    A = 1.0 / L
-    u = x0.copy()
-    x = x0.copy()
-    G = (1.0 / L) * g0
-    Y = (1.0 / L) * y0
-    reason = finish(UmtState(k=0, x=x, u=u, y=y0, alpha=A, A=A, L=L, fy=f0, gy=g0, fx=fx0,
-                             report=rep))
-
+    # step 0 is the step from A = 0: alpha = 1/L, slack eps/2, and L halves and
+    # doubles from l0 = 1, so alpha is a power of two and (alpha*u)/alpha == u
+    A, u, x, G, Y = 0.0, y0, y0, 0.0, 0.0
+    L = 2.0 * float(l0)
     k = 0
-    while reason is None:
-        k += 1
-        if k > max_iter:
-            reason = "max_iter"
-            k -= 1
-            break
+    while True:
         L = L / 2.0
+        y = None
         while True:
             base = (1.0 + A * mu_t) / (2.0 * L)
             alpha = base + math.sqrt(base * base + A * (1.0 + A * mu_t) / L)
             A_new = A + alpha
-            y = (alpha * u + A * x) / A_new if math.isfinite(A_new) else None
-            if y is None or not np.isfinite(y).all():
-                raise DivergedOracleError(
-                    f"solver stalled at step {k}: the step aggregate A = {A_new:.3g} or the "
-                    f"point y overflowed (L = {L:.3g}) before the stop test certified"
-                )
-            fy, gy = full_grad(y, A_new, alpha, L)
+            if y is None or A > 0.0:  # at A = 0, y = u for every trial L
+                y = (alpha * u + A * x) / A_new if math.isfinite(A_new) else None
+                if y is None or not np.isfinite(y).all():
+                    raise DivergedOracleError(
+                        f"solver stalled at step {k}: the step aggregate A = {A_new:.3g} or "
+                        f"the point y overflowed (L = {L:.3g}) before the stop test certified"
+                    )
+                rep.value_calls += 1
+                if rng is None:
+                    rep.grad_calls += 1
+                    fy, gy = oracle.value_grad(y)
+                else:
+                    m = max(1, math.ceil(8.0 * oracle.variance_bound * A_new / (L * alpha * eps)))
+                    gy = oracle.stochastic_grad(y, rng, m)
+                    rep.batch_trace.append(m)
+                    fy = oracle.value(y)
             u_new = prox.model_argmin(y0, G + alpha * gy, A_new, mu_t, Y + alpha * y)
             x_new = (alpha * u_new + A * x) / A_new
             fx = oracle.value(x_new)
@@ -314,13 +275,22 @@ def umt_minimize(
                 raise DivergedOracleError(
                     f"line-search L exceeded ceiling {l_ceiling}; oracle inconsistent?"
                 )
-        A = A_new
-        u = u_new
-        x = x_new
-        G = G + alpha * gy
-        Y = Y + alpha * y
-        reason = finish(UmtState(k=k, x=x, u=u, y=y, alpha=alpha, A=A, L=L, fy=fy, gy=gy, fx=fx,
-                                 report=rep))
+        A, u, x = A_new, u_new, x_new
+        G, Y = G + alpha * gy, Y + alpha * y
+        rep.alpha_trace.append(alpha)
+        rep.lipschitz_trace.append(L)
+        rep.value_trace.append(fx + prox.composite_value(x))
+        state = UmtState(k=k, x=x, u=u, y=y, alpha=alpha, A=A, L=L, fx=fx, report=rep)
+        if callback is not None:
+            callback(state)
+        reason = stop(state) if stop is not None else None
+        if reason is None and r2 is not None and r2 / A <= 0.5 * eps:
+            reason = "certified"
+        if reason is None and k >= max_iter:
+            reason = "max_iter"
+        if reason is not None:
+            break
+        k += 1
 
     rep.iterations = k
     rep.final_value = rep.value_trace[-1]
@@ -357,6 +327,10 @@ class RegularizedOracle(SmoothOracle):
             v + self.mu * self.prox.bregman(x, self.center),
             g + self.mu * self.prox.bregman_grad(x, self.center),
         )
+
+    def stochastic_grad(self, x, rng, batch):
+        g = self.inner.stochastic_grad(x, rng, batch)
+        return g + self.mu * self.prox.bregman_grad(x, self.center)
 
 
 def regularize(oracle, prox, y0, eps, r2):

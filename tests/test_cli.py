@@ -153,6 +153,31 @@ class TestSolve:
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["gammas"] == ["0.20000000000000001"]
 
+    def test_subgradient_trace_has_a_row_per_iteration(self, tmp_path):
+        inst = write_instance(tmp_path / "braess.net", BRAESS_SHORTCUT_INSTANCE)
+        out = str(tmp_path / "out")
+        code = main(["solve", inst, "--model", "beckmann_md", "--trace",
+                     "--max-iter", "50", "--out", out])
+        assert code == 2
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        lines = open(os.path.join(out, "trace.csv")).read().splitlines()
+        assert lines[1] == "iter,value,lipschitz,gap"
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == summary["iterations"] == 50
+        assert all(r[1] == r[2] == "nan" for r in rows)
+        assert min(float(r[3]) for r in rows) == float(summary["fw_gap"])
+
+    @pytest.mark.parametrize("model,shown", [("beckmann_md", True), ("stochastic", False)])
+    def test_final_line_shows_fw_gap(self, tmp_path, capsys, model, shown):
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        out = str(tmp_path / "out")
+        assert main(["solve", inst, "--model", model, "--out", out]) == 0
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert ("fw_gap" in last) == shown
+        if shown:
+            assert f" fw_gap={summary['fw_gap']} " in last
+
     @pytest.mark.parametrize("flag", ["--eps", "--eps-residual"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_bad_tolerance_exits_1(self, tmp_path, capsys, flag, value):

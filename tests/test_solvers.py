@@ -222,6 +222,14 @@ class TestRegularize:
         assert v == pytest.approx(0.5 + mu * 0.5)
         assert g == pytest.approx([1.0 + mu, 0.0])
 
+    def test_minibatch_run_on_surrogate(self):
+        reg, mu = regularize(_NoisyQuadratic(0.0), EuclideanProx(), np.ones(2), 1e-3, 1.0)
+        x = np.array([0.5, -2.0])
+        assert np.array_equal(reg.stochastic_grad(x, np.random.default_rng(0), 4),
+                              reg.value_grad(x)[1])
+        xs, _ = umt_stochastic(reg, EuclideanProx(), np.ones(2), 1e-3, mu=mu, max_iter=2000)
+        assert reg.value(xs) - reg.value(np.full(2, mu / (1.0 + mu))) <= 1e-3
+
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             regularize(quadratic_oracle(), EuclideanProx(), np.zeros(2), 0.1, 0.0)
@@ -293,6 +301,44 @@ class _NoisyQuadratic(SmoothOracle):
     def stochastic_grad(self, x, rng, batch):
         noise = rng.normal(0.0, self.sigma, size=(batch, len(x))).mean(axis=0)
         return np.asarray(x, dtype=float) + noise
+
+
+class _CountingQuadratic(SmoothOracle):
+    """0.5*c*|x|^2 that logs the kind and point of every call."""
+
+    def __init__(self, c, variance_bound=None):
+        self.c = c
+        self.variance_bound = variance_bound
+        self.calls = []
+
+    def value(self, x):
+        self.calls.append(("value", np.array(x)))
+        return 0.5 * self.c * float(x @ x)
+
+    def value_grad(self, x):
+        self.calls.append(("value_grad", np.array(x)))
+        return 0.5 * self.c * float(x @ x), self.c * np.asarray(x, dtype=float)
+
+    def stochastic_grad(self, x, rng, batch):
+        self.calls.append(("stochastic_grad", np.array(x)))
+        return self.c * np.asarray(x, dtype=float)
+
+
+class TestStepZero:
+    @pytest.mark.parametrize("minibatch", [False, True])
+    def test_one_gradient_however_many_trials(self, minibatch):
+        oracle = _CountingQuadratic(1e4, variance_bound=1.0 if minibatch else None)
+        y0 = np.ones(3)
+        run = umt_stochastic if minibatch else umt_minimize
+        _, rep = run(oracle, EuclideanProx(), y0, eps=1e-6, max_iter=0)
+        assert rep.iterations == 0
+        trials = int(math.log2(rep.lipschitz_trace[0])) + 1
+        assert trials == 15  # l0 = 1 doubles up to the curvature
+        grads = [x for kind, x in oracle.calls if kind != "value"]
+        assert len(grads) == 1 and np.array_equal(grads[0], y0)
+        assert rep.value_calls == 1 + trials
+        assert rep.grad_calls == (0 if minibatch else 1)
+        assert len(rep.batch_trace) == (1 if minibatch else 0)
 
 
 class TestStochastic:
