@@ -54,13 +54,15 @@ def _load_config(path):
 
 
 def _merge_config(args):
-    """Config file supplies defaults; explicit flags win."""
+    """Config file supplies defaults; explicit flags win; checks the budget."""
     cfg = _load_config(args.config) if args.config else {}
     for key, value in cfg.items():
         if not hasattr(args, key):  # the subcommand has no such flag
             raise ValueError(f"config key {key!r} is not used by {args.command}")
         if getattr(args, key) is None:
             setattr(args, key, value)
+    if args.max_iter is not None and args.max_iter < 0:
+        raise ValueError(f"--max-iter must be nonnegative, got {args.max_iter}")
     return args
 
 
@@ -79,6 +81,9 @@ def _gamma_overrides(network, gamma_flags):
             raise ValueError(f"bad gamma override {item!r}; expected level=value") from None
         if not 1 <= k <= network.n_levels:
             raise ValueError(f"gamma override for missing level {k}")
+        if not 0 <= v < math.inf:
+            raise ValueError(f"gamma override for level {k} must be finite and "
+                             f"nonnegative, got {v}")
         gammas[k - 1] = v
     return gammas
 

@@ -4,7 +4,8 @@ The equilibrium is found by minimizing, over the box t_e >= t_free_e, the
 sum of the (negated) demand-weighted soft-min travel value and the convex
 conjugates of the edge cost integrals.  Gradients come from the Gibbs
 assignment (exact) or all-or-nothing loading (subgradient); primal flows
-are read off the gradient and certified by per-edge Fenchel gaps.
+are read off the gradient and certified by per-edge Fenchel gaps together
+with capacity violation and complementarity (see solve_assignment).
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import numpy as np
 
 from .network import FlowState, Network, by_origin
 from .softmin import _od_values, all_or_nothing, assignment_flows, effective_weights
-from .solvers import (
-    EuclideanProx, SmoothOracle, SolverReport, umt_minimize, umt_stochastic,
-)
+from .solvers import EuclideanProx, SmoothOracle, SolverReport, umt_minimize
 
 MODELS = ["beckmann", "beckmann_md", "stochastic", "stable_dynamics", "mixed", "multistage"]
 BECKMANN_GAMMA = 1e-6  # default smoothing of `beckmann`
@@ -269,18 +268,13 @@ def solve_assignment(
     """Solve an assignment model to a certified tolerance.
 
     Models:
-      stochastic       — Gibbs route choice at the network's smoothing
-                         scales; stops when the Fenchel duality gap of the
-                         last-iterate flows is at most eps.
-      beckmann         — deterministic user equilibrium; solved through a
-                         tiny smoothing scale, stopping on the equilibrium
-                         gap <tau(f),f> - sum d_w SP_w(tau(f)) <= eps.
+      stochastic       — Gibbs route choice at the network's smoothing scales.
+      beckmann         — deterministic user equilibrium, solved through a
+                         tiny smoothing scale.
       beckmann_md      — same target via projected subgradient steps on
                          the nonsmooth dual with all-or-nothing loads.
       stable_dynamics / mixed — capacitated edges present; flows are the
-                         step-weighted average over gradient points, and
-                         stopping needs gap, capacity violation, and
-                         complementarity all within tolerance.
+                         step-weighted average over gradient points.
       multistage       — joint solve of a nested multilevel network at the
                          network's smoothing scales (a zero scale loads its
                          level all-or-nothing); flows on every level come
@@ -288,6 +282,11 @@ def solve_assignment(
                          pricing, and the Fenchel gap is summed edge-wise
                          across levels.
     The first three models need a single-level network.
+
+    Certificate: the equilibrium gap <tau(f),f> - sum d_w SP_w(tau(f)) <= eps
+    for `beckmann` and `beckmann_md`; for every other model, Fenchel gap <= eps,
+    capacity violation <= eps_residual and complementarity <= 10*max(eps,
+    eps_residual), so `stochastic`/`multistage` may end uncertified on SD edges.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -308,36 +307,27 @@ def solve_assignment(
     if model != "multistage" and any(g <= 0 for g in gammas):
         raise ValueError("smooth dual solve needs positive smoothing at every level")
 
-    if variance_bound is not None:
-        oracle = StochasticDualOracle(network, gammas, hops, variance_bound)
-    else:
-        oracle = DualOracle(network, gammas, hops)
-    prox = oracle.prox()
-    t0 = network.free_flow_times()
+    oracle = (DualOracle(network, gammas, hops) if variance_bound is None
+              else StochasticDualOracle(network, gammas, hops, variance_bound))
     averaged = model in ("stable_dynamics", "mixed")
-    mu = 0.0 if averaged else oracle.strong_convexity()
     acc = FlowState.zeros(network)
     # rank (not certified, certificate value): a certified candidate always wins
-    best = {"flows": None, "t": None, "rank": (True, math.inf)}
+    best = {}
     comp_tol = 10.0 * max(eps, eps_residual)
 
     def consider(t_pt, flows):
         """Certify a candidate (t, flows) pair; remember the best one."""
-        if averaged:
+        if model == "beckmann":
+            cert = gap = frank_wolfe_gap(network, flows)
+            ok = gap <= eps
+        else:
             _, gap = duality_gap(network, t_pt, flows)
             viol = capacity_violation(network, flows)
             comp = complementarity_residual(network, t_pt, flows)
             ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
             cert = max(gap, viol, comp)
-        elif model == "beckmann":
-            cert = gap = frank_wolfe_gap(network, flows)
-            ok = gap <= eps
-        else:
-            _, gap = duality_gap(network, t_pt, flows)
-            cert = gap
-            ok = gap <= eps
-        if (not ok, cert) < best["rank"]:
-            best.update(rank=(not ok, cert), flows=flows, t=np.array(t_pt, dtype=float))
+        if not best or (not ok, cert) < best["rank"]:
+            best.update(rank=(not ok, cert), gap=gap, flows=flows, t=np.array(t_pt, dtype=float))
         return gap, ok
 
     def on_step(state):
@@ -355,18 +345,16 @@ def solve_assignment(
         state.report.gap_trace.append(gap)
         return "certified" if ok else None
 
-    run = dict(mu=mu, max_iter=max_iter, stop=stop, callback=on_step if averaged else None)
-    if variance_bound is not None:
-        t_final, rep = umt_stochastic(oracle, prox, t0, eps, seed=seed, **run)
-    else:
-        t_final, rep = umt_minimize(oracle, prox, t0, eps, **run)
-    converged = rep.termination == "certified"
-    if best["flows"] is None:
-        best.update(flows=oracle.assignment(t_final)[1], t=t_final)
-    fw = frank_wolfe_gap(network, best["flows"]) if model == "beckmann" else math.nan
+    _, rep = umt_minimize(
+        oracle, oracle.prox(), network.free_flow_times(), eps,
+        mu=0.0 if averaged else oracle.strong_convexity(), max_iter=max_iter, stop=stop,
+        callback=on_step if averaged else None,
+        rng=None if variance_bound is None else np.random.default_rng(seed),
+    )
     return _build_report(
-        network, model, eps, eps_residual, best["t"], best["flows"], gammas, converged, rep,
-        fw_gap=fw,
+        network, model, eps, eps_residual, best["t"], best["flows"], gammas,
+        rep.termination == "certified", rep,
+        fw_gap=best["gap"] if model == "beckmann" else math.nan,
     )
 
 
@@ -378,7 +366,7 @@ def _solve_beckmann_md(network, eps, eps_residual, max_iter):
     acc = np.zeros(network.n_times)
     best = {"flows": None, "gap": math.inf}
     rep = SolverReport()
-    for k in range(1, max_iter + 1):
+    for k in range(1, max(max_iter, 1) + 1):  # at least one step, as umt_minimize
         _, aon = all_or_nothing(network.levels[0], t, network.demands)
         g = -aon + _conjugates(network.edges, t)[1]
         rep.grad_calls += 1

@@ -204,7 +204,6 @@ def umt_minimize(
     eps,
     mu=0.0,
     max_iter=100000,
-    l0=1.0,
     r2=None,
     stop=None,
     callback=None,
@@ -216,7 +215,7 @@ def umt_minimize(
     Each outer step halves the Lipschitz estimate, then doubles it until
     the model inequality (with slack alpha/(2A)*eps) holds; the step
     aggregate solves A_{k+1}(1 + A_k*mu_t) = L*alpha^2 exactly.  Step 0 is
-    the same step taken from A = 0, u = x = y0 with the estimate l0.  With
+    the same step taken from A = 0, u = x = y0, with L first tried at 1.  With
     r2 >= V(x*, y0) given, stops once r2/A <= eps/2, which certifies
     F(x) - F* <= eps.  `stop` may end the run early with a reason.  Given
     `rng`, the gradients at y are mini-batch means (see umt_stochastic).
@@ -235,9 +234,9 @@ def umt_minimize(
     rep = SolverReport()
 
     # step 0 is the step from A = 0: alpha = 1/L, slack eps/2, and L halves and
-    # doubles from l0 = 1, so alpha is a power of two and (alpha*u)/alpha == u
+    # doubles from 1, so alpha is a power of two and (alpha*u)/alpha == u
     A, u, x, G, Y = 0.0, y0, y0, 0.0, 0.0
-    L = 2.0 * float(l0)
+    L = 2.0
     k = 0
     while True:
         L = L / 2.0
@@ -352,8 +351,7 @@ def restart_wrapper(
     mu,
     lipschitz,
     eps,
-    restarts=None,
-    r0_sq=None,
+    restarts,
     callback=None,
     **umt_kwargs,
 ):
@@ -361,15 +359,11 @@ def restart_wrapper(
 
     Each leg runs the mu = 0 method for ceil(sqrt(16*L/mu)) iterations
     (omega = 1 for the Euclidean prox) from the previous output, which
-    centers its prox; the objective gap halves per restart.  The restart
-    count comes either from `restarts` or from r0_sq >= |y0 - x*|^2 and eps.
+    centers its prox; the objective gap halves per restart, so
+    restarts >= log2(mu*|y0 - x*|^2/eps) reach eps.
     """
     if mu <= 0:
         raise ValueError("restart schedule requires mu > 0")
-    if restarts is None:
-        if r0_sq is None:
-            raise ValueError("give either restarts or r0_sq")
-        restarts = max(0, math.ceil(math.log2(max(mu * r0_sq / eps, 1.0))))
     n_inner = math.ceil(math.sqrt(16.0 * lipschitz / mu))
     point = np.asarray(y0, dtype=float)
     total = SolverReport()

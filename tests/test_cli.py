@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,52 @@ class TestSolve:
         assert main(["solve", inst, "--gamma", "2=0.5",
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-0.5", "-0.5")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_or_negative_gamma_override(self, tmp_path, capsys, value, shown, source):
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        if source == "flag":
+            flags = ["--gamma", f"1={value}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"gamma": [f"1={value}"]}))
+            flags = ["--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", inst, "--model", "stochastic", *flags,
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: gamma override for level 1 must be finite and nonnegative, got {shown}\n")
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "od"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_max_iter_exits_1(self, tmp_path, capsys, command, source):
+        if command == "od":
+            inputs = od_inputs(tmp_path, {(0, 0): 1.0}, [1.0], [1.0])
+        else:
+            inputs = [write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)]
+        if source == "flag":
+            flags = ["--max-iter", "-5"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"max_iter": -5}))
+            flags = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert main([command, *inputs, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --max-iter must be nonnegative, got -5\n"
+        assert not out.exists()
+
+    def test_subgradient_zero_budget_takes_one_step(self, tmp_path):
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        out = tmp_path / "o"
+        code = main(["solve", inst, "--model", "beckmann_md", "--max-iter", "0", "--trace",
+                     "--out", str(out)])
+        summary = json.load(open(out / "summary.json"))
+        assert code == (0 if summary["converged"] else 2)
+        assert summary["iterations"] == 1
+        assert len((out / "trace.csv").read_text().splitlines()) == 3  # comment, header, 1 row
+
     def test_deterministic_outputs(self, tmp_path):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         outs = []
@@ -333,7 +380,7 @@ class TestCompare:
 
 
 class TestCertifiedOutput:
-    @pytest.mark.parametrize("model", ["mixed", "stable_dynamics"])
+    @pytest.mark.parametrize("model", ["mixed", "stable_dynamics", "stochastic", "multistage"])
     def test_converged_flows_meet_every_tolerance(self, tmp_path, model):
         from equiflow import capacity_violation, complementarity_residual, duality_gap
         from equiflow.network import load_network
@@ -352,6 +399,19 @@ class TestCertifiedOutput:
         assert duality_gap(net, t, f)[1] <= eps
         assert capacity_violation(net, f) <= eps
         assert complementarity_residual(net, t, f) <= 10 * eps
+
+    def test_stochastic_capacitated_link_certificate_holds(self, tmp_path):
+        # the Fenchel gap clamps flow to capacity, so on its own it certified
+        # this link overloaded by 0.46 at step 0
+        inst = write_instance(tmp_path / "sd.net", SD_TWO_LINK_INSTANCE)
+        out = tmp_path / "out"
+        code = main(["solve", inst, "--model", "stochastic", "--out", str(out)])
+        summary = json.load(open(out / "summary.json"))
+        assert code == (0 if summary["converged"] else 2)
+        if summary["converged"]:
+            eps, eps_res = float(summary["eps"]), float(summary["eps_residual"])
+            assert float(summary["capacity_violation"]) <= eps_res
+            assert float(summary["complementarity"]) <= 10 * max(eps, eps_res)
 
 
 class TestBadInput:

@@ -308,6 +308,11 @@ class TestBeckmannSolve:
         base = solve_assignment(braess_network(False), model="beckmann", eps=1e-9)
         assert base.total_time == pytest.approx(1.5, abs=1e-4)
 
+    @pytest.mark.parametrize("max_iter", [0, -4])
+    def test_mirror_descent_takes_at_least_one_step(self, pigou_network, max_iter):
+        rep = solve_assignment(pigou_network, model="beckmann_md", max_iter=max_iter)
+        assert rep.solver.iterations == 1 and len(rep.solver.gap_trace) == 1
+
     def test_mirror_descent_variant(self, pigou_network):
         rep = solve_assignment(pigou_network, model="beckmann_md", eps=1e-3,
                                max_iter=50000)
@@ -354,6 +359,35 @@ class TestStableDynamicsSolve:
             assert rep.converged
             times.append(rep.total_time)
         assert times[0] >= times[1] - 1e-4 >= times[2] - 2e-4
+
+
+class TestOneCertificateRule:
+    """A smooth dual model certifies gap, capacity violation and complementarity."""
+
+    @staticmethod
+    def assert_certificate_holds(rep):
+        if rep.converged:
+            assert rep.total_gap <= rep.eps
+            assert rep.capacity_violation <= rep.eps_residual
+            assert rep.complementarity <= 10 * max(rep.eps, rep.eps_residual)
+
+    def test_stochastic_on_capacitated_link(self, sd_two_link):
+        # the Fenchel gap clamps flow to capacity, so it alone certified an
+        # overloaded link at step 0
+        rep = solve_assignment(sd_two_link, model="stochastic")
+        self.assert_certificate_holds(rep)
+        assert rep.converged
+        assert rep.flows.plain_flat() == pytest.approx([1.0, 1.0], abs=1e-6)
+
+    def test_multistage_with_capacitated_inner_level(self):
+        inner = LevelGraph(2, plain_edges=[
+            (0, 1, EdgeCostModel("sd", 1.0, 1.0)),
+            (0, 1, EdgeCostModel("sd", 2.0, math.inf)),
+        ], gamma=0.1)
+        outer = LevelGraph(2, nested_edges=[(0, 1, (0, 1))], gamma=0.1)
+        net = Network([outer, inner], {(0, 1): 2.0})
+        rep = solve_multistage(net, max_iter=200)
+        self.assert_certificate_holds(rep)  # ending uncertified is a valid outcome
 
 
 class TestStochasticOracle:

@@ -239,8 +239,10 @@ class TestRegularize:
         y0 = np.array([0.5])
         eps = 1e-3
         reg, mu = regularize(oracle, prox, y0, eps=eps, r2=0.5 * 0.25)
+        # the gap halves per restart from mu * |y0 - x*|^2 = mu * 0.25 down to eps/2
+        restarts = math.ceil(math.log2(mu * 0.25 / (eps / 2)))
         p, rep = restart_wrapper(reg, prox, y0, mu=mu, lipschitz=100.0,
-                                 eps=eps / 2, r0_sq=0.25)
+                                 eps=eps / 2, restarts=restarts)
         assert abs(p[0]) <= eps
 
 
