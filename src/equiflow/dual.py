@@ -17,11 +17,19 @@ import numpy as np
 
 from .network import FlowState, Network, by_origin
 from .softmin import _od_values, all_or_nothing, assignment_flows, effective_weights
-from .solvers import EuclideanProx, SmoothOracle, SolverReport, umt_minimize
+from .solvers import EuclideanProx, SmoothOracle, umt_minimize
 
-MODELS = ["beckmann", "beckmann_md", "stochastic", "stable_dynamics", "mixed", "multistage"]
-BECKMANN_GAMMA = 1e-6  # default smoothing of `beckmann`
-SD_GAMMA = 0.1  # default smoothing of `stable_dynamics` and `mixed`, per level
+# model -> (default smoothing per level, None for the network's own scales;
+#           certified by the Frank-Wolfe gap; a zero smoothing scale allowed)
+MODEL_DEFAULTS = {
+    "beckmann": (1e-6, True, False),
+    "beckmann_md": (0.0, True, True),
+    "stochastic": (None, False, False),
+    "stable_dynamics": (0.1, False, False),
+    "mixed": (0.1, False, False),
+    "multistage": (None, False, True),
+}
+MODELS = list(MODEL_DEFAULTS)
 
 
 def _flat(flows) -> np.ndarray:
@@ -267,26 +275,26 @@ def solve_assignment(
 ) -> EquilibriumReport:
     """Solve an assignment model to a certified tolerance.
 
-    Models:
-      stochastic       — Gibbs route choice at the network's smoothing scales.
-      beckmann         — deterministic user equilibrium, solved through a
-                         tiny smoothing scale.
-      beckmann_md      — same target via projected subgradient steps on
-                         the nonsmooth dual with all-or-nothing loads.
-      stable_dynamics / mixed — capacitated edges present; flows are the
-                         step-weighted average over gradient points.
-      multistage       — joint solve of a nested multilevel network at the
-                         network's smoothing scales (a zero scale loads its
-                         level all-or-nothing); flows on every level come
-                         from the chain rule through the nested edge
-                         pricing, and the Fenchel gap is summed edge-wise
-                         across levels.
-    The first three models need a single-level network.
+    Every model is one run of the universal accelerated method on the dual
+    in the time vector t, set up by its MODEL_DEFAULTS row.  beckmann is
+    the deterministic user equilibrium through a tiny smoothing scale and
+    beckmann_md the same target on the nonsmooth (gamma = 0) dual, whose
+    gradients are all-or-nothing loads; stochastic is Gibbs route choice,
+    stable_dynamics and mixed name one model for hard capacities, and
+    multistage solves a nested network jointly (a zero scale loads its
+    level all-or-nothing).  Only stable_dynamics, mixed and multistage
+    take a nested network.
 
-    Certificate: the equilibrium gap <tau(f),f> - sum d_w SP_w(tau(f)) <= eps
-    for `beckmann` and `beckmann_md`; for every other model, Fenchel gap <= eps,
-    capacity violation <= eps_residual and complementarity <= 10*max(eps,
-    eps_residual), so `stochastic`/`multistage` may end uncertified on SD edges.
+    After every step three candidates are certified: the flows at the
+    gradient point y (with t = y), the flows at x (with t = x) and the
+    step-weighted average of the flows at y (with t = x).  The average is
+    no route choice at x, so its Fenchel gap adds a bound on the soft-min
+    term, which flows read off a point meet with equality.  Certificate:
+    the equilibrium gap <tau(f),f> - sum d_w SP_w(tau(f)) <= eps for
+    beckmann and beckmann_md, which then write t = tau(f); for every other
+    model, Fenchel gap <= eps, capacity violation <= eps_residual and
+    complementarity <= 10*max(eps, eps_residual), so stochastic/multistage
+    may end uncertified on SD edges.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -294,34 +302,28 @@ def solve_assignment(
         raise ValueError(f"model {model!r} expects a single-level network")
     if eps_residual is None:
         eps_residual = eps
-    if model == "beckmann_md":
-        return _solve_beckmann_md(network, eps, eps_residual, max_iter)
-
+    default_gamma, fw, zero_ok = MODEL_DEFAULTS[model]
     if gammas is None:
-        if model == "beckmann":
-            gammas = [BECKMANN_GAMMA]
-        elif model in ("stable_dynamics", "mixed"):
-            gammas = [SD_GAMMA] * network.n_levels
-        else:
-            gammas = list(network.gammas())
-    if model != "multistage" and any(g <= 0 for g in gammas):
-        raise ValueError("smooth dual solve needs positive smoothing at every level")
+        gammas = (list(network.gammas()) if default_gamma is None
+                  else [default_gamma] * network.n_levels)
+    if any(g <= 0 and not (zero_ok and g == 0) for g in gammas):
+        raise ValueError(f"model {model!r} needs positive smoothing at every level")
 
     oracle = (DualOracle(network, gammas, hops) if variance_bound is None
               else StochasticDualOracle(network, gammas, hops, variance_bound))
-    averaged = model in ("stable_dynamics", "mixed")
     acc = FlowState.zeros(network)
+    psi = 0.0  # step-weighted sum of the route-choice entropy terms at the points y
     # rank (not certified, certificate value): a certified candidate always wins
     best = {}
     comp_tol = 10.0 * max(eps, eps_residual)
 
-    def consider(t_pt, flows):
-        """Certify a candidate (t, flows) pair; remember the best one."""
-        if model == "beckmann":
+    def consider(t_pt, flows, route_gap=0.0):
+        """Certify (t, flows), route_gap bounding its soft-min term; keep the best."""
+        if fw:
             cert = gap = frank_wolfe_gap(network, flows)
             ok = gap <= eps
         else:
-            _, gap = duality_gap(network, t_pt, flows)
+            gap = duality_gap(network, t_pt, flows)[1] + route_gap
             viol = capacity_violation(network, flows)
             comp = complementarity_residual(network, t_pt, flows)
             ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
@@ -330,68 +332,31 @@ def solve_assignment(
             best.update(rank=(not ok, cert), gap=gap, flows=flows, t=np.array(t_pt, dtype=float))
         return gap, ok
 
-    def on_step(state):
-        _, flow = oracle.assignment(state.y)
-        for a, f in zip(acc.plain + acc.nested, flow.plain + flow.nested):
-            a += state.alpha * f
-
     def stop(state):
-        if averaged:
-            gap, ok = consider(state.x, acc.scaled(1.0 / state.A))
-        else:
-            gap, ok = consider(state.y, oracle.assignment(state.y)[1])
-            gap_x, ok_x = consider(state.x, oracle.assignment(state.x)[1])
-            gap, ok = min(gap, gap_x), ok or ok_x
-        state.report.gap_trace.append(gap)
-        return "certified" if ok else None
+        nonlocal psi
+        value_y, flow_y = oracle.assignment(state.y)
+        for a, f in zip(acc.plain + acc.nested, flow_y.plain + flow_y.nested):
+            a += state.alpha * f
+        psi += state.alpha * (value_y - flow_y.plain_flat() @ state.y)
+        value_x, flow_x = oracle.assignment(state.x)
+        avg = acc.scaled(1.0 / state.A)
+        # flows read off a point meet the soft-min Fenchel term with equality;
+        # by Jensen, psi / A bounds the entropy term of their average
+        route_gap = max(0.0, avg.plain_flat() @ state.x - value_x + psi / state.A)
+        checked = [consider(state.y, flow_y), consider(state.x, flow_x),
+                   consider(state.x, avg, route_gap)]
+        state.report.gap_trace.append(min(gap for gap, _ in checked))
+        return "certified" if any(ok for _, ok in checked) else None
 
     _, rep = umt_minimize(
         oracle, oracle.prox(), network.free_flow_times(), eps,
-        mu=0.0 if averaged else oracle.strong_convexity(), max_iter=max_iter, stop=stop,
-        callback=on_step if averaged else None,
+        mu=oracle.strong_convexity(), max_iter=max_iter, stop=stop,
         rng=None if variance_bound is None else np.random.default_rng(seed),
     )
+    t = network.edges.cost(best["flows"].plain_flat()) if fw else best["t"]
     return _build_report(
-        network, model, eps, eps_residual, best["t"], best["flows"], gammas,
-        rep.termination == "certified", rep,
-        fw_gap=best["gap"] if model == "beckmann" else math.nan,
-    )
-
-
-def _solve_beckmann_md(network, eps, eps_residual, max_iter):
-    """Projected subgradient on the nonsmooth dual with averaged loads."""
-    oracle = DualOracle(network, gammas=[0.0])
-    t = network.free_flow_times()
-    lower, upper = oracle.lower, oracle.upper
-    acc = np.zeros(network.n_times)
-    best = {"flows": None, "gap": math.inf}
-    rep = SolverReport()
-    for k in range(1, max(max_iter, 1) + 1):  # at least one step, as umt_minimize
-        _, aon = all_or_nothing(network.levels[0], t, network.demands)
-        g = -aon + _conjugates(network.edges, t)[1]
-        rep.grad_calls += 1
-        acc += aon
-        f_avg = acc / k
-        gap = frank_wolfe_gap(network, f_avg)
-        rep.gap_trace.append(gap)
-        if gap < best["gap"]:
-            best.update(gap=gap, flows=f_avg.copy())
-        if gap <= eps:
-            rep.termination = "certified"
-            break
-        norm = np.linalg.norm(g)
-        step = eps / max(norm, 1e-30) if norm > 0 else 0.0
-        # constant small steps localize around the optimum at scale ~eps
-        t = np.clip(t - step * g, lower, upper)
-    else:
-        rep.termination = "max_iter"
-    rep.iterations = k
-    flows = FlowState(plain=[best["flows"]], nested=[np.zeros(0)])
-    t_best = network.edges.cost(best["flows"])
-    converged = rep.termination == "certified"
-    return _build_report(
-        network, "beckmann_md", eps, eps_residual, t_best, flows, [0.0], converged, rep,
-        fw_gap=best["gap"],
+        network, model, eps, eps_residual, t, best["flows"], gammas,
+        rep.termination == "certified", rep, fw_gap=best["gap"] if fw else math.nan,
     )
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from equiflow import hard_shortest, load_network, softmin_potentials
 from equiflow.cli import main
 
 from conftest import (
@@ -82,6 +83,21 @@ od 1 0 1 1.0
 """
 
 
+def grid_instance(k=4):
+    """k x k BPR grid, both directions, six ODs from five origins; no gamma line."""
+    lines = []
+    for v in range(k * k):
+        r, c = divmod(v, k)
+        for w in ([v + 1] if c + 1 < k else []) + ([v + k] if r + 1 < k else []):
+            for a, b in ((v, w), (w, v)):
+                lines.append(f"1 {a} {b} bpr {1.0 + 0.25 * ((a + 2 * b) % 3)} 1.0 0.15 "
+                             f"{(0.5, 1.0)[(a + b) % 2]}")
+    n = k * k
+    for o, d in ((0, n - 1), (0, k - 1), (k - 1, n - k), (n - 1, 0), (n - k, k + 1), (k + 2, 0)):
+        lines.append(f"od 1 {o} {d} 0.{o % 7 + 2}")
+    return "\n".join(lines) + "\n"
+
+
 def read_solution(path):
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -154,8 +170,30 @@ class TestSolve:
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["gammas"] == ["0.20000000000000001"]
 
+    @pytest.mark.parametrize("model,gamma", [("stochastic", "1"), ("stochastic", "0.3"),
+                                             ("beckmann_md", None)])
+    def test_potentials_match_per_origin_sweeps(self, tmp_path, model, gamma):
+        inst = write_instance(tmp_path / "grid.net", grid_instance())
+        out = tmp_path / "out"
+        flags = ["--gamma", f"1={gamma}"] if gamma else []
+        code = main(["solve", inst, "--model", model, *flags, "--max-iter", "20",
+                     "--dump-potentials", "--out", str(out)])
+        assert code in (0, 2)
+        net = load_network(inst)
+        lg = net.levels[0]
+        t = np.array([float(r[4]) for r in read_solution(out / "solution.csv")])
+        g = float(gamma or 0.0)
+        expected = ["# floats formatted %.17g", "origin,vertex,potential"]
+        for o in net.origins():
+            u = (softmin_potentials(lg, t, o, g, lg.n_vertices - 1) if g > 0
+                 else hard_shortest(lg, t, o)[0])
+            expected += [f"{o},{v},{x:.17g}" for v, x in enumerate(u)]
+        assert len(net.origins()) == 5
+        assert (out / "potentials.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
     def test_subgradient_trace_has_a_row_per_iteration(self, tmp_path):
-        inst = write_instance(tmp_path / "braess.net", BRAESS_SHORTCUT_INSTANCE)
+        # iterations count from 0, so a run that stops at iteration k traced k + 1 steps
+        inst = write_instance(tmp_path / "braess.net", BRAESS_BASE_INSTANCE)
         out = str(tmp_path / "out")
         code = main(["solve", inst, "--model", "beckmann_md", "--trace",
                      "--max-iter", "50", "--out", out])
@@ -164,9 +202,30 @@ class TestSolve:
         lines = open(os.path.join(out, "trace.csv")).read().splitlines()
         assert lines[1] == "iter,value,lipschitz,gap"
         rows = [line.split(",") for line in lines[2:]]
-        assert len(rows) == summary["iterations"] == 50
-        assert all(r[1] == r[2] == "nan" for r in rows)
+        assert len(rows) == summary["iterations"] + 1 == 51
+        assert all(np.isfinite([float(x) for x in r[1:]]).all() for r in rows)
         assert min(float(r[3]) for r in rows) == float(summary["fw_gap"])
+
+    @pytest.mark.parametrize("model", ["beckmann", "beckmann_md"])
+    @pytest.mark.parametrize("instance", [PIGOU_INSTANCE, BRAESS_BASE_INSTANCE,
+                                          BRAESS_SHORTCUT_INSTANCE],
+                             ids=["pigou", "braess_base", "braess_shortcut"])
+    def test_fw_gap_models_write_a_certified_pair(self, tmp_path, capsys, model, instance):
+        # the written times are the costs at the written flows, so the
+        # Fenchel terms are Fenchel-Young equalities: zero up to rounding
+        inst = write_instance(tmp_path / "in.net", instance)
+        out = tmp_path / "out"
+        code = main(["solve", inst, "--model", model, "--verify", "--out", str(out)])
+        assert code == 0
+        assert "verification PASS" in capsys.readouterr().out
+        summary = json.load(open(out / "summary.json"))
+        assert abs(float(summary["total_gap"])) <= 1e-6
+        assert float(summary["fw_gap"]) <= 1e-6
+        rows = np.array(read_solution(out / "solution.csv"))[:, 4:7].astype(float)
+        t, flows, gaps = rows.T
+        assert np.array_equal(t, load_network(inst).edges.cost(flows))
+        assert np.abs(gaps).max() <= 1e-6
+        assert gaps.sum() == pytest.approx(float(summary["total_gap"]), abs=1e-15)
 
     @pytest.mark.parametrize("model,shown", [("beckmann_md", True), ("stochastic", False)])
     def test_final_line_shows_fw_gap(self, tmp_path, capsys, model, shown):
@@ -245,7 +304,7 @@ class TestSolve:
                      "--out", str(out)])
         summary = json.load(open(out / "summary.json"))
         assert code == (0 if summary["converged"] else 2)
-        assert summary["iterations"] == 1
+        assert summary["iterations"] == 0  # iterations count from 0
         assert len((out / "trace.csv").read_text().splitlines()) == 3  # comment, header, 1 row
 
     def test_deterministic_outputs(self, tmp_path):
