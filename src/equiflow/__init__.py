@@ -39,7 +39,6 @@ from .solvers import (
 from .dual import (
     DualOracle,
     EquilibriumReport,
-    StochasticDualOracle,
     capacity_violation,
     complementarity_residual,
     dual_value_grad,

@@ -11,6 +11,7 @@ with capacity violation and complementarity (see solve_assignment).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,15 @@ class DualOracle(SmoothOracle):
     domain (BPR) edges.  Capacitated (SD) conjugates are linear and go to
     the composite term together with the box; edges whose time is pinned
     (constant-cost or uncapacitated SD) get a degenerate box interval.
+    Given a variance_bound, stochastic_grad samples origins in proportion
+    to their demand for a mini-batch run (see stochastic_origin_oracle).
     """
 
-    def __init__(self, network: Network, gammas=None, hops=None):
+    def __init__(self, network: Network, gammas=None, hops=None, variance_bound=None):
         self.network = network
         self.gammas = list(network.gammas()) if gammas is None else list(gammas)
         self.hops = hops
+        self.variance_bound = variance_bound
         edges = network.edges
         self.lower = network.free_flow_times()
         self.upper = np.where(edges.pinned, edges.t_free, math.inf)
@@ -92,6 +96,19 @@ class DualOracle(SmoothOracle):
         conj_value, conj_grad = _conjugates(self.network.edges, t)
         return -softmin_value + conj_value, -flow.plain_flat() + conj_grad
 
+    def stochastic_grad(self, t, rng, batch):
+        """Mean of `batch` origin draws, each origin drawn w.p. its share of demand.
+
+        Leaves t in the read slot, where the line search's value at t and
+        the stop test's assignment at t find it.
+        """
+        self.assignment(t)
+        origins = self.network.origins()
+        weights = np.array([sum(g.values()) for g in by_origin(self.network.demands).values()])
+        draws = rng.choice(len(origins), size=batch, p=weights / weights.sum())
+        return stochastic_origin_oracle(self.network, t, [origins[i] for i in draws],
+                                        self.gammas, self.hops)
+
     def strong_convexity(self):
         """Lower curvature bound of the smooth part over the free box.
 
@@ -105,43 +122,29 @@ class DualOracle(SmoothOracle):
         return float(np.min(e.capacity[s] / (e.gain[s] * e.t_free[s])))
 
 
-class StochasticDualOracle(DualOracle):
-    """Dual oracle whose gradient samples origins proportional to demand."""
-
-    def __init__(self, network, gammas=None, hops=None, variance_bound=None):
-        super().__init__(network, gammas, hops)
-        self.variance_bound = variance_bound
-        groups = by_origin(network.demands)
-        self._origins = list(groups)
-        weights = np.array([sum(g.values()) for g in groups.values()])
-        self._probs = weights / weights.sum()
-
-    def stochastic_grad(self, t, rng, batch):
-        draws = rng.choice(len(self._origins), size=batch, p=self._probs)
-        origins = [self._origins[i] for i in draws]
-        return stochastic_origin_oracle(self.network, t, origins, self.gammas, self.hops)
-
-
 def stochastic_origin_oracle(network, t, origins, gammas=None, hops=None):
     """Unbiased dual-gradient estimate from a batch of sampled origins.
 
-    Each draw loads only the demands of one origin, rescaled by the
-    inverse of its sampling probability (proportional to total demand);
-    the batch average plus the deterministic conjugate part estimates
-    the full gradient without bias.
+    Each draw of origin o loads only o's demands, rescaled by the inverse
+    of its sampling probability D_o / D (D_o its total demand, D the
+    total); the batch mean plus the deterministic conjugate part estimates
+    the full gradient without bias.  Flows are linear in the demands, on
+    nested levels too, so the mean is one assignment at the demands
+    d_w * c_o * D / (D_o * m), c_o the draws of o among the m in the batch.
     """
     if not origins:
         raise ValueError("empty origin batch")
-    t = np.asarray(t, dtype=float)
     groups = by_origin(network.demands)
+    draws = Counter(origins)
+    for o in draws:
+        if o not in groups:
+            raise ValueError(f"origin {o} has no demand to sample")
     totals = {o: sum(g.values()) for o, g in groups.items()}
     grand = sum(totals.values())
-    est = np.zeros(network.n_times)
-    for o in origins:
-        _, flow = assignment_flows(network, t, gammas, hops, demands=groups[o])
-        est += flow.plain_flat() * (grand / totals[o])
-    est /= len(origins)
-    return -est + _conjugates(network.edges, t)[1]
+    demands = {od: dem * (draws[od[0]] * grand / (totals[od[0]] * len(origins)))
+               for od, dem in network.demands.items() if draws[od[0]]}
+    _, flow = assignment_flows(network, t, gammas, hops, demands=demands)
+    return -flow.plain_flat() + _conjugates(network.edges, np.asarray(t, dtype=float))[1]
 
 
 def dual_value_grad(network, t, gammas=None, hops=None):
@@ -309,8 +312,7 @@ def solve_assignment(
     if any(g <= 0 and not (zero_ok and g == 0) for g in gammas):
         raise ValueError(f"model {model!r} needs positive smoothing at every level")
 
-    oracle = (DualOracle(network, gammas, hops) if variance_bound is None
-              else StochasticDualOracle(network, gammas, hops, variance_bound))
+    oracle = DualOracle(network, gammas, hops, variance_bound)
     acc = FlowState.zeros(network)
     psi = 0.0  # step-weighted sum of the route-choice entropy terms at the points y
     # rank (not certified, certificate value): a certified candidate always wins

@@ -187,10 +187,8 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
             best.update(x=x, cert=cert, gap=gap, res=res, primal=primal)
         return gap, gap <= eps_n and res <= eps_res_n
 
-    def on_step(state):
-        acc[:] += state.alpha * oracle.primal(state.y)
-
     def stop(state):
+        acc[:] += state.alpha * oracle.primal(state.y)
         # state.fx is the dual value the line search computed at state.x
         gap, ok = consider(acc / state.A, state.fx, "average")
         state.report.gap_trace.append(gap)
@@ -198,9 +196,7 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
             _, ok = consider(oracle.primal(state.x), state.fx, "last_iterate")
         return "certified" if ok else None
 
-    y, rep = umt_minimize(
-        oracle, prox, y0, eps_n, mu=0.0, max_iter=max_iter, stop=stop, callback=on_step,
-    )
+    y, rep = umt_minimize(oracle, prox, y0, eps_n, mu=0.0, max_iter=max_iter, stop=stop)
     return ElpSolution(
         matrix=(best["x"] * problem.mass).reshape(problem.shape),
         potentials=y,

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+L_CEILING = 1e18  # a line-search Lipschitz estimate beyond this means a broken oracle
+
 
 class DivergedOracleError(RuntimeError):
     """The accelerated method cannot go on.
@@ -184,7 +186,7 @@ class SolverReport:
 
 @dataclass
 class UmtState:
-    """Solver internals exposed to stop tests and per-step callbacks."""
+    """Solver internals exposed to stop tests."""
 
     k: int
     x: np.ndarray
@@ -206,8 +208,6 @@ def umt_minimize(
     max_iter=100000,
     r2=None,
     stop=None,
-    callback=None,
-    l_ceiling=1e18,
     rng=None,
 ):
     """Composite minimization by the adaptive accelerated triangle scheme.
@@ -270,9 +270,9 @@ def umt_minimize(
             if model >= fx:
                 break
             L *= 2.0
-            if L > l_ceiling:
+            if L > L_CEILING:
                 raise DivergedOracleError(
-                    f"line-search L exceeded ceiling {l_ceiling}; oracle inconsistent?"
+                    f"line-search L exceeded ceiling {L_CEILING}; oracle inconsistent?"
                 )
         A, u, x = A_new, u_new, x_new
         G, Y = G + alpha * gy, Y + alpha * y
@@ -280,8 +280,6 @@ def umt_minimize(
         rep.lipschitz_trace.append(L)
         rep.value_trace.append(fx + prox.composite_value(x))
         state = UmtState(k=k, x=x, u=u, y=y, alpha=alpha, A=A, L=L, fx=fx, report=rep)
-        if callback is not None:
-            callback(state)
         reason = stop(state) if stop is not None else None
         if reason is None and r2 is not None and r2 / A <= 0.5 * eps:
             reason = "certified"

@@ -11,7 +11,6 @@ from equiflow import (
     FlowState,
     LevelGraph,
     Network,
-    StochasticDualOracle,
     capacity_violation,
     complementarity_residual,
     dual_value_grad,
@@ -38,6 +37,17 @@ def two_origin_network():
         (1, 2, EdgeCostModel("bpr", 1.0, 1.0, 0.4, 0.25)),
     ])
     return Network([lg], {(0, 2): 1.0, (1, 2): 2.0})
+
+
+def count_assignments(monkeypatch):
+    """Patch dual.assignment_flows to append 1 to the returned list per call."""
+    import equiflow.dual as dual
+
+    calls = []
+    real = dual.assignment_flows
+    monkeypatch.setattr(dual, "assignment_flows",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
 
 
 class TestDualOracle:
@@ -99,16 +109,7 @@ class TestAssignmentMemo:
         return net, net.free_flow_times() + rng.uniform(0.05, 0.8, size=net.n_times)
 
     def test_one_assignment_per_point(self, monkeypatch):
-        import equiflow.dual as dual
-
-        calls = []
-        real = dual.assignment_flows
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(dual, "assignment_flows", counting)
+        calls = count_assignments(monkeypatch)
         net, t = self.point()
         oracle = DualOracle(net)
         v = oracle.value(t)
@@ -121,12 +122,7 @@ class TestAssignmentMemo:
     def test_trial_values_keep_the_gradient_point(self, monkeypatch):
         # the initial line search values several trial points after one
         # value_grad(y); the stop test then reads y's flows without a new sweep
-        import equiflow.dual as dual
-
-        calls = []
-        real = dual.assignment_flows
-        monkeypatch.setattr(dual, "assignment_flows",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        calls = count_assignments(monkeypatch)
         net, t = self.point()
         oracle = DualOracle(net)
         oracle.value_grad(t)
@@ -140,12 +136,7 @@ class TestAssignmentMemo:
 
     @pytest.mark.parametrize("model", ["stochastic", "multistage"])
     def test_one_assignment_per_solver_call(self, monkeypatch, model):
-        import equiflow.dual as dual
-
-        calls = []
-        real = dual.assignment_flows
-        monkeypatch.setattr(dual, "assignment_flows",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        calls = count_assignments(monkeypatch)
         net = random_network(np.random.default_rng(27), m=1 if model == "stochastic" else 2,
                              gamma=0.5)
         rep = solve_assignment(net, model=model, eps=1e-6)
@@ -425,7 +416,7 @@ class TestStochasticOracle:
 
     def test_monte_carlo_mean_unbiased(self):
         net = two_origin_network()
-        oracle = StochasticDualOracle(net, variance_bound=1.0)
+        oracle = DualOracle(net, variance_bound=1.0)
         t = net.free_flow_times() + 0.4
         _, grad = oracle.value_grad(t)
         rng = np.random.default_rng(0)
@@ -438,6 +429,29 @@ class TestStochasticOracle:
     def test_empty_batch_rejected(self, pigou_network):
         with pytest.raises(ValueError):
             stochastic_origin_oracle(pigou_network, [1.0, 1.0], [])
+
+    def test_origin_without_demand_rejected(self):
+        net = two_origin_network()
+        with pytest.raises(ValueError, match="origin 2 has no demand"):
+            stochastic_origin_oracle(net, net.free_flow_times(), [0, 2, 1])
+
+    def test_batch_is_one_assignment(self, monkeypatch):
+        net = two_origin_network()
+        t = net.free_flow_times() + 0.3
+        batch = [0, 1, 1, 0, 1]
+        per_draw = np.mean([stochastic_origin_oracle(net, t, [o]) for o in batch], axis=0)
+        calls = count_assignments(monkeypatch)
+        est = stochastic_origin_oracle(net, t, batch)
+        assert len(calls) == 1
+        assert np.abs(est - per_draw).max() <= 1e-12
+
+    def test_minibatch_solve_is_one_assignment_per_batch(self, monkeypatch):
+        calls = count_assignments(monkeypatch)
+        rep = solve_assignment(two_origin_network(), model="stochastic", eps=1e-4,
+                               variance_bound=0.1, seed=0)
+        assert rep.converged
+        TestOneCertificateRule.assert_certificate_holds(rep)
+        assert len(calls) <= rep.solver.value_calls + len(rep.solver.batch_trace)
 
     @pytest.mark.parametrize("model,network,run", [
         ("stochastic", "pigou_network", dict(gammas=[0.2], eps=1e-6)),

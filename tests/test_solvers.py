@@ -104,7 +104,7 @@ class TestUmtMinimize:
         trail = []
         x0 = np.full(3, 2.0)
         umt_minimize(quadratic_oracle(), EuclideanProx(), x0, eps=1e-10, r2=6.0,
-                     callback=lambda s: trail.append(s.u.copy()))
+                     stop=lambda s: trail.append(s.u.copy()))
         r2 = 0.5 * float(x0 @ x0)
         worst = max(float(u @ u) for u in trail)
         assert worst <= 4.0 * r2 + 1e-9
@@ -118,10 +118,11 @@ class TestUmtMinimize:
         assert rep.grad_calls / n <= 4.0
 
     def test_inconsistent_gradient_diverges(self):
-        bad = FunctionOracle(lambda x: float(x @ x), lambda x: -np.asarray(x))
-        with pytest.raises(DivergedOracleError):
-            umt_minimize(bad, EuclideanProx(), np.ones(2), eps=1e-8, max_iter=500,
-                         l_ceiling=1e6)
+        # the eps slack absorbs a wrong gradient g once L ~ |g|^2/eps, so at
+        # the 1e18 ceiling a unit-scale one (-x) runs on; this one cannot fit
+        bad = FunctionOracle(lambda x: float(x @ x), lambda x: -1e6 * np.asarray(x))
+        with pytest.raises(DivergedOracleError, match="ceiling"):
+            umt_minimize(bad, EuclideanProx(), np.ones(2), eps=1e-8, max_iter=500)
 
     def test_max_iter_reported(self):
         _, rep = umt_minimize(abs_oracle(), EuclideanProx(), np.array([1.0]),
