@@ -124,6 +124,7 @@ def _summary_dict(report):
         "value_calls": report.solver.value_calls,
         "grad_calls": report.solver.grad_calls,
         "total_gap": fmt(report.total_gap),
+        "route_gap": fmt(report.route_gap),
         "fw_gap": None if math.isnan(report.fw_gap) else fmt(report.fw_gap),
         "capacity_violation": fmt(report.capacity_violation),
         "complementarity": fmt(report.complementarity),
@@ -154,8 +155,7 @@ def _write_potentials(path, network, report):
     lg = network.levels[0]
     gamma = report.gammas[0]
     origins = network.origins()
-    s, _ = _sweep_forward(lg, weights[0], origins, gamma, lg.n_vertices - 1)
-    u = (gamma or 1.0) * s
+    u, _ = _sweep_forward(lg, weights[0], origins, gamma, lg.n_vertices - 1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# floats formatted %.17g\n")
         fh.write("origin,vertex,potential\n")
@@ -204,7 +204,8 @@ def cmd_solve(args) -> int:
     if args.dump_potentials:
         _write_potentials(os.path.join(out, "potentials.csv"), network, report)
     if args.verify:
-        _, total = duality_gap(network, report.t, report.flows)
+        # the route-choice bound of averaged flows is part of the certified gap
+        total = duality_gap(network, report.t, report.flows)[1] + report.route_gap
         ok = math.isclose(total, report.total_gap, rel_tol=1e-12, abs_tol=1e-15)
         print(f"verification {'PASS' if ok else 'FAIL'}: recomputed gap {fmt(total)}")
         if not ok:

@@ -38,13 +38,14 @@ def _flat(flows) -> np.ndarray:
     return flows.plain_flat() if isinstance(flows, FlowState) else np.asarray(flows, dtype=float)
 
 
-def _conjugates(edges, t):
-    """Value and gradient of the smooth (BPR) conjugate terms at t.
+def _smooth_part(edges, conjugate):
+    """Value and gradient of the smooth (BPR) conjugate terms, given
+    edges.conjugate(t).
 
     Capacitated conjugates are linear and go to the composite term;
     pinned edges stay at t_free, where their conjugate is 0.
     """
-    value, flow = edges.conjugate(t)
+    value, flow = conjugate
     return float(value[edges.smooth].sum()), np.where(edges.smooth, flow, 0.0)
 
 
@@ -73,37 +74,47 @@ class DualOracle(SmoothOracle):
         return EuclideanProx(lower=self.lower, upper=self.upper, linear=self.linear)
 
     def _by_products(self, t):
-        return assignment_flows(self.network, t, self.gammas, self.hops)
+        value, flow = assignment_flows(self.network, t, self.gammas, self.hops)
+        return value, flow, self.network.edges.conjugate(t)
 
-    def assignment(self, t):
-        """(soft-min value, FlowState) at t, shared with value and value_grad.
+    def point(self, t):
+        """(soft-min value, FlowState, edges.conjugate(t)) at t, shared with
+        value and value_grad.
 
         Kept per point (SmoothOracle._per_point), so the stop test's reads
         at the gradient point y and at the accepted trial point x sweep
-        nothing new.  The flows are deferred: their backward sweeps run on
-        first read, so a point that is only valued sweeps forward only.
-        The returned flows must not be modified.
+        nothing new and evaluate no conjugate again.  The flows are
+        deferred: their backward sweeps run on first read, so a point that
+        is only valued sweeps forward only.  The returned flows and
+        conjugates must not be modified.
         """
         return self._per_point(t, read=True)
 
+    def assignment(self, t):
+        """(soft-min value, FlowState) at t; see point."""
+        return self.point(t)[:2]
+
     def value(self, t):
-        softmin_value, _ = self._per_point(t, read=False)
-        conj_value, _ = _conjugates(self.network.edges, t)
-        return -softmin_value + conj_value
+        softmin_value, _, conjugate = self._per_point(t, read=False)
+        return -softmin_value + _smooth_part(self.network.edges, conjugate)[0]
 
     def value_grad(self, t):
-        softmin_value, flow = self.assignment(t)
-        conj_value, conj_grad = _conjugates(self.network.edges, t)
+        softmin_value, flow, conjugate = self.point(t)
+        conj_value, conj_grad = _smooth_part(self.network.edges, conjugate)
         return -softmin_value + conj_value, -flow.plain_flat() + conj_grad
 
     def stochastic_grad(self, t, rng, batch):
         """Mean of `batch` origin draws, each origin drawn w.p. its share of demand.
 
         Leaves t in the read slot, where the line search's value at t and
-        the stop test's assignment at t find it.
+        the stop test's assignment at t find it.  With a single origin
+        every draw is that origin at its own demands, so the estimate is
+        the gradient at t, read from that slot.
         """
-        self.assignment(t)
+        _, flow, conjugate = self.point(t)
         origins = self.network.origins()
+        if len(origins) == 1:
+            return -flow.plain_flat() + _smooth_part(self.network.edges, conjugate)[1]
         weights = np.array([sum(g.values()) for g in by_origin(self.network.demands).values()])
         draws = rng.choice(len(origins), size=batch, p=weights / weights.sum())
         return stochastic_origin_oracle(self.network, t, [origins[i] for i in draws],
@@ -144,7 +155,7 @@ def stochastic_origin_oracle(network, t, origins, gammas=None, hops=None):
     demands = {od: dem * (draws[od[0]] * grand / (totals[od[0]] * len(origins)))
                for od, dem in network.demands.items() if draws[od[0]]}
     _, flow = assignment_flows(network, t, gammas, hops, demands=demands)
-    return -flow.plain_flat() + _conjugates(network.edges, np.asarray(t, dtype=float))[1]
+    return -flow.plain_flat() + _smooth_part(network.edges, network.edges.conjugate(t))[1]
 
 
 def dual_value_grad(network, t, gammas=None, hops=None):
@@ -154,7 +165,7 @@ def dual_value_grad(network, t, gammas=None, hops=None):
     return value, grad, oracle.assignment(t)[1]
 
 
-def duality_gap(network, t, flows):
+def duality_gap(network, t, flows, conjugate=None):
     """Per-edge Fenchel terms and their sum for a time/flow pair.
 
     Each term sigma_e(f) - f*t + sigma*_e(t) is nonnegative for feasible
@@ -163,11 +174,14 @@ def duality_gap(network, t, flows):
     through capacity_violation instead), and to 0 without a capacity.
     Pinned BPR edges count their conjugate as 0: their time stays at
     t_free, up to the rounding of the solver's averaging steps.
+    `conjugate`, network.edges.conjugate(t) when the caller holds it,
+    saves evaluating it again.
     """
     e = network.edges
     t = np.asarray(t, dtype=float)
     f = _flat(flows)
-    bpr = e.integral(f) - f * t + np.where(e.pinned, 0.0, e.conjugate(t)[0])
+    conj = (e.conjugate(t) if conjugate is None else conjugate)[0]
+    bpr = e.integral(f) - f * t + np.where(e.pinned, 0.0, conj)
     sd = (t - e.t_free) * np.maximum(np.where(e.capped, e.capacity, f) - f, 0.0)
     terms = np.where(e.is_sd, sd, bpr)
     return terms, float(terms.sum())
@@ -232,10 +246,13 @@ class EquilibriumReport:
     gammas: list
     converged: bool
     solver: object = None
+    # bound on the soft-min Fenchel term of flows that are no route choice
+    # at t (a step-weighted average); total_gap = sum(per_edge_gap) + route_gap
+    route_gap: float = 0.0
 
 
 def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged, solver,
-                  fw_gap=math.nan):
+                  fw_gap=math.nan, route_gap=0.0):
     per_edge, total = duality_gap(network, t, flows)
     f_flat = flows.plain_flat()
     tau = experienced_times(network, t, flows)
@@ -252,7 +269,7 @@ def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged
         t=t,
         flows=flows,
         per_edge_gap=per_edge,
-        total_gap=total,
+        total_gap=total + route_gap,
         fw_gap=fw_gap,
         capacity_violation=capacity_violation(network, flows),
         complementarity=complementarity_residual(network, t, flows),
@@ -262,6 +279,7 @@ def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged
         gammas=list(gammas),
         converged=converged,
         solver=solver,
+        route_gap=route_gap,
     )
 
 
@@ -292,7 +310,8 @@ def solve_assignment(
     gradient point y (with t = y), the flows at x (with t = x) and the
     step-weighted average of the flows at y (with t = x).  The average is
     no route choice at x, so its Fenchel gap adds a bound on the soft-min
-    term, which flows read off a point meet with equality.  Certificate:
+    term, which flows read off a point meet with equality; the report's
+    total_gap and route_gap carry that bound.  Certificate:
     the equilibrium gap <tau(f),f> - sum d_w SP_w(tau(f)) <= eps for
     beckmann and beckmann_md, which then write t = tau(f); for every other
     model, Fenchel gap <= eps, capacity violation <= eps_residual and
@@ -319,34 +338,38 @@ def solve_assignment(
     best = {}
     comp_tol = 10.0 * max(eps, eps_residual)
 
-    def consider(t_pt, flows, route_gap=0.0):
-        """Certify (t, flows), route_gap bounding its soft-min term; keep the best."""
+    def consider(t_pt, conjugate, flows, route_gap=0.0):
+        """Certify (t, flows), route_gap bounding its soft-min term; keep the best.
+
+        conjugate is network.edges.conjugate(t_pt), held by the oracle."""
         if fw:
             cert = gap = frank_wolfe_gap(network, flows)
             ok = gap <= eps
+            route_gap = 0.0  # the written times are the costs at the flows
         else:
-            gap = duality_gap(network, t_pt, flows)[1] + route_gap
+            gap = duality_gap(network, t_pt, flows, conjugate)[1] + route_gap
             viol = capacity_violation(network, flows)
             comp = complementarity_residual(network, t_pt, flows)
             ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
             cert = max(gap, viol, comp)
         if not best or (not ok, cert) < best["rank"]:
-            best.update(rank=(not ok, cert), gap=gap, flows=flows, t=np.array(t_pt, dtype=float))
+            best.update(rank=(not ok, cert), gap=gap, route_gap=route_gap, flows=flows,
+                        t=np.array(t_pt, dtype=float))
         return gap, ok
 
     def stop(state):
         nonlocal psi
-        value_y, flow_y = oracle.assignment(state.y)
+        value_y, flow_y, conj_y = oracle.point(state.y)
         for a, f in zip(acc.plain + acc.nested, flow_y.plain + flow_y.nested):
             a += state.alpha * f
         psi += state.alpha * (value_y - flow_y.plain_flat() @ state.y)
-        value_x, flow_x = oracle.assignment(state.x)
+        value_x, flow_x, conj_x = oracle.point(state.x)
         avg = acc.scaled(1.0 / state.A)
         # flows read off a point meet the soft-min Fenchel term with equality;
         # by Jensen, psi / A bounds the entropy term of their average
         route_gap = max(0.0, avg.plain_flat() @ state.x - value_x + psi / state.A)
-        checked = [consider(state.y, flow_y), consider(state.x, flow_x),
-                   consider(state.x, avg, route_gap)]
+        checked = [consider(state.y, conj_y, flow_y), consider(state.x, conj_x, flow_x),
+                   consider(state.x, conj_x, avg, route_gap)]
         state.report.gap_trace.append(min(gap for gap, _ in checked))
         return "certified" if any(ok for _, ok in checked) else None
 
@@ -359,6 +382,7 @@ def solve_assignment(
     return _build_report(
         network, model, eps, eps_residual, t, best["flows"], gammas,
         rep.termination == "certified", rep, fw_gap=best["gap"] if fw else math.nan,
+        route_gap=best["route_gap"],
     )
 
 

@@ -199,6 +199,23 @@ class LevelGraph:
         return order, tails[order], np.cumsum(counts) - counts, counts
 
     @cached_property
+    def slots(self) -> tuple:
+        """The slots of head_groups (edges, then virtual edges, by head) as
+        a soft-min sweep reads them.
+
+        Returns (tail, head, to_tail, log_fan_in): the end vertices of each
+        slot, a virtual slot running from v to v; the slots of the plain and
+        nested edges in tail_groups order; and the log of the largest slot
+        count of one head, which bounds the log of a hop's sum.
+        """
+        n = self.n_vertices
+        order, tails, _, counts = self.head_groups
+        slot = np.empty(len(order), dtype=np.intp)
+        slot[order] = np.arange(len(order))
+        return (np.where(tails < n, tails, tails - n), np.repeat(np.arange(n), counts),
+                slot[self.tail_groups[0]], math.log(counts.max(initial=1)))
+
+    @cached_property
     def tail_groups(self) -> tuple:
         """(order, starts, vertices) for segment reductions over edge tails.
 
@@ -349,7 +366,7 @@ class FlowState:
             raise AttributeError(name)
         done = fill()
         self.plain, self.nested = done.plain, done.nested
-        del self._fill  # releases what fill holds, such as kept sweep rounds
+        del self._fill  # releases what fill holds, such as kept forward sweeps
         return self.__dict__[name]
 
     @classmethod

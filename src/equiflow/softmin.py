@@ -7,24 +7,42 @@ of a level at once; a backward (adjoint) sweep over the same recursion
 yields the Gibbs edge flows, which are the exact gradient of the
 demand-weighted soft-min value with respect to the edge weights.
 
-One forward kernel serves every gamma >= 0.  A hop updates one (vertices
-x origins) array of scaled potentials u/gamma: the edges, grouped by head,
-are reduced by np.minimum.reduceat (then np.add.reduceat) into preallocated
-buffers, so the numpy calls per hop do not grow with the origins.  The
-empty walk at an origin is one more (virtual) in-edge per vertex, read from
-a copy of round 0.  At gamma = 0 the hop is min-plus (a take, an add and the
-minimum) over u itself, run to its fixed point or n-1 hops: the hard
-shortest paths of hard_shortest, all_or_nothing and gamma = 0 pricing.
+The edges of a level, grouped by head, and one virtual edge per vertex
+(the empty walk at an origin, read from a copy of round 0) form the slots
+of LevelGraph.head_groups; a hop reduces the (slots x origins) candidates
+by head with one ufunc.reduceat, so the numpy calls per hop do not grow
+with the origins.  At gamma = 0 a hop is min-plus (a take, an add and the
+minimum), run to its fixed point or n-1 hops: the hard shortest paths of
+hard_shortest, all_or_nothing and gamma = 0 pricing.
 
-The backward sweep reads every forward round, (H+1) x vertices x origins
-floats, so origins are swept in chunks whose rounds fit in
-ROUNDS_CAP_BYTES.  assignment_flows runs only the forward sweeps, which give
-the value, and returns a deferred FlowState: the first read of its flows
-runs the backward sweeps from the kept rounds of level 1 and of each deeper
-level's pricing sweep (beyond one chunk, the forward sweeps rerun).  A
-point whose flows are never read pays for no backward sweep, every level is
-swept forward once per point (by _od_values), and gamma = 0 levels load
-all-or-nothing when their flows are read.
+At gamma > 0 a sweep shifts each origin's potentials by a reference phi,
+chosen once per sweep from the data, and keeps the shifted log walk sum
+nu = log(sum of exp(-(length - phi_v)/gamma)), so u = phi - gamma * nu.
+A hop is five passes: gather nu at the tails, subtract the reduced costs
+(w_e + phi_tail - phi_head)/gamma, exp, add.reduceat by head, log.  phi is
+0 when H * (max|w|/gamma + log(largest fan-in)) <= WALK_SUM_RANGE, so no
+walk term and no sum can leave the double range.  Otherwise phi is the
+hop-bounded shortest walk length of the min-plus sweep: no walk counted
+against it weighs more than 1, and the shortest weighs about 1.  Where
+the hop bound binds, a vertex's shortest walk of h hops can lie more than
+WALK_SUM_RANGE * gamma above its shortest of H hops, and its sum would
+underflow; that origin then counts the hops before h against its
+distances after hop h-1 and takes a new reference from hop h on, so every
+sum keeps a term of at least exp(-WALK_SUM_RANGE).  The one state no
+reference can hold is a sum of more than e^700 walks that near the
+shortest length, a walk sum that diverges as H grows: it raises
+NetworkError naming the level, never inf or NaN.
+
+The backward sweep reads every kept hop of the forward, its exponentials
+(slots x origins) and their sums by head (vertices x origins), so origins
+are swept in chunks whose kept hops fit in ROUNDS_CAP_BYTES.
+assignment_flows runs only the forward sweeps, which give the value, and
+returns a deferred FlowState: the first read of its flows runs the backward
+sweeps from the kept hops of level 1 and of each deeper level's pricing
+sweep (beyond one chunk, the forward sweeps rerun).  A point whose flows
+are never read pays for no backward sweep, every level is swept forward
+once per point (by _od_values), and gamma = 0 levels load all-or-nothing
+when their flows are read.
 """
 
 from __future__ import annotations
@@ -36,8 +54,10 @@ import numpy as np
 
 from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
 
-ROUNDS_CAP_BYTES = 32 << 20  # forward rounds kept per chunk of origins
-_BIG = sys.float_info.max
+ROUNDS_CAP_BYTES = 32 << 20  # forward hops kept per chunk of origins
+WALK_SUM_RANGE = 600.0  # largest |log| of a walk term or sum a reference admits
+_NU_MAX = 700.0  # a shifted log walk sum beyond this is a diverging walk sum
+_TINY = sys.float_info.min
 
 
 class UnreachableError(NetworkError):
@@ -50,97 +70,179 @@ class UnreachableError(NetworkError):
         self.od = (origin, dest)
 
 
-def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep_rounds=False):
-    """Scaled potentials over walks of at most `hops` hops from each origin.
+def _min_plus(graph: LevelGraph, weights, origins, hops, keep=False):
+    """Hop-bounded shortest walk lengths from each origin, (V, B).
 
-    Returns (s, rounds): s[v, b] = u[v, b] / gamma, u the potential of v
-    seen from origins[b] (+inf when unreachable); rounds stacks s after
-    0..hops hops, shape (hops+1, V, B), when keep_rounds is set, else None.
-    With gamma = 0, s = u is the minimum walk length (min-plus hops) and
-    the sweep stops at its fixed point; keep_rounds is for gamma > 0.
+    Runs min-plus hops to the fixed point or `hops`.  Returns (d, rounds):
+    d after the last hop and, when keep is set, the distances after hops
+    0, 1, ... up to the fixed point, stacked (else None).
     """
     n, batch = graph.n_vertices, len(origins)
-    order, tails, starts, counts = graph.head_groups
-    c = np.concatenate([np.asarray(weights, dtype=float) / (gamma or 1.0), np.zeros(n)])[order, None]
+    order, tails, starts, _ = graph.head_groups
+    c = np.concatenate([weights, np.zeros(n)])[order, None]
     # rows n.. keep round 0, the tails of the virtual empty-walk edges
     state = np.full((2 * n, batch), math.inf)
     state[origins, np.arange(batch)] = 0.0
     state[n:] = state[:n]
-    u = state[:n]
-    rounds = np.empty((hops + 1, n, batch)) if keep_rounds else None
-    if keep_rounds:
-        rounds[0] = u
-    cand, low, acc = np.empty((len(tails), batch)), np.empty((n, batch)), np.empty((n, batch))
-    # log(0) and inf - inf where no walk of h hops reaches a vertex; its
-    # clamped minimum keeps the exponents at -inf and u at +inf
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for h in range(1, hops + 1):
-            state.take(tails, axis=0, out=cand)
-            cand += c
-            np.minimum.reduceat(cand, starts, axis=0, out=low)
-            if gamma == 0:
-                if np.array_equal(low, u):
-                    break
-                u[:] = low
-                continue
-            np.minimum(low, _BIG, out=low)
-            np.subtract(low.repeat(counts, axis=0), cand, out=cand)
-            np.exp(cand, out=cand)
-            np.add.reduceat(cand, starts, axis=0, out=acc)
-            np.log(acc, out=acc)
-            np.subtract(low, acc, out=u)
-            if keep_rounds:
-                rounds[h] = u
-    return u.copy(), rounds
+    d = state[:n]
+    rounds = np.empty((hops + 1, n, batch)) if keep else None
+    if keep:
+        rounds[0] = d
+    cand, low = np.empty((len(tails), batch)), np.empty((n, batch))
+    h = 0
+    for h in range(1, hops + 1):
+        state.take(tails, axis=0, out=cand)
+        cand += c
+        if keep:
+            low = rounds[h]
+        np.minimum.reduceat(cand, starts, axis=0, out=low)
+        if np.array_equal(low, d):
+            h -= 1
+            break
+        d[:] = low
+    return d.copy(), rounds[:h + 1] if keep else None
 
 
-def _sweep_backward(graph: LevelGraph, weights, gamma, rounds, sink_mass):
-    """Adjoint sweep over scaled rounds: route sink_mass[v, b] back to origin b.
+def _references(rounds, hops, spread):
+    """Per-origin references of a soft sweep from its min-plus rounds.
 
-    Returns the edge flows summed over the batch.
+    Returns [(last, phi)]: the entries cover hops 1.. up to their `last`,
+    the final one ends at `hops` with the distances of the last round.  An
+    origin whose distances since the start of its current entry would fall
+    by more than `spread` at some hop h ends that entry at h-1, with its
+    distances there; the other origins keep their columns of the next entry.
     """
-    order, starts, ends = graph.tail_groups
-    tails, heads = graph.tails[order], graph.heads[order]
-    c = np.asarray(weights, dtype=float)[order, None] / gamma
-    shape = (len(order), sink_mass.shape[1])
-    x, y, per_origin = np.empty(shape), np.empty(shape), np.zeros(shape)
-    p, below = sink_mass, np.zeros_like(sink_mass)
+    reached = rounds[1:]
+    # distances fall hop by hop, so a vertex's largest finite one is its first
+    first = np.max(reached, axis=0, where=np.isfinite(reached), initial=-math.inf)
+    refs = [(hops, rounds[-1])]
+    if not np.any(first - rounds[-1] > spread):
+        return refs
+    cuts, first = [], reached[0]
     with np.errstate(invalid="ignore"):
-        for h in range(len(rounds) - 1, 0, -1):
-            rounds[h].take(heads, axis=0, out=x)
-            rounds[h - 1].take(tails, axis=0, out=y)
-            y += c
-            x -= y
-            # fmin maps the NaN of inf - inf to 0; p is 0 at heads unreached
-            # in h hops, so such edges carry nothing
-            np.fmin(x, 0.0, out=x)
-            np.exp(x, out=x)
-            p.take(heads, axis=0, out=y)
-            x *= y
-            per_origin += x
-            # mass not propagated is absorbed by the empty walk at the origin
-            below[ends] = np.add.reduceat(x, starts, axis=0)
-            p = below
+        for h in range(2, len(rounds)):
+            low = rounds[h]
+            reach = np.where(np.isinf(first), low, first)
+            # inf - inf where neither reaches: NaN, never above spread
+            cut = np.any(reach - low > spread, axis=0)
+            if cut.any():
+                cuts.append((h - 1, cut))
+                reach[:, cut] = low[:, cut]
+            first = reach
+    for last, cut in reversed(cuts):
+        ref = refs[0][1].copy()
+        ref[:, cut] = rounds[last][:, cut]
+        refs.insert(0, (last, ref))
+    return refs
+
+
+def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False, level=1):
+    """Potentials over walks of at most `hops` hops from each origin.
+
+    Returns (u, kept): u[v, b] the potential of v seen from origins[b]
+    (+inf when unreachable); kept, when keep is set, is (terms, sums): the
+    exponentials of every hop, (hops, slots, B), and their sums by head,
+    (hops, V, B), else None.  With gamma = 0, u is the minimum walk length
+    (min-plus hops) and keep is for gamma > 0.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if gamma == 0:
+        return _min_plus(graph, weights, origins, hops)[0], None
+    n, batch = graph.n_vertices, len(origins)
+    order, tails, starts, _ = graph.head_groups
+    tail, head, _, log_fan_in = graph.slots
+    if hops * (np.abs(weights).max(initial=0.0) / gamma + log_fan_in) <= WALK_SUM_RANGE:
+        refs = [(hops, np.zeros((n, 1)))]
+    else:
+        rounds = _min_plus(graph, weights, origins, hops, keep=True)[1]
+        refs = _references(rounds, hops, WALK_SUM_RANGE * gamma)
+    c = np.concatenate([weights, np.zeros(n)])[order, None]
+    cols = np.arange(batch)
+    # rows ..n hold nu after the last hop, rows n.. nu of round 0
+    state = np.full((2 * n, batch), -math.inf)
+    nu = state[:n]
+    rows = hops if keep else 1  # one reused buffer unless every hop is kept
+    terms, sums = np.empty((rows, len(tails), batch)), np.empty((rows, n, batch))
+    phi, h = None, 1
+    # log(0) where no walk arrives; exp and sum overflow only where a walk sum diverges
+    with np.errstate(divide="ignore", over="ignore"):
+        for last, ref in refs:
+            ref = np.where(np.isfinite(ref), ref, 0.0)
+            if phi is not None:
+                nu += (ref - phi) / gamma
+            state[n:] = -math.inf
+            state[n:][origins, cols] = ref[origins, cols if ref.shape[1] == batch else 0] / gamma
+            if phi is None:
+                nu[:] = state[n:]
+            phi = ref
+            reduced = (c + phi.take(tail, axis=0) - phi.take(head, axis=0)) / gamma
+            for h in range(h, last + 1):
+                cand, acc = terms[h - 1 if keep else 0], sums[h - 1 if keep else 0]
+                state.take(tails, axis=0, out=cand)
+                cand -= reduced
+                np.exp(cand, out=cand)
+                np.add.reduceat(cand, starts, axis=0, out=acc)
+                np.log(acc, out=nu)
+            h = last + 1
+            if nu.max(initial=-math.inf) > _NU_MAX:
+                raise NetworkError(
+                    f"level {level}: the soft-min walk sum diverges: more than e^{_NU_MAX:g} "
+                    f"walks of at most {hops} hops lie within gamma={gamma:g} of the "
+                    "shortest; lower the hop bound or raise gamma")
+    return phi - gamma * nu, (terms, sums) if keep else None
+
+
+def _sweep_backward(graph: LevelGraph, kept, sink_mass):
+    """Adjoint sweep over the kept hops: route sink_mass[v, b] back to origin b.
+
+    A hop moves the mass p at each head onto its slots in proportion to
+    their exponentials, p * term / sum (the Gibbs ratio); the mass of
+    edge slots moves on to their tails, that of a virtual slot is absorbed
+    by the empty walk at the origin.  Returns the edge flows summed over
+    the batch.
+    """
+    terms, sums = kept
+    _, head, to_tail, _ = graph.slots
+    order, starts, ends = graph.tail_groups
+    batch = sink_mass.shape[1]
+    x, y = np.empty((len(head), batch)), np.empty((len(to_tail), batch))
+    per_origin = np.zeros_like(y)
+    p, q, below = sink_mass, np.empty_like(sink_mass), np.zeros_like(sink_mass)
+    for h in range(len(terms) - 1, -1, -1):
+        # a sum is 0 only where no walk arrives, and there p is 0 too
+        np.maximum(sums[h], _TINY, out=q)
+        np.divide(p, q, out=q)
+        q.take(head, axis=0, out=x)
+        x *= terms[h]
+        x.take(to_tail, axis=0, out=y)
+        per_origin += y
+        below[ends] = np.add.reduceat(y, starts, axis=0)
+        p = below
     flows = np.empty(graph.n_edges)
     flows[order] = per_origin.sum(axis=1)
     return flows
 
 
+def _kept_bytes(graph, hops):
+    """Bytes a gamma > 0 forward sweep keeps per origin for the backward sweep."""
+    return 8 * hops * (len(graph.head_groups[1]) + graph.n_vertices)
+
+
 def _chunks(graph, origins, hops):
-    """Batches of origins whose forward rounds fit in ROUNDS_CAP_BYTES."""
-    size = max(1, ROUNDS_CAP_BYTES // (8 * (hops + 1) * graph.n_vertices))
+    """Batches of origins whose kept forward hops fit in ROUNDS_CAP_BYTES."""
+    size = max(1, ROUNDS_CAP_BYTES // max(1, _kept_bytes(graph, hops)))
     return [origins[lo:lo + size] for lo in range(0, len(origins), size)]
 
 
-def _sink(groups, origins, s, gamma, level, hops):
+def _sink(groups, origins, u, level, hops):
     """Value sum_w d_w * u_dest of one batch and its sink masses."""
-    sink = np.zeros_like(s)
+    sink = np.zeros_like(u)
     value = 0.0
     for b, o in enumerate(origins):
         for (_, d), dem in groups.get(o, {}).items():
-            if not math.isfinite(s[d, b]):
+            if not math.isfinite(u[d, b]):
                 raise UnreachableError(level, o, d, hops)
-            value += dem * (gamma * s[d, b])
+            value += dem * u[d, b]
             sink[d, b] += dem
     return value, sink
 
@@ -155,8 +257,8 @@ def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
         raise ValueError("gamma must be positive; use hard_shortest for gamma=0")
     if hops < 1:
         raise ValueError("hop bound must be at least 1")
-    s, _ = _sweep_forward(graph, weights, [origin], gamma, hops)
-    return gamma * s[:, 0]
+    u, _ = _sweep_forward(graph, weights, [origin], gamma, hops)
+    return u[:, 0]
 
 
 def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, forward=None):
@@ -166,23 +268,20 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
     (value, flows) where value = sum_w d_w * u_dest and flows is the
     exact gradient of value with respect to the edge weights.
 
-    `forward`, a kept forward sweep (origins, rounds) of the same weights,
+    `forward`, a kept forward sweep (origins, u, kept) of the same weights,
     gamma and hops whose origins include every origin of demands, replaces
-    the forward sweep; rounds are the scaled rounds of _sweep_forward.
+    the forward sweeps; u and kept are those of _sweep_forward.
     """
-    weights = np.asarray(weights, dtype=float)
     groups = by_origin(demands)
     value = 0.0
     flows = np.zeros(graph.n_edges)
-    batches = _chunks(graph, list(groups), hops) if forward is None else [forward[0]]
-    for batch in batches:
-        if forward is None:
-            _, rounds = _sweep_forward(graph, weights, batch, gamma, hops, keep_rounds=True)
-        else:
-            rounds = forward[1]
-        v, sink = _sink(groups, batch, rounds[-1], gamma, level, hops)
+    sweeps = [forward] if forward is not None else (
+        (batch, *_sweep_forward(graph, weights, batch, gamma, hops, keep=True, level=level))
+        for batch in _chunks(graph, list(groups), hops))
+    for origins, u, kept in sweeps:
+        v, sink = _sink(groups, origins, u, level, hops)
         value += v
-        flows += _sweep_backward(graph, weights, gamma, rounds, sink)
+        flows += _sweep_backward(graph, kept, sink)
     return value, flows
 
 
@@ -231,7 +330,7 @@ def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
     groups = by_origin(demands)
     origins = list(groups)
     dist, pred_edge = _shortest(graph, weights, origins)
-    value, _ = _sink(groups, origins, dist, 1.0, level, graph.n_vertices - 1)
+    value, _ = _sink(groups, origins, dist, level, graph.n_vertices - 1)
     flows = np.zeros(graph.n_edges)
     for b, o in enumerate(origins):
         for (_, d), dem in groups[o].items():
@@ -262,7 +361,7 @@ def effective_weights(network: Network, t, gammas=None, hops=None):
 
 def _price(network, t, gammas, hops):
     """(weights, kept): effective weights and, per level, the kept pricing
-    sweep (origins, rounds) when its rounds fit in ROUNDS_CAP_BYTES (else None)."""
+    sweep (origins, u, kept) when its hops fit in ROUNDS_CAP_BYTES (else None)."""
     t = np.asarray(t, dtype=float)
     m = network.n_levels
     weights, kept = [None] * m, [None] * m
@@ -283,19 +382,18 @@ def _price(network, t, gammas, hops):
 
 def _od_values(graph, weights, od_pairs, gamma, hops, level):
     """Shortest-path (soft or hard) value per requested OD pair, and the
-    kept soft sweep (origins, rounds) when its rounds fit in one chunk."""
+    kept soft sweep (origins, u, kept) when its hops fit in one chunk."""
     origins = sorted({o for o, _ in od_pairs})
     keep = gamma > 0 and len(_chunks(graph, origins, hops)) == 1
     # gamma = 0 prices the exact shortest paths that all_or_nothing loads
     swept = hops if gamma > 0 else graph.n_vertices - 1
-    s, rounds = _sweep_forward(graph, weights, origins, gamma, swept, keep_rounds=keep)
-    u = (gamma or 1.0) * s
+    u, kept = _sweep_forward(graph, weights, origins, gamma, swept, keep=keep, level=level)
     column = {o: b for b, o in enumerate(origins)}
     values = u[[d for _, d in od_pairs], [column[o] for o, _ in od_pairs]]
     for (o, d), v in zip(od_pairs, values):
         if not math.isfinite(v):
             raise UnreachableError(level, o, d, swept)
-    return values, (origins, rounds) if keep else None
+    return values, (origins, u, kept) if keep else None
 
 
 def _hop_bounds(network, hops):
@@ -317,7 +415,7 @@ def assignment_flows(network: Network, t, gammas=None, hops=None, demands=None):
     level-1 aggregate.
 
     Only the forward sweeps run here.  The FlowState is deferred: its
-    first read runs the backward sweeps from the kept rounds of level 1
+    first read runs the backward sweeps from the kept hops of level 1
     and of the deeper levels' pricing sweeps (gamma = 0 levels load then).
     """
     gammas = list(network.gammas()) if gammas is None else list(gammas)

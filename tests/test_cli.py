@@ -82,6 +82,16 @@ NESTED_INSTANCE = """\
 od 1 0 1 1.0
 """
 
+# an outer link priced by two inner SD links, one capacitated
+NESTED_SD_INSTANCE = """\
+1 0 1 nested 0:1
+2 0 1 sd 1.0 1.0
+2 0 1 sd 2.0 inf
+od 1 0 1 2.0
+gamma 1 0.1
+gamma 2 0.1
+"""
+
 
 def grid_instance(k=4):
     """k x k BPR grid, both directions, six ODs from five origins; no gamma line."""
@@ -471,6 +481,23 @@ class TestCertifiedOutput:
             eps, eps_res = float(summary["eps"]), float(summary["eps_residual"])
             assert float(summary["capacity_violation"]) <= eps_res
             assert float(summary["complementarity"]) <= 10 * max(eps, eps_res)
+
+    def test_average_certificate_writes_its_route_bound(self, tmp_path, capsys):
+        # the nested SD network of test_multistage_with_capacitated_inner_level
+        # certifies through the step-weighted average; its edge Fenchel terms
+        # sum to 0.0, which was all total_gap carried
+        inst = write_instance(tmp_path / "nested_sd.net", NESTED_SD_INSTANCE)
+        out = tmp_path / "out"
+        code = main(["solve", inst, "--max-iter", "5000", "--verify", "--out", str(out)])
+        printed = capsys.readouterr().out
+        summary = json.load(open(out / "summary.json"))
+        assert code == 0 and "verification PASS" in printed
+        gaps = [float(r[6]) for r in read_solution(out / "solution.csv") if r[6]]
+        assert sum(gaps) == 0.0
+        route = float(summary["route_gap"])
+        assert 0.0 < route <= float(summary["eps"])
+        assert summary["total_gap"] == summary["route_gap"]
+        assert f"certified gap={summary['total_gap']} " in printed.splitlines()[-1]
 
 
 class TestBadInput:

@@ -143,6 +143,24 @@ class TestAssignmentMemo:
         assert rep.converged and rep.solver.iterations > 5
         assert len(calls) == rep.solver.value_calls
 
+    @pytest.mark.parametrize("model", ["stochastic", "multistage"])
+    def test_one_conjugate_per_point(self, monkeypatch, model):
+        # the stop test certifies y, x and the average at x with the
+        # conjugates the oracle evaluated there
+        from equiflow.network import EdgeTable
+
+        points = []
+        real = EdgeTable.conjugate
+        monkeypatch.setattr(EdgeTable, "conjugate",
+                            lambda self, t: points.append(np.asarray(t).tobytes()) or real(self, t))
+        net = random_network(np.random.default_rng(27), m=1 if model == "stochastic" else 2,
+                             gamma=0.5)
+        rep = solve_assignment(net, model=model, eps=1e-6)
+        assert rep.converged and rep.solver.iterations > 5
+        # one per evaluated point, and one for the report
+        assert len(points) == rep.solver.value_calls + 1
+        assert len(set(points[:-1])) == len(points) - 1
+
     def test_new_point_not_stale(self):
         net, t = self.point()
         oracle = DualOracle(net)
@@ -452,6 +470,19 @@ class TestStochasticOracle:
         assert rep.converged
         TestOneCertificateRule.assert_certificate_holds(rep)
         assert len(calls) <= rep.solver.value_calls + len(rep.solver.batch_trace)
+
+    def test_single_origin_batch_reads_the_gradient_point(self, monkeypatch):
+        # every draw is the only origin, whose reweighted demands are its own
+        calls = count_assignments(monkeypatch)
+        net = random_network(np.random.default_rng(16), gamma=1.0)
+        rep = solve_assignment(net, model="stochastic", eps=1e-3, variance_bound=0.1, seed=0)
+        assert rep.converged
+        assert len(calls) == rep.solver.value_calls == 57  # 85 with a second assignment
+        oracle = DualOracle(net, variance_bound=0.1)
+        t = net.free_flow_times() + 0.3
+        est = oracle.stochastic_grad(t, np.random.default_rng(0), 7)
+        assert np.array_equal(est, stochastic_origin_oracle(net, t, net.origins() * 7))
+        assert np.array_equal(est, oracle.value_grad(t)[1])
 
     @pytest.mark.parametrize("model,network,run", [
         ("stochastic", "pigou_network", dict(gammas=[0.2], eps=1e-6)),

@@ -12,6 +12,7 @@ from equiflow import (
     EdgeCostModel,
     LevelGraph,
     Network,
+    NetworkError,
     UnreachableError,
     all_or_nothing,
     assignment_flows,
@@ -467,8 +468,8 @@ class TestBatchedSweep:
         w = rng.uniform(0.2, 2.0, size=g.n_edges)
         hops = 6
         demands = {(0, 5): 1.0, (1, 5): 2.0, (2, 4): 0.7, (3, 5): 1.1, (4, 5): 0.3}
-        # room for the rounds of two origins per chunk
-        monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES", 2 * 8 * (hops + 1) * g.n_vertices)
+        # room for the kept hops of two origins per chunk
+        monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES", 2 * softmin._kept_bytes(g, hops))
         sweeps = []
         forward = softmin._sweep_forward
 
@@ -576,8 +577,9 @@ class TestDeferredFlows:
 
     def test_beyond_one_chunk(self, monkeypatch):
         net = self.ragged_network()
-        # room for the rounds of two origins per chunk
-        monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES", 2 * 8 * 7 * 7)
+        # room for the kept hops of two origins per chunk
+        monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES",
+                            2 * softmin._kept_bytes(net.levels[0], net.levels[0].n_vertices - 1))
         rng = np.random.default_rng(42)
         self.check(net, rng.uniform(0.2, 2.0, size=net.n_times))
 
@@ -629,3 +631,134 @@ class TestDeferredFlows:
         net = Network([LevelGraph(7, g.plain_edges, gamma=0.5)], {(1, 5): 1.0, (3, 0): 1.0})
         with pytest.raises(UnreachableError, match="no walk from 3 to 0"):
             assignment_flows(net, w)
+
+
+class TestShiftedSweep:
+    """The once-per-sweep shifted kernel against the per-hop stabilized reference."""
+
+    def reachable_demands(self, g, w, gamma, hops, rng):
+        demands = {}
+        for o in range(g.n_vertices):
+            u = reference_rounds(g, w, o, gamma, hops)[-1]
+            for d in range(g.n_vertices):
+                if d != o and math.isfinite(u[d]):
+                    demands[(o, d)] = float(rng.uniform(0.5, 2.0))
+        return demands
+
+    @pytest.mark.parametrize("gamma", [1e-6, 0.1, 1.0, 5.0])
+    def test_matches_reference(self, gamma):
+        # hop bounds below n-1 = 6, negative weights as nested pricing gives
+        # (and possibly a negative cycle 1 -> 2 -> 3 -> 1), unreachable vertices
+        rng = np.random.default_rng(50)
+        g = ragged_graph()
+        for hops in (2, 3, 5):
+            w = rng.uniform(-0.5, 2.0, size=g.n_edges)
+            for o in range(g.n_vertices):
+                close(softmin_potentials(g, w, o, gamma, hops),
+                      reference_rounds(g, w, o, gamma, hops)[-1])
+            demands = self.reachable_demands(g, w, gamma, hops, rng)
+            value, flows = softmin_flows(g, w, demands, gamma, hops)
+            ev, ef = reference_flows(g, w, demands, gamma, hops)
+            assert value == pytest.approx(ev, rel=1e-12, abs=1e-12)
+            # the reference's Gibbs ratios exp((u_head - w - u_tail)/gamma) round
+            # by about eps*|u|/gamma, 2e-10 at gamma = 1e-6; walk enumeration
+            # forms each walk's ratio from its length
+            close(flows, sum(dem * enumerated_softmin(g, w, o, d, gamma, hops)[1]
+                             for (o, d), dem in demands.items()))
+            if gamma >= 0.1:
+                close(flows, ef)
+
+    def count_min_plus(self, monkeypatch):
+        calls = []
+        real = softmin._min_plus
+        monkeypatch.setattr(softmin, "_min_plus",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        return calls
+
+    def test_both_references_are_taken(self, monkeypatch):
+        # phi = 0 while H * (max|w|/gamma + log fan-in) stays within range,
+        # else the hop-bounded distances of a min-plus sweep
+        calls = self.count_min_plus(monkeypatch)
+        g = ragged_graph()
+        w = np.random.default_rng(51).uniform(0.2, 2.0, size=g.n_edges)
+        softmin_potentials(g, w, 0, 1.0, 6)
+        assert calls == []
+        softmin_potentials(g, w, 0, 1e-3, 6)
+        assert len(calls) == 1
+
+    def test_reference_renewed_where_the_hop_bound_binds(self):
+        # a is 1 away in one hop and 0.3 in three, so against its 3-hop
+        # distance its 1-hop sum underflows; the walk 0 -> a -> x it
+        # carries is the only one of 3 hops or fewer to x
+        e = fixed_edge(1.0)
+        g = LevelGraph(5, [(0, 1, e), (0, 2, e), (2, 3, e), (3, 1, e), (1, 4, e)])
+        w = np.array([1.0, 0.1, 0.1, 0.1, 1.0])
+        rounds = softmin._min_plus(g, w, [0], 3, keep=True)[1]
+        refs = softmin._references(rounds, 3, softmin.WALK_SUM_RANGE * 1e-6)
+        assert [last for last, _ in refs] == [2, 3]
+        u = softmin_potentials(g, w, 0, 1e-6, 3)
+        close(u, reference_rounds(g, w, 0, 1e-6, 3)[-1])
+        assert u[4] == 2.0
+        _, flows = softmin_flows(g, w, {(0, 4): 1.0, (0, 1): 1.0}, 1e-6, 3)
+        close(flows, [1.0, 1.0, 1.0, 1.0, 1.0])
+
+    def test_every_hop_renewed(self, monkeypatch):
+        # a zero range renews the reference wherever a distance falls
+        monkeypatch.setattr(softmin, "WALK_SUM_RANGE", 0.0)
+        calls = self.count_min_plus(monkeypatch)
+        rng = np.random.default_rng(52)
+        g = ragged_graph()
+        w = rng.uniform(-0.5, 2.0, size=g.n_edges)
+        rounds = softmin._min_plus(g, w, list(range(7)), 6, keep=True)[1]
+        assert len(softmin._references(rounds, 6, 0.0)) > 2
+        demands = self.reachable_demands(g, w, 0.7, 6, rng)
+        value, flows = softmin_flows(g, w, demands, 0.7, 6)
+        assert calls
+        ev, ef = reference_flows(g, w, demands, 0.7, 6)
+        assert value == pytest.approx(ev, rel=1e-12, abs=1e-12)
+        close(flows, ef)
+
+    def test_potentials_do_not_depend_on_the_batch(self):
+        # each origin renews its reference at its own hops
+        g = ragged_graph()
+        w = np.random.default_rng(53).uniform(-0.5, 2.0, size=g.n_edges)
+        u, _ = softmin._sweep_forward(g, w, list(range(7)), 1e-6, 4)
+        for o in range(7):
+            assert np.array_equal(u[:, o], softmin_potentials(g, w, o, 1e-6, 4))
+
+    def test_diverging_walk_sum_raises(self):
+        # 8 zero-time edges each way: 8^h walks of h hops, all of length 0
+        e = fixed_edge(1.0)
+        inner = LevelGraph(2, [(0, 1, e)] * 8 + [(1, 0, e)] * 8)
+        w = np.zeros(inner.n_edges)
+        # 8^300 ~ e^624 walks still fit
+        u = softmin_potentials(inner, w, 0, 1.0, 300)
+        close(u, reference_rounds(inner, w, 0, 1.0, 300)[-1])
+        with pytest.raises(NetworkError, match="level 1: the soft-min walk sum diverges"):
+            softmin_potentials(inner, w, 0, 1.0, 400)
+        with pytest.raises(NetworkError, match="level 2: the soft-min walk sum diverges"):
+            softmin_flows(inner, w, {(0, 1): 1.0}, 1.0, 400, level=2)
+        outer = LevelGraph(2, nested_edges=[(0, 1, (0, 1))])
+        net = Network([outer, inner], {(0, 1): 1.0})
+        with pytest.raises(NetworkError, match="level 2: the soft-min walk sum diverges"):
+            assignment_flows(net, w, hops=[1, 400])
+
+    def test_kept_hops_fit_the_cap(self, monkeypatch):
+        g = ragged_graph()
+        hops = 6
+        per_origin = softmin._kept_bytes(g, hops)
+        cap = 3 * per_origin + per_origin // 2
+        monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES", cap)
+        kept = []
+        forward = softmin._sweep_forward
+
+        def recording(*args, **kwargs):
+            u, k = forward(*args, **kwargs)
+            kept.append(sum(a.nbytes for a in k))
+            return u, k
+
+        monkeypatch.setattr(softmin, "_sweep_forward", recording)
+        w = np.random.default_rng(54).uniform(0.2, 2.0, size=g.n_edges)
+        softmin_flows(g, w, {(o, 5): 1.0 for o in range(5)}, 0.6, hops)
+        assert kept == [3 * per_origin, 2 * per_origin]
+        assert max(kept) <= cap
