@@ -90,10 +90,6 @@ class DualOracle(SmoothOracle):
         """
         return self._per_point(t, read=True)
 
-    def assignment(self, t):
-        """(soft-min value, FlowState) at t; see point."""
-        return self.point(t)[:2]
-
     def value(self, t):
         softmin_value, _, conjugate = self._per_point(t, read=False)
         return -softmin_value + _smooth_part(self.network.edges, conjugate)[0]
@@ -162,7 +158,7 @@ def dual_value_grad(network, t, gammas=None, hops=None):
     """Dual value, gradient, and the flow state realizing the gradient."""
     oracle = DualOracle(network, gammas, hops)
     value, grad = oracle.value_grad(t)
-    return value, grad, oracle.assignment(t)[1]
+    return value, grad, oracle.point(t)[1]
 
 
 def duality_gap(network, t, flows, conjugate=None):

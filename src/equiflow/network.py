@@ -203,17 +203,14 @@ class LevelGraph:
         """The slots of head_groups (edges, then virtual edges, by head) as
         a soft-min sweep reads them.
 
-        Returns (tail, head, to_tail, log_fan_in): the end vertices of each
-        slot, a virtual slot running from v to v; the slots of the plain and
-        nested edges in tail_groups order; and the log of the largest slot
+        Returns (tail, head, log_fan_in): the end vertices of each slot, a
+        virtual slot running from v to v, and the log of the largest slot
         count of one head, which bounds the log of a hop's sum.
         """
         n = self.n_vertices
-        order, tails, _, counts = self.head_groups
-        slot = np.empty(len(order), dtype=np.intp)
-        slot[order] = np.arange(len(order))
+        _, tails, _, counts = self.head_groups
         return (np.where(tails < n, tails, tails - n), np.repeat(np.arange(n), counts),
-                slot[self.tail_groups[0]], math.log(counts.max(initial=1)))
+                math.log(counts.max(initial=1)))
 
     @cached_property
     def tail_groups(self) -> tuple:

@@ -28,14 +28,17 @@ the hop bound binds, a vertex's shortest walk of h hops can lie more than
 WALK_SUM_RANGE * gamma above its shortest of H hops, and its sum would
 underflow; that origin then counts the hops before h against its
 distances after hop h-1 and takes a new reference from hop h on, so every
-sum keeps a term of at least exp(-WALK_SUM_RANGE).  The one state no
-reference can hold is a sum of more than e^700 walks that near the
-shortest length, a walk sum that diverges as H grows: it raises
+sum keeps a term of at least exp(-WALK_SUM_RANGE).  The min-plus sweep
+keeps only the distances of the origins that renew, at the hops where
+they renew, so a sweep holds O((slots + V) x origins) besides them.  The
+one state no reference can hold is a sum of more than e^700 walks that
+near the shortest length, a walk sum that diverges as H grows: it raises
 NetworkError naming the level, never inf or NaN.
 
-The backward sweep reads every kept hop of the forward, its exponentials
-(slots x origins) and their sums by head (vertices x origins), so origins
-are swept in chunks whose kept hops fit in ROUNDS_CAP_BYTES.
+The backward sweep reads the shifted log walk sums of every hop of the
+forward, (H+1) x V x origins, and recomputes each edge's walk term from
+them, so origins are swept in chunks whose kept sums fit in
+ROUNDS_CAP_BYTES (the references and their renewals come on top).
 assignment_flows runs only the forward sweeps, which give the value, and
 returns a deferred FlowState: the first read of its flows runs the backward
 sweeps from the kept hops of level 1 and of each deeper level's pricing
@@ -48,16 +51,14 @@ when their flows are read.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
 
-ROUNDS_CAP_BYTES = 32 << 20  # forward hops kept per chunk of origins
+ROUNDS_CAP_BYTES = 32 << 20  # forward walk sums kept per chunk of origins
 WALK_SUM_RANGE = 600.0  # largest |log| of a walk term or sum a reference admits
 _NU_MAX = 700.0  # a shifted log walk sum beyond this is a diverging walk sum
-_TINY = sys.float_info.min
 
 
 class UnreachableError(NetworkError):
@@ -70,12 +71,15 @@ class UnreachableError(NetworkError):
         self.od = (origin, dest)
 
 
-def _min_plus(graph: LevelGraph, weights, origins, hops, keep=False):
+def _min_plus(graph: LevelGraph, weights, origins, hops, spread=None):
     """Hop-bounded shortest walk lengths from each origin, (V, B).
 
-    Runs min-plus hops to the fixed point or `hops`.  Returns (d, rounds):
-    d after the last hop and, when keep is set, the distances after hops
-    0, 1, ... up to the fixed point, stacked (else None).
+    Runs min-plus hops to the fixed point or `hops`.  Returns (d, cuts): d
+    after the last hop and, when spread is given, the hops where an
+    origin's distances since its last cut (or hop 1) would fall by more
+    than spread: (last, cols, low), the distances after hop `last` of the
+    origins cols that cut there, (V, len(cols)).  Only the cut columns
+    are kept, so the sweep holds O((slots + V) x B) besides them.
     """
     n, batch = graph.n_vertices, len(origins)
     order, tails, starts, _ = graph.head_groups
@@ -85,139 +89,152 @@ def _min_plus(graph: LevelGraph, weights, origins, hops, keep=False):
     state[origins, np.arange(batch)] = 0.0
     state[n:] = state[:n]
     d = state[:n]
-    rounds = np.empty((hops + 1, n, batch)) if keep else None
-    if keep:
-        rounds[0] = d
     cand, low = np.empty((len(tails), batch)), np.empty((n, batch))
-    h = 0
-    for h in range(1, hops + 1):
-        state.take(tails, axis=0, out=cand)
-        cand += c
-        if keep:
-            low = rounds[h]
-        np.minimum.reduceat(cand, starts, axis=0, out=low)
-        if np.array_equal(low, d):
-            h -= 1
-            break
-        d[:] = low
-    return d.copy(), rounds[:h + 1] if keep else None
-
-
-def _references(rounds, hops, spread):
-    """Per-origin references of a soft sweep from its min-plus rounds.
-
-    Returns [(last, phi)]: the entries cover hops 1.. up to their `last`,
-    the final one ends at `hops` with the distances of the last round.  An
-    origin whose distances since the start of its current entry would fall
-    by more than `spread` at some hop h ends that entry at h-1, with its
-    distances there; the other origins keep their columns of the next entry.
-    """
-    reached = rounds[1:]
-    # distances fall hop by hop, so a vertex's largest finite one is its first
-    first = np.max(reached, axis=0, where=np.isfinite(reached), initial=-math.inf)
-    refs = [(hops, rounds[-1])]
-    if not np.any(first - rounds[-1] > spread):
-        return refs
-    cuts, first = [], reached[0]
+    # distances fall hop by hop, so a vertex's first finite one is its largest
+    first, gap, cuts = np.full((n, batch), math.inf), np.empty((n, batch)), []
+    # inf - inf where neither hop reaches a vertex: NaN, never above spread
     with np.errstate(invalid="ignore"):
-        for h in range(2, len(rounds)):
-            low = rounds[h]
-            reach = np.where(np.isinf(first), low, first)
-            # inf - inf where neither reaches: NaN, never above spread
-            cut = np.any(reach - low > spread, axis=0)
-            if cut.any():
-                cuts.append((h - 1, cut))
-                reach[:, cut] = low[:, cut]
-            first = reach
-    for last, cut in reversed(cuts):
-        ref = refs[0][1].copy()
-        ref[:, cut] = rounds[last][:, cut]
-        refs.insert(0, (last, ref))
-    return refs
+        for h in range(1, hops + 1):
+            state.take(tails, axis=0, out=cand)
+            cand += c
+            np.minimum.reduceat(cand, starts, axis=0, out=low)
+            if np.array_equal(low, d):
+                break
+            if spread is not None:
+                np.copyto(first, low, where=np.isinf(first))
+                np.subtract(first, low, out=gap)
+                cols = np.flatnonzero(np.any(gap > spread, axis=0))
+                if len(cols):
+                    cuts.append((h - 1, cols, d[:, cols]))
+                    first[:, cols] = low[:, cols]
+            d[:] = low
+    return d.copy(), cuts
+
+
+def _references(d, cuts):
+    """(phi, renewals): the reference of a soft sweep's first hops and its
+    renewals, from the min-plus distances d and cuts of _min_plus.
+
+    renewals lists (last, cols, before, after): after hop `last` the
+    columns cols of the reference change from `before`, their distances
+    after that hop, to `after`, those of their next cut or d.  Unreached
+    vertices get the reference 0.
+    """
+    ref = np.where(np.isfinite(d), d, 0.0)
+    renewals = []
+    for last, cols, low in reversed(cuts):
+        before = np.where(np.isfinite(low), low, 0.0)
+        renewals.append((last, cols, before, ref[:, cols]))
+        ref[:, cols] = before
+    return ref, renewals[::-1]
 
 
 def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False, level=1):
     """Potentials over walks of at most `hops` hops from each origin.
 
     Returns (u, kept): u[v, b] the potential of v seen from origins[b]
-    (+inf when unreachable); kept, when keep is set, is (terms, sums): the
-    exponentials of every hop, (hops, slots, B), and their sums by head,
-    (hops, V, B), else None.  With gamma = 0, u is the minimum walk length
-    (min-plus hops) and keep is for gamma > 0.
+    (+inf when unreachable); kept, when keep is set, is (nus, phi,
+    renewals): the shifted log walk sums after hops 0..hops, (hops+1, V,
+    B), the reference of the last hops and the renewals of _references
+    that led to it, else None.  With gamma = 0, u is the minimum walk
+    length (min-plus hops) and keep is for gamma > 0.
     """
     weights = np.asarray(weights, dtype=float)
     if gamma == 0:
         return _min_plus(graph, weights, origins, hops)[0], None
     n, batch = graph.n_vertices, len(origins)
     order, tails, starts, _ = graph.head_groups
-    tail, head, _, log_fan_in = graph.slots
+    tail, head, log_fan_in = graph.slots
     if hops * (np.abs(weights).max(initial=0.0) / gamma + log_fan_in) <= WALK_SUM_RANGE:
-        refs = [(hops, np.zeros((n, 1)))]
+        phi, renewals = np.zeros((n, 1)), []
     else:
-        rounds = _min_plus(graph, weights, origins, hops, keep=True)[1]
-        refs = _references(rounds, hops, WALK_SUM_RANGE * gamma)
+        phi, renewals = _references(
+            *_min_plus(graph, weights, origins, hops, WALK_SUM_RANGE * gamma))
     c = np.concatenate([weights, np.zeros(n)])[order, None]
     cols = np.arange(batch)
     # rows ..n hold nu after the last hop, rows n.. nu of round 0
     state = np.full((2 * n, batch), -math.inf)
     nu = state[:n]
-    rows = hops if keep else 1  # one reused buffer unless every hop is kept
-    terms, sums = np.empty((rows, len(tails), batch)), np.empty((rows, n, batch))
-    phi, h = None, 1
+    nus = np.empty((hops + 1, n, batch)) if keep else None
+    cand, acc = np.empty((len(tails), batch)), np.empty((n, batch))
+    h = 1
     # log(0) where no walk arrives; exp and sum overflow only where a walk sum diverges
     with np.errstate(divide="ignore", over="ignore"):
-        for last, ref in refs:
-            ref = np.where(np.isfinite(ref), ref, 0.0)
-            if phi is not None:
+        for i, last in enumerate([last for last, *_ in renewals] + [hops]):
+            if i:
+                _, at, _, after = renewals[i - 1]
+                ref = phi.copy()
+                ref[:, at] = after
                 nu += (ref - phi) / gamma
-            state[n:] = -math.inf
-            state[n:][origins, cols] = ref[origins, cols if ref.shape[1] == batch else 0] / gamma
-            if phi is None:
+                phi = ref
+            state[n:][origins, cols] = phi[origins, cols if phi.shape[1] == batch else 0] / gamma
+            if not i:
                 nu[:] = state[n:]
-            phi = ref
+                if keep:
+                    nus[0] = nu
             reduced = (c + phi.take(tail, axis=0) - phi.take(head, axis=0)) / gamma
             for h in range(h, last + 1):
-                cand, acc = terms[h - 1 if keep else 0], sums[h - 1 if keep else 0]
                 state.take(tails, axis=0, out=cand)
                 cand -= reduced
                 np.exp(cand, out=cand)
                 np.add.reduceat(cand, starts, axis=0, out=acc)
                 np.log(acc, out=nu)
+                if keep:
+                    nus[h] = nu
             h = last + 1
             if nu.max(initial=-math.inf) > _NU_MAX:
                 raise NetworkError(
                     f"level {level}: the soft-min walk sum diverges: more than e^{_NU_MAX:g} "
                     f"walks of at most {hops} hops lie within gamma={gamma:g} of the "
                     "shortest; lower the hop bound or raise gamma")
-    return phi - gamma * nu, (terms, sums) if keep else None
+    return phi - gamma * nu, (nus, phi, renewals) if keep else None
 
 
-def _sweep_backward(graph: LevelGraph, kept, sink_mass):
+def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
     """Adjoint sweep over the kept hops: route sink_mass[v, b] back to origin b.
 
-    A hop moves the mass p at each head onto its slots in proportion to
-    their exponentials, p * term / sum (the Gibbs ratio); the mass of
-    edge slots moves on to their tails, that of a virtual slot is absorbed
-    by the empty walk at the origin.  Returns the edge flows summed over
-    the batch.
+    A hop moves the mass p at each head onto its in-edges in proportion
+    to their walk terms, p * term / sum (the Gibbs ratio), with the term
+    exp(nu_tail - reduced cost) recomputed as the forward sweep formed it
+    and 1/sum = exp(-nu_head); the mass moves on to the tails, and what a
+    head keeps is absorbed by the empty walk at the origin.  Returns the
+    edge flows summed over the batch.
     """
-    terms, sums = kept
-    _, head, to_tail, _ = graph.slots
+    nus, phi, renewals = kept
     order, starts, ends = graph.tail_groups
+    tails, heads = graph.tails[order], graph.heads[order]
+    c = np.asarray(weights, dtype=float)[order, None]
     batch = sink_mass.shape[1]
-    x, y = np.empty((len(head), batch)), np.empty((len(to_tail), batch))
-    per_origin = np.zeros_like(y)
+    x, y = np.empty((len(order), batch)), np.empty((len(order), batch))
+    per_origin = np.zeros_like(x)
     p, q, below = sink_mass, np.empty_like(sink_mass), np.zeros_like(sink_mass)
-    for h in range(len(terms) - 1, -1, -1):
-        # a sum is 0 only where no walk arrives, and there p is 0 too
-        np.maximum(sums[h], _TINY, out=q)
-        np.divide(p, q, out=q)
-        q.take(head, axis=0, out=x)
-        x *= terms[h]
-        x.take(to_tail, axis=0, out=y)
-        per_origin += y
-        below[ends] = np.add.reduceat(y, starts, axis=0)
-        p = below
+    h = len(nus) - 1
+    for i in range(len(renewals), -1, -1):
+        start = renewals[i - 1][0] if i else 0
+        reduced = (c + phi.take(tails, axis=0) - phi.take(heads, axis=0)) / gamma
+        if i:
+            _, at, before, _ = renewals[i - 1]
+            prev = phi.copy()
+            prev[:, at] = before
+        for h in range(h, start, -1):
+            # the tails' sums as the hop read them, shifted at a renewal
+            nu_in = nus[h - 1] + (phi - prev) / gamma if i and h == start + 1 else nus[h - 1]
+            # where no walk arrives nu is -inf and p is 0: the clamp keeps q at 0
+            np.negative(nus[h], out=q)
+            np.minimum(q, _NU_MAX, out=q)
+            np.exp(q, out=q)
+            q *= p
+            nu_in.take(tails, axis=0, out=x)
+            x -= reduced
+            np.exp(x, out=x)
+            q.take(heads, axis=0, out=y)
+            x *= y
+            per_origin += x
+            below[ends] = np.add.reduceat(x, starts, axis=0)
+            p = below
+        h = start
+        if i:
+            phi = prev
     flows = np.empty(graph.n_edges)
     flows[order] = per_origin.sum(axis=1)
     return flows
@@ -225,12 +242,12 @@ def _sweep_backward(graph: LevelGraph, kept, sink_mass):
 
 def _kept_bytes(graph, hops):
     """Bytes a gamma > 0 forward sweep keeps per origin for the backward sweep."""
-    return 8 * hops * (len(graph.head_groups[1]) + graph.n_vertices)
+    return 8 * (hops + 1) * graph.n_vertices
 
 
 def _chunks(graph, origins, hops):
     """Batches of origins whose kept forward hops fit in ROUNDS_CAP_BYTES."""
-    size = max(1, ROUNDS_CAP_BYTES // max(1, _kept_bytes(graph, hops)))
+    size = max(1, ROUNDS_CAP_BYTES // _kept_bytes(graph, hops))
     return [origins[lo:lo + size] for lo in range(0, len(origins), size)]
 
 
@@ -281,7 +298,8 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
     for origins, u, kept in sweeps:
         v, sink = _sink(groups, origins, u, level, hops)
         value += v
-        flows += _sweep_backward(graph, kept, sink)
+        flows += _sweep_backward(graph, weights, gamma, kept, sink)
+        del u, kept  # released before the next chunk's sweep
     return value, flows
 
 

@@ -9,7 +9,7 @@ unlinearized through the prox setup's model-minimization step.
 
 An oracle whose value and gradient share a by-product (an assignment, a
 softmax) computes it once per point (SmoothOracle._per_point); solve loops
-read it back by point, as oracle.assignment(y), not from the last call.
+read it back by point, as oracle.point(y), not from the last call.
 """
 
 from __future__ import annotations

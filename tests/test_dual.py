@@ -114,7 +114,7 @@ class TestAssignmentMemo:
         oracle = DualOracle(net)
         v = oracle.value(t)
         v2, _ = oracle.value_grad(t.copy())
-        oracle.assignment(t)
+        oracle.point(t)
         assert len(calls) == 1 and v == v2
         oracle.value(t + 0.1)
         assert len(calls) == 2
@@ -128,8 +128,8 @@ class TestAssignmentMemo:
         oracle.value_grad(t)
         oracle.value(t + 0.1)
         oracle.value(t + 0.2)
-        _, flow = oracle.assignment(t)
-        oracle.assignment(t + 0.2)
+        flow = oracle.point(t)[1]
+        oracle.point(t + 0.2)
         assert len(calls) == 3
         _, _, flow_ref = dual_value_grad(net, t)
         assert np.array_equal(flow.plain_flat(), flow_ref.plain_flat())
@@ -180,8 +180,8 @@ class TestAssignmentMemo:
         v_ref, g_ref = DualOracle(net).value_grad(t.copy())
         assert v == v_ref
         assert np.array_equal(g, g_ref)
-        _, flow_ref = DualOracle(net).assignment(t.copy())
-        assert np.array_equal(oracle.assignment(t)[1].plain_flat(), flow_ref.plain_flat())
+        flow_ref = DualOracle(net).point(t.copy())[1]
+        assert np.array_equal(oracle.point(t)[1].plain_flat(), flow_ref.plain_flat())
 
 
 class TestForwardOnlyValue:
@@ -294,7 +294,7 @@ class TestEdgeKinds:
         assert np.array_equal(experienced_times(net, t, f), tau)
         oracle = DualOracle(net, gammas=[0.5])
         _, grad = oracle.value_grad(t)
-        assert grad + oracle.assignment(t)[1].plain_flat() == pytest.approx(conj_grad, abs=1e-14)
+        assert grad + oracle.point(t)[1].plain_flat() == pytest.approx(conj_grad, abs=1e-14)
         assert oracle.upper.tolist() == [math.inf, math.inf, 2.5, 3.0, math.inf, math.inf]
         assert oracle.linear.tolist() == [0.0, 0.6, 0.0, 0.0, 0.0, 1.2]
         assert oracle.strong_convexity() == 0.0  # capacitated edges are free

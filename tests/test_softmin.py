@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -693,9 +694,8 @@ class TestShiftedSweep:
         e = fixed_edge(1.0)
         g = LevelGraph(5, [(0, 1, e), (0, 2, e), (2, 3, e), (3, 1, e), (1, 4, e)])
         w = np.array([1.0, 0.1, 0.1, 0.1, 1.0])
-        rounds = softmin._min_plus(g, w, [0], 3, keep=True)[1]
-        refs = softmin._references(rounds, 3, softmin.WALK_SUM_RANGE * 1e-6)
-        assert [last for last, _ in refs] == [2, 3]
+        _, cuts = softmin._min_plus(g, w, [0], 3, softmin.WALK_SUM_RANGE * 1e-6)
+        assert [last for last, *_ in cuts] == [2]
         u = softmin_potentials(g, w, 0, 1e-6, 3)
         close(u, reference_rounds(g, w, 0, 1e-6, 3)[-1])
         assert u[4] == 2.0
@@ -709,8 +709,8 @@ class TestShiftedSweep:
         rng = np.random.default_rng(52)
         g = ragged_graph()
         w = rng.uniform(-0.5, 2.0, size=g.n_edges)
-        rounds = softmin._min_plus(g, w, list(range(7)), 6, keep=True)[1]
-        assert len(softmin._references(rounds, 6, 0.0)) > 2
+        _, cuts = softmin._min_plus(g, w, list(range(7)), 6, 0.0)
+        assert len(cuts) > 1
         demands = self.reachable_demands(g, w, 0.7, 6, rng)
         value, flows = softmin_flows(g, w, demands, 0.7, 6)
         assert calls
@@ -754,7 +754,7 @@ class TestShiftedSweep:
 
         def recording(*args, **kwargs):
             u, k = forward(*args, **kwargs)
-            kept.append(sum(a.nbytes for a in k))
+            kept.append(k[0].nbytes)
             return u, k
 
         monkeypatch.setattr(softmin, "_sweep_forward", recording)
@@ -762,3 +762,20 @@ class TestShiftedSweep:
         softmin_flows(g, w, {(o, 5): 1.0 for o in range(5)}, 0.6, hops)
         assert kept == [3 * per_origin, 2 * per_origin]
         assert max(kept) <= cap
+
+    def test_min_plus_reference_holds_no_hop_per_origin(self, monkeypatch):
+        # an unkept sweep on the min-plus path holds O((slots + V) x B),
+        # never the (H+1) x V x B of every min-plus round
+        calls = self.count_min_plus(monkeypatch)
+        g = grid_graph(10)
+        w = np.random.default_rng(55).uniform(1.0, 8.0, size=g.n_edges)
+        origins, hops = list(range(g.n_vertices)), g.n_vertices - 1
+        bound = 6 * 8 * (len(g.head_groups[1]) + g.n_vertices) * len(origins)
+        assert 8 * (hops + 1) * g.n_vertices * len(origins) > bound
+        tracemalloc.start()
+        try:
+            softmin._sweep_forward(g, w, origins, 0.1, hops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls and peak < bound
