@@ -35,9 +35,30 @@ one state no reference can hold is a sum of more than e^700 walks that
 near the shortest length, a walk sum that diverges as H grows: it raises
 NetworkError naming the level, never inf or NaN.
 
-The backward sweep reads the shifted log walk sums of every hop of the
-forward, (H+1) x V x origins, and recomputes each edge's walk term from
-them, so origins are swept in chunks whose kept sums fit in
+A sweep with phi = 0 on a level of at most DENSE_MAX_VERTICES vertices
+runs a dense kernel in the linear domain instead; on such small levels
+the numpy calls of a log-domain hop cost more than its arithmetic.
+K[v, u] = sum over the edges u -> v of exp(-w_e/gamma), parallel edges
+added, is built once per sweep, the walk sums Z_h = sum_{j<=h} K^j e (e
+the empty walk at the origin) take one matrix-vector product per origin
+and hop, and u = -gamma * log Z_H.  The phi = 0 bound makes this exact in
+range: every walk term lies in [e^-600, e^600], so no term underflows
+and no sum of them exceeds (H+1) e^600.  The adjoint starts from
+q_{H-1} = sink / Z_H, steps q_{j-1} = K^T q_j and gives edge e the flow
+K_e * sum_j q_j[head] * Z_j[tail], one matrix product per hop.  q is
+zeroed where Z_j = 0: no contributing walk passes there, so the zeroing
+is exact, and q * Z_j is the mass at a vertex, at most the demand D, so
+q stays below D e^600 and no inf * 0 can give NaN.  The stacks are
+origin-major, (origins, V, 1), so numpy runs one matrix-vector product
+per origin and an origin's potentials have the same bits in any batch;
+one (V, origins) matrix product rounds by the width of the batch, about
+2e-16, and dumped potentials must equal single-origin sweeps.  A sweep
+over walks of any length, Z = (I - K)^-1 e, could reuse the same K.
+
+The backward sweep reads the walk sums of every hop of the forward,
+(H+1) x V x origins: the log kernel keeps -nu and recomputes each edge's
+walk term from it, the dense kernel keeps Z and K and needs
+O(V^2 + V x origins) more while it runs.  Origins are swept in chunks whose kept sums fit in
 ROUNDS_CAP_BYTES (the references and their renewals come on top).
 assignment_flows runs only the forward sweeps, which give the value, and
 returns a deferred FlowState: the first read of its flows runs the backward
@@ -50,6 +71,7 @@ when their flows are read.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -57,6 +79,11 @@ import numpy as np
 from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
 
 ROUNDS_CAP_BYTES = 32 << 20  # forward walk sums kept per chunk of origins
+# levels this small sweep phi = 0 as matrix-vector products: on k x k grids
+# and two-way rings with 8 origins and H = V - 1, softmin_flows ran faster
+# with them up to V = 144, even at 196 and 1.3-1.4x slower at 256 (2-core
+# Xeon VM, OpenBLAS with 2 threads)
+DENSE_MAX_VERTICES = 144
 WALK_SUM_RANGE = 600.0  # largest |log| of a walk term or sum a reference admits
 _NU_MAX = 700.0  # a shifted log walk sum beyond this is a diverging walk sum
 
@@ -133,11 +160,12 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
     """Potentials over walks of at most `hops` hops from each origin.
 
     Returns (u, kept): u[v, b] the potential of v seen from origins[b]
-    (+inf when unreachable); kept, when keep is set, is (nus, phi,
-    renewals): the shifted log walk sums after hops 0..hops, (hops+1, V,
-    B), the reference of the last hops and the renewals of _references
-    that led to it, else None.  With gamma = 0, u is the minimum walk
-    length (min-plus hops) and keep is for gamma > 0.
+    (+inf when unreachable); kept, when keep is set, is (-nus, phi,
+    renewals): the negated shifted log walk sums after hops 0..hops,
+    (hops+1, V, B), the reference of the last hops and the renewals of
+    _references that led to it, or the (Z, K) of _dense_forward; else
+    None.  With gamma = 0, u is the minimum walk length (min-plus hops)
+    and keep is for gamma > 0.
     """
     weights = np.asarray(weights, dtype=float)
     if gamma == 0:
@@ -146,6 +174,8 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
     order, tails, starts, _ = graph.head_groups
     tail, head, log_fan_in = graph.slots
     if hops * (np.abs(weights).max(initial=0.0) / gamma + log_fan_in) <= WALK_SUM_RANGE:
+        if n <= DENSE_MAX_VERTICES:
+            return _dense_forward(graph, weights, origins, gamma, hops, keep)
         phi, renewals = np.zeros((n, 1)), []
     else:
         phi, renewals = _references(
@@ -171,7 +201,7 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
             if not i:
                 nu[:] = state[n:]
                 if keep:
-                    nus[0] = nu
+                    np.negative(nu, out=nus[0])
             reduced = (c + phi.take(tail, axis=0) - phi.take(head, axis=0)) / gamma
             for h in range(h, last + 1):
                 state.take(tails, axis=0, out=cand)
@@ -180,7 +210,7 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
                 np.add.reduceat(cand, starts, axis=0, out=acc)
                 np.log(acc, out=nu)
                 if keep:
-                    nus[h] = nu
+                    np.negative(nu, out=nus[h])
             h = last + 1
             if nu.max(initial=-math.inf) > _NU_MAX:
                 raise NetworkError(
@@ -188,6 +218,62 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
                     f"walks of at most {hops} hops lie within gamma={gamma:g} of the "
                     "shortest; lower the hop bound or raise gamma")
     return phi - gamma * nu, (nus, phi, renewals) if keep else None
+
+
+def _dense_forward(graph: LevelGraph, weights, origins, gamma, hops, keep):
+    """The phi = 0 sweep in the linear domain: Z_h = Z_{h-1} + K^h e.
+
+    K[v, u] sums exp(-w_e/gamma) over the edges u -> v, e is the empty
+    walk at each origin, and u = -gamma * log Z_hops.  The walk sums are
+    stacked origin-major, (B, V, 1), so a hop is one matrix-vector product
+    per origin and an origin's bits do not depend on the batch.  kept is
+    (Z after hops 0..hops, K).
+    """
+    n, batch = graph.n_vertices, len(origins)
+    k = np.zeros((n, n))
+    np.add.at(k, (graph.heads, graph.tails), np.exp(weights / -gamma))
+    walks = np.zeros((2, batch, n, 1))  # K^h e, alternating
+    walks[0][np.arange(batch), origins, 0] = 1.0
+    z = np.empty((hops + 1 if keep else 1, batch, n, 1))
+    z[0] = walks[0]
+    for h in range(1, hops + 1):
+        np.matmul(k, walks[(h - 1) % 2], out=walks[h % 2])
+        np.add(z[(h - 1) % len(z)], walks[h % 2], out=z[h % len(z)])
+    with np.errstate(divide="ignore"):  # log(0) where no walk arrives: u = +inf
+        u = 0.0 - gamma * np.log(z[hops % len(z), :, :, 0].T)
+    return u, (z, k) if keep else None
+
+
+def _dense_backward(graph: LevelGraph, weights, gamma, z, k, sink_mass):
+    """Adjoint of _dense_forward: edge e carries
+    K_e * sum over hops j and origins b of q_j[b, head] * Z_j[b, tail],
+    with q_{H-1} = sink / Z_H and q_{j-1} = K^T q_j, zeroed where Z_j = 0.
+    """
+    n = graph.n_vertices
+    z = z[:, :, :, 0]
+    q, nxt = np.zeros_like(z[0]), np.empty_like(z[0])
+    never = z[-1] == 0
+    masked = never.any()
+    np.divide(sink_mass.T, z[-1], out=q, where=~never)
+    # Z only grows hop by hop: from hop `full` on it is 0 only where Z_H is
+    full = bisect.bisect_left(range(len(z)), np.count_nonzero(z[-1]),
+                              key=lambda h: np.count_nonzero(z[h]))
+    pair, acc = np.empty((n, n)), np.zeros((n, n))
+    # elsewhere q * Z_j is at most the demand: K^T q overflows only where
+    # Z_j = 0, which is zeroed, and a pair product only at vertex pairs
+    # without an edge, which are never read
+    with np.errstate(over="ignore"):
+        for j in range(len(z) - 2, -1, -1):
+            if j < len(z) - 2:
+                np.dot(q, k, out=nxt)
+                if j + 1 < full:
+                    np.copyto(nxt, 0.0, where=z[j + 1] == 0)
+                elif masked:
+                    np.copyto(nxt, 0.0, where=never)
+                q, nxt = nxt, q
+            np.dot(q.T, z[j], out=pair)
+            acc += pair
+    return np.exp(np.asarray(weights, dtype=float) / -gamma) * acc[graph.heads, graph.tails]
 
 
 def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
@@ -198,9 +284,12 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
     exp(nu_tail - reduced cost) recomputed as the forward sweep formed it
     and 1/sum = exp(-nu_head); the mass moves on to the tails, and what a
     head keeps is absorbed by the empty walk at the origin.  Returns the
-    edge flows summed over the batch.
+    edge flows summed over the batch.  A dense kept sweep, (Z, K), takes
+    _dense_backward.
     """
-    nus, phi, renewals = kept
+    if len(kept) == 2:
+        return _dense_backward(graph, weights, gamma, *kept, sink_mass)
+    neg_nus, phi, renewals = kept
     order, starts, ends = graph.tail_groups
     tails, heads = graph.tails[order], graph.heads[order]
     c = np.asarray(weights, dtype=float)[order, None]
@@ -208,29 +297,34 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
     x, y = np.empty((len(order), batch)), np.empty((len(order), batch))
     per_origin = np.zeros_like(x)
     p, q, below = sink_mass, np.empty_like(sink_mass), np.zeros_like(sink_mass)
-    h = len(nus) - 1
+    # every vertex has an out-edge: the runs by tail fill the mass array in order
+    every_tail = len(ends) == graph.n_vertices
+    h = len(neg_nus) - 1
     for i in range(len(renewals), -1, -1):
         start = renewals[i - 1][0] if i else 0
-        reduced = (c + phi.take(tails, axis=0) - phi.take(heads, axis=0)) / gamma
+        neg_reduced = -((c + phi.take(tails, axis=0) - phi.take(heads, axis=0)) / gamma)
         if i:
             _, at, before, _ = renewals[i - 1]
             prev = phi.copy()
             prev[:, at] = before
         for h in range(h, start, -1):
             # the tails' sums as the hop read them, shifted at a renewal
-            nu_in = nus[h - 1] + (phi - prev) / gamma if i and h == start + 1 else nus[h - 1]
+            neg_in = (neg_nus[h - 1] - (phi - prev) / gamma if i and h == start + 1
+                      else neg_nus[h - 1])
             # where no walk arrives nu is -inf and p is 0: the clamp keeps q at 0
-            np.negative(nus[h], out=q)
-            np.minimum(q, _NU_MAX, out=q)
+            np.minimum(neg_nus[h], _NU_MAX, out=q)
             np.exp(q, out=q)
             q *= p
-            nu_in.take(tails, axis=0, out=x)
-            x -= reduced
+            neg_in.take(tails, axis=0, out=x)
+            np.subtract(neg_reduced, x, out=x)
             np.exp(x, out=x)
             q.take(heads, axis=0, out=y)
             x *= y
             per_origin += x
-            below[ends] = np.add.reduceat(x, starts, axis=0)
+            if every_tail:
+                np.add.reduceat(x, starts, axis=0, out=below)
+            else:
+                below[ends] = np.add.reduceat(x, starts, axis=0)
             p = below
         h = start
         if i:

@@ -779,3 +779,143 @@ class TestShiftedSweep:
         finally:
             tracemalloc.stop()
         assert calls and peak < bound
+
+
+class TestDenseKernel:
+    """The linear-domain kernel of small phi = 0 levels against the log kernel."""
+
+    @staticmethod
+    def kernel(g, w, gamma, hops):
+        """The kernel a sweep of these data takes: 'dense' or 'log'."""
+        _, kept = softmin._sweep_forward(g, w, [0], gamma, hops, keep=True)
+        return "dense" if len(kept) == 2 else "log"
+
+    @staticmethod
+    def both(monkeypatch, run, dense_max=0):
+        """run() under the switch as it stands, then with DENSE_MAX_VERTICES
+        set to dense_max (0: the log kernel everywhere)."""
+        first = run()
+        with monkeypatch.context() as m:
+            m.setattr(softmin, "DENSE_MAX_VERTICES", dense_max)
+            return first, run()
+
+    @staticmethod
+    def same(a, b):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+    def agree(self, monkeypatch, g, w, demands, gamma, hops, dense_max=0):
+        """Potentials, value and flows of both kernels agree to 1e-12."""
+        origins = sorted({o for o, _ in demands})
+        (du, (dv, df)), (lu, (lv, lf)) = self.both(monkeypatch, lambda: (
+            softmin._sweep_forward(g, w, origins, gamma, hops)[0],
+            softmin_flows(g, w, demands, gamma, hops)), dense_max)
+        self.same(du, lu)
+        assert dv == pytest.approx(lv, rel=1e-12)
+        self.same(df, lf)
+        return df
+
+    def test_random_single_level(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        for _ in range(8):
+            g = random_network(rng).levels[0]
+            w = rng.uniform(0.2, 2.0, size=g.n_edges)
+            hops = g.n_vertices - 1
+            assert self.kernel(g, w, 0.5, hops) == "dense"
+            dist = [hard_shortest(g, w, o)[0] for o in range(g.n_vertices)]
+            demands = {(o, d): float(rng.uniform(0.5, 2.0))
+                       for o in range(g.n_vertices) for d in range(g.n_vertices)
+                       if o != d and math.isfinite(dist[o][d])}
+            self.agree(monkeypatch, g, w, demands, 0.5, hops)
+
+    def test_random_nested(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            net = random_network(rng, m=2, gamma=0.5)
+            t = net.free_flow_times() + rng.uniform(0.0, 0.5, size=net.n_times)
+            (dw, (dv, df)), (lw, (lv, lf)) = self.both(monkeypatch, lambda: (
+                effective_weights(net, t), assignment_flows(net, t)))
+            assert dv == pytest.approx(lv, rel=1e-12)
+            for k in range(net.n_levels):
+                self.same(dw[k], lw[k])
+                self.same(df.plain[k], lf.plain[k])
+                self.same(df.nested[k], lf.nested[k])
+
+    def test_parallel_edges_and_unreachable_vertices(self, monkeypatch):
+        # 1 -> 2 is doubled, vertex 0 has no in-edges and 6 no edges at all
+        g = ragged_graph()
+        w = np.random.default_rng(62).uniform(0.2, 2.0, size=g.n_edges)
+        w[3] = w[2] + 0.3
+        demands = {(0, 5): 1.0, (0, 4): 0.5, (1, 5): 2.0, (2, 5): 0.7, (3, 4): 1.1, (6, 6): 0.2}
+        flows = self.agree(monkeypatch, g, w, demands, 0.8, 6)
+        assert flows[2] > flows[3] > 0.0
+        u = softmin_potentials(g, w, 3, 0.8, 6)
+        assert np.isinf(u[[0, 6]]).all() and np.isfinite(u[1:6]).all()
+
+    def test_origins_over_several_chunks(self, monkeypatch):
+        g = grid_graph(4)
+        w = np.random.default_rng(63).uniform(1.0, 2.0, size=g.n_edges)
+        hops = g.n_vertices - 1
+        demands = {(o, (5 * o + 3) % 16): 1.0 for o in range(0, 16, 3)}
+        whole = softmin_flows(g, w, demands, 1.0, hops)[1]
+        monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES", 2 * softmin._kept_bytes(g, hops))
+        assert len(softmin._chunks(g, sorted({o for o, _ in demands}), hops)) == 3
+        self.same(self.agree(monkeypatch, g, w, demands, 1.0, hops), whole)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_levels_at_the_switch(self, monkeypatch, extra):
+        # a two-way ring of DENSE_MAX_VERTICES (+ 1) vertices: dense at the
+        # switch, log above it; each agrees with the other kernel forced
+        n = softmin.DENSE_MAX_VERTICES + extra
+        e = fixed_edge(1.0)
+        g = LevelGraph(n, [(v, (v + 1) % n, e) for v in range(n)]
+                       + [((v + 1) % n, v, e) for v in range(n)])
+        w = np.random.default_rng(64 + extra).uniform(1.0, 2.0, size=g.n_edges)
+        hops = 40
+        assert self.kernel(g, w, 1.0, hops) == ("log" if extra else "dense")
+        demands = {(0, 30): 1.0, (7, 3): 0.5, (n - 1, 20): 2.0}
+        self.agree(monkeypatch, g, w, demands, 1.0, hops, dense_max=0 if extra == 0 else n)
+
+    def test_potentials_do_not_depend_on_the_batch(self):
+        # one matrix-vector product per origin and hop: an origin's bits
+        # are those of its own sweep, whatever else shares the batch
+        g = grid_graph(5)
+        w = np.random.default_rng(65).uniform(1.0, 2.0, size=g.n_edges)
+        assert self.kernel(g, w, 1.0, 24) == "dense"
+        u, _ = softmin._sweep_forward(g, w, list(range(25)), 1.0, 24)
+        for o in range(25):
+            assert np.array_equal(u[:, o], softmin_potentials(g, w, o, 1.0, 24))
+
+    def test_far_destination_and_huge_demand(self, monkeypatch):
+        # 0 -> 1 -> 2 -> 3 and 2 -> 4 at 190 gamma a hop: Z_3 = e^-570 at 3
+        # and 4.  4 -> 3 and 5 -> 4 at -190 gamma carry no walk of 3 hops, and
+        # K^T q overflows at 4 before hop 3 reaches it (e^190 * 1e30 * e^570)
+        # and at 5, never reached: the zeroed adjoint keeps both out
+        e = fixed_edge(1.0)
+        g = LevelGraph(6, [(0, 1, e), (1, 2, e), (2, 3, e), (2, 4, e), (4, 3, e), (5, 4, e)])
+        w = np.array([190.0, 190.0, 190.0, 190.0, -190.0, -190.0])
+        assert self.kernel(g, w, 1.0, 3) == "dense"
+        u = softmin_potentials(g, w, 0, 1.0, 3)
+        assert u[3] == pytest.approx(570.0, rel=1e-12)
+        demands = {(0, 3): 1e30, (0, 4): 1e30}
+        value, flows = softmin_flows(g, w, demands, 1.0, 3)
+        assert np.isfinite(flows).all()
+        assert value == pytest.approx(1140e30, rel=1e-12)
+        self.same(flows, [2e30, 2e30, 1e30, 1e30, 0.0, 0.0])
+        self.agree(monkeypatch, g, w, demands, 1.0, 3)
+
+    def test_backward_holds_the_kept_stack_and_matrices(self):
+        # one chunk holds the kept walk sums, (H+1) x V x B, plus O(V^2 + V*B)
+        g = grid_graph(10)
+        n, hops = g.n_vertices, g.n_vertices - 1
+        w = np.random.default_rng(66).uniform(1.0, 2.0, size=g.n_edges)
+        assert self.kernel(g, w, 1.0, hops) == "dense"
+        demands = {(o, (o + 37) % n): 1.0 for o in range(n)}
+        stack = softmin._kept_bytes(g, hops) * n
+        assert len(softmin._chunks(g, list(range(n)), hops)) == 1
+        tracemalloc.start()
+        try:
+            softmin_flows(g, w, demands, 1.0, hops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack + 6 * 8 * (n * n + n * n + g.n_edges)
