@@ -80,10 +80,10 @@ from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
 
 ROUNDS_CAP_BYTES = 32 << 20  # forward walk sums kept per chunk of origins
 # levels this small sweep phi = 0 as matrix-vector products: on k x k grids
-# and two-way rings with 8 origins and H = V - 1, softmin_flows ran faster
-# with them up to V = 144, even at 196 and 1.3-1.4x slower at 256 (2-core
-# Xeon VM, OpenBLAS with 2 threads)
-DENSE_MAX_VERTICES = 144
+# with 8 or 32 origins and on two-way rings with 8, H = V - 1, softmin_flows
+# ran 1.1-4x faster with them up to V = 196 and about even at 225-256
+# (2-core Xeon VM, OpenBLAS with 2 threads)
+DENSE_MAX_VERTICES = 196
 WALK_SUM_RANGE = 600.0  # largest |log| of a walk term or sum a reference admits
 _NU_MAX = 700.0  # a shifted log walk sum beyond this is a diverging walk sum
 
