@@ -71,7 +71,6 @@ when their flows are read.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -79,11 +78,12 @@ import numpy as np
 from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
 
 ROUNDS_CAP_BYTES = 32 << 20  # forward walk sums kept per chunk of origins
-# levels this small sweep phi = 0 as matrix-vector products: on k x k grids
-# with 8 or 32 origins and on two-way rings with 8, H = V - 1, softmin_flows
-# ran 1.1-4x faster with them up to V = 196 and about even at 225-256
+# levels this small sweep phi = 0 as matrix-vector products: with 8, 32 and
+# V origins, H = V - 1, softmin_flows ran at least 1.25x faster with them up
+# to V = 144 on one-way rings (the sparsest connected level) and 1.5x on
+# two-way rings and grids; one-way rings of 169-196 vertices were even
 # (2-core Xeon VM, OpenBLAS with 2 threads)
-DENSE_MAX_VERTICES = 196
+DENSE_MAX_VERTICES = 144
 WALK_SUM_RANGE = 600.0  # largest |log| of a walk term or sum a reference admits
 _NU_MAX = 700.0  # a shifted log walk sum beyond this is a diverging walk sum
 
@@ -252,12 +252,7 @@ def _dense_backward(graph: LevelGraph, weights, gamma, z, k, sink_mass):
     n = graph.n_vertices
     z = z[:, :, :, 0]
     q, nxt = np.zeros_like(z[0]), np.empty_like(z[0])
-    never = z[-1] == 0
-    masked = never.any()
-    np.divide(sink_mass.T, z[-1], out=q, where=~never)
-    # Z only grows hop by hop: from hop `full` on it is 0 only where Z_H is
-    full = bisect.bisect_left(range(len(z)), np.count_nonzero(z[-1]),
-                              key=lambda h: np.count_nonzero(z[h]))
+    np.divide(sink_mass.T, z[-1], out=q, where=z[-1] != 0)
     pair, acc = np.empty((n, n)), np.zeros((n, n))
     # elsewhere q * Z_j is at most the demand: K^T q overflows only where
     # Z_j = 0, which is zeroed, and a pair product only at vertex pairs
@@ -266,10 +261,7 @@ def _dense_backward(graph: LevelGraph, weights, gamma, z, k, sink_mass):
         for j in range(len(z) - 2, -1, -1):
             if j < len(z) - 2:
                 np.dot(q, k, out=nxt)
-                if j + 1 < full:
-                    np.copyto(nxt, 0.0, where=z[j + 1] == 0)
-                elif masked:
-                    np.copyto(nxt, 0.0, where=never)
+                np.copyto(nxt, 0.0, where=z[j + 1] == 0)
                 q, nxt = nxt, q
             np.dot(q.T, z[j], out=pair)
             acc += pair
@@ -297,8 +289,6 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
     x, y = np.empty((len(order), batch)), np.empty((len(order), batch))
     per_origin = np.zeros_like(x)
     p, q, below = sink_mass, np.empty_like(sink_mass), np.zeros_like(sink_mass)
-    # every vertex has an out-edge: the runs by tail fill the mass array in order
-    every_tail = len(ends) == graph.n_vertices
     h = len(neg_nus) - 1
     for i in range(len(renewals), -1, -1):
         start = renewals[i - 1][0] if i else 0
@@ -321,10 +311,7 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
             q.take(heads, axis=0, out=y)
             x *= y
             per_origin += x
-            if every_tail:
-                np.add.reduceat(x, starts, axis=0, out=below)
-            else:
-                below[ends] = np.add.reduceat(x, starts, axis=0)
+            below[ends] = np.add.reduceat(x, starts, axis=0)
             p = below
         h = start
         if i:

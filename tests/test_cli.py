@@ -2,12 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from equiflow import hard_shortest, load_network, softmin_potentials
+from equiflow import hard_shortest, load_network, softmin, softmin_potentials
 from equiflow.cli import main
 
 from conftest import (
@@ -329,6 +331,35 @@ class TestSolve:
             a = open(os.path.join(outs[0], fname), "rb").read()
             b = open(os.path.join(outs[1], fname), "rb").read()
             assert a == b
+
+    def test_outputs_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # a 10 x 10 grid with an origin at every vertex takes the dense
+        # kernel, and its adjoint's (100 x 100) x (100 x 100) products are
+        # large enough for OpenBLAS to split them over threads: one thread
+        # and two must write the same bytes
+        k = 10
+        n = k * k
+        edges = [line for line in grid_instance(k).splitlines() if line.startswith("1 ")]
+        ods = [f"od 1 {o} {(7 * o + 31) % n} 0.5" for o in range(n)]
+        inst = write_instance(tmp_path / "grid.net", "\n".join(edges + ods) + "\n")
+        lg = load_network(inst).levels[0]
+        _, kept = softmin._sweep_forward(lg, np.ones(lg.n_edges), [0], 1.0, n - 1, keep=True)
+        assert len(kept) == 2  # (Z, K): the dense kernel
+        src = os.path.dirname(os.path.dirname(softmin.__file__))
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from equiflow.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "solve", inst, "--model", "stochastic",
+                 "--gamma", "1=1", "--max-iter", "3", "--dump-potentials", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode in (0, 2), done.stderr
+            files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert "potentials.csv" in files["1"]
+        assert files["1"] == files["2"]
 
     def test_out_env_var(self, tmp_path, monkeypatch):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
