@@ -18,7 +18,8 @@ import sys
 
 import numpy as np
 
-from .dual import MODELS, duality_gap, solve_assignment, solve_multistage
+# solve_multistage stays bound here for bench/tracing.py to patch
+from .dual import MODELS, duality_gap, solve_assignment, solve_multistage  # noqa: F401
 from .network import NetworkError, load_network
 from .od import balancing_oracle, solve_entropy_od
 from .solvers import DivergedOracleError
@@ -181,16 +182,10 @@ def _solve_one(instance, args):
     eps_res = _tolerance(args.eps_residual, None, "--eps-residual")
     max_iter = args.max_iter if args.max_iter is not None else 200000
     model = args.model or ("multistage" if network.n_levels > 1 else "beckmann")
-    if model == "multistage":
-        report = solve_multistage(
-            network, eps=eps, eps_residual=eps_res,
-            gammas=gammas if args.gamma else None, max_iter=max_iter,
-        )
-    else:
-        report = solve_assignment(
-            network, model=model, eps=eps, eps_residual=eps_res,
-            gammas=gammas if args.gamma else None, max_iter=max_iter,
-        )
+    report = solve_assignment(
+        network, model=model, eps=eps, eps_residual=eps_res,
+        gammas=gammas if args.gamma else None, max_iter=max_iter,
+    )
     return network, report
 
 

@@ -203,14 +203,12 @@ class LevelGraph:
         """The slots of head_groups (edges, then virtual edges, by head) as
         a soft-min sweep reads them.
 
-        Returns (tail, head, log_fan_in): the end vertices of each slot, a
-        virtual slot running from v to v, and the log of the largest slot
-        count of one head, which bounds the log of a hop's sum.
+        Returns (head, log_fan_in): the head of each slot and the log of
+        the largest slot count of one head, which bounds the log of a
+        hop's sum.
         """
-        n = self.n_vertices
-        _, tails, _, counts = self.head_groups
-        return (np.where(tails < n, tails, tails - n), np.repeat(np.arange(n), counts),
-                math.log(counts.max(initial=1)))
+        counts = self.head_groups[3]
+        return np.repeat(np.arange(self.n_vertices), counts), math.log(counts.max(initial=1))
 
     @cached_property
     def tail_groups(self) -> tuple:

@@ -15,25 +15,23 @@ with the origins.  At gamma = 0 a hop is min-plus (a take, an add and the
 minimum), run to its fixed point or n-1 hops: the hard shortest paths of
 hard_shortest, all_or_nothing and gamma = 0 pricing.
 
-At gamma > 0 a sweep shifts each origin's potentials by a reference phi,
-chosen once per sweep from the data, and keeps the shifted log walk sum
-nu = log(sum of exp(-(length - phi_v)/gamma)), so u = phi - gamma * nu.
-A hop is five passes: gather nu at the tails, subtract the reduced costs
-(w_e + phi_tail - phi_head)/gamma, exp, add.reduceat by head, log.  phi is
-0 when H * (max|w|/gamma + log(largest fan-in)) <= WALK_SUM_RANGE, so no
-walk term and no sum can leave the double range.  Otherwise phi is the
-hop-bounded shortest walk length of the min-plus sweep: no walk counted
-against it weighs more than 1, and the shortest weighs about 1.  Where
-the hop bound binds, a vertex's shortest walk of h hops can lie more than
-WALK_SUM_RANGE * gamma above its shortest of H hops, and its sum would
-underflow; that origin then counts the hops before h against its
-distances after hop h-1 and takes a new reference from hop h on, so every
-sum keeps a term of at least exp(-WALK_SUM_RANGE).  The min-plus sweep
-keeps only the distances of the origins that renew, at the hops where
-they renew, so a sweep holds O((slots + V) x origins) besides them.  The
-one state no reference can hold is a sum of more than e^700 walks that
-near the shortest length, a walk sum that diverges as H grows: it raises
-NetworkError naming the level, never inf or NaN.
+At gamma > 0 a sweep shifts each origin's potentials by a reference phi
+and keeps the shifted log walk sum nu = log(sum of exp(-(length -
+phi_v)/gamma)), so u = phi - gamma * nu.  A hop is five passes: gather nu
+at the tails, subtract the reduced costs (w_e + phi_tail - phi_head)/gamma,
+exp, add.reduceat by head, log.  phi is 0 when H * (max|w|/gamma +
+log(largest fan-in)) <= WALK_SUM_RANGE, so no walk term and no sum can
+leave the double range.  Otherwise the reference of hop h is d_h, the
+shortest length of a walk of at most h hops, from a min-plus hop in the
+same loop.  The reduced costs (w_e + d_{h-1}[tail] - d_h[head])/gamma are
+taken from that hop's own candidates, so the tight slot into each reached
+vertex gives exactly 0: its shortest walk weighs exactly 1 at every hop,
+no sum underflows and nu >= 0.  Once the distances stop moving the
+reduced costs stay fixed and a hop is the five passes again.  An unkept
+sweep holds O((slots + V) x origins).  The one state no reference can
+hold is a sum of more than e^700 walks near the shortest length, a walk
+sum that diverges as H grows: it raises NetworkError naming the level,
+never inf or NaN.
 
 A sweep with phi = 0 on a level of at most DENSE_MAX_VERTICES vertices
 runs a dense kernel in the linear domain instead; on such small levels
@@ -57,9 +55,10 @@ over walks of any length, Z = (I - K)^-1 e, could reuse the same K.
 
 The backward sweep reads the walk sums of every hop of the forward,
 (H+1) x V x origins: the log kernel keeps -nu and recomputes each edge's
-walk term from it, the dense kernel keeps Z and K and needs
-O(V^2 + V x origins) more while it runs.  Origins are swept in chunks whose kept sums fit in
-ROUNDS_CAP_BYTES (the references and their renewals come on top).
+walk term from it and the references of the hops before the distances
+settle; the dense kernel keeps Z and K and needs O(V^2 + V x origins)
+more while it runs.  Origins are swept in chunks whose kept sums fit in
+ROUNDS_CAP_BYTES; the references, at most as many bytes, come on top.
 assignment_flows runs only the forward sweeps, which give the value, and
 returns a deferred FlowState: the first read of its flows runs the backward
 sweeps from the kept hops of level 1 and of each deeper level's pricing
@@ -77,7 +76,7 @@ import numpy as np
 
 from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
 
-ROUNDS_CAP_BYTES = 32 << 20  # forward walk sums kept per chunk of origins
+ROUNDS_CAP_BYTES = 32 << 20  # forward walk sums kept per chunk of origins (references on top)
 # levels this small sweep phi = 0 as matrix-vector products: with 8, 32 and
 # V origins, H = V - 1, softmin_flows ran at least 1.25x faster with them up
 # to V = 144 on one-way rings (the sparsest connected level) and 1.5x on
@@ -98,126 +97,102 @@ class UnreachableError(NetworkError):
         self.od = (origin, dest)
 
 
-def _min_plus(graph: LevelGraph, weights, origins, hops, spread=None):
-    """Hop-bounded shortest walk lengths from each origin, (V, B).
-
-    Runs min-plus hops to the fixed point or `hops`.  Returns (d, cuts): d
-    after the last hop and, when spread is given, the hops where an
-    origin's distances since its last cut (or hop 1) would fall by more
-    than spread: (last, cols, low), the distances after hop `last` of the
-    origins cols that cut there, (V, len(cols)).  Only the cut columns
-    are kept, so the sweep holds O((slots + V) x B) besides them.
-    """
-    n, batch = graph.n_vertices, len(origins)
-    order, tails, starts, _ = graph.head_groups
-    c = np.concatenate([weights, np.zeros(n)])[order, None]
-    # rows n.. keep round 0, the tails of the virtual empty-walk edges
-    state = np.full((2 * n, batch), math.inf)
-    state[origins, np.arange(batch)] = 0.0
+def _round_zero(n, origins, empty):
+    """A sweep's (2V, B) hop state, 0 at each origin and `empty` elsewhere:
+    rows ..V after the last hop, rows V.. round 0 for the virtual slots."""
+    state = np.full((2 * n, len(origins)), empty)
+    state[origins, np.arange(len(origins))] = 0.0
     state[n:] = state[:n]
-    d = state[:n]
-    cand, low = np.empty((len(tails), batch)), np.empty((n, batch))
-    # distances fall hop by hop, so a vertex's first finite one is its largest
-    first, gap, cuts = np.full((n, batch), math.inf), np.empty((n, batch)), []
-    # inf - inf where neither hop reaches a vertex: NaN, never above spread
-    with np.errstate(invalid="ignore"):
-        for h in range(1, hops + 1):
-            state.take(tails, axis=0, out=cand)
-            cand += c
-            np.minimum.reduceat(cand, starts, axis=0, out=low)
-            if np.array_equal(low, d):
-                break
-            if spread is not None:
-                np.copyto(first, low, where=np.isinf(first))
-                np.subtract(first, low, out=gap)
-                cols = np.flatnonzero(np.any(gap > spread, axis=0))
-                if len(cols):
-                    cuts.append((h - 1, cols, d[:, cols]))
-                    first[:, cols] = low[:, cols]
-            d[:] = low
-    return d.copy(), cuts
+    return state
 
 
-def _references(d, cuts):
-    """(phi, renewals): the reference of a soft sweep's first hops and its
-    renewals, from the min-plus distances d and cuts of _min_plus.
+def _min_plus_hop(graph: LevelGraph, dist, c, cand, low):
+    """One min-plus hop: cand = dist at the slot tails + c, and rows ..V of
+    dist move to low, its minimum by head.  Returns whether they stayed put."""
+    _, tails, starts, _ = graph.head_groups
+    dist.take(tails, axis=0, out=cand)
+    cand += c
+    np.minimum.reduceat(cand, starts, axis=0, out=low)
+    settled = np.array_equal(low, dist[:len(low)])
+    dist[:len(low)] = low
+    return settled
 
-    renewals lists (last, cols, before, after): after hop `last` the
-    columns cols of the reference change from `before`, their distances
-    after that hop, to `after`, those of their next cut or d.  Unreached
-    vertices get the reference 0.
-    """
-    ref = np.where(np.isfinite(d), d, 0.0)
-    renewals = []
-    for last, cols, low in reversed(cuts):
-        before = np.where(np.isfinite(low), low, 0.0)
-        renewals.append((last, cols, before, ref[:, cols]))
-        ref[:, cols] = before
-    return ref, renewals[::-1]
+
+def _min_plus(graph: LevelGraph, weights, origins, hops):
+    """Hop-bounded shortest walk lengths from each origin, (V, B): min-plus
+    hops to the fixed point or `hops`."""
+    n, batch = graph.n_vertices, len(origins)
+    c = np.concatenate([weights, np.zeros(n)])[graph.head_groups[0], None]
+    dist = _round_zero(n, origins, math.inf)
+    cand, low = np.empty((len(c), batch)), np.empty((n, batch))
+    for _ in range(hops):
+        if _min_plus_hop(graph, dist, c, cand, low):
+            break
+    return dist[:n].copy()
 
 
 def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False, level=1):
     """Potentials over walks of at most `hops` hops from each origin.
 
     Returns (u, kept): u[v, b] the potential of v seen from origins[b]
-    (+inf when unreachable); kept, when keep is set, is (-nus, phi,
-    renewals): the negated shifted log walk sums after hops 0..hops,
-    (hops+1, V, B), the reference of the last hops and the renewals of
-    _references that led to it, or the (Z, K) of _dense_forward; else
-    None.  With gamma = 0, u is the minimum walk length (min-plus hops)
-    and keep is for gamma > 0.
+    (+inf when unreachable); kept, when keep is set, names its kernel:
+    (-nus, refs, "log"), the negated shifted log walk sums after hops
+    0..hops, (hops+1, V, B), and the references of hop 0 and of each hop
+    before the distances settle, or the (Z, K, "dense") of
+    _dense_forward; else None.  With gamma = 0, u is the minimum walk
+    length (min-plus hops) and keep is for gamma > 0.
     """
     weights = np.asarray(weights, dtype=float)
     if gamma == 0:
-        return _min_plus(graph, weights, origins, hops)[0], None
+        return _min_plus(graph, weights, origins, hops), None
     n, batch = graph.n_vertices, len(origins)
     order, tails, starts, _ = graph.head_groups
-    tail, head, log_fan_in = graph.slots
-    if hops * (np.abs(weights).max(initial=0.0) / gamma + log_fan_in) <= WALK_SUM_RANGE:
-        if n <= DENSE_MAX_VERTICES:
-            return _dense_forward(graph, weights, origins, gamma, hops, keep)
-        phi, renewals = np.zeros((n, 1)), []
-    else:
-        phi, renewals = _references(
-            *_min_plus(graph, weights, origins, hops, WALK_SUM_RANGE * gamma))
+    head, log_fan_in = graph.slots
+    flat = hops * (np.abs(weights).max(initial=0.0) / gamma + log_fan_in) <= WALK_SUM_RANGE
+    if flat and n <= DENSE_MAX_VERTICES:
+        return _dense_forward(graph, weights, origins, gamma, hops, keep)
     c = np.concatenate([weights, np.zeros(n)])[order, None]
-    cols = np.arange(batch)
-    # rows ..n hold nu after the last hop, rows n.. nu of round 0
-    state = np.full((2 * n, batch), -math.inf)
+    cand, acc = np.empty((len(c), batch)), np.empty((n, batch))
+    # phi = 0, or at hop h the min-plus distance d_h after it (0 where unreached)
+    ref = np.zeros((n, 1))
+    refs = [ref] if keep else None
+    if flat:
+        dist, reduced = None, c / gamma
+    else:
+        dist = _round_zero(n, origins, math.inf)
+        reduced, low = np.empty((len(c), batch)), np.empty((n, batch))
+    state = _round_zero(n, origins, -math.inf)
     nu = state[:n]
     nus = np.empty((hops + 1, n, batch)) if keep else None
-    cand, acc = np.empty((len(tails), batch)), np.empty((n, batch))
-    h = 1
+    if keep:
+        np.negative(nu, out=nus[0])
     # log(0) where no walk arrives; exp and sum overflow only where a walk sum diverges
     with np.errstate(divide="ignore", over="ignore"):
-        for i, last in enumerate([last for last, *_ in renewals] + [hops]):
-            if i:
-                _, at, _, after = renewals[i - 1]
-                ref = phi.copy()
-                ref[:, at] = after
-                nu += (ref - phi) / gamma
-                phi = ref
-            state[n:][origins, cols] = phi[origins, cols if phi.shape[1] == batch else 0] / gamma
-            if not i:
-                nu[:] = state[n:]
-                if keep:
-                    np.negative(nu, out=nus[0])
-            reduced = (c + phi.take(tail, axis=0) - phi.take(head, axis=0)) / gamma
-            for h in range(h, last + 1):
-                state.take(tails, axis=0, out=cand)
-                cand -= reduced
-                np.exp(cand, out=cand)
-                np.add.reduceat(cand, starts, axis=0, out=acc)
-                np.log(acc, out=nu)
-                if keep:
-                    np.negative(nu, out=nus[h])
-            h = last + 1
-            if nu.max(initial=-math.inf) > _NU_MAX:
-                raise NetworkError(
-                    f"level {level}: the soft-min walk sum diverges: more than e^{_NU_MAX:g} "
-                    f"walks of at most {hops} hops lie within gamma={gamma:g} of the "
-                    "shortest; lower the hop bound or raise gamma")
-    return phi - gamma * nu, (nus, phi, renewals) if keep else None
+        for h in range(1, hops + 1):
+            if dist is not None:
+                # reduced costs from the hop's own candidates: a tight slot is exactly 0
+                settled = _min_plus_hop(graph, dist, c, reduced, low)
+                ref = np.where(np.isfinite(low), low, 0.0)
+                ref.take(head, axis=0, out=cand)
+                reduced -= cand
+                reduced /= gamma
+                if settled:
+                    dist = None
+                elif keep:
+                    refs.append(ref)
+            state.take(tails, axis=0, out=cand)
+            cand -= reduced
+            np.exp(cand, out=cand)
+            np.add.reduceat(cand, starts, axis=0, out=acc)
+            np.log(acc, out=nu)
+            if keep:
+                np.negative(nu, out=nus[h])
+    if nu.max(initial=-math.inf) > _NU_MAX:
+        raise NetworkError(
+            f"level {level}: the soft-min walk sum diverges: more than e^{_NU_MAX:g} "
+            f"walks of at most {hops} hops lie within gamma={gamma:g} of the "
+            "shortest; lower the hop bound or raise gamma")
+    return ref - gamma * nu, (nus, refs, "log") if keep else None
 
 
 def _dense_forward(graph: LevelGraph, weights, origins, gamma, hops, keep):
@@ -227,7 +202,7 @@ def _dense_forward(graph: LevelGraph, weights, origins, gamma, hops, keep):
     walk at each origin, and u = -gamma * log Z_hops.  The walk sums are
     stacked origin-major, (B, V, 1), so a hop is one matrix-vector product
     per origin and an origin's bits do not depend on the batch.  kept is
-    (Z after hops 0..hops, K).
+    (Z after hops 0..hops, K, "dense").
     """
     n, batch = graph.n_vertices, len(origins)
     k = np.zeros((n, n))
@@ -241,7 +216,7 @@ def _dense_forward(graph: LevelGraph, weights, origins, gamma, hops, keep):
         np.add(z[(h - 1) % len(z)], walks[h % 2], out=z[h % len(z)])
     with np.errstate(divide="ignore"):  # log(0) where no walk arrives: u = +inf
         u = 0.0 - gamma * np.log(z[hops % len(z), :, :, 0].T)
-    return u, (z, k) if keep else None
+    return u, (z, k, "dense") if keep else None
 
 
 def _dense_backward(graph: LevelGraph, weights, gamma, z, k, sink_mass):
@@ -275,13 +250,14 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
     to their walk terms, p * term / sum (the Gibbs ratio), with the term
     exp(nu_tail - reduced cost) recomputed as the forward sweep formed it
     and 1/sum = exp(-nu_head); the mass moves on to the tails, and what a
-    head keeps is absorbed by the empty walk at the origin.  Returns the
-    edge flows summed over the batch.  A dense kept sweep, (Z, K), takes
-    _dense_backward.
+    head keeps is absorbed by the empty walk at the origin.  The reduced
+    costs come from the kept references, the last serving every later hop.
+    Returns the edge flows summed over the batch.  A dense kept sweep,
+    (Z, K, "dense"), takes _dense_backward.
     """
-    if len(kept) == 2:
-        return _dense_backward(graph, weights, gamma, *kept, sink_mass)
-    neg_nus, phi, renewals = kept
+    if kept[2] == "dense":
+        return _dense_backward(graph, weights, gamma, *kept[:2], sink_mass)
+    neg_nus, refs, _ = kept
     order, starts, ends = graph.tail_groups
     tails, heads = graph.tails[order], graph.heads[order]
     c = np.asarray(weights, dtype=float)[order, None]
@@ -289,40 +265,31 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
     x, y = np.empty((len(order), batch)), np.empty((len(order), batch))
     per_origin = np.zeros_like(x)
     p, q, below = sink_mass, np.empty_like(sink_mass), np.zeros_like(sink_mass)
-    h = len(neg_nus) - 1
-    for i in range(len(renewals), -1, -1):
-        start = renewals[i - 1][0] if i else 0
-        neg_reduced = -((c + phi.take(tails, axis=0) - phi.take(heads, axis=0)) / gamma)
-        if i:
-            _, at, before, _ = renewals[i - 1]
-            prev = phi.copy()
-            prev[:, at] = before
-        for h in range(h, start, -1):
-            # the tails' sums as the hop read them, shifted at a renewal
-            neg_in = (neg_nus[h - 1] - (phi - prev) / gamma if i and h == start + 1
-                      else neg_nus[h - 1])
-            # where no walk arrives nu is -inf and p is 0: the clamp keeps q at 0
-            np.minimum(neg_nus[h], _NU_MAX, out=q)
-            np.exp(q, out=q)
-            q *= p
-            neg_in.take(tails, axis=0, out=x)
-            np.subtract(neg_reduced, x, out=x)
-            np.exp(x, out=x)
-            q.take(heads, axis=0, out=y)
-            x *= y
-            per_origin += x
-            below[ends] = np.add.reduceat(x, starts, axis=0)
-            p = below
-        h = start
-        if i:
-            phi = prev
+    hops, last = len(neg_nus) - 1, len(refs) - 1
+    for h in range(hops, 0, -1):
+        # the references move until the distances settle, then stay
+        if h == hops or h <= last:
+            neg_reduced = -((c + refs[min(h - 1, last)].take(tails, axis=0)
+                             - refs[min(h, last)].take(heads, axis=0)) / gamma)
+        # where no walk arrives nu is -inf and p is 0: the clamp keeps q at 0
+        np.minimum(neg_nus[h], _NU_MAX, out=q)
+        np.exp(q, out=q)
+        q *= p
+        neg_nus[h - 1].take(tails, axis=0, out=x)
+        np.subtract(neg_reduced, x, out=x)
+        np.exp(x, out=x)
+        q.take(heads, axis=0, out=y)
+        x *= y
+        per_origin += x
+        below[ends] = np.add.reduceat(x, starts, axis=0)
+        p = below
     flows = np.empty(graph.n_edges)
     flows[order] = per_origin.sum(axis=1)
     return flows
 
 
 def _kept_bytes(graph, hops):
-    """Bytes a gamma > 0 forward sweep keeps per origin for the backward sweep."""
+    """Bytes of walk sums a gamma > 0 forward sweep keeps per origin (references aside)."""
     return 8 * (hops + 1) * graph.n_vertices
 
 

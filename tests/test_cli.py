@@ -344,7 +344,7 @@ class TestSolve:
         inst = write_instance(tmp_path / "grid.net", "\n".join(edges + ods) + "\n")
         lg = load_network(inst).levels[0]
         _, kept = softmin._sweep_forward(lg, np.ones(lg.n_edges), [0], 1.0, n - 1, keep=True)
-        assert len(kept) == 2  # (Z, K): the dense kernel
+        assert kept[2] == "dense"  # (Z, K, "dense"): the dense kernel
         src = os.path.dirname(os.path.dirname(softmin.__file__))
         files = {}
         for threads in ("1", "2"):

@@ -420,6 +420,13 @@ def close(a, b):
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+def sweep_kernel(g, w, gamma, hops):
+    """The kernel a sweep of these data takes: 'dense', 'log' (phi = 0) or
+    'reference' (the log kernel against min-plus distances that move)."""
+    _, (_, refs, kernel) = softmin._sweep_forward(g, w, [0], gamma, hops, keep=True)
+    return "reference" if kernel == "log" and len(refs) > 1 else kernel
+
+
 class TestBatchedSweep:
     """The one batched sweep against the per-origin reference above."""
 
@@ -669,33 +676,26 @@ class TestShiftedSweep:
             if gamma >= 0.1:
                 close(flows, ef)
 
-    def count_min_plus(self, monkeypatch):
-        calls = []
-        real = softmin._min_plus
-        monkeypatch.setattr(softmin, "_min_plus",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        return calls
-
     def test_both_references_are_taken(self, monkeypatch):
         # phi = 0 while H * (max|w|/gamma + log fan-in) stays within range,
         # else the hop-bounded distances of a min-plus sweep
-        calls = self.count_min_plus(monkeypatch)
         g = ragged_graph()
         w = np.random.default_rng(51).uniform(0.2, 2.0, size=g.n_edges)
-        softmin_potentials(g, w, 0, 1.0, 6)
-        assert calls == []
-        softmin_potentials(g, w, 0, 1e-3, 6)
-        assert len(calls) == 1
+        assert sweep_kernel(g, w, 1.0, 6) == "dense"
+        assert sweep_kernel(g, w, 1e-3, 6) == "reference"
+        monkeypatch.setattr(softmin, "DENSE_MAX_VERTICES", 0)
+        assert sweep_kernel(g, w, 1.0, 6) == "log"
+        assert sweep_kernel(g, w, 1e-3, 6) == "reference"
 
     def test_reference_renewed_where_the_hop_bound_binds(self):
         # a is 1 away in one hop and 0.3 in three, so against its 3-hop
-        # distance its 1-hop sum underflows; the walk 0 -> a -> x it
-        # carries is the only one of 3 hops or fewer to x
+        # distance its 1-hop sum would underflow; the walk 0 -> a -> x it
+        # carries is the only one of 3 hops or fewer to x.  Each hop takes
+        # its own distances as the reference, so the sum keeps its walk
         e = fixed_edge(1.0)
         g = LevelGraph(5, [(0, 1, e), (0, 2, e), (2, 3, e), (3, 1, e), (1, 4, e)])
         w = np.array([1.0, 0.1, 0.1, 0.1, 1.0])
-        _, cuts = softmin._min_plus(g, w, [0], 3, softmin.WALK_SUM_RANGE * 1e-6)
-        assert [last for last, *_ in cuts] == [2]
+        assert sweep_kernel(g, w, 1e-6, 3) == "reference"
         u = softmin_potentials(g, w, 0, 1e-6, 3)
         close(u, reference_rounds(g, w, 0, 1e-6, 3)[-1])
         assert u[4] == 2.0
@@ -703,23 +703,20 @@ class TestShiftedSweep:
         close(flows, [1.0, 1.0, 1.0, 1.0, 1.0])
 
     def test_every_hop_renewed(self, monkeypatch):
-        # a zero range renews the reference wherever a distance falls
+        # a zero range forces the min-plus references, one per hop
         monkeypatch.setattr(softmin, "WALK_SUM_RANGE", 0.0)
-        calls = self.count_min_plus(monkeypatch)
         rng = np.random.default_rng(52)
         g = ragged_graph()
         w = rng.uniform(-0.5, 2.0, size=g.n_edges)
-        _, cuts = softmin._min_plus(g, w, list(range(7)), 6, 0.0)
-        assert len(cuts) > 1
+        assert sweep_kernel(g, w, 0.7, 6) == "reference"
         demands = self.reachable_demands(g, w, 0.7, 6, rng)
         value, flows = softmin_flows(g, w, demands, 0.7, 6)
-        assert calls
         ev, ef = reference_flows(g, w, demands, 0.7, 6)
         assert value == pytest.approx(ev, rel=1e-12, abs=1e-12)
         close(flows, ef)
 
     def test_potentials_do_not_depend_on_the_batch(self):
-        # each origin renews its reference at its own hops
+        # each origin's distances settle at their own hop
         g = ragged_graph()
         w = np.random.default_rng(53).uniform(-0.5, 2.0, size=g.n_edges)
         u, _ = softmin._sweep_forward(g, w, list(range(7)), 1e-6, 4)
@@ -763,13 +760,13 @@ class TestShiftedSweep:
         assert kept == [3 * per_origin, 2 * per_origin]
         assert max(kept) <= cap
 
-    def test_min_plus_reference_holds_no_hop_per_origin(self, monkeypatch):
+    def test_min_plus_reference_holds_no_hop_per_origin(self):
         # an unkept sweep on the min-plus path holds O((slots + V) x B),
         # never the (H+1) x V x B of every min-plus round
-        calls = self.count_min_plus(monkeypatch)
         g = grid_graph(10)
         w = np.random.default_rng(55).uniform(1.0, 8.0, size=g.n_edges)
         origins, hops = list(range(g.n_vertices)), g.n_vertices - 1
+        assert sweep_kernel(g, w, 0.1, hops) == "reference"
         bound = 6 * 8 * (len(g.head_groups[1]) + g.n_vertices) * len(origins)
         assert 8 * (hops + 1) * g.n_vertices * len(origins) > bound
         tracemalloc.start()
@@ -778,17 +775,91 @@ class TestShiftedSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls and peak < bound
+        assert peak < bound
+
+    def test_kept_references_fit_within_the_stack(self, monkeypatch):
+        # a kept chunk holds one reference per hop until the distances
+        # settle, never more than its -nu stack: on a grid they settle
+        # after the diameter, on a one-way path never before H
+        e = fixed_edge(1.0)
+        path = LevelGraph(30, [(v, v + 1, e) for v in range(29)])
+        kept = []
+        forward = softmin._sweep_forward
+
+        def recording(*args, **kwargs):
+            u, k = forward(*args, **kwargs)
+            kept.append(k)
+            return u, k
+
+        monkeypatch.setattr(softmin, "_sweep_forward", recording)
+        rng = np.random.default_rng(56)
+        for g, origins in ((grid_graph(8), range(0, 64, 3)), (path, range(3))):
+            hops = g.n_vertices - 1
+            w = rng.uniform(1.0, 8.0, size=g.n_edges)
+            assert sweep_kernel(g, w, 1e-3, hops) == "reference"
+            kept.clear()
+            softmin_flows(g, w, {(o, g.n_vertices - 1): 1.0 for o in origins}, 1e-3, hops)
+            assert len(kept) == 1
+            stack, refs, _ = kept[0]
+            assert 1 < len(refs) <= len(stack)
+            assert sum(r.nbytes for r in refs) <= stack.nbytes
+
+
+class TestReferencePath:
+    """Sweeps against the min-plus references, after the distances settle too,
+    against the per-hop stabilized reference."""
+
+    @staticmethod
+    def scaled(rng, g, gamma, hops):
+        """Weights whose H * max|w| / gamma passes WALK_SUM_RANGE."""
+        w = rng.uniform(0.1, 1.0, size=g.n_edges)
+        w *= gamma * rng.uniform(1.2, 3.0) * softmin.WALK_SUM_RANGE / hops / w.max()
+        assert hops * w.max() / gamma > softmin.WALK_SUM_RANGE
+        return w
+
+    @staticmethod
+    def agree(g, w, origins, gamma, hops):
+        """Potentials and flows from origins agree with reference_rounds and
+        reference_flows within 1e-11 of the largest."""
+        demands = {}
+        for o in origins:
+            expect = reference_rounds(g, w, o, gamma, hops)[-1]
+            u = softmin_potentials(g, w, o, gamma, hops)
+            scale = np.abs(expect[np.isfinite(expect)]).max()
+            np.testing.assert_allclose(u, expect, rtol=0.0, atol=1e-11 * scale)
+            demands.update({(o, d): 1.0 + 0.1 * d for d in range(g.n_vertices)
+                            if d != o and math.isfinite(expect[d])})
+        value, flows = softmin_flows(g, w, demands, gamma, hops)
+        ev, ef = reference_flows(g, w, demands, gamma, hops)
+        assert value == pytest.approx(ev, rel=1e-11)
+        np.testing.assert_allclose(flows, ef, rtol=0.0, atol=1e-11 * ef.max())
+
+    def test_random_graphs(self):
+        # below gamma = 1e-2 the reference itself rounds by about eps*|u|/gamma
+        rng = np.random.default_rng(70)
+        for _ in range(40):
+            n = int(rng.integers(4, 31))
+            edges = [(v, v + 1) for v in range(n - 1)]
+            edges += [tuple(int(x) for x in rng.choice(n, size=2, replace=False))
+                      for _ in range(int(rng.integers(n, 3 * n)))]
+            g = LevelGraph(n, [(a, b, fixed_edge(1.0)) for a, b in edges])
+            hops = int(rng.integers(1, n))
+            gamma = float(10.0 ** rng.uniform(-2.0, 0.0))
+            w = self.scaled(rng, g, gamma, hops)
+            self.agree(g, w, sorted({0, *rng.choice(n, size=3).tolist()}), gamma, hops)
+
+    @pytest.mark.parametrize("gamma", [1e-2, 0.1, 1.0])
+    def test_grid_at_the_default_hop_bound(self, gamma):
+        g = grid_graph(4)
+        hops = g.n_vertices - 1
+        w = self.scaled(np.random.default_rng(71), g, gamma, hops)
+        self.agree(g, w, range(g.n_vertices), gamma, hops)
 
 
 class TestDenseKernel:
     """The linear-domain kernel of small phi = 0 levels against the log kernel."""
 
-    @staticmethod
-    def kernel(g, w, gamma, hops):
-        """The kernel a sweep of these data takes: 'dense' or 'log'."""
-        _, kept = softmin._sweep_forward(g, w, [0], gamma, hops, keep=True)
-        return "dense" if len(kept) == 2 else "log"
+    kernel = staticmethod(sweep_kernel)
 
     @staticmethod
     def both(monkeypatch, run, dense_max=0):
