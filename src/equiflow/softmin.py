@@ -15,57 +15,59 @@ with the origins.  At gamma = 0 a hop is min-plus (a take, an add and the
 minimum), run to its fixed point or n-1 hops: the hard shortest paths of
 hard_shortest, all_or_nothing and gamma = 0 pricing.
 
-At gamma > 0 a sweep shifts each origin's potentials by a reference phi
-and keeps the shifted log walk sum nu = log(sum of exp(-(length -
-phi_v)/gamma)), so u = phi - gamma * nu.  A hop is five passes: gather nu
-at the tails, subtract the reduced costs (w_e + phi_tail - phi_head)/gamma,
-exp, add.reduceat by head, log.  phi is 0 when H * (max|w|/gamma +
-log(largest fan-in)) <= WALK_SUM_RANGE, so no walk term and no sum can
-leave the double range.  Otherwise the reference of hop h is d_h, the
-shortest length of a walk of at most h hops, from a min-plus hop in the
-same loop.  The reduced costs (w_e + d_{h-1}[tail] - d_h[head])/gamma are
-taken from that hop's own candidates, so the tight slot into each reached
-vertex gives exactly 0: its shortest walk weighs exactly 1 at every hop,
-no sum underflows and nu >= 0.  Once the distances stop moving the
-reduced costs stay fixed and a hop is the five passes again.  An unkept
-sweep holds O((slots + V) x origins).  The one state no reference can
-hold is a sum of more than e^700 walks near the shortest length, a walk
-sum that diverges as H grows: it raises NetworkError naming the level,
-never inf or NaN.
+At gamma > 0 a sweep runs in the linear domain against a reference phi.
+It carries the shifted walk sum Z[v] = sum over walks of
+exp(-(length - phi_v)/gamma) by one recursion, Z_h = E_h Z_{h-1}, where a
+slot's factor is E = exp(-(w_e + phi_tail - phi_head)/gamma), and takes
+u = phi - gamma * log Z_H once, at the end.  phi is 0 when
+H * (max|w|/gamma + log fan-in) <= WALK_SUM_RANGE: every walk term then
+lies in [e^-600, e^600] and no sum exceeds (H+1) e^600.  Otherwise the
+reference of hop h is d_h, the shortest length of a walk of at most h
+hops, from a min-plus hop in the same loop, and E_h comes from that hop's
+own candidates, (w_e + d_{h-1}[tail] - d_h[head])/gamma, so the tight
+slot into each reached vertex has E = 1 exactly and, by induction, Z >= 1
+wherever a walk arrives.  A factor underflows only past a reduced cost of
+745, and while Z stays below e^700 the term it drops is under e^-45 of a
+sum of at least 1, below one ulp; subnormal factors err by at most
+2^-1074.  Once the distances stop moving E stays fixed.  The one state no
+reference can hold is a sum beyond e^700 at some hop, a walk sum that
+diverges as H grows: it overflows (to inf, or NaN after inf * 0), the
+end of the sweep finds it and raises NetworkError naming the level.
 
-A sweep with phi = 0 on a level of at most DENSE_MAX_VERTICES vertices
-runs a dense kernel in the linear domain instead; on such small levels
-the numpy calls of a log-domain hop cost more than its arithmetic.
-K[v, u] = sum over the edges u -> v of exp(-w_e/gamma), parallel edges
-added, is built once per sweep, the walk sums Z_h = sum_{j<=h} K^j e (e
-the empty walk at the origin) take one matrix-vector product per origin
-and hop, and u = -gamma * log Z_H.  The phi = 0 bound makes this exact in
-range: every walk term lies in [e^-600, e^600], so no term underflows
-and no sum of them exceeds (H+1) e^600.  The adjoint starts from
-q_{H-1} = sink / Z_H, steps q_{j-1} = K^T q_j and gives edge e the flow
-K_e * sum_j q_j[head] * Z_j[tail], one matrix product per hop.  q is
-zeroed where Z_j = 0: no contributing walk passes there, so the zeroing
-is exact, and q * Z_j is the mass at a vertex, at most the demand D, so
-q stays below D e^600 and no inf * 0 can give NaN.  The stacks are
-origin-major, (origins, V, 1), so numpy runs one matrix-vector product
-per origin and an origin's potentials have the same bits in any batch;
-one (V, origins) matrix product rounds by the width of the batch, about
-2e-16, and dumped potentials must equal single-origin sweeps.  A sweep
-over walks of any length, Z = (I - K)^-1 e, could reuse the same K.
+The recursion has two products.  A phi = 0 sweep on a level of at most
+DENSE_MAX_VERTICES vertices is dense: K[v, u] = sum over the edges
+u -> v of exp(-w_e/gamma), parallel edges added, is built once per sweep,
+and Z_h = Z_{h-1} + K^h e (e the empty walk at the origin) takes one
+matrix-vector product per origin and hop; on such small levels the numpy
+calls of a sparse hop cost more than its arithmetic.  The dense stacks
+are origin-major, (origins, V, 1), so an origin's potentials have the
+same bits in any batch; one (V, origins) matrix product rounds by the
+width of the batch, about 2e-16, and dumped potentials must equal
+single-origin sweeps.  Every other sweep is sparse: a hop takes Z at the
+slot tails, multiplies by E and adds by head, three passes.
 
-The backward sweep reads the walk sums of every hop of the forward,
-(H+1) x V x origins: the log kernel keeps -nu and recomputes each edge's
-walk term from it and the references of the hops before the distances
-settle; the dense kernel keeps Z and K and needs O(V^2 + V x origins)
-more while it runs.  Origins are swept in chunks whose kept sums fit in
-ROUNDS_CAP_BYTES; the references, at most as many bytes, come on top.
-assignment_flows runs only the forward sweeps, which give the value, and
-returns a deferred FlowState: the first read of its flows runs the backward
-sweeps from the kept hops of level 1 and of each deeper level's pricing
-sweep (beyond one chunk, the forward sweeps rerun).  A point whose flows
-are never read pays for no backward sweep, every level is swept forward
-once per point (by _od_values), and gamma = 0 levels load all-or-nothing
-when their flows are read.
+One adjoint serves both products.  It starts from q_H = sink / Z_H,
+steps q_{h-1} = E_h^T q_h and gives edge e the flow
+E_e * sum_h q_h[head] * Z_{h-1}[tail].  q is zeroed where Z_{h-1} = 0: no
+contributing walk passes there, so the zeroing is exact, and q * Z is the
+mass at a vertex, at most the demand D, so q stays below D e^600 and no
+inf * 0 can give NaN.  The sparse adjoint recomputes E_h from the kept
+references, whose unreached vertices read 0: a reduced cost from such a
+tail can be negative, so it is clamped at 0, where E * Z = 1 * 0 = 0 as in
+the forward.
+
+The backward sweep reads the walk sums Z of every hop of the forward,
+(H+1) x V x origins, and the references of hop 0 and of each hop before
+the distances settle; the dense product keeps K and needs
+O(V^2 + V x origins) more while it runs.  Origins are swept in chunks
+whose kept sums fit in ROUNDS_CAP_BYTES; the references, at most as many
+bytes, come on top.  assignment_flows runs only the forward sweeps, which
+give the value, and returns a deferred FlowState: the first read of its
+flows runs the backward sweeps from the kept hops of level 1 and of each
+deeper level's pricing sweep (beyond one chunk, the forward sweeps
+rerun).  A point whose flows are never read pays for no backward sweep,
+every level is swept forward once per point (by _od_values), and
+gamma = 0 levels load all-or-nothing when their flows are read.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ ROUNDS_CAP_BYTES = 32 << 20  # forward walk sums kept per chunk of origins (refe
 # (2-core Xeon VM, OpenBLAS with 2 threads)
 DENSE_MAX_VERTICES = 144
 WALK_SUM_RANGE = 600.0  # largest |log| of a walk term or sum a reference admits
-_NU_MAX = 700.0  # a shifted log walk sum beyond this is a diverging walk sum
 
 
 class UnreachableError(NetworkError):
@@ -97,11 +98,11 @@ class UnreachableError(NetworkError):
         self.od = (origin, dest)
 
 
-def _round_zero(n, origins, empty):
-    """A sweep's (2V, B) hop state, 0 at each origin and `empty` elsewhere:
-    rows ..V after the last hop, rows V.. round 0 for the virtual slots."""
-    state = np.full((2 * n, len(origins)), empty)
-    state[origins, np.arange(len(origins))] = 0.0
+def _round_zero(n, origins, at_origin, elsewhere):
+    """A sweep's (2V, B) hop state, at_origin at each origin and elsewhere
+    otherwise: rows ..V after the last hop, rows V.. round 0 for the virtual slots."""
+    state = np.full((2 * n, len(origins)), elsewhere)
+    state[origins, np.arange(len(origins))] = at_origin
     state[n:] = state[:n]
     return state
 
@@ -123,7 +124,7 @@ def _min_plus(graph: LevelGraph, weights, origins, hops):
     hops to the fixed point or `hops`."""
     n, batch = graph.n_vertices, len(origins)
     c = np.concatenate([weights, np.zeros(n)])[graph.head_groups[0], None]
-    dist = _round_zero(n, origins, math.inf)
+    dist = _round_zero(n, origins, 0.0, math.inf)
     cand, low = np.empty((len(c), batch)), np.empty((n, batch))
     for _ in range(hops):
         if _min_plus_hop(graph, dist, c, cand, low):
@@ -135,12 +136,12 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
     """Potentials over walks of at most `hops` hops from each origin.
 
     Returns (u, kept): u[v, b] the potential of v seen from origins[b]
-    (+inf when unreachable); kept, when keep is set, names its kernel:
-    (-nus, refs, "log"), the negated shifted log walk sums after hops
-    0..hops, (hops+1, V, B), and the references of hop 0 and of each hop
-    before the distances settle, or the (Z, K, "dense") of
-    _dense_forward; else None.  With gamma = 0, u is the minimum walk
-    length (min-plus hops) and keep is for gamma > 0.
+    (+inf when unreachable); kept, when keep is set, is what
+    _sweep_backward reads, (Z, K, "dense") from _dense_forward or
+    (Z, refs, "sparse"): the shifted walk sums after hops 0..hops,
+    (hops+1, V, B), and the references of hop 0 and of each hop before the
+    distances settle (none at phi = 0); else None.  With gamma = 0, u is
+    the minimum walk length (min-plus hops) and keep is for gamma > 0.
     """
     weights = np.asarray(weights, dtype=float)
     if gamma == 0:
@@ -149,60 +150,63 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
     order, tails, starts, _ = graph.head_groups
     head, log_fan_in = graph.slots
     flat = hops * (np.abs(weights).max(initial=0.0) / gamma + log_fan_in) <= WALK_SUM_RANGE
-    if flat and n <= DENSE_MAX_VERTICES:
-        return _dense_forward(graph, weights, origins, gamma, hops, keep)
-    c = np.concatenate([weights, np.zeros(n)])[order, None]
-    cand, acc = np.empty((len(c), batch)), np.empty((n, batch))
     # phi = 0, or at hop h the min-plus distance d_h after it (0 where unreached)
     ref = np.zeros((n, 1))
-    refs = [ref] if keep else None
-    if flat:
-        dist, reduced = None, c / gamma
+    if flat and n <= DENSE_MAX_VERTICES:
+        z, k = _dense_forward(graph, weights, origins, gamma, hops, keep)
+        walks, kept = z[-1, :, :, 0].T, (z, k, "dense")
     else:
-        dist = _round_zero(n, origins, math.inf)
-        reduced, low = np.empty((len(c), batch)), np.empty((n, batch))
-    state = _round_zero(n, origins, -math.inf)
-    nu = state[:n]
-    nus = np.empty((hops + 1, n, batch)) if keep else None
-    if keep:
-        np.negative(nu, out=nus[0])
-    # log(0) where no walk arrives; exp and sum overflow only where a walk sum diverges
-    with np.errstate(divide="ignore", over="ignore"):
-        for h in range(1, hops + 1):
-            if dist is not None:
-                # reduced costs from the hop's own candidates: a tight slot is exactly 0
-                settled = _min_plus_hop(graph, dist, c, reduced, low)
-                ref = np.where(np.isfinite(low), low, 0.0)
-                ref.take(head, axis=0, out=cand)
-                reduced -= cand
-                reduced /= gamma
-                if settled:
-                    dist = None
-                elif keep:
-                    refs.append(ref)
-            state.take(tails, axis=0, out=cand)
-            cand -= reduced
-            np.exp(cand, out=cand)
-            np.add.reduceat(cand, starts, axis=0, out=acc)
-            np.log(acc, out=nu)
-            if keep:
-                np.negative(nu, out=nus[h])
-    if nu.max(initial=-math.inf) > _NU_MAX:
+        c = np.concatenate([weights, np.zeros(n)])[order, None]
+        cand = np.empty((len(c), batch))
+        if flat:
+            dist, refs, factor = None, [], np.exp(c / -gamma)
+        else:
+            dist, refs = _round_zero(n, origins, 0.0, math.inf), [ref]
+            factor, low = np.empty((len(c), batch)), np.empty((n, batch))
+        state = _round_zero(n, origins, 1.0, 0.0)
+        walks = state[:n]
+        z = np.empty((hops + 1, n, batch)) if keep else None
+        if keep:
+            z[0] = walks
+        # a sum overflows, and inf * 0 gives NaN, only where a walk sum diverges
+        with np.errstate(over="ignore", invalid="ignore"):
+            for h in range(1, hops + 1):
+                if dist is not None:
+                    # factors from the hop's own candidates: a tight slot is exactly 1
+                    settled = _min_plus_hop(graph, dist, c, factor, low)
+                    ref = np.where(np.isfinite(low), low, 0.0)
+                    ref.take(head, axis=0, out=cand)
+                    factor -= cand
+                    factor /= -gamma
+                    np.exp(factor, out=factor)
+                    if settled:
+                        dist = None
+                    elif keep:
+                        refs.append(ref)
+                state.take(tails, axis=0, out=cand)
+                cand *= factor
+                np.add.reduceat(cand, starts, axis=0, out=walks)
+                if keep:
+                    z[h] = walks
+        kept = (z, refs, "sparse")
+    if not (walks <= math.exp(700.0)).all():
         raise NetworkError(
-            f"level {level}: the soft-min walk sum diverges: more than e^{_NU_MAX:g} "
-            f"walks of at most {hops} hops lie within gamma={gamma:g} of the "
-            "shortest; lower the hop bound or raise gamma")
-    return ref - gamma * nu, (nus, refs, "log") if keep else None
+            f"level {level}: the soft-min walk sum diverges: at some hop of at most "
+            f"{hops} it passed e^700 times the weight of that hop's shortest walk "
+            f"(gamma={gamma:g}); lower the hop bound or raise gamma")
+    with np.errstate(divide="ignore"):  # log(0) where no walk arrives: u = +inf
+        u = ref - gamma * np.log(walks)
+    return u, kept if keep else None
 
 
 def _dense_forward(graph: LevelGraph, weights, origins, gamma, hops, keep):
-    """The phi = 0 sweep in the linear domain: Z_h = Z_{h-1} + K^h e.
+    """The dense product of a phi = 0 sweep: Z_h = Z_{h-1} + K^h e.
 
-    K[v, u] sums exp(-w_e/gamma) over the edges u -> v, e is the empty
-    walk at each origin, and u = -gamma * log Z_hops.  The walk sums are
-    stacked origin-major, (B, V, 1), so a hop is one matrix-vector product
-    per origin and an origin's bits do not depend on the batch.  kept is
-    (Z after hops 0..hops, K, "dense").
+    K[v, u] sums exp(-w_e/gamma) over the edges u -> v and e is the empty
+    walk at each origin.  The walk sums are stacked origin-major,
+    (B, V, 1), so a hop is one matrix-vector product per origin and an
+    origin's bits do not depend on the batch.  Returns (Z, K), Z after
+    hops 0..hops when keep is set, else after the last hop only.
     """
     n, batch = graph.n_vertices, len(origins)
     k = np.zeros((n, n))
@@ -214,77 +218,71 @@ def _dense_forward(graph: LevelGraph, weights, origins, gamma, hops, keep):
     for h in range(1, hops + 1):
         np.matmul(k, walks[(h - 1) % 2], out=walks[h % 2])
         np.add(z[(h - 1) % len(z)], walks[h % 2], out=z[h % len(z)])
-    with np.errstate(divide="ignore"):  # log(0) where no walk arrives: u = +inf
-        u = 0.0 - gamma * np.log(z[hops % len(z), :, :, 0].T)
-    return u, (z, k, "dense") if keep else None
-
-
-def _dense_backward(graph: LevelGraph, weights, gamma, z, k, sink_mass):
-    """Adjoint of _dense_forward: edge e carries
-    K_e * sum over hops j and origins b of q_j[b, head] * Z_j[b, tail],
-    with q_{H-1} = sink / Z_H and q_{j-1} = K^T q_j, zeroed where Z_j = 0.
-    """
-    n = graph.n_vertices
-    z = z[:, :, :, 0]
-    q, nxt = np.zeros_like(z[0]), np.empty_like(z[0])
-    np.divide(sink_mass.T, z[-1], out=q, where=z[-1] != 0)
-    pair, acc = np.empty((n, n)), np.zeros((n, n))
-    # elsewhere q * Z_j is at most the demand: K^T q overflows only where
-    # Z_j = 0, which is zeroed, and a pair product only at vertex pairs
-    # without an edge, which are never read
-    with np.errstate(over="ignore"):
-        for j in range(len(z) - 2, -1, -1):
-            if j < len(z) - 2:
-                np.dot(q, k, out=nxt)
-                np.copyto(nxt, 0.0, where=z[j + 1] == 0)
-                q, nxt = nxt, q
-            np.dot(q.T, z[j], out=pair)
-            acc += pair
-    return np.exp(np.asarray(weights, dtype=float) / -gamma) * acc[graph.heads, graph.tails]
+    return z, k
 
 
 def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
     """Adjoint sweep over the kept hops: route sink_mass[v, b] back to origin b.
 
-    A hop moves the mass p at each head onto its in-edges in proportion
-    to their walk terms, p * term / sum (the Gibbs ratio), with the term
-    exp(nu_tail - reduced cost) recomputed as the forward sweep formed it
-    and 1/sum = exp(-nu_head); the mass moves on to the tails, and what a
-    head keeps is absorbed by the empty walk at the origin.  The reduced
-    costs come from the kept references, the last serving every later hop.
-    Returns the edge flows summed over the batch.  A dense kept sweep,
-    (Z, K, "dense"), takes _dense_backward.
+    q_H = sink / Z_H and q_{h-1} = E_h^T q_h, zeroed where Z_{h-1} = 0;
+    edge e carries E_e * sum over hops h and origins b of
+    q_h[b, head] * Z_{h-1}[b, tail].  The dense product pairs q with Z by
+    one (V, V) matrix product per hop and multiplies by K at the end; the
+    sparse one forms each edge's term, with E_h recomputed from the kept
+    references, the last serving every later hop.  Returns the edge flows
+    summed over the batch.
     """
-    if kept[2] == "dense":
-        return _dense_backward(graph, weights, gamma, *kept[:2], sink_mass)
-    neg_nus, refs, _ = kept
-    order, starts, ends = graph.tail_groups
-    tails, heads = graph.tails[order], graph.heads[order]
-    c = np.asarray(weights, dtype=float)[order, None]
-    batch = sink_mass.shape[1]
-    x, y = np.empty((len(order), batch)), np.empty((len(order), batch))
-    per_origin = np.zeros_like(x)
-    p, q, below = sink_mass, np.empty_like(sink_mass), np.zeros_like(sink_mass)
-    hops, last = len(neg_nus) - 1, len(refs) - 1
-    for h in range(hops, 0, -1):
-        # the references move until the distances settle, then stay
-        if h == hops or h <= last:
-            neg_reduced = -((c + refs[min(h - 1, last)].take(tails, axis=0)
-                             - refs[min(h, last)].take(heads, axis=0)) / gamma)
-        # where no walk arrives nu is -inf and p is 0: the clamp keeps q at 0
-        np.minimum(neg_nus[h], _NU_MAX, out=q)
-        np.exp(q, out=q)
-        q *= p
-        neg_nus[h - 1].take(tails, axis=0, out=x)
-        np.subtract(neg_reduced, x, out=x)
-        np.exp(x, out=x)
-        q.take(heads, axis=0, out=y)
-        x *= y
-        per_origin += x
-        below[ends] = np.add.reduceat(x, starts, axis=0)
-        p = below
+    z, held, kind = kept
+    weights = np.asarray(weights, dtype=float)
+    n, hops, dense = graph.n_vertices, len(z) - 1, kind == "dense"
+    if dense:
+        z, sink = z[:, :, :, 0], sink_mass.T
+        pair, acc = np.empty((n, n)), np.zeros((n, n))
+    else:
+        order, starts, ends = graph.tail_groups
+        tails, heads = graph.tails[order], graph.heads[order]
+        c = weights[order, None]
+        sink, refs, last = sink_mass, held, len(held) - 1
+        factor = None if refs else np.exp(c / -gamma)  # phi = 0: no references
+        x, y = np.empty((2, len(order), sink.shape[1]))
+        acc = np.zeros_like(x)
+    q, nxt = np.zeros_like(z[0]), np.zeros_like(z[0])
+    np.divide(sink, z[-1], out=q, where=z[-1] != 0)
+    # elsewhere q * Z is at most the demand: E^T q overflows only where
+    # Z = 0, which is zeroed, and a dense pair product only at vertex pairs
+    # without an edge, which are never read
+    with np.errstate(over="ignore"):
+        for h in range(hops, 0, -1):
+            if dense:
+                np.dot(q.T, z[h - 1], out=pair)
+                acc += pair
+                if h > 1:
+                    np.dot(q, held, out=nxt)
+            else:
+                if refs and (h == hops or h <= last):
+                    # the references move until the distances settle, then stay
+                    factor = (c + refs[min(h - 1, last)].take(tails, axis=0)
+                              - refs[min(h, last)].take(heads, axis=0)) / -gamma
+                    # an unreached tail reads 0: its E is 1, and E * Z = 0 as before
+                    np.minimum(factor, 0.0, out=factor)
+                    np.exp(factor, out=factor)
+                q.take(heads, axis=0, out=y)
+                z[h - 1].take(tails, axis=0, out=x)
+                x *= factor  # at most Z_h at the head, so x * q stays within the demand
+                x *= y
+                acc += x
+                if h > 1:
+                    y *= factor
+                    nxt[ends] = np.add.reduceat(y, starts, axis=0)
+            if h > 1:
+                np.copyto(nxt, 0.0, where=z[h - 1] == 0)
+                # a dense step writes all of nxt, a sparse one only the
+                # vertices with out-edges: the others stay 0
+                q, nxt = (nxt, q) if dense else (nxt, nxt)
+    if dense:
+        return np.exp(weights / -gamma) * acc[graph.heads, graph.tails]
     flows = np.empty(graph.n_edges)
-    flows[order] = per_origin.sum(axis=1)
+    flows[order] = acc.sum(axis=1)
     return flows
 
 

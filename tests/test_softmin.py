@@ -421,10 +421,10 @@ def close(a, b):
 
 
 def sweep_kernel(g, w, gamma, hops):
-    """The kernel a sweep of these data takes: 'dense', 'log' (phi = 0) or
-    'reference' (the log kernel against min-plus distances that move)."""
+    """The kernel a sweep of these data takes: 'dense', 'sparse' (phi = 0) or
+    'reference' (the sparse kernel against min-plus distances that move)."""
     _, (_, refs, kernel) = softmin._sweep_forward(g, w, [0], gamma, hops, keep=True)
-    return "reference" if kernel == "log" and len(refs) > 1 else kernel
+    return "reference" if kernel == "sparse" and len(refs) > 1 else kernel
 
 
 class TestBatchedSweep:
@@ -684,7 +684,7 @@ class TestShiftedSweep:
         assert sweep_kernel(g, w, 1.0, 6) == "dense"
         assert sweep_kernel(g, w, 1e-3, 6) == "reference"
         monkeypatch.setattr(softmin, "DENSE_MAX_VERTICES", 0)
-        assert sweep_kernel(g, w, 1.0, 6) == "log"
+        assert sweep_kernel(g, w, 1.0, 6) == "sparse"
         assert sweep_kernel(g, w, 1e-3, 6) == "reference"
 
     def test_reference_renewed_where_the_hop_bound_binds(self):
@@ -740,6 +740,25 @@ class TestShiftedSweep:
         with pytest.raises(NetworkError, match="level 2: the soft-min walk sum diverges"):
             assignment_flows(net, w, hops=[1, 400])
 
+    def test_sum_out_of_range_at_an_earlier_hop_raises(self):
+        # 0 -> a at 30, a <-> b by 8 zero-time edges each way and a 344-edge
+        # chain 0 -> ... -> a of length 10.  Before the chain arrives, 8^h
+        # walks of length 30 pass e^700; against the chain's 10 the final
+        # shifted sums are back below it, but the sweep checks once, at its
+        # end, and the sum overflowed on the way
+        e = fixed_edge(1.0)
+        chain = [0, *range(3, 346), 1]
+        g = LevelGraph(346, [(0, 1, e)] + [(1, 2, e)] * 8 + [(2, 1, e)] * 8
+                       + [(a, b, e) for a, b in zip(chain, chain[1:])])
+        w = np.array([30.0] + [0.0] * 16 + [10.0 / 344] * 344)
+        log_shifted = hard_shortest(g, w, 0)[0] - reference_rounds(g, w, 0, 1.0, 345)[-1]
+        np.testing.assert_allclose(log_shifted[[1, 2]], [695.34, 693.26], atol=0.01)
+        with pytest.raises(NetworkError, match="level 1: the soft-min walk sum diverges: "
+                                               "at some hop of at most 345 it passed e"):
+            softmin_potentials(g, w, 0, 1.0, 345)
+        with pytest.raises(NetworkError, match="level 3: the soft-min walk sum diverges"):
+            softmin_flows(g, w, {(0, 2): 1.0}, 1.0, 345, level=3)
+
     def test_kept_hops_fit_the_cap(self, monkeypatch):
         g = ragged_graph()
         hops = 6
@@ -779,7 +798,7 @@ class TestShiftedSweep:
 
     def test_kept_references_fit_within_the_stack(self, monkeypatch):
         # a kept chunk holds one reference per hop until the distances
-        # settle, never more than its -nu stack: on a grid they settle
+        # settle, never more than its Z stack: on a grid they settle
         # after the diameter, on a one-way path never before H
         e = fixed_edge(1.0)
         path = LevelGraph(30, [(v, v + 1, e) for v in range(29)])
@@ -857,14 +876,14 @@ class TestReferencePath:
 
 
 class TestDenseKernel:
-    """The linear-domain kernel of small phi = 0 levels against the log kernel."""
+    """The dense product of small phi = 0 levels against the sparse hop."""
 
     kernel = staticmethod(sweep_kernel)
 
     @staticmethod
     def both(monkeypatch, run, dense_max=0):
         """run() under the switch as it stands, then with DENSE_MAX_VERTICES
-        set to dense_max (0: the log kernel everywhere)."""
+        set to dense_max (0: the sparse hop everywhere)."""
         first = run()
         with monkeypatch.context() as m:
             m.setattr(softmin, "DENSE_MAX_VERTICES", dense_max)
@@ -942,7 +961,7 @@ class TestDenseKernel:
                        + [((v + 1) % n, v, e) for v in range(n)])
         w = np.random.default_rng(64 + extra).uniform(1.0, 2.0, size=g.n_edges)
         hops = 40
-        assert self.kernel(g, w, 1.0, hops) == ("log" if extra else "dense")
+        assert self.kernel(g, w, 1.0, hops) == ("sparse" if extra else "dense")
         demands = {(0, 30): 1.0, (7, 3): 0.5, (n - 1, 20): 2.0}
         self.agree(monkeypatch, g, w, demands, 1.0, hops, dense_max=0 if extra == 0 else n)
 
