@@ -122,6 +122,7 @@ def _summary_dict(report):
         "eps_residual": fmt(report.eps_residual),
         "converged": report.converged,
         "iterations": report.solver.iterations,
+        "stop_reason": report.solver.termination,
         "value_calls": report.solver.value_calls,
         "grad_calls": report.solver.grad_calls,
         "total_gap": fmt(report.total_gap),
@@ -329,6 +330,7 @@ def cmd_od(args) -> int:
         "residual": fmt(sol.residual),
         "converged": sol.converged,
         "iterations": sol.solver.iterations,
+        "stop_reason": sol.solver.termination,
         "dropped_constraint": sol.extra["dropped_constraint"],
         "primal": sol.extra["primal"],
     })

@@ -35,33 +35,34 @@ diverges as H grows: it overflows (to inf, or NaN after inf * 0), the
 end of the sweep finds it and raises NetworkError naming the level.
 
 The recursion has two products.  A phi = 0 sweep on a level of at most
-DENSE_MAX_VERTICES vertices is dense: K[v, u] = sum over the edges
-u -> v of exp(-w_e/gamma), parallel edges added, is built once per sweep,
-and Z_h = Z_{h-1} + K^h e (e the empty walk at the origin) takes one
-matrix-vector product per origin and hop; on such small levels the numpy
-calls of a sparse hop cost more than its arithmetic.  The dense stacks
-are origin-major, (origins, V, 1), so an origin's potentials have the
-same bits in any batch; one (V, origins) matrix product rounds by the
-width of the batch, about 2e-16, and dumped potentials must equal
-single-origin sweeps.  Every other sweep is sparse: a hop takes Z at the
-slot tails, multiplies by E and adds by head, three passes.
+DENSE_MAX_VERTICES vertices is dense: Z_H = S e, e the empty walk at each
+origin, for the power sum S = sum_{h<=H} K^h of K[v, u], the sum over the
+edges u -> v of exp(-w_e/gamma).  _power_sum forms S in ceil(log2(H+1))
+doublings of V x V products; on such small levels the numpy calls of H
+sparse hops cost more than the arithmetic.  S does not depend on the
+origins, so an origin's potentials have the same bits in any batch (dumped
+potentials equal single-origin sweeps), though not those of a hop-by-hop
+product.  Every other sweep is sparse: a hop takes Z at the slot tails,
+multiplies by E and adds by head, three passes.
 
-One adjoint serves both products.  It starts from q_H = sink / Z_H,
-steps q_{h-1} = E_h^T q_h and gives edge e the flow
-E_e * sum_h q_h[head] * Z_{h-1}[tail].  q is zeroed where Z_{h-1} = 0: no
-contributing walk passes there, so the zeroing is exact, and q * Z is the
-mass at a vertex, at most the demand D, so q stays below D e^600 and no
-inf * 0 can give NaN.  The sparse adjoint recomputes E_h from the kept
-references, whose unreached vertices read 0: a reduced cost from such a
-tail can be negative, so it is clamped at 0, where E * Z = 1 * 0 = 0 as in
-the forward.
+The sparse adjoint starts from q_H = sink / Z_H, steps q_{h-1} = E_h^T q_h
+and gives edge e the flow E_e * sum_h q_h[head] * Z_{h-1}[tail].  q is
+zeroed where Z_{h-1} = 0, exactly, as no contributing walk passes there,
+and q * Z, the mass at a vertex, is at most the demand, so no inf * 0 can
+give NaN.  E_h comes from the kept references, whose unreached vertices
+read 0: a reduced cost from such a tail can be negative, so it is clamped
+at 0, where E * Z = 1 * 0 = 0 as in the forward.  The dense adjoint is the
+same sum over i + j <= H-1 hops before and after each edge,
+(K^T)^i Q (K^T)^j with Q[:, origins] = sink / Z_H: the upper-right block of
+the power sum of [[K^T, Q], [0, K^T]] (Van Loan).  A power sum zeroes
+nothing, so Q is normalized instead (see _sweep_backward).
 
-The backward sweep reads the walk sums Z of every hop of the forward,
+A sparse backward sweep reads the walk sums of every forward hop,
 (H+1) x V x origins, and the references of hop 0 and of each hop before
-the distances settle; the dense product keeps K and needs
-O(V^2 + V x origins) more while it runs.  Origins are swept in chunks
-whose kept sums fit in ROUNDS_CAP_BYTES; the references, at most as many
-bytes, come on top.  assignment_flows runs only the forward sweeps, which
+the distances settle; origins are swept in chunks whose kept sums fit in
+ROUNDS_CAP_BYTES, the references, at most as many bytes, on top.  A dense
+one keeps Z_H and K, and its power sums need O(V^2 + V x origins) bytes
+whatever H.  assignment_flows runs only the forward sweeps, which
 give the value, and returns a deferred FlowState: the first read of its
 flows runs the backward sweeps from the kept hops of level 1 and of each
 deeper level's pricing sweep (beyond one chunk, the forward sweeps
@@ -79,12 +80,13 @@ import numpy as np
 from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
 
 ROUNDS_CAP_BYTES = 32 << 20  # forward walk sums kept per chunk of origins (references on top)
-# levels this small sweep phi = 0 as matrix-vector products: with 8, 32 and
-# V origins, H = V - 1, softmin_flows ran at least 1.25x faster with them up
-# to V = 144 on one-way rings (the sparsest connected level) and 1.5x on
-# two-way rings and grids; one-way rings of 169-196 vertices were even
-# (2-core Xeon VM, OpenBLAS with 2 threads)
-DENSE_MAX_VERTICES = 144
+# levels this small sweep phi = 0 by dense power sums, about V^3 log H flops
+# for any origin count against B H E for H sparse hops: with 8 origins and
+# H = V - 1, softmin_flows ran no slower dense up to V = 72 on one-way rings
+# (the sparsest connected level; 0.9-1.0x at 81, 0.8-1.1x at 100) and
+# 1.2-3.5x faster on two-way rings to 72 and grids to 64; with 32 or V
+# origins, 1.3-15x faster up to 144 (2-core Xeon VM, OpenBLAS 1 and 2 threads)
+DENSE_MAX_VERTICES = 72
 WALK_SUM_RANGE = 600.0  # largest |log| of a walk term or sum a reference admits
 
 
@@ -137,7 +139,7 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
 
     Returns (u, kept): u[v, b] the potential of v seen from origins[b]
     (+inf when unreachable); kept, when keep is set, is what
-    _sweep_backward reads, (Z, K, "dense") from _dense_forward or
+    _sweep_backward reads, (Z_H, (K, origins, hops), "dense") or
     (Z, refs, "sparse"): the shifted walk sums after hops 0..hops,
     (hops+1, V, B), and the references of hop 0 and of each hop before the
     distances settle (none at phi = 0); else None.  With gamma = 0, u is
@@ -153,8 +155,10 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
     # phi = 0, or at hop h the min-plus distance d_h after it (0 where unreached)
     ref = np.zeros((n, 1))
     if flat and n <= DENSE_MAX_VERTICES:
-        z, k = _dense_forward(graph, weights, origins, gamma, hops, keep)
-        walks, kept = z[-1, :, :, 0].T, (z, k, "dense")
+        k = np.zeros((n, n))
+        np.add.at(k, (graph.heads, graph.tails), np.exp(weights / -gamma))
+        walks = _power_sum(k, hops + 1)[:, origins]
+        kept = (walks, (k, origins, hops), "dense")
     else:
         c = np.concatenate([weights, np.zeros(n)])[order, None]
         cand = np.empty((len(c), batch))
@@ -199,95 +203,91 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
     return u, kept if keep else None
 
 
-def _dense_forward(graph: LevelGraph, weights, origins, gamma, hops, keep):
-    """The dense product of a phi = 0 sweep: Z_h = Z_{h-1} + K^h e.
-
-    K[v, u] sums exp(-w_e/gamma) over the edges u -> v and e is the empty
-    walk at each origin.  The walk sums are stacked origin-major,
-    (B, V, 1), so a hop is one matrix-vector product per origin and an
-    origin's bits do not depend on the batch.  Returns (Z, K), Z after
-    hops 0..hops when keep is set, else after the last hop only.
-    """
-    n, batch = graph.n_vertices, len(origins)
-    k = np.zeros((n, n))
-    np.add.at(k, (graph.heads, graph.tails), np.exp(weights / -gamma))
-    walks = np.zeros((2, batch, n, 1))  # K^h e, alternating
-    walks[0][np.arange(batch), origins, 0] = 1.0
-    z = np.empty((hops + 1 if keep else 1, batch, n, 1))
-    z[0] = walks[0]
-    for h in range(1, hops + 1):
-        np.matmul(k, walks[(h - 1) % 2], out=walks[h % 2])
-        np.add(z[(h - 1) % len(z)], walks[h % 2], out=z[h % len(z)])
-    return z, k
+def _power_sum(m, n):
+    """sum_{k<n} m^k, n >= 1, by binary doubling over the bits of n:
+    S_2k = S_k + M^k S_k, S_2k+1 = S_2k + M^2k; no power above m^(n-1) is
+    formed.  Past 64 rows, where OpenBLAS splits products over threads, m
+    is padded to a multiple of 8 rows: at other sizes one thread and two
+    round some entries differently (OpenBLAS 0.3.31, Haswell kernels)."""
+    size = len(m)
+    m = np.pad(m, (0, -size % 8)) if size > 64 else m
+    s, p = np.eye(len(m)), m  # S_1 and M^1
+    bits = bin(n)[3:]
+    for i, bit in enumerate(bits):
+        more = i + 1 < len(bits)
+        s += p @ s
+        if bit == "1" or more:
+            p = p @ p
+        if bit == "1":
+            s += p
+            if more:
+                p = p @ m
+    return s[:size, :size]
 
 
 def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
     """Adjoint sweep over the kept hops: route sink_mass[v, b] back to origin b.
 
-    q_H = sink / Z_H and q_{h-1} = E_h^T q_h, zeroed where Z_{h-1} = 0;
-    edge e carries E_e * sum over hops h and origins b of
-    q_h[b, head] * Z_{h-1}[b, tail].  The dense product pairs q with Z by
-    one (V, V) matrix product per hop and multiplies by K at the end; the
-    sparse one forms each edge's term, with E_h recomputed from the kept
-    references, the last serving every later hop.  Returns the edge flows
-    summed over the batch.
+    The sparse adjoint recomputes E_h from the kept references, the last
+    serving every later hop.  The dense one gives edge u -> v
+    exp(-w_e/gamma) T[v, u], T the upper-right block of the power sum of
+    [[K^T, Q], [0, K^T]].  As walk terms of phi = 0 sweeps lie in
+    [e^-600, e^600], Q is summed in bands (commonly one) of entries within
+    e^100 of the band's largest, divided by it: each term the doubling forms
+    is in [e^-700, H V^2 e^600].  Returns the flows summed over the batch.
     """
     z, held, kind = kept
     weights = np.asarray(weights, dtype=float)
-    n, hops, dense = graph.n_vertices, len(z) - 1, kind == "dense"
-    if dense:
-        z, sink = z[:, :, :, 0], sink_mass.T
-        pair, acc = np.empty((n, n)), np.zeros((n, n))
-    else:
-        order, starts, ends = graph.tail_groups
-        tails, heads = graph.tails[order], graph.heads[order]
-        c = weights[order, None]
-        sink, refs, last = sink_mass, held, len(held) - 1
-        factor = None if refs else np.exp(c / -gamma)  # phi = 0: no references
-        x, y = np.empty((2, len(order), sink.shape[1]))
-        acc = np.zeros_like(x)
+    if kind == "dense":
+        (k, origins, hops), n = held, len(held[0])
+        m = np.zeros((2 * n, 2 * n))
+        m[:n, :n] = m[n:, n:] = k.T
+        rest = np.zeros((n, n))
+        rest[:, origins] = np.divide(sink_mass, z, out=np.zeros_like(z), where=z != 0)
+        factor, flows = np.exp(weights / -gamma), np.zeros(graph.n_edges)
+        while (top := rest.max()) > 0.0:
+            band = rest >= top * math.exp(-100.0)
+            m[:n, n:] = np.where(band, rest / top, 0.0)
+            flows += factor * _power_sum(m, hops + 1)[graph.heads, n + graph.tails] * top
+            rest[band] = 0.0
+        return flows
+    refs, hops, last = held, len(z) - 1, len(held) - 1
+    order, starts, ends = graph.tail_groups
+    tails, heads = graph.tails[order], graph.heads[order]
+    c = weights[order, None]
+    factor = None if refs else np.exp(c / -gamma)  # phi = 0: no references
+    x, y = np.empty((2, len(order), sink_mass.shape[1]))
+    acc = np.zeros_like(x)
     q, nxt = np.zeros_like(z[0]), np.zeros_like(z[0])
-    np.divide(sink, z[-1], out=q, where=z[-1] != 0)
-    # elsewhere q * Z is at most the demand: E^T q overflows only where
-    # Z = 0, which is zeroed, and a dense pair product only at vertex pairs
-    # without an edge, which are never read
+    np.divide(sink_mass, z[-1], out=q, where=z[-1] != 0)
+    # elsewhere q * Z is at most the demand: E^T q overflows only where Z = 0
     with np.errstate(over="ignore"):
         for h in range(hops, 0, -1):
-            if dense:
-                np.dot(q.T, z[h - 1], out=pair)
-                acc += pair
-                if h > 1:
-                    np.dot(q, held, out=nxt)
-            else:
-                if refs and (h == hops or h <= last):
-                    # the references move until the distances settle, then stay
-                    factor = (c + refs[min(h - 1, last)].take(tails, axis=0)
-                              - refs[min(h, last)].take(heads, axis=0)) / -gamma
-                    # an unreached tail reads 0: its E is 1, and E * Z = 0 as before
-                    np.minimum(factor, 0.0, out=factor)
-                    np.exp(factor, out=factor)
-                q.take(heads, axis=0, out=y)
-                z[h - 1].take(tails, axis=0, out=x)
-                x *= factor  # at most Z_h at the head, so x * q stays within the demand
-                x *= y
-                acc += x
-                if h > 1:
-                    y *= factor
-                    nxt[ends] = np.add.reduceat(y, starts, axis=0)
+            if refs and (h == hops or h <= last):
+                # the references move until the distances settle, then stay
+                factor = (c + refs[min(h - 1, last)].take(tails, axis=0)
+                          - refs[min(h, last)].take(heads, axis=0)) / -gamma
+                # an unreached tail reads 0: its E is 1, and E * Z = 0 as before
+                np.minimum(factor, 0.0, out=factor)
+                np.exp(factor, out=factor)
+            q.take(heads, axis=0, out=y)
+            z[h - 1].take(tails, axis=0, out=x)
+            x *= factor  # at most Z_h at the head, so x * q stays within the demand
+            x *= y
+            acc += x
             if h > 1:
+                # only the vertices with out-edges are written: the others stay 0
+                y *= factor
+                nxt[ends] = np.add.reduceat(y, starts, axis=0)
                 np.copyto(nxt, 0.0, where=z[h - 1] == 0)
-                # a dense step writes all of nxt, a sparse one only the
-                # vertices with out-edges: the others stay 0
-                q, nxt = (nxt, q) if dense else (nxt, nxt)
-    if dense:
-        return np.exp(weights / -gamma) * acc[graph.heads, graph.tails]
+                q = nxt
     flows = np.empty(graph.n_edges)
     flows[order] = acc.sum(axis=1)
     return flows
 
 
 def _kept_bytes(graph, hops):
-    """Bytes of walk sums a gamma > 0 forward sweep keeps per origin (references aside)."""
+    """Bytes of walk sums a sparse forward sweep keeps per origin (references aside)."""
     return 8 * (hops + 1) * graph.n_vertices
 
 

@@ -170,6 +170,18 @@ class TestSolve:
         # best-so-far files are still written
         assert os.path.exists(os.path.join(out, "solution.csv"))
 
+    @pytest.mark.parametrize("instance, flags, code, reason", [
+        (PIGOU_INSTANCE, ["--model", "beckmann", "--eps", "1e-9"], 0, "certified"),
+        (SD_TWO_LINK_INSTANCE, ["--model", "stable_dynamics", "--max-iter", "3"], 2, "max_iter"),
+    ])
+    def test_summary_names_the_stop_reason(self, tmp_path, instance, flags, code, reason):
+        inst = write_instance(tmp_path / "in.net", instance)
+        out = tmp_path / "out"
+        assert main(["solve", inst, *flags, "--out", str(out)]) == code
+        summary = json.load(open(out / "summary.json"))
+        assert summary["stop_reason"] == reason
+        assert summary["converged"] is (reason == "certified")
+
     def test_verify_trace_and_potentials(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         out = str(tmp_path / "out")
@@ -333,18 +345,20 @@ class TestSolve:
             assert a == b
 
     def test_outputs_do_not_depend_on_the_blas_threads(self, tmp_path):
-        # a 10 x 10 grid with an origin at every vertex takes the dense
-        # kernel, and its adjoint's (100 x 100) x (100 x 100) products are
-        # large enough for OpenBLAS to split them over threads: one thread
-        # and two must write the same bytes
-        k = 10
-        n = k * k
+        # an 8 x 8 grid and a two-way tail of 6 more vertices, with an origin
+        # at every vertex, takes the dense kernel.  Its 70 x 70 and (adjoint)
+        # 140 x 140 products are large enough for OpenBLAS to split them over
+        # threads, and no multiple of 8 rows: one thread and two must write
+        # the same bytes
+        k, n = 8, 70
         edges = [line for line in grid_instance(k).splitlines() if line.startswith("1 ")]
+        edges += [f"1 {a} {b} bpr 1.5 1.0 0.15 1.0"
+                  for v in range(k * k - 1, n - 1) for a, b in ((v, v + 1), (v + 1, v))]
         ods = [f"od 1 {o} {(7 * o + 31) % n} 0.5" for o in range(n)]
         inst = write_instance(tmp_path / "grid.net", "\n".join(edges + ods) + "\n")
         lg = load_network(inst).levels[0]
         _, kept = softmin._sweep_forward(lg, np.ones(lg.n_edges), [0], 1.0, n - 1, keep=True)
-        assert kept[2] == "dense"  # (Z, K, "dense"): the dense kernel
+        assert kept[2] == "dense"  # (Z_H, (K, origins, H), "dense")
         src = os.path.dirname(os.path.dirname(softmin.__file__))
         files = {}
         for threads in ("1", "2"):
@@ -696,6 +710,18 @@ class TestOd:
         assert main(["od", c, r, w, "--gamma", "0.5", "--out", str(out)]) == 0
         cert = json.load(open(out / "certificate.json"))
         assert cert["primal"] == "last_iterate"
+
+    @pytest.mark.parametrize("budget, code, reason", [
+        ([], 0, "certified"), (["--max-iter", "2"], 2, "max_iter"),
+    ])
+    def test_certificate_names_the_stop_reason(self, tmp_path, budget, code, reason):
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        out = tmp_path / "out"
+        assert main(["od", c, r, w, "--gamma", "0.5", *budget, "--out", str(out)]) == code
+        cert = json.load(open(out / "certificate.json"))
+        assert cert["stop_reason"] == reason
+        assert cert["converged"] is (reason == "certified")
 
     def test_config_gamma_applies(self, tmp_path):
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}

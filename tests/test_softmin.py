@@ -760,11 +760,14 @@ class TestShiftedSweep:
             softmin_flows(g, w, {(0, 2): 1.0}, 1.0, 345, level=3)
 
     def test_kept_hops_fit_the_cap(self, monkeypatch):
+        # the cap bounds the per-hop stack of the sparse hop; a dense sweep
+        # keeps only Z_H
         g = ragged_graph()
         hops = 6
         per_origin = softmin._kept_bytes(g, hops)
         cap = 3 * per_origin + per_origin // 2
         monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES", cap)
+        monkeypatch.setattr(softmin, "DENSE_MAX_VERTICES", 0)
         kept = []
         forward = softmin._sweep_forward
 
@@ -966,12 +969,14 @@ class TestDenseKernel:
         self.agree(monkeypatch, g, w, demands, 1.0, hops, dense_max=0 if extra == 0 else n)
 
     @pytest.mark.parametrize("k", [5, 12])
-    def test_potentials_do_not_depend_on_the_batch(self, k):
-        # one matrix-vector product per origin and hop: an origin's bits
-        # are those of its own sweep, whatever else shares the batch; at
-        # 12 x 12 OpenBLAS may split each product over threads
+    def test_potentials_do_not_depend_on_the_batch(self, monkeypatch, k):
+        # the power sum of K does not depend on the origins: an origin's
+        # bits are those of its own sweep, whatever else shares the batch.
+        # 12 x 12 is forced dense, above the switch: OpenBLAS may split each
+        # of its products over threads
         g = grid_graph(k)
         n = g.n_vertices
+        monkeypatch.setattr(softmin, "DENSE_MAX_VERTICES", max(softmin.DENSE_MAX_VERTICES, n))
         w = np.random.default_rng(65).uniform(1.0, 2.0, size=g.n_edges)
         assert self.kernel(g, w, 1.0, n - 1) == "dense"
         origins = list(range(0, n, max(1, n // 25)))
@@ -981,9 +986,9 @@ class TestDenseKernel:
 
     def test_far_destination_and_huge_demand(self, monkeypatch):
         # 0 -> 1 -> 2 -> 3 and 2 -> 4 at 190 gamma a hop: Z_3 = e^-570 at 3
-        # and 4.  4 -> 3 and 5 -> 4 at -190 gamma carry no walk of 3 hops, and
-        # K^T q overflows at 4 before hop 3 reaches it (e^190 * 1e30 * e^570)
-        # and at 5, never reached: the zeroed adjoint keeps both out
+        # and 4.  4 -> 3 and 5 -> 4 at -190 gamma carry no walk of 3 hops;
+        # unnormalized, q = 1e30 * e^570 would overflow K^T q at 4 (e^190 q)
+        # and at 5, never reached.  Normalized, their terms are exact zeros
         e = fixed_edge(1.0)
         g = LevelGraph(6, [(0, 1, e), (1, 2, e), (2, 3, e), (2, 4, e), (4, 3, e), (5, 4, e)])
         w = np.array([190.0, 190.0, 190.0, 190.0, -190.0, -190.0])
@@ -997,14 +1002,65 @@ class TestDenseKernel:
         self.same(flows, [2e30, 2e30, 1e30, 1e30, 0.0, 0.0])
         self.agree(monkeypatch, g, w, demands, 1.0, 3)
 
-    def test_backward_holds_the_kept_stack_and_matrices(self):
-        # one chunk holds the kept walk sums, (H+1) x V x B, plus O(V^2 + V*B)
+    def test_mixed_scales_of_q(self, monkeypatch):
+        # 0 -> 1 -> 2 -> 3 at 190 gamma a hop and 4 -> 5 -> 6 -> 7 at -190:
+        # q is e^570 at 3 and e^-570 at 7.  Normalized by the largest entry
+        # alone, the second chain's q underflows and its flows read 0; each
+        # band of q is normalized by its own largest entry
+        e = fixed_edge(1.0)
+        g = LevelGraph(8, [(0, 1, e), (1, 2, e), (2, 3, e), (4, 5, e), (5, 6, e), (6, 7, e)])
+        w = np.array([190.0, 190.0, 190.0, -190.0, -190.0, -190.0])
+        assert self.kernel(g, w, 1.0, 3) == "dense"
+        demands = {(0, 3): 1.0, (4, 7): 2.0}
+        value, flows = softmin_flows(g, w, demands, 1.0, 3)
+        assert value == pytest.approx(570.0 - 2 * 570.0, rel=1e-12)
+        self.same(flows, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+        self.agree(monkeypatch, g, w, demands, 1.0, 3)
+
+    def test_power_sum_matches_a_hop_loop(self):
+        # every bit pattern of n up to 33, and n = 144: the doubling against
+        # one product per power, on a matrix of 12 rows and one padded to 72
+        rng = np.random.default_rng(67)
+        for size in (12, 70):
+            m = rng.uniform(0.0, 1.0, size=(size, size)) * (rng.uniform(size=(size, size)) < 0.4)
+            m /= m.sum(axis=0).max()
+            for n in [*range(1, 34), 144]:
+                expect, power = np.eye(size), np.eye(size)
+                for _ in range(n - 1):
+                    power = m @ power
+                    expect += power
+                np.testing.assert_allclose(softmin._power_sum(m, n), expect,
+                                           rtol=1e-13, atol=0.0)
+
+    def test_backward_memory_does_not_grow_with_the_hops(self):
+        # the dense kernel keeps Z_H, K and the origins, not a stack per hop:
+        # at H = 128 the sparse hop would keep 129 x V x B floats
+        g = grid_graph(6)
+        n = g.n_vertices
+        w = np.random.default_rng(68).uniform(1.0, 2.0, size=g.n_edges)
+        demands = {(o, (o + 17) % n): 1.0 for o in range(n)}
+        peaks = []
+        for hops in (16, 128):
+            assert self.kernel(g, w, 1.0, hops) == "dense"
+            tracemalloc.start()
+            try:
+                softmin_flows(g, w, demands, 1.0, hops)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+        assert 4 * peaks[1] < softmin._kept_bytes(g, 128) * n
+
+    def test_backward_holds_the_kept_stack_and_matrices(self, monkeypatch):
+        # one chunk holds O(V^2 + V*B), whatever H: Z_H, K and the 2V x 2V
+        # matrices of the adjoint's power sum.  10 x 10 is forced dense,
+        # above the switch
         g = grid_graph(10)
         n, hops = g.n_vertices, g.n_vertices - 1
+        monkeypatch.setattr(softmin, "DENSE_MAX_VERTICES", n)
         w = np.random.default_rng(66).uniform(1.0, 2.0, size=g.n_edges)
         assert self.kernel(g, w, 1.0, hops) == "dense"
         demands = {(o, (o + 37) % n): 1.0 for o in range(n)}
-        stack = softmin._kept_bytes(g, hops) * n
         assert len(softmin._chunks(g, list(range(n)), hops)) == 1
         tracemalloc.start()
         try:
@@ -1012,4 +1068,4 @@ class TestDenseKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < stack + 6 * 8 * (n * n + n * n + g.n_edges)
+        assert peak < 16 * 8 * (n * n + n * n)
