@@ -191,6 +191,12 @@ def _solve_one(instance, args):
 
 
 def cmd_solve(args) -> int:
+    """Solve one instance and write its files; --verify rechecks the gap.
+
+    The recheck recomputes only the edge part of the gap from the written
+    times and flows.  The route-choice part of an averaged answer's gap
+    (`route_gap`) is taken as the solver reported it, not recomputed.
+    """
     network, report = _solve_one(args.instance, args)
     out = _out_dir(args)
     _write_solution_csv(os.path.join(out, "solution.csv"), network, report)
@@ -330,6 +336,7 @@ def cmd_od(args) -> int:
         "residual": fmt(sol.residual),
         "converged": sol.converged,
         "iterations": sol.solver.iterations,
+        "restarts": sol.solver.restarts,
         "stop_reason": sol.solver.termination,
         "dropped_constraint": sol.extra["dropped_constraint"],
         "primal": sol.extra["primal"],

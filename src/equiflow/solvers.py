@@ -175,6 +175,7 @@ class SolverReport:
     iterations: int = 0
     value_calls: int = 0
     grad_calls: int = 0
+    restarts: int = 0
     final_value: float = math.nan
     termination: str = ""
     value_trace: list = field(default_factory=list)
@@ -217,8 +218,12 @@ def umt_minimize(
     aggregate solves A_{k+1}(1 + A_k*mu_t) = L*alpha^2 exactly.  Step 0 is
     the same step taken from A = 0, u = x = y0, with L first tried at 1.  With
     r2 >= V(x*, y0) given, stops once r2/A <= eps/2, which certifies
-    F(x) - F* <= eps.  `stop` may end the run early with a reason.  Given
-    `rng`, the gradients at y are mini-batch means (see umt_stochastic).
+    F(x) - F* <= eps.  `stop` may end the run early with a reason, or return
+    "restart": the run then goes on from the current x as step 0 of a fresh
+    run centred there (A = 0, u = x, L first tried at 1), while k, the oracle
+    counts and the traces of the report go on in the same call and
+    `report.restarts` counts the restarts.  A restart voids the r2 test.
+    Given `rng`, the gradients at y are mini-batch means (see umt_stochastic).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -236,6 +241,7 @@ def umt_minimize(
     # step 0 is the step from A = 0: alpha = 1/L, slack eps/2, and L halves and
     # doubles from 1, so alpha is a power of two and (alpha*u)/alpha == u
     A, u, x, G, Y = 0.0, y0, y0, 0.0, 0.0
+    center = y0
     L = 2.0
     k = 0
     while True:
@@ -261,7 +267,7 @@ def umt_minimize(
                     gy = oracle.stochastic_grad(y, rng, m)
                     rep.batch_trace.append(m)
                     fy = oracle.value(y)
-            u_new = prox.model_argmin(y0, G + alpha * gy, A_new, mu_t, Y + alpha * y)
+            u_new = prox.model_argmin(center, G + alpha * gy, A_new, mu_t, Y + alpha * y)
             x_new = (alpha * u_new + A * x) / A_new
             fx = oracle.value(x_new)
             rep.value_calls += 1
@@ -281,6 +287,12 @@ def umt_minimize(
         rep.value_trace.append(fx + prox.composite_value(x))
         state = UmtState(k=k, x=x, u=u, y=y, alpha=alpha, A=A, L=L, fx=fx, report=rep)
         reason = stop(state) if stop is not None else None
+        if reason == "restart":
+            if r2 is not None:
+                raise ValueError("a restart voids the r2 certificate; pass r2=None")
+            rep.restarts += 1
+            A, u, center, G, Y, L = 0.0, x, x, 0.0, 0.0, 2.0
+            reason = None
         if reason is None and r2 is not None and r2 / A <= 0.5 * eps:
             reason = "certified"
         if reason is None and k >= max_iter:

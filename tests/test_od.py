@@ -181,14 +181,48 @@ class TestSolveEntropyOd:
         assert len(calls) == rep.value_calls - rep.grad_calls
 
     def test_last_iterate_certifies_ten_zones_sooner(self):
+        steps_without_restart = 3207  # never restarting, this instance takes 3,207 steps
         rng = np.random.default_rng(0)
         L, W, T = euclidean_zones(rng, 10)
         sol = solve_entropy_od(L, W, T, 1.0)
         ref, ok = balancing_oracle(L, W, T, 1.0)
         assert sol.converged and ok
-        assert sol.solver.iterations < 5000
+        assert sol.solver.iterations < steps_without_restart / 2
+        assert sol.solver.restarts > 0
         assert sol.extra["primal"] in ("average", "last_iterate")
         assert np.abs(sol.matrix - ref).max() <= 1e-6
+
+    def test_rounding_rise_does_not_restart(self):
+        # near the optimum the dual value moves by a few ulps either way;
+        # restarting on those rises took 2,960 steps and 623 restarts here
+        L, W, T = euclidean_zones(np.random.default_rng(0), 40)
+        sol = solve_entropy_od(L, W, T, 1.0)
+        ref, ok = balancing_oracle(L, W, T, 1.0)
+        assert sol.converged and ok
+        assert sol.solver.iterations < 1000 and sol.solver.restarts < 20
+        assert np.abs(sol.matrix - ref).max() <= 1e-6
+
+    def test_negative_gap_does_not_certify(self, monkeypatch):
+        # a primal value 1 too low makes every gap about -3 (the mass is 3);
+        # a one-sided test `gap <= eps` certified this in 17 steps
+        real = od.primal_value
+        monkeypatch.setattr(od, "primal_value", lambda problem, x: real(problem, x) - 1.0)
+        T = np.array([[0.3, 1.2], [0.8, 0.1]])
+        sol = solve_entropy_od([2.0, 1.0], [1.5, 1.5], T, 1.0, max_iter=100)
+        assert not sol.converged and sol.solver.termination == "max_iter"
+        assert sol.gap < -1.0
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.2, 0.3])
+    def test_small_gamma_certifies(self, gamma):
+        # restarts at the line search's full eps slack stalled these solves
+        # a few eps away from the dual optimum, never reaching |gap| <= eps
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            L, W, T = random_balanced(rng, *rng.integers(2, 5, size=2))
+            sol = solve_entropy_od(L, W, T, gamma, max_iter=5000)
+            ref, ok = balancing_oracle(L, W, T, gamma)
+            assert sol.converged and ok
+            assert np.abs(sol.matrix - ref).max() <= 1e-6
 
     def test_nan_certificate_still_returns_a_matrix(self, monkeypatch):
         monkeypatch.setattr(od, "primal_value", lambda problem, x: math.nan)

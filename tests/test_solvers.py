@@ -344,6 +344,42 @@ class TestStepZero:
         assert len(rep.batch_trace) == (1 if minibatch else 0)
 
 
+class TestRestart:
+    def test_restart_is_a_fresh_step_zero(self):
+        oracle = _CountingQuadratic(1e4)
+        seen = []
+
+        def stop(state):
+            seen.append((state, len(oracle.calls)))
+            return "restart" if state.k == 3 else None
+
+        _, rep = umt_minimize(oracle, EuclideanProx(), np.ones(3), eps=1e-6,
+                              max_iter=5, stop=stop)
+        (before, start), (after, end) = seen[3], seen[4]
+        # the step after the restart is step 0 of a fresh run from x
+        fresh = _CountingQuadratic(1e4)
+        x0, rep0 = umt_minimize(fresh, EuclideanProx(), before.x, eps=1e-6, max_iter=0)
+        assert np.array_equal(after.x, x0) and after.alpha == rep0.alpha_trace[0]
+        assert after.A == after.alpha and after.L == rep0.lipschitz_trace[0]
+        assert np.array_equal(after.y, before.x)
+        # a plain gradient step with L first tried at 1 again
+        assert np.allclose(after.x, before.x - 1e4 * before.x / after.L, rtol=0, atol=1e-15)
+        replay = oracle.calls[start:end]
+        assert [kind for kind, _ in replay] == [kind for kind, _ in fresh.calls]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(replay, fresh.calls))
+        assert len(replay) == rep0.value_calls == 16  # one gradient, 15 trials from L = 1
+        # one report counts across the restart
+        assert rep.restarts == 1 and rep.termination == "max_iter"
+        assert rep.iterations == 5 and len(rep.alpha_trace) == 6
+        assert rep.value_calls == len(oracle.calls)
+        assert rep.grad_calls == sum(kind == "value_grad" for kind, _ in oracle.calls)
+
+    def test_restart_voids_the_radius_certificate(self):
+        with pytest.raises(ValueError, match="r2"):
+            umt_minimize(quadratic_oracle(), EuclideanProx(), np.ones(2), eps=1e-8,
+                         r2=1.0, stop=lambda state: "restart")
+
+
 class TestStochastic:
     def test_noisy_quadratic_mean_gap(self):
         eps = 1e-2
