@@ -339,7 +339,6 @@ def cmd_od(args) -> int:
         "restarts": sol.solver.restarts,
         "stop_reason": sol.solver.termination,
         "dropped_constraint": sol.extra["dropped_constraint"],
-        "primal": sol.extra["primal"],
     })
     if args.verify:
         ref, ok = balancing_oracle(L, W, T, gamma)

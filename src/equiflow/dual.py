@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import FlowState, Network, by_origin
-from .softmin import _od_values, all_or_nothing, assignment_flows, effective_weights
+# all_or_nothing stays bound here for bench/tracing.py to patch
+from .softmin import _od_values, all_or_nothing, assignment_flows, effective_weights  # noqa: F401
 from .solvers import EuclideanProx, SmoothOracle, umt_minimize
 
 # model -> (default smoothing per level, None for the network's own scales;
@@ -210,7 +211,10 @@ def frank_wolfe_gap(network, flows):
         raise ValueError("equilibrium gap needs BPR cost maps on every edge")
     f = _flat(flows)
     tau = network.edges.cost(f)
-    best, _ = all_or_nothing(network.levels[0], tau, network.demands)
+    lg = network.levels[0]
+    pairs = [od for group in by_origin(network.demands).values() for od in group]
+    dist, _ = _od_values(lg, tau, pairs, 0.0, lg.n_vertices - 1, level=1)
+    best = sum(network.demands[od] * v for od, v in zip(pairs, dist))
     return max(0.0, float(tau @ f - best))
 
 

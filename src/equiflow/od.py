@@ -7,11 +7,10 @@ closed-form softmax primal map; it is minimized by the same adaptive
 accelerated method used elsewhere, with the constraints applied as row and
 column sums (no stored matrix).  The method restarts whenever the dual value
 rises, beyond rounding, from one step to the next (the function scheme of
-O'Donoghue & Candes 2015), which cuts its momentum oscillation.  Two primal
-candidates are certified by value gap plus marginal residual: the
-step-weighted average of the softmax points since the last restart and the
-softmax at the current dual point.  The gap must be small on both sides,
-not only from above.
+O'Donoghue & Candes 2015), which cuts its momentum oscillation.  One primal
+candidate, the softmax at the current dual point, is certified by value gap
+plus marginal residual.  The gap must be small on both sides, not only from
+above.
 """
 
 from __future__ import annotations
@@ -162,16 +161,13 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
                      max_iter=100000) -> ElpSolution:
     """Certified OD matrix from marginals L, W and cost matrix T.
 
-    Minimizes the smooth dual and, after each step, certifies two primal
-    candidates against the dual value there: the step-weighted average of
-    the softmax points over the current leg (the steps since the last
-    restart) and, failing that, the softmax at the current point.  A
-    candidate certifies when |gap| <= eps and the residual <= eps_residual
-    (both on the unit-mass problem); the first to do so is returned, else
-    the one with the least max(|gap|/eps, residual/eps_residual), and
-    ``extra["primal"]`` names it.  When no candidate certifies and the dual
-    value at the current point rose from the previous step by more than 16
-    ulps, the dual solve restarts from that point and a new leg begins.
+    Minimizes the smooth dual and, after each step, certifies the softmax
+    at the current point against the dual value there.  It certifies when
+    |gap| <= eps and the residual <= eps_residual (both on the unit-mass
+    problem); an uncertified run returns the step with the least
+    max(|gap|/eps, residual/eps_residual).  When the step does not certify
+    and the dual value rose from the previous step by more than 16 ulps,
+    the dual solve restarts from the current point.
     """
     problem = build_elp(L, W, T, gamma)
     oracle = ElpDualOracle(problem)
@@ -183,37 +179,25 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
     eps_n = eps / scale
     eps_res_n = eps_residual / scale
 
-    acc = np.zeros(problem.n)  # step-weighted softmax points of the leg
     best = {"x": None}
     last = {"fx": math.inf}
 
-    def consider(x, dual, primal):
-        """Certify primal candidate x against dual value `dual`; keep the best."""
-        gap = dual + primal_value(problem, x)
+    def stop(state):
+        # state.fx is the dual value the line search computed at state.x
+        x = oracle.primal(state.x)
+        gap = state.fx + primal_value(problem, x)
         res = float(np.linalg.norm(problem.A @ x - problem.b))
+        state.report.gap_trace.append(gap)
         cert = max(abs(gap) / eps_n, res / eps_res_n)
         if best["x"] is None or cert < best["cert"]:
-            best.update(x=x, cert=cert, gap=gap, res=res, primal=primal)
-        return gap, abs(gap) <= eps_n and res <= eps_res_n
-
-    def stop(state):
-        acc[:] += state.alpha * oracle.primal(state.y)
-        # state.fx is the dual value the line search computed at state.x;
-        # state.A sums the step weights of the current leg only
-        gap, ok = consider(acc / state.A, state.fx, "average")
-        state.report.gap_trace.append(gap)
-        if not ok:
-            _, ok = consider(oracle.primal(state.x), state.fx, "last_iterate")
-        if ok:
+            best.update(x=x, cert=cert, gap=gap, res=res)
+        if abs(gap) <= eps_n and res <= eps_res_n:
             return "certified"
         # a rise of a few ulps is rounding, not momentum: near the optimum
         # restarts on it cut every leg to a few steps
         rose = state.fx > last["fx"] + 16.0 * math.ulp(last["fx"])
         last["fx"] = state.fx
-        if rose:
-            acc[:] = 0.0
-            return "restart"
-        return None
+        return "restart" if rose else None
 
     # the last iterate's gap is <y, b - A x(y)>, so |gap| <= eps_n needs the
     # dual solved far past eps_n; at a line-search slack of eps_n, each
@@ -229,8 +213,7 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
         gamma=float(gamma),
         converged=rep.termination == "certified",
         solver=rep,
-        extra={"dropped_constraint": "last column marginal", "mass": problem.mass,
-               "primal": best["primal"]},
+        extra={"dropped_constraint": "last column marginal", "mass": problem.mass},
     )
 
 

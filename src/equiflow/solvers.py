@@ -367,29 +367,30 @@ def restart_wrapper(
 ):
     """Geometric restarts for a mu-strongly-convex objective.
 
-    Each leg runs the mu = 0 method for ceil(sqrt(16*L/mu)) iterations
-    (omega = 1 for the Euclidean prox) from the previous output, which
-    centers its prox; the objective gap halves per restart, so
-    restarts >= log2(mu*|y0 - x*|^2/eps) reach eps.
+    One mu = 0 run restarts every ceil(sqrt(16*L/mu)) + 1 steps from its
+    current point (omega = 1 for the Euclidean prox); the objective gap
+    halves per restart, so restarts >= log2(mu*|y0 - x*|^2/eps) reach eps.
+    callback(leg, x, report) runs at each leg's end, report.final_value
+    being that leg's last value; report.iterations counts every step.
+    An r2 in umt_kwargs is rejected: a restart voids it.
     """
     if mu <= 0:
         raise ValueError("restart schedule requires mu > 0")
+    if "r2" in umt_kwargs:
+        raise ValueError("a restart voids the r2 certificate")
     n_inner = math.ceil(math.sqrt(16.0 * lipschitz / mu))
-    point = np.asarray(y0, dtype=float)
-    total = SolverReport()
-    for leg in range(restarts + 1):
-        point, rep = umt_minimize(
-            oracle, prox, point, eps, mu=0.0, max_iter=n_inner, **umt_kwargs
-        )
-        total.iterations += rep.iterations
-        total.value_calls += rep.value_calls
-        total.grad_calls += rep.grad_calls
-        total.value_trace.append(rep.final_value)
+
+    def stop(state):
+        leg, step = divmod(state.k, n_inner + 1)
+        if step < n_inner:
+            return None
+        state.report.final_value = state.report.value_trace[-1]
         if callback is not None:
-            callback(leg, point, rep)
-    total.final_value = total.value_trace[-1]
-    total.termination = f"{restarts} restarts of {n_inner} iterations"
-    return point, total
+            callback(leg, state.x, state.report)
+        return "restart" if leg < restarts else f"{restarts} restarts of {n_inner} iterations"
+
+    return umt_minimize(oracle, prox, y0, eps, mu=0.0, stop=stop,
+                        max_iter=(restarts + 1) * (n_inner + 1) - 1, **umt_kwargs)
 
 
 @dataclass

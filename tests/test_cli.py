@@ -703,43 +703,30 @@ class TestOd:
         assert main(["od", c, r, w, "--verify", "--out", str(tmp_path / "o")]) == 1
         assert "verification FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("costs, L, W, gamma, primal", [
-        ({(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}, [2.0, 1.0], [1.5, 1.5],
-         "0.5", "last_iterate"),
-        ({(0, 0): 1.5, (0, 1): 1.7, (1, 0): 1.9, (1, 1): 0.0}, [1.9, 1.4], [1.5, 1.8],
-         "0.25", "average"),
-    ], ids=["last-iterate", "leg-average"])
-    def test_certificate_names_primal_candidate(self, tmp_path, monkeypatch, costs, L, W,
-                                                gamma, primal):
+    def test_matrix_is_the_last_iterate(self, tmp_path, monkeypatch):
         from equiflow import od
 
-        # replay the candidates: the step-weighted softmax points of the leg
-        # since the last restart, and the softmax at the final dual point
+        # replay the softmax at the final dual point through a spy on the solve
         steps = []
         solve = od.umt_minimize
 
         def spy(oracle, prox, y0, eps, stop, **kwargs):
             def watched(state):
-                reason = stop(state)
-                steps.append((state, oracle.primal(state.y), oracle.primal(state.x), reason))
-                return reason
+                steps.append(oracle.primal(state.x))
+                return stop(state)
             return solve(oracle, prox, y0, eps, stop=watched, **kwargs)
 
         monkeypatch.setattr(od, "umt_minimize", spy)
-        c, r, w = od_inputs(tmp_path, costs, L, W)
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        L = [2.0, 1.0]
+        c, r, w = od_inputs(tmp_path, costs, L, [1.5, 1.5])
         out = tmp_path / "out"
-        assert main(["od", c, r, w, "--gamma", gamma, "--out", str(out)]) == 0
+        assert main(["od", c, r, w, "--gamma", "0.5", "--out", str(out)]) == 0
         cert = json.load(open(out / "certificate.json"))
-        assert cert["primal"] == primal and cert["restarts"] > 0
-        leg = [i for i, step in enumerate(steps) if step[3] == "restart"][-1] + 1
-        acc = np.zeros(len(costs))
-        for state, at_y, _, _ in steps[leg:]:
-            acc += state.alpha * at_y
-        last_state, _, at_x, _ = steps[-1]
-        candidate = acc / last_state.A if primal == "average" else at_x
+        assert cert["restarts"] > 0 and "primal" not in cert
         written = np.array([float(line.split(",")[2])
                             for line in (out / "matrix.csv").read_text().splitlines()[2:]])
-        assert np.array_equal(written, candidate * sum(L))
+        assert np.array_equal(written, steps[-1] * sum(L))
 
     @pytest.mark.parametrize("budget, code, reason", [
         ([], 0, "certified"), (["--max-iter", "2"], 2, "max_iter"),

@@ -177,9 +177,12 @@ class TestRestarts:
         x0 = np.ones(4)
         mu, lip = 0.01, 1.0
         values = []
-        restart_wrapper(oracle, EuclideanProx(), x0, mu=mu, lipschitz=lip,
-                        eps=1e-14, restarts=6,
-                        callback=lambda leg, p, r: values.append(r.final_value))
+        _, rep = restart_wrapper(oracle, EuclideanProx(), x0, mu=mu, lipschitz=lip,
+                                 eps=1e-14, restarts=6,
+                                 callback=lambda leg, p, r: values.append(r.final_value))
+        # one run of 7 legs of ceil(sqrt(16 * lip / mu)) + 1 = 41 steps each
+        assert rep.restarts == 6 and rep.iterations == 7 * 41 - 1
+        assert len(values) == 7 and values[-1] == rep.final_value
         r0_sq = float(x0 @ x0)
         for k, v in enumerate(values):
             assert v <= 2.0 * mu * r0_sq / 2.0 ** (k + 1) + 1e-14
@@ -200,6 +203,11 @@ class TestRestarts:
         p, _ = restart_wrapper(oracle, EuclideanProx(), np.ones(2), mu=0.04,
                                lipschitz=1.0, eps=1e-10, restarts=20)
         assert 0.5 * float(p @ (diag * p)) <= 1e-6
+
+    def test_rejects_r2(self):
+        with pytest.raises(ValueError, match="r2"):
+            restart_wrapper(quadratic_oracle(), EuclideanProx(), np.ones(2),
+                            mu=1.0, lipschitz=1.0, eps=1e-6, restarts=0, r2=1.0)
 
     def test_rejects_zero_mu(self):
         with pytest.raises(ValueError):
