@@ -25,10 +25,10 @@ class NetworkError(Exception):
 
 
 class ParseError(NetworkError):
-    """Malformed instance file; carries the 1-based line number."""
+    """Malformed instance file; carries the 1-based line number, or None."""
 
     def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -409,7 +409,7 @@ def load_network(path) -> Network:
     """
     plain = {}   # level -> list
     nested = {}  # level -> list
-    gammas = {}
+    gammas = {}  # level -> (line number, value)
     demands = {}
     max_vertex = {}
 
@@ -441,7 +441,9 @@ def load_network(path) -> Network:
                 if len(tok) != 3:
                     raise ParseError(lineno, "gamma record needs: gamma level value")
                 level = _parse_int(tok[1], lineno, "level")
-                gammas[level] = _parse_float(tok[2], lineno, "gamma")
+                if level in gammas:
+                    raise ParseError(lineno, f"duplicate gamma for level {level}")
+                gammas[level] = (lineno, _parse_float(tok[2], lineno, "gamma"))
                 continue
             if len(tok) < 5:
                 raise ParseError(lineno, "edge record needs at least 5 fields")
@@ -484,8 +486,11 @@ def load_network(path) -> Network:
                 raise ParseError(lineno, f"unknown edge kind {kind!r}")
 
     if not max_vertex:
-        raise ParseError(0, "empty instance")
+        raise ParseError(None, "empty instance")
     n_levels = max(max_vertex)
+    for level, (lineno, _) in gammas.items():
+        if not 1 <= level <= n_levels:
+            raise ParseError(lineno, f"gamma for missing level {level}")
     if sorted(set(plain) | set(nested)) != list(range(1, n_levels + 1)):
         raise ValidationError(
             [f"levels must be contiguous starting at 1, got {sorted(set(plain) | set(nested))}"]
@@ -497,7 +502,7 @@ def load_network(path) -> Network:
                 n_vertices=max_vertex.get(k, -1) + 1,
                 plain_edges=plain.get(k, []),
                 nested_edges=nested.get(k, []),
-                gamma=gammas.get(k, 1.0),
+                gamma=gammas.get(k, (None, 1.0))[1],
             )
         )
     return Network(levels=levels, demands=demands)

@@ -16,7 +16,7 @@ above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,15 @@ class UnsupportedRegimeError(ValueError):
 class MarginalMap:
     """ELP constraint matrix as an operator that stores no matrix.
 
-    ``A @ x``: row sums, then all but the last column sum, of
-    ``x.reshape(nr, nc)``.  ``A.T @ y``: ``y_row[:, None] + [y_col, 0]``.
+    ``A @ x``: the row sums, then the column sums, of ``x.reshape(nr, nc)``.
+    ``A.T @ y``: ``y_row[:, None] + y_col``.
     """
 
     nbytes = 0
 
     def __init__(self, nr, nc, transposed=False):
         self.nr, self.nc, self.transposed = nr, nc, transposed
-        rows, n = nr + nc - 1, nr * nc
+        rows, n = nr + nc, nr * nc
         self.shape = (n, rows) if transposed else (rows, n)
 
     @property
@@ -54,17 +54,17 @@ class MarginalMap:
     def __matmul__(self, v):
         nr, nc = self.nr, self.nc
         if self.transposed:
-            return (v[:nr, None] + np.append(v[nr:], 0.0)[None, :]).ravel()
+            return (v[:nr, None] + v[None, nr:]).ravel()
         m = v.reshape(nr, nc)
-        return np.concatenate((m.sum(axis=1), m[:, :-1].sum(axis=0)))
+        return np.concatenate((m.sum(axis=1), m.sum(axis=0)))
 
 
 @dataclass
 class ElpProblem:
     """Entropy-linear program over the flattened, mass-normalized matrix.
 
-    Constraints: all row sums, plus all but the last column sum (the
-    dropped one is implied by the simplex normalization and balance).
+    Constraints: every row and every column sum.  Each block of b sums to 1,
+    so no dual gradient moves along "all row (or all column) multipliers +c".
     """
 
     cost: np.ndarray        # (n_rows * n_cols,) flattened
@@ -80,7 +80,7 @@ class ElpProblem:
 
 
 def build_elp(L, W, T, gamma) -> ElpProblem:
-    """Normalize marginals to unit mass and set up the constraint operator."""
+    """Normalize each marginal to unit mass and set up the constraint operator."""
     L = np.asarray(L, dtype=float)
     W = np.asarray(W, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -94,8 +94,9 @@ def build_elp(L, W, T, gamma) -> ElpProblem:
     nr, nc = len(L), len(W)
     if T.shape != (nr, nc):
         raise ValueError(f"cost matrix shape {T.shape} != ({nr}, {nc})")
+    # W / mass would leave the dual unbounded along "all columns +c" when the totals differ
     return ElpProblem(cost=T.ravel().copy(), A=MarginalMap(nr, nc),
-                      b=np.concatenate((L, W[:-1])) / mass, gamma=float(gamma),
+                      b=np.concatenate((L / mass, W / W.sum())), gamma=float(gamma),
                       shape=(nr, nc), mass=mass)
 
 
@@ -154,7 +155,6 @@ class ElpSolution:
     gamma: float
     converged: bool
     solver: object = None
-    extra: dict = field(default_factory=dict)
 
 
 def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
@@ -213,7 +213,6 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
         gamma=float(gamma),
         converged=rep.termination == "certified",
         solver=rep,
-        extra={"dropped_constraint": "last column marginal", "mass": problem.mass},
     )
 
 

@@ -413,6 +413,18 @@ class TestConfig:
         assert summary["model"] == "beckmann"
         assert float(summary["eps"]) == 1e-9  # flag beats config
 
+    def test_config_gamma_dict_matches_flag(self, tmp_path):
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": {"1": 0.5}}))
+        runs = {"flag": ["--gamma", "1=0.5"], "config": ["--config", str(cfg)]}
+        for name, flags in runs.items():
+            assert main(["solve", inst, "--model", "stochastic", *flags,
+                         "--out", str(tmp_path / name)]) == 0
+        for f in ("solution.csv", "summary.json"):
+            assert (tmp_path / "config" / f).read_bytes() == (tmp_path / "flag" / f).read_bytes()
+        assert json.load(open(tmp_path / "config" / "summary.json"))["gammas"] == ["0.5"]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
@@ -484,6 +496,20 @@ class TestCompare:
         payload = json.load(open(os.path.join(out, "comparison.json")))
         assert payload["ranking"] == ["a", "b"]
 
+    def test_od_sets_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # the mismatch used to surface only after every scenario was solved
+        from equiflow import cli
+
+        solves = []
+        real = cli.solve_assignment
+        monkeypatch.setattr(cli, "solve_assignment",
+                            lambda *a, **kw: solves.append(1) or real(*a, **kw))
+        a = write_instance(tmp_path / "a.net", PIGOU_INSTANCE)
+        b = write_instance(tmp_path / "b.net", BRAESS_BASE_INSTANCE)
+        assert main(["compare", a, a, b, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: scenarios do not share the same OD set\n"
+        assert solves == []
+
     def test_mismatched_od_sets_rejected(self, tmp_path, capsys):
         a = write_instance(tmp_path / "a.net", PIGOU_INSTANCE)
         other = "1 0 1 bpr 1.0 1.0 0.0 1.0\n1 1 2 bpr 1.0 1.0 0.0 1.0\nod 1 0 2 1.0\n"
@@ -537,6 +563,9 @@ class TestCertifiedOutput:
         printed = capsys.readouterr().out
         summary = json.load(open(out / "summary.json"))
         assert code == 0 and "verification PASS" in printed
+        # --verify rechecks only the edge terms and says so
+        assert (f"; route-choice term {summary['route_gap']} taken as reported\n"
+                in printed)
         gaps = [float(r[6]) for r in read_solution(out / "solution.csv") if r[6]]
         assert sum(gaps) == 0.0
         route = float(summary["route_gap"])
@@ -568,6 +597,51 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+    EDGE = "1 0 1 bpr 1.0 1.0 0.5 1.0\n"
+    INNER = "2 0 1 bpr 1.0 1.0 0.5 1.0\n"
+    OD = "od 1 0 1 1.0\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 -1 1 bpr 1.0 1.0 0.5 1.0\n" + OD, "level 1 edge -1->1: vertex out of range"),
+        ("1 0 1 bpr 1.0 inf 0.5 1.0\n" + OD,
+         "level 1 edge 0->1: BPR edge needs a finite capacity"),
+        ("1 0 0 nested 0:1\n" + EDGE + INNER + OD, "level 1 nested edge 0->0: self-loop"),
+        ("1 0 1 nested -1:1\n" + INNER + OD,
+         "level 1 nested edge 0->1: referenced OD -1->1 outside level 2"),
+        ("1 0 1 nested 1:1\n" + INNER + OD,
+         "level 1 nested edge 0->1: referenced OD is a self-pair"),
+        (EDGE + "od 1 -1 1 1.0\n", "demand -1->1: vertex outside level 1"),
+        (EDGE + "od 1 1 1 1.0\n", "demand 1->1: origin equals destination"),
+        ("one 0 1 bpr 1.0 1.0 0.5 1.0\n" + OD, "line 1: bad level 'one'"),
+        (EDGE + "od 1 0 1\n", "line 2: od record needs: od level origin dest demand"),
+        (EDGE + "od 2 0 1 1.0\n", "line 2: demands are only declared at level 1"),
+        (EDGE + OD + "gamma 1\n", "line 3: gamma record needs: gamma level value"),
+        # these three gamma records were dropped or overwritten silently
+        (EDGE + OD + "gamma 3 0.2\n", "line 3: gamma for missing level 3"),
+        (EDGE + OD + "gamma 0 9\n", "line 3: gamma for missing level 0"),
+        (EDGE + OD + "gamma 1 0.5\ngamma 1 0.5\n", "line 4: duplicate gamma for level 1"),
+        ("1 0 1 bpr\n" + OD, "line 1: edge record needs at least 5 fields"),
+        ("1 0 1 nested 0-1\n" + INNER + OD, "line 1: nested reference must look like o:d"),
+        ("1 0 1 bpr 1.0 1.0 0.5\n" + OD,
+         "line 1: bpr record needs: level tail head bpr t_free capacity gain power"),
+        ("1 0 1 sd 1.0 1.0 0.5\n" + OD,
+         "line 1: sd record needs: level tail head sd t_free capacity"),
+        ("1 0 1 linear 1.0\n" + OD, "line 1: unknown edge kind 'linear'"),
+        ("# no records\n", "empty instance"),
+        (EDGE + "3 0 1 bpr 1.0 1.0 0.5 1.0\n" + OD,
+         "levels must be contiguous starting at 1, got [1, 3]"),
+    ], ids=["vertex-range", "bpr-capacity", "nested-self-loop", "nested-od-range",
+            "nested-od-self-pair", "demand-range", "demand-self-pair", "bad-int",
+            "od-fields", "od-level", "gamma-fields", "gamma-level-above", "gamma-level-0",
+            "gamma-duplicate", "edge-fields", "nested-ref", "bpr-fields", "sd-fields",
+            "edge-kind", "empty", "levels-gap"])
+    def test_bad_record_exits_1(self, tmp_path, capsys, text, message):
+        inst = write_instance(tmp_path / "bad.net", text)
+        code = main(["solve", inst, "--model", "stochastic", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_diverged_solver_exits_1(self, tmp_path, capsys, monkeypatch):
         from equiflow import cli
@@ -651,6 +725,20 @@ class TestOd:
         c, r, w = od_inputs(tmp_path, costs, [1.0, 1.0], [1.0, 2.0])
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert "unbalanced" in capsys.readouterr().err
+
+    def test_duplicate_marginal_zone_rejected(self, tmp_path, capsys):
+        c, r, w = od_inputs(tmp_path, {(0, 0): 1.0, (0, 1): 1.0}, [2.0], [1.0, 1.0])
+        with open(w, "a") as fh:
+            fh.write("1,1.0\n")
+        assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {w}: line 3: duplicate zone 1\n"
+
+    def test_duplicate_cost_pair_rejected(self, tmp_path, capsys):
+        c, r, w = od_inputs(tmp_path, {(0, 0): 1.0, (0, 1): 1.0}, [2.0], [1.0, 1.0])
+        with open(c, "a") as fh:
+            fh.write("0,1,2.0\n")
+        assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {c}: line 3: duplicate zone pair 0,1\n"
 
     def test_missing_cost_entry_rejected(self, tmp_path, capsys):
         costs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0}

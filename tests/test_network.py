@@ -234,6 +234,12 @@ class TestLoadNetwork:
         net = load_network(write_instance(tmp_path / "g.net", text))
         assert net.levels[0].gamma == 0.25
 
+    def test_gamma_record_may_precede_its_level(self, tmp_path):
+        # levels are checked after parsing (TestBadInput covers the rejects)
+        text = "gamma 2 0.5\n1 0 1 nested 0:1\n2 0 1 bpr 1.0 1.0 0.5 0.25\nod 1 0 1 1.0\n"
+        net = load_network(write_instance(tmp_path / "g.net", text))
+        assert net.gammas() == [1.0, 0.5]
+
     def test_nested_reference_and_levels(self, tmp_path):
         text = (
             "1 0 1 nested 0:1\n"
@@ -261,6 +267,13 @@ class TestValidation:
         lg = LevelGraph(2, nested_edges=[(0, 1, (0, 1))])
         bad = validate([lg], {(0, 1): 1.0})
         assert any("top level" in v for v in bad)
+
+    def test_no_levels(self):
+        assert validate([], {(0, 1): 1.0}) == ["network has no levels"]
+
+    def test_unknown_cost_kind(self):
+        with pytest.raises(ValueError, match="unknown cost kind 'linear'"):
+            EdgeCostModel("linear", 1.0)
 
     def test_network_constructor_raises(self):
         lg = LevelGraph(2, plain_edges=[])

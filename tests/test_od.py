@@ -52,11 +52,11 @@ def bench_od_instance(seed, call, n):
 
 
 def dense_constraints(nr, nc):
-    """Row sums, then all but the last column sum, as an explicit matrix."""
-    A = np.zeros((nr + nc - 1, nr * nc))
+    """Row sums, then column sums, as an explicit matrix."""
+    A = np.zeros((nr + nc, nr * nc))
     for i in range(nr):
         A[i, i * nc:(i + 1) * nc] = 1.0
-    for j in range(nc - 1):
+    for j in range(nc):
         A[nr + j, j::nc] = 1.0
     return A
 
@@ -64,8 +64,8 @@ def dense_constraints(nr, nc):
 class TestBuildElp:
     def test_shapes_and_normalization(self):
         p = build_elp([1.0, 3.0], [2.0, 2.0], np.zeros((2, 2)), 0.5)
-        assert p.A.shape == (3, 4)  # 2 rows + 1 kept column
-        assert p.b == pytest.approx([0.25, 0.75, 0.5])
+        assert p.A.shape == (4, 4)  # 2 row and 2 column marginals
+        assert p.b == pytest.approx([0.25, 0.75, 0.5, 0.5])
         assert p.mass == 4.0
 
     def test_unbalanced_rejected(self):
@@ -95,7 +95,7 @@ class TestMarginalMap:
         assert A.shape == dense.shape and A.T.shape == dense.T.shape
         assert A.nbytes == 0
         x = rng.random(nr * nc)
-        y = rng.normal(size=nr + nc - 1)
+        y = rng.normal(size=nr + nc)
         assert np.abs(A @ x - dense @ x).max() <= 1e-15
         assert np.abs(A.T @ y - dense.T @ y).max() <= 1e-15
 
@@ -103,7 +103,7 @@ class TestMarginalMap:
 class TestDualOracle:
     def test_uniform_at_zero(self):
         p = build_elp([1.0, 1.0], [1.0, 1.0], np.zeros((2, 2)), 1.0)
-        _, _, x = elp_dual_oracle(p, np.zeros(3))
+        _, _, x = elp_dual_oracle(p, np.zeros(4))
         assert x == pytest.approx([0.25] * 4)
 
     def test_gradient_matches_fd(self):
@@ -217,14 +217,32 @@ class TestSolveEntropyOd:
         assert np.abs(sol.matrix - ref).max() <= 1e-6
 
     def test_bench_call_passes_verify(self):
-        # a step-weighted average of the softmax points since the last
-        # restart certified this call at deviation 1.37e-6 from the balanced
-        # matrix; the last iterate certifies it within 1e-7
-        L, W, T = bench_od_instance(387, 1, 14)
-        sol = solve_entropy_od(L, W, T, 1.0)
-        ref, ok = balancing_oracle(L, W, T, 1.0)
-        assert sol.converged and ok
-        assert np.abs(sol.matrix - ref).max() <= 1e-6
+        # seed 387 call 1: a step-weighted average of the softmax points since
+        # the last restart certified it at deviation 1.37e-6 from the balanced
+        # matrix; the last iterate certifies it within 1e-7.  The others, with
+        # the last column marginal dropped from the dual, certified at
+        # deviations 1.98e-6, 1.14e-6 and 1.13e-6; with every marginal kept,
+        # 5.4e-8, 1.4e-8 and 1.2e-7
+        for seed, call, n, gamma in [(387, 1, 14, 1.0), (501, 5, 50, 0.1),
+                                     (500, 3, 26, 0.3), (500, 5, 50, 0.3)]:
+            L, W, T = bench_od_instance(seed, call, n)
+            sol = solve_entropy_od(L, W, T, gamma)
+            ref, ok = balancing_oracle(L, W, T, gamma)
+            assert sol.converged and ok, (seed, call)
+            assert np.abs(sol.matrix - ref).max() <= 1e-6, (seed, call)
+
+    def test_unequal_totals_certify_every_column(self):
+        # totals 5e-10 apart (relative) pass build_elp.  A column block of
+        # W / sum(L) sums to 1 + 5e-10, so the dual is unbounded along "all
+        # columns +c" and the residual stays at 1.1e-6: never certified.
+        # Dropping the last column put the whole 4.6e-6 difference there.
+        L, W, T = euclidean_zones(np.random.default_rng(1), 20)
+        L *= 1e4 / L.sum()
+        W *= 1e4 / W.sum() * (1 + 5e-10)
+        sol = solve_entropy_od(L, W, T, 1.0, max_iter=5000)
+        assert sol.converged
+        assert np.abs(sol.matrix.sum(axis=1) - L).max() <= 1e-6
+        assert np.abs(sol.matrix.sum(axis=0) - W * L.sum() / W.sum()).max() <= 1e-6
 
     def test_negative_gap_does_not_certify(self, monkeypatch):
         # a primal value 1 too low makes every gap about -3 (the mass is 3);
