@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 # solve_multistage stays bound here for bench/tracing.py to patch
-from .dual import MODELS, duality_gap, solve_assignment, solve_multistage  # noqa: F401
+from .dual import MODELS, duality_gap, model_gammas, solve_assignment, solve_multistage  # noqa: F401
 from .network import NetworkError, load_network
 from .od import balancing_oracle, solve_entropy_od
 from .solvers import DivergedOracleError
@@ -68,13 +68,16 @@ def _merge_config(args):
     return args
 
 
-def _gamma_overrides(network, gamma_flags):
+def _gamma_overrides(network, model, gamma_flags):
+    """The model's smoothing per level with the LEVEL=VALUE overrides applied, or None."""
     if isinstance(gamma_flags, dict):  # from a config file: {"1": 0.5}
         gamma_flags = [f"{k}={v}" for k, v in sorted(gamma_flags.items())]
     elif not isinstance(gamma_flags, (list, type(None))):
         raise ValueError(f"config key 'gamma' must be per-level overrides, got {gamma_flags!r}")
-    gammas = list(network.gammas())
-    for item in gamma_flags or []:
+    if not gamma_flags:
+        return None
+    gammas = model_gammas(network, model)
+    for item in gamma_flags:
         level, _, value = str(item).partition("=")
         try:
             k = int(level)
@@ -96,23 +99,25 @@ def _out_dir(args):
     return out
 
 
-def _write_solution_csv(path, network, report):
+def _write_csv(path, header, rows):
+    """The float-format line, the header, then one line per row: floats
+    %.17g, None an empty field, ints and names as they are."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# floats formatted %.17g\n")
-        fh.write("level,edge,tail,head,t,flow,gap,multiplier\n")
-        idx = 0
-        for k, lg in enumerate(network.levels):
-            for j, (tail, head, _) in enumerate(lg.plain_edges):
-                fh.write(
-                    f"{k + 1},{j},{tail},{head},{fmt(report.t[idx])},"
-                    f"{fmt(report.flows.plain[k][j])},{fmt(report.per_edge_gap[idx])},"
-                    f"{fmt(report.multipliers[idx])}\n"
-                )
-                idx += 1
-            for j, (tail, head, od) in enumerate(lg.nested_edges):
-                fh.write(
-                    f"{k + 1},n{j},{tail},{head},,{fmt(report.flows.nested[k][j])},,\n"
-                )
+        fh.write(f"# floats formatted {FLOAT_FMT}\n{header}\n")
+        for row in rows:
+            fh.write(",".join([FLOAT_FMT % x if isinstance(x, float) else "" if x is None else str(x)
+                               for x in row]) + "\n")
+
+
+def _solution_rows(network, report):
+    idx = 0
+    for k, lg in enumerate(network.levels):
+        for j, (tail, head, _) in enumerate(lg.plain_edges):
+            yield (k + 1, j, tail, head, report.t[idx], report.flows.plain[k][j],
+                   report.per_edge_gap[idx], report.multipliers[idx])
+            idx += 1
+        for j, (tail, head, _) in enumerate(lg.nested_edges):
+            yield k + 1, f"n{j}", tail, head, None, report.flows.nested[k][j], None, None
 
 
 def _summary_dict(report):
@@ -142,51 +147,36 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_trace(path, report):
-    """One row per iteration."""
-    rep = report.solver
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# floats formatted %.17g\n")
-        fh.write("iter,value,lipschitz,gap\n")
-        for i, row in enumerate(zip(rep.value_trace, rep.lipschitz_trace, rep.gap_trace)):
-            fh.write(f"{i},{','.join(map(fmt, row))}\n")
-
-
-def _write_potentials(path, network, report):
+def _potential_rows(network, report):
     weights = effective_weights(network, report.t, report.gammas)
     lg = network.levels[0]
-    gamma = report.gammas[0]
     origins = network.origins()
-    u, _ = _sweep_forward(lg, weights[0], origins, gamma, lg.n_vertices - 1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# floats formatted %.17g\n")
-        fh.write("origin,vertex,potential\n")
-        for b, o in enumerate(origins):
-            for v in range(lg.n_vertices):
-                fh.write(f"{o},{v},{fmt(u[v, b])}\n")
+    u, _ = _sweep_forward(lg, weights[0], origins, report.gammas[0], lg.n_vertices - 1)
+    return ((o, v, u[v, b]) for b, o in enumerate(origins) for v in range(lg.n_vertices))
 
 
-def _tolerance(value, default, flag):
-    """A positive, finite tolerance from the command line, or the default."""
+def _tolerance(value, flag):
+    """A positive, finite tolerance from the command line, or None when unset."""
     if value is None:
-        return default
+        return None
     value = float(value)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{flag} must be positive and finite, got {value}")
     return value
 
 
+def _solver_kwargs(args):
+    """The tolerances and budget the user set; the solver's defaults fill the rest."""
+    given = {"eps": _tolerance(args.eps, "--eps"),
+             "eps_residual": _tolerance(args.eps_residual, "--eps-residual"),
+             "max_iter": args.max_iter}
+    return {k: v for k, v in given.items() if v is not None}
+
+
 def _solve_one(network, args):
-    gammas = _gamma_overrides(network, args.gamma)
-    eps = _tolerance(args.eps, 1e-6, "--eps")
-    eps_res = _tolerance(args.eps_residual, None, "--eps-residual")
-    max_iter = args.max_iter if args.max_iter is not None else 200000
     model = args.model or ("multistage" if network.n_levels > 1 else "beckmann")
-    report = solve_assignment(
-        network, model=model, eps=eps, eps_residual=eps_res,
-        gammas=gammas if args.gamma else None, max_iter=max_iter,
-    )
-    return report
+    gammas = _gamma_overrides(network, model, args.gamma)
+    return solve_assignment(network, model=model, gammas=gammas, **_solver_kwargs(args))
 
 
 def cmd_solve(args) -> int:
@@ -200,12 +190,17 @@ def cmd_solve(args) -> int:
     network = load_network(args.instance)
     report = _solve_one(network, args)
     out = _out_dir(args)
-    _write_solution_csv(os.path.join(out, "solution.csv"), network, report)
+    _write_csv(os.path.join(out, "solution.csv"), "level,edge,tail,head,t,flow,gap,multiplier",
+               _solution_rows(network, report))
     _write_json(os.path.join(out, "summary.json"), _summary_dict(report))
     if args.trace:
-        _write_trace(os.path.join(out, "trace.csv"), report)
+        rep = report.solver
+        _write_csv(os.path.join(out, "trace.csv"), "iter,value,lipschitz,gap",
+                   ((i, *row) for i, row in enumerate(
+                       zip(rep.value_trace, rep.lipschitz_trace, rep.gap_trace))))
     if args.dump_potentials:
-        _write_potentials(os.path.join(out, "potentials.csv"), network, report)
+        _write_csv(os.path.join(out, "potentials.csv"), "origin,vertex,potential",
+                   _potential_rows(network, report))
     if args.verify:
         # the route-choice bound of averaged flows is part of the certified gap
         total = duality_gap(network, report.t, report.flows)[1] + report.route_gap
@@ -247,12 +242,9 @@ def cmd_compare(args) -> int:
         "ranking": [r["scenario"] for r in ranking],
     }
     _write_json(os.path.join(out, "comparison.json"), payload)
-    with open(os.path.join(out, "comparison.csv"), "w", encoding="utf-8") as fh:
-        fh.write("# floats formatted %.17g\n")
-        fh.write("rank,scenario,total_time,total_gap,converged\n")
-        for rank, r in enumerate(ranking, start=1):
-            fh.write(f"{rank},{r['scenario']},{fmt(r['total_time'])},"
-                     f"{fmt(r['total_gap'])},{int(r['converged'])}\n")
+    _write_csv(os.path.join(out, "comparison.csv"), "rank,scenario,total_time,total_gap,converged",
+               ((rank, r["scenario"], r["total_time"], r["total_gap"], int(r["converged"]))
+                for rank, r in enumerate(ranking, start=1)))
     print("ranking: " + " < ".join(r["scenario"] for r in ranking))
     return 0 if all_ok else 2
 
@@ -318,20 +310,10 @@ def cmd_od(args) -> int:
     gamma = args.gamma if args.gamma is not None else 1.0
     if not isinstance(gamma, (int, float)):  # a config file's per-level overrides
         raise ValueError(f"config key 'gamma' must be a number for od, got {gamma!r}")
-    eps = _tolerance(args.eps, 1e-8, "--eps")
-    eps_res = _tolerance(args.eps_residual, 1e-6, "--eps-residual")
-    sol = solve_entropy_od(
-        L, W, T, gamma, eps=eps, eps_residual=eps_res,
-        max_iter=args.max_iter if args.max_iter is not None else 100000,
-    )
+    sol = solve_entropy_od(L, W, T, gamma, **_solver_kwargs(args))
     out = _out_dir(args)
-    with open(os.path.join(out, "matrix.csv"), "w", encoding="utf-8") as fh:
-        fh.write("# floats formatted %.17g\n")
-        fh.write("row,col,value\n")
-        nr, nc = sol.matrix.shape
-        for i in range(nr):
-            for j in range(nc):
-                fh.write(f"{i},{j},{fmt(sol.matrix[i, j])}\n")
+    _write_csv(os.path.join(out, "matrix.csv"), "row,col,value",
+               ((r, c, x) for r, row in zip(rows, sol.matrix) for c, x in zip(cols, row)))
     _write_json(os.path.join(out, "certificate.json"), {
         "gamma": fmt(sol.gamma),
         "gap": fmt(sol.gap),
@@ -345,7 +327,8 @@ def cmd_od(args) -> int:
         ref, ok = balancing_oracle(L, W, T, gamma)
         err = float(np.abs(ref - sol.matrix).max())
         passed = ok and err <= 1e-6
-        print(f"verification {'PASS' if passed else 'FAIL'}: max deviation {fmt(err)}")
+        unbalanced = "" if ok else "; balancing did not converge"
+        print(f"verification {'PASS' if passed else 'FAIL'}: max deviation {fmt(err)}{unbalanced}")
         if not passed:
             return 1
     print(f"{'certified' if sol.converged else 'uncertified'} "

@@ -34,6 +34,14 @@ MODEL_DEFAULTS = {
 MODELS = list(MODEL_DEFAULTS)
 
 
+def model_gammas(network: Network, model: str) -> list:
+    """Smoothing scale per level of a model: its MODEL_DEFAULTS scale, or the network's own."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    default = MODEL_DEFAULTS[model][0]
+    return list(network.gammas()) if default is None else [default] * network.n_levels
+
+
 def _flat(flows) -> np.ndarray:
     """Plain-edge flows aligned with the time vector."""
     return flows.plain_flat() if isinstance(flows, FlowState) else np.asarray(flows, dtype=float)
@@ -318,16 +326,13 @@ def solve_assignment(
     complementarity <= 10*max(eps, eps_residual), so stochastic/multistage
     may end uncertified on SD edges.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    base_gammas = model_gammas(network, model)  # rejects an unknown model first
     if model in ("stochastic", "beckmann", "beckmann_md") and network.n_levels != 1:
         raise ValueError(f"model {model!r} expects a single-level network")
     if eps_residual is None:
         eps_residual = eps
-    default_gamma, fw, zero_ok = MODEL_DEFAULTS[model]
-    if gammas is None:
-        gammas = (list(network.gammas()) if default_gamma is None
-                  else [default_gamma] * network.n_levels)
+    _, fw, zero_ok = MODEL_DEFAULTS[model]
+    gammas = base_gammas if gammas is None else gammas
     if any(g <= 0 and not (zero_ok and g == 0) for g in gammas):
         raise ValueError(f"model {model!r} needs positive smoothing at every level")
 

@@ -42,7 +42,13 @@ class ValidationError(NetworkError):
 
 @dataclass(frozen=True)
 class EdgeCostModel:
-    """Per-edge cost family: BPR power law or its stable-dynamics limit."""
+    """Per-edge cost family: BPR power law or its stable-dynamics limit.
+
+    A BPR edge takes t_free * (1 + bpr_gain * (f / capacity) ** bpr_power)
+    at flow f: bpr_power is the exponent of f / capacity, and validation
+    keeps it in (0, 1].  Nesterov & de Palma (2003) write the exponent as
+    1 / mu, so their mu = 0.25 is bpr_power 4, not this default of 0.25.
+    """
 
     kind: str
     t_free: float

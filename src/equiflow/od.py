@@ -86,17 +86,22 @@ def build_elp(L, W, T, gamma) -> ElpProblem:
     T = np.asarray(T, dtype=float)
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if L.size == 0 or W.size == 0:
+        raise ValueError(f"empty marginals: {L.size} rows and {W.size} columns")
     if np.any(L <= 0) or np.any(W <= 0):
         raise ValueError("marginals must be positive")
-    mass = L.sum()
-    if not math.isclose(mass, W.sum(), rel_tol=1e-9):
-        raise ValueError(f"unbalanced marginals: {mass} vs {W.sum()}")
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        mass, w_mass = L.sum(), W.sum()
+    if not (math.isfinite(mass) and math.isfinite(w_mass)):
+        raise ValueError(f"marginal totals must be finite, got {mass} and {w_mass}")
+    if not math.isclose(mass, w_mass, rel_tol=1e-9):
+        raise ValueError(f"unbalanced marginals: {mass} vs {w_mass}")
     nr, nc = len(L), len(W)
     if T.shape != (nr, nc):
         raise ValueError(f"cost matrix shape {T.shape} != ({nr}, {nc})")
     # W / mass would leave the dual unbounded along "all columns +c" when the totals differ
     return ElpProblem(cost=T.ravel().copy(), A=MarginalMap(nr, nc),
-                      b=np.concatenate((L / mass, W / W.sum())), gamma=float(gamma),
+                      b=np.concatenate((L / mass, W / w_mass)), gamma=float(gamma),
                       shape=(nr, nc), mass=mass)
 
 
@@ -219,23 +224,29 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
 def balancing_oracle(L, W, T, gamma, tol=1e-12, max_iter=100000):
     """Alternating row/column scaling of exp(-T/gamma) to both marginals.
 
-    Independent verification route; returns (matrix, converged).
+    Independent verification route; returns (matrix, converged).  Like
+    build_elp it balances the unit-mass problem (L / sum L, W / sum W) and
+    rescales the result by sum L, so tol bounds the unit-mass row sums.
+    Each row's least cost, then each column's, is subtracted before
+    exponentiating: the scalings absorb both shifts, and every row and
+    column of the kernel holds a 1, so none underflows.  The column update
+    makes the column sums exact, so each sweep tests the row sums only.
     """
     L = np.asarray(L, dtype=float)
     W = np.asarray(W, dtype=float)
-    K = np.exp(-np.asarray(T, dtype=float) / gamma)
-    u = np.ones(len(L))
-    v = np.ones(len(W))
+    p, q = L / L.sum(), W / W.sum()
+    C = np.asarray(T, dtype=float)
+    C = C - C.min(axis=1, keepdims=True)
+    K = np.exp(-(C - C.min(axis=0, keepdims=True)) / gamma)
+    u, v = np.ones(len(L)), np.ones(len(W))
     converged = False
     for _ in range(max_iter):
-        u = L / (K @ v)
-        v = W / (K.T @ u)
-        d = (u[:, None] * K) * v[None, :]
-        if (np.abs(d.sum(axis=1) - L).max() <= tol
-                and np.abs(d.sum(axis=0) - W).max() <= tol):
+        u = p / (K @ v)
+        v = q / (K.T @ u)
+        if np.abs(u * (K @ v) - p).max() <= tol:
             converged = True
             break
-    return (u[:, None] * K) * v[None, :], converged
+    return (u[:, None] * K) * v[None, :] * L.sum(), converged
 
 
 def entropy_regression_simplex(A, b, mu, eps, max_iter=100000):

@@ -11,6 +11,7 @@ import pytest
 
 from equiflow import hard_shortest, load_network, softmin, softmin_potentials
 from equiflow.cli import main
+from equiflow.dual import MODELS
 
 from conftest import (
     BRAESS_BASE_INSTANCE,
@@ -81,6 +82,16 @@ NESTED_INSTANCE = """\
 1 0 1 nested 0:1
 2 0 1 bpr 0.5 1.0 0.5 1.0
 2 0 1 bpr 0.6 1.0 0.3 0.5
+od 1 0 1 1.0
+"""
+
+# two levels with BPR routes inside and no gamma records: the network's own
+# scale is 1 on both levels, stable_dynamics' is 0.1
+NESTED_BPR_INSTANCE = """\
+1 0 1 bpr 1.0 1.0 0.5 1.0
+1 0 1 nested 0:1
+2 0 1 bpr 1.0 1.0 0.5 1.0
+2 0 1 bpr 1.5 1.0 0.5 1.0
 od 1 0 1 1.0
 """
 
@@ -401,6 +412,30 @@ class TestModelRouting:
         err = capsys.readouterr().err
         assert err == f"error: model {model!r} expects a single-level network\n"
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_partial_gamma_override_keeps_model_smoothing(self, tmp_path, command):
+        # overriding level 2 with its own value used to put the network's
+        # scale (1) on level 1 in place of stable_dynamics' 0.1
+        inst = write_instance(tmp_path / "nested.net", NESTED_BPR_INSTANCE)
+        instances = [inst] if command == "solve" else [inst, inst]
+        runs = {"model": [], "override": ["--gamma", "2=0.1"]}
+        for name, flags in runs.items():
+            assert main([command, *instances, "--model", "stable_dynamics", *flags,
+                         "--out", str(tmp_path / name)]) == 0
+        for path in (tmp_path / "model").iterdir():
+            assert (tmp_path / "override" / path.name).read_bytes() == path.read_bytes()
+        if command == "solve":
+            summary = json.load(open(tmp_path / "override" / "summary.json"))
+            assert summary["gammas"] == ["0.10000000000000001", "0.10000000000000001"]
+
+    def test_override_applies_on_the_model_smoothing(self, tmp_path):
+        inst = write_instance(tmp_path / "nested.net", NESTED_BPR_INSTANCE)
+        out = tmp_path / "out"
+        assert main(["solve", inst, "--model", "stable_dynamics", "--gamma", "1=0.3",
+                     "--out", str(out)]) == 0
+        assert json.load(open(out / "summary.json"))["gammas"] == [
+            "0.29999999999999999", "0.10000000000000001"]
+
 
 class TestConfig:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
@@ -470,6 +505,16 @@ class TestConfig:
         cfg.write_text(json.dumps({key: value}))
         assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(message)
+
+    def test_unknown_model_with_override_rejected(self, tmp_path, capsys):
+        # the overrides apply on the model's smoothing, so the name is checked first
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "wardrop"}))
+        assert main(["solve", inst, "--config", str(cfg), "--gamma", "1=0.5",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown model 'wardrop'; expected one of {MODELS}\n")
 
 
 class TestCompare:
@@ -849,6 +894,50 @@ class TestOd:
         assert main(["od", c, r, w, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
 
+    def test_matrix_rows_are_zone_ids(self, tmp_path):
+        # the rows used to be positions: 0,0 0,1 1,0 1,1
+        c = tmp_path / "costs.csv"
+        c.write_text("10,0,0.3\n10,9,1.2\n20,0,0.8\n20,9,0.1\n")
+        r = tmp_path / "rows.csv"
+        r.write_text("20,1.0\n10,2.0\n")
+        w = tmp_path / "cols.csv"
+        w.write_text("9,1.5\n0,1.5\n")
+        out = tmp_path / "out"
+        assert main(["od", str(c), str(r), str(w), "--verify", "--out", str(out)]) == 0
+        lines = (out / "matrix.csv").read_text().splitlines()
+        cells = {tuple(map(int, line.split(",")[:2])): float(line.split(",")[2])
+                 for line in lines[2:]}
+        assert list(cells) == [(10, 0), (10, 9), (20, 0), (20, 9)]
+        assert cells[(10, 0)] + cells[(10, 9)] == pytest.approx(2.0, abs=1e-6)
+        assert cells[(10, 9)] + cells[(20, 9)] == pytest.approx(1.5, abs=1e-6)
+
+    @pytest.mark.parametrize("empty", ["rows", "both"])
+    def test_empty_marginal_files_exit_1(self, tmp_path, capsys, empty):
+        c, r, w = od_inputs(tmp_path, {}, [], [])
+        if empty == "rows":
+            (tmp_path / "cols.csv").write_text("0,1.0\n")
+        n_cols = int(empty == "rows")
+        assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: empty marginals: 0 rows and {n_cols} columns\n"
+
+    def test_overflowing_marginal_total_exits_1(self, tmp_path, capsys):
+        # the sum overflowed with a RuntimeWarning, then failed as "eps must be positive"
+        costs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}
+        c, r, w = od_inputs(tmp_path, costs, [1e308, 1e308], [1e308, 1e308])
+        assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: marginal totals must be finite, got inf and inf\n")
+
+    def test_unbalanced_verification_says_so(self, tmp_path, capsys, monkeypatch):
+        from equiflow import cli
+
+        monkeypatch.setattr(cli, "balancing_oracle",
+                            lambda L, W, T, gamma: (np.zeros((len(L), len(W))), False))
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        assert main(["od", c, r, w, "--verify", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().out.endswith("; balancing did not converge\n")
+
     def test_deterministic_matrix(self, tmp_path):
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
         c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
@@ -858,3 +947,47 @@ class TestOd:
             assert main(["od", c, r, w, "--gamma", "0.5", "--out", out]) == 0
             blobs.append(open(os.path.join(out, "matrix.csv"), "rb").read())
         assert blobs[0] == blobs[1]
+
+
+class TestCsvLayout:
+    def test_every_csv_has_one_layout(self, tmp_path, monkeypatch):
+        # every CSV the CLI writes: the float-format line, its header, and
+        # one line per row the library handed over, floats at 17 digits
+        from equiflow import cli
+
+        written = {}
+        real = cli._write_csv
+
+        def spy(path, header, rows):
+            rows = [tuple(r) for r in rows]
+            written[path] = (header, rows)
+            real(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        nested = write_instance(tmp_path / "nested.net", NESTED_INSTANCE)
+        pigou = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        od_files = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        outs = [tmp_path / name for name in ("solve", "compare", "od")]
+        assert main(["solve", nested, "--trace", "--dump-potentials", "--out", str(outs[0])]) == 0
+        assert main(["compare", nested, pigou, "--out", str(outs[1])]) == 0
+        assert main(["od", *od_files, "--out", str(outs[2])]) == 0
+        csvs = sorted(str(p) for out in outs for p in out.glob("*.csv"))
+        assert [os.path.basename(p) for p in csvs] == [
+            "comparison.csv", "matrix.csv", "potentials.csv", "solution.csv", "trace.csv"]
+        assert sorted(written) == csvs
+        for path, (header, rows) in written.items():
+            lines = open(path, encoding="utf-8").read().splitlines()
+            assert lines[:2] == ["# floats formatted %.17g", header]
+            assert len(lines) == len(rows) + 2 and rows
+            for line, row in zip(lines[2:], rows):
+                fields = line.split(",")
+                assert len(fields) == len(row) == len(header.split(","))
+                for field, x in zip(fields, row):
+                    if isinstance(x, float):
+                        assert float(field) == x and field == f"{x:.17g}"
+                    else:
+                        assert field == ("" if x is None else str(x))
+        nested_rows = [r for r in read_solution(outs[0] / "solution.csv") if r[1].startswith("n")]
+        assert nested_rows == [["1", "n0", "0", "1", "", nested_rows[0][5], "", ""]]
+        assert float(nested_rows[0][5]) > 0

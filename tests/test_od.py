@@ -85,6 +85,18 @@ class TestBuildElp:
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             build_elp([1.0], [1.0], np.zeros((1, 1)), gamma)
 
+    @pytest.mark.parametrize("L, W", [([], []), ([1.0], [])], ids=["both", "columns"])
+    def test_empty_marginals_rejected(self, L, W):
+        # the solve failed on a max over zero logits
+        with pytest.raises(ValueError, match="empty marginals"):
+            build_elp(L, W, np.zeros((len(L), len(W))), 1.0)
+
+    @pytest.mark.parametrize("L", [[1e308, 1e308], [1.0, math.nan]], ids=["overflow", "nan"])
+    def test_non_finite_totals_rejected(self, L):
+        # an overflowing total warned, then failed as "eps must be positive"
+        with pytest.raises(ValueError, match="marginal totals must be finite"):
+            build_elp(L, [1.0, 1.0], np.zeros((2, 2)), 1.0)
+
 
 class TestMarginalMap:
     @pytest.mark.parametrize("nr, nc", [(1, 1), (1, 5), (5, 1), (3, 4), (7, 5)])
@@ -289,6 +301,31 @@ class TestBalancingOracle:
         d, ok = balancing_oracle(L, W, np.zeros((2, 2)), 1.0)
         assert ok
         assert d == pytest.approx(np.outer(L, W) / L.sum(), abs=1e-10)
+
+    def test_large_mass_certified_answer_verifies(self):
+        # mass 1.03e5: row sums of ~5e3 never met an absolute 1e-12, so
+        # 100,000 sweeps ended unbalanced and the certified answer failed
+        rng = np.random.default_rng(3)
+        L = rng.uniform(1.0, 10.0, 20) * 1e3
+        W = rng.uniform(1.0, 10.0, 20) * 1e3
+        pts = rng.uniform(0.0, 4.0, size=(20, 2))
+        W *= L.sum() / W.sum()
+        T = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        sol = solve_entropy_od(L, W, T, 1.0)
+        ref, ok = balancing_oracle(L, W, T, 1.0)
+        assert sol.converged and ok
+        assert np.abs(sol.matrix - ref).max() <= 1e-6
+        assert ref.sum(axis=1) == pytest.approx(L, rel=1e-9)
+
+    def test_underflowing_kernel_rows(self):
+        # exp(-80 / 0.1) underflows, so the first row of exp(-T/gamma) was all
+        # zeros and the balancing divided 0 by 0
+        T = np.array([[80.0, 90.0, 100.0], [85.0, 5.0, 95.0], [99.0, 97.0, 90.0]])
+        L, W = [1.0, 2.0, 3.0], [2.0, 2.0, 2.0]
+        sol = solve_entropy_od(L, W, T, 0.1)
+        ref, ok = balancing_oracle(L, W, T, 0.1)
+        assert sol.converged and ok
+        assert np.abs(sol.matrix - ref).max() <= 1e-6
 
     def test_agrees_across_seeds(self):
         for seed in range(4):
