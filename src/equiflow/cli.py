@@ -320,6 +320,7 @@ def cmd_od(args) -> int:
         "residual": fmt(sol.residual),
         "converged": sol.converged,
         "iterations": sol.solver.iterations,
+        "newton_steps": sol.newton_steps,
         "restarts": sol.solver.restarts,
         "stop_reason": sol.solver.termination,
     })

@@ -342,6 +342,7 @@ def solve_assignment(
     # rank (not certified, certificate value): a certified candidate always wins
     best = {}
     comp_tol = 10.0 * max(eps, eps_residual)
+    capped = network.edges.capped.any()  # both capacity terms are 0.0 without
 
     def consider(t_pt, conjugate, flows, route_gap=0.0):
         """Certify (t, flows), route_gap bounding its soft-min term; keep the best.
@@ -353,8 +354,8 @@ def solve_assignment(
             route_gap = 0.0  # the written times are the costs at the flows
         else:
             gap = duality_gap(network, t_pt, flows, conjugate)[1] + route_gap
-            viol = capacity_violation(network, flows)
-            comp = complementarity_residual(network, t_pt, flows)
+            viol = capacity_violation(network, flows) if capped else 0.0
+            comp = complementarity_residual(network, t_pt, flows) if capped else 0.0
             ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
             cert = max(gap, viol, comp)
         if not best or (not ok, cert) < best["rank"]:

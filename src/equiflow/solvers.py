@@ -210,6 +210,7 @@ def umt_minimize(
     r2=None,
     stop=None,
     rng=None,
+    finish=None,
 ):
     """Composite minimization by the adaptive accelerated triangle scheme.
 
@@ -223,6 +224,10 @@ def umt_minimize(
     run centred there (A = 0, u = x, L first tried at 1), while k, the oracle
     counts and the traces of the report go on in the same call and
     `report.restarts` counts the restarts.  A restart voids the r2 test.
+    When `stop` returns "finish", `finish(x, report, max_iter - k)` goes on
+    from x by a method of its own and returns (x, reason, steps): its steps
+    count in k and its oracle calls in the report, and a reason of None
+    goes on with this method from the x it returned, as after a restart.
     Given `rng`, the gradients at y are mini-batch means (see umt_stochastic).
     """
     if eps <= 0:
@@ -287,6 +292,10 @@ def umt_minimize(
         rep.value_trace.append(fx + prox.composite_value(x))
         state = UmtState(k=k, x=x, u=u, y=y, alpha=alpha, A=A, L=L, fx=fx, report=rep)
         reason = stop(state) if stop is not None else None
+        if reason == "finish":
+            x, reason, steps = finish(x, rep, max_iter - k)
+            k += steps
+            reason = reason or "restart"
         if reason == "restart":
             if r2 is not None:
                 raise ValueError("a restart voids the r2 certificate; pass r2=None")

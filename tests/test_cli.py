@@ -839,39 +839,69 @@ class TestOd:
     def test_matrix_is_the_last_iterate(self, tmp_path, monkeypatch):
         from equiflow import od
 
-        # replay the softmax at the final dual point through a spy on the solve
+        # every step, accelerated or Newton, certifies the softmax it hands
+        # to primal_value; replay them through a spy
         steps = []
-        solve = od.umt_minimize
+        real = od.primal_value
 
-        def spy(oracle, prox, y0, eps, stop, **kwargs):
-            def watched(state):
-                steps.append(oracle.primal(state.x))
-                return stop(state)
-            return solve(oracle, prox, y0, eps, stop=watched, **kwargs)
+        def spy(problem, x):
+            steps.append(x)
+            return real(problem, x)
 
-        monkeypatch.setattr(od, "umt_minimize", spy)
+        monkeypatch.setattr(od, "primal_value", spy)
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
         L = [2.0, 1.0]
         c, r, w = od_inputs(tmp_path, costs, L, [1.5, 1.5])
         out = tmp_path / "out"
         assert main(["od", c, r, w, "--gamma", "0.5", "--out", str(out)]) == 0
         cert = json.load(open(out / "certificate.json"))
-        assert cert["restarts"] > 0 and "primal" not in cert
+        assert cert["stop_reason"] == "certified_newton" and cert["newton_steps"] > 0
+        assert cert["iterations"] + 1 == len(steps) and "primal" not in cert
         written = np.array([float(line.split(",")[2])
                             for line in (out / "matrix.csv").read_text().splitlines()[2:]])
         assert np.array_equal(written, steps[-1] * sum(L))
 
     @pytest.mark.parametrize("budget, code, reason", [
-        ([], 0, "certified"), (["--max-iter", "2"], 2, "max_iter"),
+        ([], 0, "certified_newton"), (["--max-iter", "2"], 2, "max_iter"),
+        (["--eps", "1", "--eps-residual", "1"], 0, "certified"),
     ])
     def test_certificate_names_the_stop_reason(self, tmp_path, budget, code, reason):
+        # tolerances loose enough to certify before the hand-over to Newton
+        # steps certify in the accelerated phase
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
         c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
         out = tmp_path / "out"
         assert main(["od", c, r, w, "--gamma", "0.5", *budget, "--out", str(out)]) == code
         cert = json.load(open(out / "certificate.json"))
         assert cert["stop_reason"] == reason
-        assert cert["converged"] is (reason == "certified")
+        assert cert["converged"] is (reason != "max_iter")
+        assert (cert["newton_steps"] > 0) is (reason == "certified_newton")
+
+    def test_outputs_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # 120 zones: the Newton steps solve a 119 x 119 system through LAPACK
+        # after a 120 x 120 x 120 product, both large enough for OpenBLAS to
+        # split over threads; one thread and two must write the same bytes
+        rng = np.random.default_rng(120)
+        pts = rng.uniform(0.0, 4.0, size=(120, 2))
+        T = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        L, W = rng.uniform(1.0, 10.0, size=(2, 120))
+        W *= L.sum() / W.sum()
+        c, r, w = od_inputs(tmp_path, {(i, j): T[i, j] for i in range(120) for j in range(120)},
+                            L, W)
+        src = os.path.dirname(os.path.dirname(softmin.__file__))
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from equiflow.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "od", c, r, w, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert json.loads(files["1"]["certificate.json"])["newton_steps"] > 0
+        assert files["1"] == files["2"]
 
     def test_config_gamma_applies(self, tmp_path):
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}

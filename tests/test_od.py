@@ -196,7 +196,9 @@ class TestSolveEntropyOd:
         assert np.abs(a.matrix - b.matrix).max() <= 1e-6
 
     def test_stop_makes_no_dual_call(self, monkeypatch):
-        # every value() call comes from the line search; stop() reuses its value
+        # every value() call comes from a line search, the accelerated
+        # method's or the Newton steps' backtracking; certifying a step of
+        # either phase reuses its value
         calls = []
         value = od.ElpDualOracle.value
         monkeypatch.setattr(od.ElpDualOracle, "value",
@@ -204,23 +206,54 @@ class TestSolveEntropyOd:
         rng = np.random.default_rng(39)
         sol = solve_entropy_od(*random_balanced(rng, 4, 3), 0.5)
         rep = sol.solver
-        assert sol.converged and rep.iterations > 10
+        accelerated = len(rep.alpha_trace)
+        assert sol.converged and accelerated > 0 and sol.newton_steps > 0
+        assert len(rep.gap_trace) == accelerated + sol.newton_steps  # one certificate a step
         assert len(calls) == rep.value_calls - rep.grad_calls
 
-    def test_last_iterate_certifies_ten_zones_sooner(self):
-        steps_without_restart = 3207  # never restarting, this instance takes 3,207 steps
-        rng = np.random.default_rng(0)
-        L, W, T = euclidean_zones(rng, 10)
+    def test_newton_steps_count_in_iterations(self):
+        L, W, T = bench_od_instance(387, 1, 14)
         sol = solve_entropy_od(L, W, T, 1.0)
-        ref, ok = balancing_oracle(L, W, T, 1.0)
+        rep = sol.solver
+        accelerated = len(rep.alpha_trace)
+        assert sol.converged and rep.termination == "certified_newton"
+        assert rep.iterations + 1 == accelerated + sol.newton_steps  # iterations count from 0
+        # a budget that ends one step after the hand-over allows one Newton step
+        cut = solve_entropy_od(L, W, T, 1.0, max_iter=accelerated)
+        assert not cut.converged and cut.solver.termination == "max_iter"
+        assert cut.newton_steps == 1 and cut.solver.iterations == accelerated
+
+    def test_failed_newton_step_hands_back(self, monkeypatch):
+        # an ascent direction is no Newton step: the accelerated method goes
+        # on from the same point and still certifies
+        real = od.newton_direction
+        monkeypatch.setattr(od, "newton_direction", lambda x, g, gamma: -real(x, g, gamma))
+        rng = np.random.default_rng(41)
+        L, W, T = random_balanced(rng, 3, 4)
+        sol = solve_entropy_od(L, W, T, 0.5)
+        ref, ok = balancing_oracle(L, W, T, 0.5)
+        assert sol.converged and ok and sol.solver.termination == "certified"
+        assert sol.newton_steps == 0 and sol.solver.restarts > 0
+        assert np.abs(sol.matrix - ref).max() <= 1e-6
+
+    def test_last_iterate_certifies_ten_zones_sooner(self):
+        # the accelerated phase restarts when the dual value rises: without
+        # that rule this instance takes 74 steps, restarting once (a Newton
+        # step handing the solve back), with it 53
+        steps_without_restart = 74
+        rng = np.random.default_rng(43)
+        L, W, T = euclidean_zones(rng, 10)
+        sol = solve_entropy_od(L, W, T, 0.1)
+        ref, ok = balancing_oracle(L, W, T, 0.1)
         assert sol.converged and ok
-        assert sol.solver.iterations < steps_without_restart / 2
-        assert sol.solver.restarts > 0
+        assert sol.solver.iterations < 0.8 * steps_without_restart
+        assert sol.solver.restarts > 1
         assert np.abs(sol.matrix - ref).max() <= 1e-6
 
     def test_rounding_rise_does_not_restart(self):
         # near the optimum the dual value moves by a few ulps either way;
-        # restarting on those rises took 2,960 steps and 623 restarts here
+        # restarting the accelerated method on those rises took 2,960 steps
+        # and 623 restarts here.  Newton steps now take that tail
         L, W, T = euclidean_zones(np.random.default_rng(0), 40)
         sol = solve_entropy_od(L, W, T, 1.0)
         ref, ok = balancing_oracle(L, W, T, 1.0)
@@ -258,13 +291,15 @@ class TestSolveEntropyOd:
 
     def test_negative_gap_does_not_certify(self, monkeypatch):
         # a primal value 1 too low makes every gap about -3 (the mass is 3);
-        # a one-sided test `gap <= eps` certified this in 17 steps
+        # a one-sided test `gap <= eps` certified this in 17 steps.  Neither
+        # the accelerated steps nor the Newton steps may certify
         real = od.primal_value
         monkeypatch.setattr(od, "primal_value", lambda problem, x: real(problem, x) - 1.0)
         T = np.array([[0.3, 1.2], [0.8, 0.1]])
         sol = solve_entropy_od([2.0, 1.0], [1.5, 1.5], T, 1.0, max_iter=100)
         assert not sol.converged and sol.solver.termination == "max_iter"
-        assert sol.gap < -1.0
+        assert sol.newton_steps > 0 and len(sol.solver.gap_trace) == 101
+        assert sol.gap < -1.0 and max(sol.solver.gap_trace) < -0.5  # unit mass: about -1
 
     @pytest.mark.parametrize("gamma", [0.1, 0.2, 0.3])
     def test_small_gamma_certifies(self, gamma):
@@ -292,6 +327,90 @@ class TestSolveEntropyOd:
         sol = solve_entropy_od(L, W, T, 1e4, eps=1e-10, eps_residual=1e-9)
         outer = np.outer(L, W) / L.sum()
         assert np.abs(sol.matrix - outer).max() <= 1e-3
+
+
+class TestNewtonDirection:
+    def test_solves_the_newton_system(self):
+        # against the dense Hessian (A diag(x) A^T - (A x)(A x)^T) / gamma
+        rng = np.random.default_rng(42)
+        for nr, nc in [(1, 3), (3, 1), (4, 3), (6, 6)]:
+            p = build_elp(*random_balanced(rng, nr, nc), gamma=0.7)
+            y = rng.normal(size=nr + nc)
+            _, g, x = elp_dual_oracle(p, y)
+            A = dense_constraints(nr, nc)
+            hess = (A @ np.diag(x) @ A.T - np.outer(A @ x, A @ x)) / p.gamma
+            d = od.newton_direction(x.reshape(nr, nc), g, p.gamma)
+            assert np.abs(hess @ d + g).max() <= 1e-12
+            assert d[-1] == 0.0  # the last column multiplier is fixed
+
+    def test_split_matrix_gives_no_step(self):
+        # exp(-T/gamma) underflowed to two blocks: the reduced system is
+        # singular, and the direction is NaN, which no Newton step takes
+        x = np.array([[0.3, 0.2, 0.0], [0.0, 0.0, 0.5]])
+        g = np.array([0.05, -0.05, 0.1, -0.1, 0.0])
+        d = od.newton_direction(x, g, 1.0)
+        assert np.isnan(d[:-1]).all() and np.isnan(g @ d)
+
+    def test_cholesky_matches_lapack(self):
+        rng = np.random.default_rng(43)
+        for n in (0, 1, 5, 30):
+            B = rng.normal(size=(n, n))
+            a, b = B @ B.T + np.eye(n), rng.normal(size=n)
+            assert np.abs(od._cholesky_solve(a, b) - np.linalg.solve(a, b)).max(initial=0) <= 1e-12
+        assert np.isnan(od._cholesky_solve(-np.eye(2), np.ones(2))).all()
+
+
+def large_mass_draw(s):
+    """Call s of the large-mass set: 10-30 zones, marginals scaled by 10^U(1, 5)."""
+    rng = np.random.default_rng(1000 + s)
+    n = int(rng.integers(10, 31))
+    scale = 10 ** rng.uniform(1, 5)
+    L = rng.uniform(1, 10, n) * scale
+    W = rng.uniform(1, 10, n) * scale
+    pts = rng.uniform(0, 4, (n, 2))
+    W *= L.sum() / W.sum()
+    return L, W, np.linalg.norm(pts[:, None] - pts[None], axis=2)
+
+
+def long_double_balancing(L, W, T, gamma):
+    """Row/column scaling in extended precision, to 1e-18 on the unit-mass rows."""
+    L, W = np.asarray(L, dtype=np.longdouble), np.asarray(W, dtype=np.longdouble)
+    p, q = L / L.sum(), W / W.sum()
+    C = np.asarray(T, dtype=np.longdouble)
+    C = C - C.min(axis=1, keepdims=True)
+    K = np.exp(-(C - C.min(axis=0, keepdims=True)) / np.longdouble(gamma))
+    v = np.ones(len(W), dtype=np.longdouble)
+    for _ in range(100000):
+        u = p / (K @ v)
+        v = q / (K.T @ u)
+        if np.abs(u * (K @ v) - p).max() <= 1e-18:
+            break
+    return ((u[:, None] * K) * v[None, :] * L.sum()).astype(float)
+
+
+class TestLargeMass:
+    def test_reference_stays_within_1e8(self):
+        # mass 8.33e6: at 1e-12 on the unit-mass row sums the balanced matrix
+        # was 4.65e-6 from its own limit, and a certified answer 5e-9 from
+        # that limit printed "verification FAIL"
+        L, W, T = large_mass_draw(22)
+        assert L.sum() == pytest.approx(8.33e6, rel=1e-3)
+        ref, ok = balancing_oracle(L, W, T, 0.3)
+        assert ok
+        assert np.abs(ref - long_double_balancing(L, W, T, 0.3)).max() <= 1e-8
+        sol = solve_entropy_od(L, W, T, 0.3)
+        assert sol.converged and np.abs(sol.matrix - ref).max() <= 1e-6
+
+    @pytest.mark.parametrize("s, gamma", [(12, 1.0), (15, 1.0), (17, 0.3)])
+    def test_newton_certifies_large_masses(self, s, gamma):
+        # masses 1.9e6, 3.0e5 and 2.9e6: the gap tolerance on the unit-mass
+        # problem is eps / mass, near the rounding of the dual value, and the
+        # accelerated method alone ran out of 20,000 steps short of it
+        L, W, T = large_mass_draw(s)
+        sol = solve_entropy_od(L, W, T, gamma, max_iter=20000)
+        ref, ok = balancing_oracle(L, W, T, gamma)
+        assert sol.converged and ok and sol.solver.iterations < 100
+        assert np.abs(sol.matrix - ref).max() <= 1e-6
 
 
 class TestBalancingOracle:

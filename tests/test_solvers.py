@@ -388,6 +388,43 @@ class TestRestart:
                          r2=1.0, stop=lambda state: "restart")
 
 
+class TestFinish:
+    def test_finish_steps_count_in_the_run(self):
+        seen = []
+
+        def finish(x, report, budget):
+            seen.append((budget, report.value_calls))
+            report.value_calls += 1
+            return np.zeros_like(x), "finished", 3
+
+        stop = lambda state: "finish" if state.k == 2 else None  # noqa: E731
+        x, rep = umt_minimize(quadratic_oracle(), EuclideanProx(), np.ones(2), eps=1e-8,
+                              max_iter=10, stop=stop, finish=finish)
+        assert [budget for budget, _ in seen] == [8]  # steps 3 to 10 are left
+        assert np.array_equal(x, np.zeros(2)) and rep.termination == "finished"
+        assert rep.iterations == 5 and len(rep.alpha_trace) == 3  # steps 3-5 were finish's
+        assert rep.value_calls == seen[0][1] + 1  # finish's call is in the report
+
+    def test_finish_without_reason_goes_on_as_a_restart(self):
+        # finish hands back from a point of its own; the run restarts there
+        points = []
+
+        def stop(state):
+            points.append(state.x.copy())
+            return "finish" if state.k == 1 else None
+
+        def finish(x, report, budget):
+            return np.full_like(x, 0.5), None, 2
+
+        _, rep = umt_minimize(quadratic_oracle(), EuclideanProx(), np.ones(2), eps=1e-8,
+                              max_iter=6, stop=stop, finish=finish)
+        fresh, _ = umt_minimize(quadratic_oracle(), EuclideanProx(), np.full(2, 0.5),
+                                eps=1e-8, max_iter=0)
+        assert rep.restarts == 1 and rep.termination == "max_iter"
+        assert rep.iterations == 6 and len(points) == 5  # steps 0, 1, then 4-6
+        assert np.array_equal(points[2], fresh)
+
+
 class TestStochastic:
     def test_noisy_quadratic_mean_gap(self):
         eps = 1e-2
