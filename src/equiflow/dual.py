@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FlowState, Network, by_origin
+from .network import FlowState, Network
 # all_or_nothing stays bound here for bench/tracing.py to patch
 from .softmin import _od_values, all_or_nothing, assignment_flows, effective_weights  # noqa: F401
 from .solvers import EuclideanProx, SmoothOracle, umt_minimize
@@ -120,7 +120,7 @@ class DualOracle(SmoothOracle):
         origins = self.network.origins()
         if len(origins) == 1:
             return -flow.plain_flat() + _smooth_part(self.network.edges, conjugate)[1]
-        weights = np.array([sum(g.values()) for g in by_origin(self.network.demands).values()])
+        weights = np.array(self.network.plan.totals())
         draws = rng.choice(len(origins), size=batch, p=weights / weights.sum())
         return stochastic_origin_oracle(self.network, t, [origins[i] for i in draws],
                                         self.gammas, self.hops)
@@ -146,16 +146,16 @@ def stochastic_origin_oracle(network, t, origins, gammas=None, hops=None):
     total); the batch mean plus the deterministic conjugate part estimates
     the full gradient without bias.  Flows are linear in the demands, on
     nested levels too, so the mean is one assignment at the demands
-    d_w * c_o * D / (D_o * m), c_o the draws of o among the m in the batch.
+    d_w * c_o * D / (D_o * m), c_o the draws of o among the m in the batch,
+    over a PairPlan of the drawn pairs: only the drawn origins are swept.
     """
     if not origins:
         raise ValueError("empty origin batch")
-    groups = by_origin(network.demands)
+    totals = dict(zip(network.origins(), network.plan.totals()))
     draws = Counter(origins)
     for o in draws:
-        if o not in groups:
+        if o not in totals:
             raise ValueError(f"origin {o} has no demand to sample")
-    totals = {o: sum(g.values()) for o, g in groups.items()}
     grand = sum(totals.values())
     demands = {od: dem * (draws[od[0]] * grand / (totals[od[0]] * len(origins)))
                for od, dem in network.demands.items() if draws[od[0]]}
@@ -219,10 +219,9 @@ def frank_wolfe_gap(network, flows):
         raise ValueError("equilibrium gap needs BPR cost maps on every edge")
     f = _flat(flows)
     tau = network.edges.cost(f)
-    lg = network.levels[0]
-    pairs = [od for group in by_origin(network.demands).values() for od in group]
-    dist, _ = _od_values(lg, tau, pairs, 0.0, lg.n_vertices - 1, level=1)
-    best = sum(network.demands[od] * v for od, v in zip(pairs, dist))
+    lg, plan = network.levels[0], network.plan
+    dist, _ = _od_values(lg, tau, plan, 0.0, lg.n_vertices - 1, level=1)
+    best = sum(dem * v for dem, v in zip(plan.demand, dist))
     return max(0.0, float(tau @ f - best))
 
 
@@ -267,9 +266,9 @@ def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged
     total_time = float(tau @ f_flat)
     # shortest paths under the experienced costs, hard at every level
     weights = effective_weights(network, tau, [0.0] * network.n_levels)
-    lg = network.levels[0]
-    dist, _ = _od_values(lg, weights[0], list(network.demands), 0.0, lg.n_vertices - 1, level=1)
-    shortest = dict(zip(network.demands, dist.tolist()))
+    lg, plan = network.levels[0], network.plan
+    dist, _ = _od_values(lg, weights[0], plan, 0.0, lg.n_vertices - 1, level=1)
+    shortest = dict(zip(plan.pairs, dist.tolist()))
     return EquilibriumReport(
         model=model,
         eps=eps,

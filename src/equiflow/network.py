@@ -11,7 +11,7 @@ reference them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -229,6 +229,19 @@ class LevelGraph:
         starts = np.flatnonzero(np.diff(ordered, prepend=-1))
         return order, starts, ordered[starts]
 
+    @cached_property
+    def dense_index(self) -> np.ndarray:
+        """Each edge's entry of a flat V x V matrix indexed [head, tail]."""
+        return self.heads * self.n_vertices + self.tails
+
+    @cached_property
+    def nested_plan(self) -> "PairPlan":
+        """The pairs of the next level that the nested edges reference, at no demand."""
+        refs = [od for (_, _, od) in self.nested_edges]
+        plan = PairPlan.of(dict.fromkeys(refs, 0.0))
+        index = {od: i for i, od in enumerate(plan.pairs)}
+        return replace(plan, fold=np.array([index[od] for od in refs], dtype=np.intp))
+
 
 @dataclass(eq=False)
 class Network:
@@ -276,17 +289,82 @@ class Network:
     def gammas(self) -> list:
         return [lg.gamma for lg in self.levels]
 
+    @cached_property
+    def plan(self) -> "PairPlan":
+        """The level-1 demands as a PairPlan, built on first use."""
+        return PairPlan.of(self.demands)
+
     def origins(self) -> list:
         """Distinct level-1 origins in sorted order."""
-        return sorted({o for (o, _) in self.demands})
+        return self.plan.origins.tolist()
 
 
-def by_origin(demands) -> dict:
-    """{origin: {(origin, dest): demand}}, origins ascending, pairs in demand order."""
-    groups = {}
-    for (o, d), dem in demands.items():
-        groups.setdefault(o, {})[(o, d)] = dem
-    return dict(sorted(groups.items()))
+@dataclass(frozen=True, eq=False)
+class PairPlan:
+    """The OD pairs of one level, laid out for one sweep from all their origins.
+
+    pairs: distinct (origin, dest), grouped by ascending origin, in order of
+    first appearance within a group; a sweep from origins finds pair i at
+    u[dests[i], columns[i]], flat index cells[i].  A plan of nested
+    references has fold, the pair of each nested edge, and once handed
+    down, arrivals, the pair of each flow handed down.  Arrays are read-only.
+    """
+
+    pairs: tuple
+    origins: np.ndarray
+    dests: np.ndarray
+    columns: np.ndarray
+    cells: np.ndarray
+    demand: np.ndarray
+    fold: np.ndarray = None
+    arrivals: np.ndarray = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), np.ndarray):
+                getattr(self, f.name).flags.writeable = False
+
+    @classmethod
+    def of(cls, demands) -> "PairPlan":
+        """The plan of a mapping (origin, dest) -> demand, or the plan given."""
+        if isinstance(demands, PairPlan):
+            return demands
+        groups = {}
+        for (o, d), dem in demands.items():
+            groups.setdefault(o, {})[(o, d)] = dem
+        groups = dict(sorted(groups.items()))
+        pairs = tuple(od for group in groups.values() for od in group)
+        column = {o: b for b, o in enumerate(groups)}
+        dests = np.array([d for _, d in pairs], dtype=np.intp)
+        columns = np.array([column[o] for o, _ in pairs], dtype=np.intp)
+        return cls(pairs, np.array(list(groups), dtype=np.intp), dests, columns,
+                   dests * len(groups) + columns,
+                   np.array([x for group in groups.values() for x in group.values()], dtype=float))
+
+    def hand_down(self, flows) -> "PairPlan":
+        """This plan at the demands that nested-edge flows hand down: each
+        pair sums the positive flows of its edges, in edge order."""
+        live = flows > 0.0
+        arrivals = self.fold[live]
+        return replace(self, arrivals=arrivals,
+                       demand=np.bincount(arrivals, flows[live], minlength=len(self.pairs)))
+
+    def listed(self) -> np.ndarray:
+        """The pairs of the demands mapping in its order once grouped by
+        origin; handed down, those with flow in order of arrival."""
+        if self.arrivals is None:
+            return np.arange(len(self.pairs))
+        _, first = np.unique(self.arrivals, return_index=True)
+        seen = self.arrivals[np.sort(first)]
+        return seen[np.argsort(self.columns[seen], kind="stable")]
+
+    def __iter__(self):
+        """The listed (origin, dest) pairs, as the demands mapping iterates."""
+        return (self.pairs[i] for i in self.listed())
+
+    def totals(self) -> list:
+        """Each origin's total demand, summed in pair order."""
+        return [sum(self.demand[self.columns == b].tolist()) for b in range(len(self.origins))]
 
 
 def validate(levels, demands) -> list:

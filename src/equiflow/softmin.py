@@ -37,13 +37,14 @@ end of the sweep finds it and raises NetworkError naming the level.
 The recursion has two products.  A phi = 0 sweep on a level of at most
 DENSE_MAX_VERTICES vertices is dense: Z_H = S e, e the empty walk at each
 origin, for the power sum S = sum_{h<=H} K^h of K[v, u], the sum over the
-edges u -> v of exp(-w_e/gamma).  _power_sum forms S in ceil(log2(H+1))
-doublings of V x V products; on such small levels the numpy calls of H
-sparse hops cost more than the arithmetic.  S does not depend on the
-origins, so an origin's potentials have the same bits in any batch (dumped
-potentials equal single-origin sweeps), though not those of a hop-by-hop
-product.  Every other sweep is sparse: a hop takes Z at the slot tails,
-multiplies by E and adds by head, three passes.
+edges u -> v of exp(-w_e/gamma) (one bincount, kept for the adjoint).
+_power_sum forms S in ceil(log2(H+1)) doublings of V x V products; on
+such small levels the numpy calls of H sparse hops cost more than the
+arithmetic.  S does not depend on the origins, so an origin's potentials
+have the same bits in any batch (dumped potentials equal single-origin
+sweeps), though not those of a hop-by-hop product.  Every other sweep is
+sparse: a hop takes Z at the slot tails, multiplies by E and adds by
+head, three passes.
 
 The sparse adjoint starts from q_H = sink / Z_H, steps q_{h-1} = E_h^T q_h
 and gives edge e the flow E_e * sum_h q_h[head] * Z_{h-1}[tail].  q is
@@ -69,6 +70,12 @@ deeper level's pricing sweep (beyond one chunk, the forward sweeps
 rerun).  A point whose flows are never read pays for no backward sweep,
 every level is swept forward once per point (by _od_values), and
 gamma = 0 levels load all-or-nothing when their flows are read.
+
+Each level's OD pairs are a PairPlan built once per network (Network.plan,
+LevelGraph.nested_plan): a sweep's values are one gather u[dests, columns],
+its sink masses one scatter of the demands, and the demands a level hands
+down one np.bincount of its nested flows.  Values are summed pair by pair
+in plan order, as a loop over the pairs grouped by origin adds them.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ import math
 
 import numpy as np
 
-from .network import FlowState, LevelGraph, Network, NetworkError, by_origin
+from .network import FlowState, LevelGraph, Network, NetworkError, PairPlan
 
 ROUNDS_CAP_BYTES = 32 << 20  # forward walk sums kept per chunk of origins (references on top)
 # levels this small sweep phi = 0 by dense power sums, about V^3 log H flops
@@ -139,7 +146,7 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
 
     Returns (u, kept): u[v, b] the potential of v seen from origins[b]
     (+inf when unreachable); kept, when keep is set, is what
-    _sweep_backward reads, (Z_H, (K, origins, hops), "dense") or
+    _sweep_backward reads, (Z_H, (K, exp(-w/gamma), origins, hops), "dense") or
     (Z, refs, "sparse"): the shifted walk sums after hops 0..hops,
     (hops+1, V, B), and the references of hop 0 and of each hop before the
     distances settle (none at phi = 0); else None.  With gamma = 0, u is
@@ -155,10 +162,10 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
     # phi = 0, or at hop h the min-plus distance d_h after it (0 where unreached)
     ref = np.zeros((n, 1))
     if flat and n <= DENSE_MAX_VERTICES:
-        k = np.zeros((n, n))
-        np.add.at(k, (graph.heads, graph.tails), np.exp(weights / -gamma))
-        walks = _power_sum(k, hops + 1)[:, origins]
-        kept = (walks, (k, origins, hops), "dense")
+        factor = np.exp(weights / -gamma)
+        k = np.bincount(graph.dense_index, factor, minlength=n * n).reshape(n, n)
+        walks = _power_sum(k, hops + 1).take(origins, axis=1)
+        kept = (walks, (k, factor, origins, hops), "dense")
     else:
         c = np.concatenate([weights, np.zeros(n)])[order, None]
         cand = np.empty((len(c), batch))
@@ -237,24 +244,23 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
     is in [e^-700, H V^2 e^600].  Returns the flows summed over the batch.
     """
     z, held, kind = kept
-    weights = np.asarray(weights, dtype=float)
     if kind == "dense":
-        (k, origins, hops), n = held, len(held[0])
+        (k, factor, origins, hops), n = held, len(held[0])
         m = np.zeros((2 * n, 2 * n))
         m[:n, :n] = m[n:, n:] = k.T
         rest = np.zeros((n, n))
-        rest[:, origins] = np.divide(sink_mass, z, out=np.zeros_like(z), where=z != 0)
-        factor, flows = np.exp(weights / -gamma), np.zeros(graph.n_edges)
+        rest[:, origins] = np.divide(sink_mass, z, out=np.zeros(z.shape), where=z != 0)
+        flows = np.zeros(graph.n_edges)
         while (top := rest.max()) > 0.0:
             band = rest >= top * math.exp(-100.0)
             m[:n, n:] = np.where(band, rest / top, 0.0)
-            flows += factor * _power_sum(m, hops + 1)[graph.heads, n + graph.tails] * top
+            flows += factor * _power_sum(m, hops + 1)[:n, n:].take(graph.dense_index) * top
             rest[band] = 0.0
         return flows
     refs, hops, last = held, len(z) - 1, len(held) - 1
     order, starts, ends = graph.tail_groups
     tails, heads = graph.tails[order], graph.heads[order]
-    c = weights[order, None]
+    c = np.asarray(weights, dtype=float)[order, None]
     factor = None if refs else np.exp(c / -gamma)  # phi = 0: no references
     x, y = np.empty((2, len(order), sink_mass.shape[1]))
     acc = np.zeros_like(x)
@@ -291,23 +297,38 @@ def _kept_bytes(graph, hops):
     return 8 * (hops + 1) * graph.n_vertices
 
 
+def _chunk_size(graph, hops):
+    """Origins per batch whose kept forward hops fit in ROUNDS_CAP_BYTES."""
+    return max(1, ROUNDS_CAP_BYTES // _kept_bytes(graph, hops))
+
+
 def _chunks(graph, origins, hops):
     """Batches of origins whose kept forward hops fit in ROUNDS_CAP_BYTES."""
-    size = max(1, ROUNDS_CAP_BYTES // _kept_bytes(graph, hops))
+    size = _chunk_size(graph, hops)
     return [origins[lo:lo + size] for lo in range(0, len(origins), size)]
 
 
-def _sink(groups, origins, u, level, hops):
-    """Value sum_w d_w * u_dest of one batch and its sink masses."""
-    sink = np.zeros_like(u)
-    value = 0.0
-    for b, o in enumerate(origins):
-        for (_, d), dem in groups.get(o, {}).items():
-            if not math.isfinite(u[d, b]):
-                raise UnreachableError(level, o, d, hops)
-            value += dem * u[d, b]
-            sink[d, b] += dem
-    return value, sink
+def _reached(plan, values, level, hops, index=None):
+    """Raise UnreachableError for the first pair index[i] (or i) whose values[i] is not finite."""
+    # one sum clears a finite set; only a sum that is not finite asks which value
+    if not math.isfinite(np.add.reduce(values)) and not (finite := np.isfinite(values)).all():
+        i = int(finite.argmin())
+        raise UnreachableError(level, *plan.pairs[i if index is None else index[i]], hops)
+
+
+def _total(demand, values):
+    """sum_w d_w * v_w added one by one in pair order (np.dot would reorder)."""
+    total = 0.0
+    for dem, v in zip(demand.tolist(), values.tolist()):
+        total += dem * v
+    return total
+
+
+def _sink(u, cells, demand):
+    """Value sum_w d_w * u_dest over the pairs at flat `cells` of u, and their sink masses."""
+    sink = np.zeros(u.shape)
+    sink.put(cells, demand)
+    return _total(demand, u.take(cells)), sink
 
 
 def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
@@ -327,25 +348,36 @@ def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
 def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, forward=None):
     """Aggregated soft-min value and its gradient (Gibbs edge flows).
 
-    demands maps (origin, dest) to a positive demand.  Returns
-    (value, flows) where value = sum_w d_w * u_dest and flows is the
+    demands maps (origin, dest) to a positive demand, or is a PairPlan.
+    Returns (value, flows) where value = sum_w d_w * u_dest and flows is the
     exact gradient of value with respect to the edge weights.
 
     `forward`, a kept forward sweep (origins, u, kept) of the same weights,
-    gamma and hops whose origins include every origin of demands, replaces
-    the forward sweeps; u and kept are those of _sweep_forward.
+    gamma and hops from every origin of the plan, replaces the forward
+    sweeps; u and kept are those of _sweep_forward.
     """
-    groups = by_origin(demands)
-    value = 0.0
+    plan = PairPlan.of(demands)
+    if forward is not None:
+        # _od_values found every pair reached; one without demand adds 0
+        _, u, kept = forward
+        value, sink = _sink(u, plan.cells, plan.demand)
+        return value, _sweep_backward(graph, weights, gamma, kept, sink)
+    # the origins of the listed pairs in chunks, each chunk's pairs a run of them
+    listed = plan.listed()
+    used, columns = np.unique(plan.columns[listed], return_inverse=True)
+    value, lo = 0.0, 0
     flows = np.zeros(graph.n_edges)
-    sweeps = [forward] if forward is not None else (
-        (batch, *_sweep_forward(graph, weights, batch, gamma, hops, keep=True, level=level))
-        for batch in _chunks(graph, list(groups), hops))
-    for origins, u, kept in sweeps:
-        v, sink = _sink(groups, origins, u, level, hops)
+    for batch in _chunks(graph, plan.origins[used], hops):
+        u, kept = _sweep_forward(graph, weights, batch, gamma, hops, keep=True, level=level)
+        a, b = np.searchsorted(columns, [lo, lo + len(batch)])
+        index = listed[a:b]
+        cells = plan.dests[index] * len(batch) + columns[a:b] - lo
+        _reached(plan, u.take(cells), level, hops, index)
+        v, sink = _sink(u, cells, plan.demand[index])
         value += v
         flows += _sweep_backward(graph, weights, gamma, kept, sink)
-        del u, kept  # released before the next chunk's sweep
+        lo += len(batch)
+        del u, kept, sink  # released before the next chunk's sweep
     return value, flows
 
 
@@ -391,23 +423,26 @@ def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
     origin within n-1 edges, which a zero- or negative-weight cycle can
     cause.
     """
-    groups = by_origin(demands)
-    origins = list(groups)
-    dist, pred_edge = _shortest(graph, weights, origins)
-    value, _ = _sink(groups, origins, dist, level, graph.n_vertices - 1)
+    plan = PairPlan.of(demands)
+    index = plan.listed()
+    used, columns = np.unique(plan.columns[index], return_inverse=True)
+    dist, pred_edge = _shortest(graph, weights, plan.origins[used])
+    values = dist.take(plan.dests[index] * len(used) + columns)
+    _reached(plan, values, level, graph.n_vertices - 1, index)
+    value = _total(plan.demand[index], values)
     flows = np.zeros(graph.n_edges)
-    for b, o in enumerate(origins):
-        for (_, d), dem in groups[o].items():
-            v, steps = d, 0
-            while v != o:
-                e = pred_edge[v, b]
-                if e < 0 or steps == graph.n_vertices - 1:
-                    raise ValueError(
-                        f"level {level}: no shortest path to load for OD {o}->{d}; "
-                        "the weights have a zero- or negative-weight cycle")
-                flows[e] += dem
-                v = graph.tails[e]
-                steps += 1
+    for i, b, dem in zip(index.tolist(), columns.tolist(), plan.demand[index].tolist()):
+        o, d = plan.pairs[i]
+        v, steps = d, 0
+        while v != o:
+            e = pred_edge[v, b]
+            if e < 0 or steps == graph.n_vertices - 1:
+                raise ValueError(
+                    f"level {level}: no shortest path to load for OD {o}->{d}; "
+                    "the weights have a zero- or negative-weight cycle")
+            flows[e] += dem
+            v = graph.tails[e]
+            steps += 1
     return value, flows
 
 
@@ -435,29 +470,27 @@ def _price(network, t, gammas, hops):
         if not lg.nested_edges:
             weights[k] = plain_w.copy()
             continue
-        refs = [od for (_, _, od) in lg.nested_edges]
         values, kept[k + 1] = _od_values(
-            network.levels[k + 1], weights[k + 1], refs, gammas[k + 1], hops[k + 1],
+            network.levels[k + 1], weights[k + 1], lg.nested_plan, gammas[k + 1], hops[k + 1],
             level=k + 2,
         )
         weights[k] = np.concatenate([plain_w, values])
     return weights, kept
 
 
-def _od_values(graph, weights, od_pairs, gamma, hops, level):
-    """Shortest-path (soft or hard) value per requested OD pair, and the
-    kept soft sweep (origins, u, kept) when its hops fit in one chunk."""
-    origins = sorted({o for o, _ in od_pairs})
-    keep = gamma > 0 and len(_chunks(graph, origins, hops)) == 1
+def _od_values(graph, weights, plan, gamma, hops, level):
+    """Shortest-path (soft or hard) value of each pair of plan, or of each
+    nested edge for a plan of nested references, and the kept soft sweep
+    (origins, u, kept) when its hops fit in one chunk."""
+    keep = gamma > 0 and len(plan.origins) <= _chunk_size(graph, hops)
     # gamma = 0 prices the exact shortest paths that all_or_nothing loads
     swept = hops if gamma > 0 else graph.n_vertices - 1
-    u, kept = _sweep_forward(graph, weights, origins, gamma, swept, keep=keep, level=level)
-    column = {o: b for b, o in enumerate(origins)}
-    values = u[[d for _, d in od_pairs], [column[o] for o, _ in od_pairs]]
-    for (o, d), v in zip(od_pairs, values):
-        if not math.isfinite(v):
-            raise UnreachableError(level, o, d, swept)
-    return values, (origins, u, kept) if keep else None
+    u, kept = _sweep_forward(graph, weights, plan.origins, gamma, swept, keep=keep, level=level)
+    values = u.take(plan.cells)
+    if plan.fold is not None:
+        values = values[plan.fold]
+    _reached(plan, values, level, swept, plan.fold)
+    return values, (plan.origins, u, kept) if keep else None
 
 
 def _hop_bounds(network, hops):
@@ -472,10 +505,10 @@ def assignment_flows(network: Network, t, gammas=None, hops=None, demands=None):
     """Value and flows on every level for the current time vector.
 
     Level 1 is loaded with the network demands (or the `demands`
-    override); deeper levels inherit the flows of the nested edges
-    referencing them.  Levels with gamma > 0 use the Gibbs assignment
-    (exact gradient); gamma = 0 levels use tie-broken all-or-nothing
-    (a subgradient element).  Returns (value, FlowState) with value the
+    override, a mapping or a PairPlan); deeper levels inherit the flows of
+    the nested edges referencing them.  Levels with gamma > 0 use the
+    Gibbs assignment (exact gradient); gamma = 0 levels use tie-broken
+    all-or-nothing (a subgradient element).  Returns (value, FlowState) with value the
     level-1 aggregate.
 
     Only the forward sweeps run here.  The FlowState is deferred: its
@@ -485,33 +518,28 @@ def assignment_flows(network: Network, t, gammas=None, hops=None, demands=None):
     gammas = list(network.gammas()) if gammas is None else list(gammas)
     hops = _hop_bounds(network, hops)
     weights, kept = _price(network, t, gammas, hops)
-    demands = dict(network.demands if demands is None else demands)
-    pairs = [od for group in by_origin(demands).values() for od in group]
-    values, kept[0] = _od_values(network.levels[0], weights[0], pairs, gammas[0], hops[0],
+    plan = network.plan if demands is None else PairPlan.of(demands)
+    values, kept[0] = _od_values(network.levels[0], weights[0], plan, gammas[0], hops[0],
                                  level=1)
-    value = 0.0
-    for od, v in zip(pairs, values):
-        value += demands[od] * v
+    value = _total(plan.demand, values)
 
     def fill():
         flow = FlowState.zeros(network)
-        level_demands = demands
+        level_plan = plan
         for k, lg in enumerate(network.levels):
-            if not level_demands:
-                break
             if gammas[k] > 0:
-                _, edge_flows = softmin_flows(lg, weights[k], level_demands, gammas[k],
-                                              hops[k], level=k + 1, forward=kept[k])
+                _, edge_flows = softmin_flows(lg, weights[k], level_plan, gammas[k], hops[k],
+                                              level=k + 1, forward=kept[k])
             else:
-                _, edge_flows = all_or_nothing(lg, weights[k], level_demands, level=k + 1)
+                _, edge_flows = all_or_nothing(lg, weights[k], level_plan, level=k + 1)
             n_plain = len(lg.plain_edges)
             flow.plain[k] = edge_flows[:n_plain]
             flow.nested[k] = edge_flows[n_plain:]
-            level_demands = {}
-            for j, (_, _, od) in enumerate(lg.nested_edges):
-                f = flow.nested[k][j]
-                if f > 0.0:
-                    level_demands[od] = level_demands.get(od, 0.0) + f
+            if not lg.nested_edges:
+                break
+            level_plan = lg.nested_plan.hand_down(flow.nested[k])
+            if not level_plan.demand.any():
+                break
         return flow
 
     return value, FlowState.deferred(fill)
