@@ -18,7 +18,7 @@ import numpy as np
 
 from .network import FlowState, Network
 # all_or_nothing stays bound here for bench/tracing.py to patch
-from .softmin import _od_values, all_or_nothing, assignment_flows, effective_weights  # noqa: F401
+from .softmin import _od_values, _total, all_or_nothing, assignment_flows, effective_weights  # noqa: F401
 from .solvers import EuclideanProx, SmoothOracle, umt_minimize
 
 # model -> (default smoothing per level, None for the network's own scales;
@@ -69,10 +69,9 @@ class DualOracle(SmoothOracle):
     to their demand for a mini-batch run (see stochastic_origin_oracle).
     """
 
-    def __init__(self, network: Network, gammas=None, hops=None, variance_bound=None):
+    def __init__(self, network: Network, gammas=None, variance_bound=None):
         self.network = network
         self.gammas = list(network.gammas()) if gammas is None else list(gammas)
-        self.hops = hops
         self.variance_bound = variance_bound
         edges = network.edges
         self.lower = network.free_flow_times()
@@ -83,7 +82,7 @@ class DualOracle(SmoothOracle):
         return EuclideanProx(lower=self.lower, upper=self.upper, linear=self.linear)
 
     def _by_products(self, t):
-        value, flow = assignment_flows(self.network, t, self.gammas, self.hops)
+        value, flow = assignment_flows(self.network, t, self.gammas)
         return value, flow, self.network.edges.conjugate(t)
 
     def point(self, t):
@@ -123,7 +122,7 @@ class DualOracle(SmoothOracle):
         weights = np.array(self.network.plan.totals())
         draws = rng.choice(len(origins), size=batch, p=weights / weights.sum())
         return stochastic_origin_oracle(self.network, t, [origins[i] for i in draws],
-                                        self.gammas, self.hops)
+                                        self.gammas)
 
     def strong_convexity(self):
         """Lower curvature bound of the smooth part over the free box.
@@ -138,7 +137,7 @@ class DualOracle(SmoothOracle):
         return float(np.min(e.capacity[s] / (e.gain[s] * e.t_free[s])))
 
 
-def stochastic_origin_oracle(network, t, origins, gammas=None, hops=None):
+def stochastic_origin_oracle(network, t, origins, gammas=None):
     """Unbiased dual-gradient estimate from a batch of sampled origins.
 
     Each draw of origin o loads only o's demands, rescaled by the inverse
@@ -159,13 +158,13 @@ def stochastic_origin_oracle(network, t, origins, gammas=None, hops=None):
     grand = sum(totals.values())
     demands = {od: dem * (draws[od[0]] * grand / (totals[od[0]] * len(origins)))
                for od, dem in network.demands.items() if draws[od[0]]}
-    _, flow = assignment_flows(network, t, gammas, hops, demands=demands)
+    _, flow = assignment_flows(network, t, gammas, demands=demands)
     return -flow.plain_flat() + _smooth_part(network.edges, network.edges.conjugate(t))[1]
 
 
-def dual_value_grad(network, t, gammas=None, hops=None):
+def dual_value_grad(network, t):
     """Dual value, gradient, and the flow state realizing the gradient."""
-    oracle = DualOracle(network, gammas, hops)
+    oracle = DualOracle(network)
     value, grad = oracle.value_grad(t)
     return value, grad, oracle.point(t)[1]
 
@@ -219,9 +218,8 @@ def frank_wolfe_gap(network, flows):
         raise ValueError("equilibrium gap needs BPR cost maps on every edge")
     f = _flat(flows)
     tau = network.edges.cost(f)
-    lg, plan = network.levels[0], network.plan
-    dist, _ = _od_values(lg, tau, plan, 0.0, lg.n_vertices - 1, level=1)
-    best = sum(dem * v for dem, v in zip(plan.demand, dist))
+    dist, _ = _od_values(network.levels[0], tau, network.plan, 0.0, level=1)
+    best = _total(network.plan.demand, dist)
     return max(0.0, float(tau @ f - best))
 
 
@@ -266,9 +264,8 @@ def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged
     total_time = float(tau @ f_flat)
     # shortest paths under the experienced costs, hard at every level
     weights = effective_weights(network, tau, [0.0] * network.n_levels)
-    lg, plan = network.levels[0], network.plan
-    dist, _ = _od_values(lg, weights[0], plan, 0.0, lg.n_vertices - 1, level=1)
-    shortest = dict(zip(plan.pairs, dist.tolist()))
+    dist, _ = _od_values(network.levels[0], weights[0], network.plan, 0.0, level=1)
+    shortest = dict(zip(network.plan.pairs, dist.tolist()))
     return EquilibriumReport(
         model=model,
         eps=eps,
@@ -296,7 +293,6 @@ def solve_assignment(
     eps: float = 1e-6,
     eps_residual: float = None,
     gammas=None,
-    hops=None,
     max_iter: int = 200000,
     seed: int = 0,
     variance_bound: float = None,
@@ -335,7 +331,7 @@ def solve_assignment(
     if any(g <= 0 and not (zero_ok and g == 0) for g in gammas):
         raise ValueError(f"model {model!r} needs positive smoothing at every level")
 
-    oracle = DualOracle(network, gammas, hops, variance_bound)
+    oracle = DualOracle(network, gammas, variance_bound)
     acc = FlowState.zeros(network)
     psi = 0.0  # step-weighted sum of the route-choice entropy terms at the points y
     # rank (not certified, certificate value): a certified candidate always wins
@@ -392,6 +388,6 @@ def solve_assignment(
 
 
 def solve_multistage(network: Network, eps: float = 1e-6, eps_residual: float = None,
-                     gammas=None, hops=None, max_iter: int = 200000) -> EquilibriumReport:
+                     gammas=None, max_iter: int = 200000) -> EquilibriumReport:
     """Joint dual solve of a nested multilevel network; see solve_assignment."""
-    return solve_assignment(network, "multistage", eps, eps_residual, gammas, hops, max_iter)
+    return solve_assignment(network, "multistage", eps, eps_residual, gammas, max_iter)

@@ -321,36 +321,50 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
     )
 
 
-def balancing_oracle(L, W, T, gamma, tol=1e-12, max_iter=100000):
+BALANCE_TOL = 1e-12  # unit-mass row-sum tolerance of balancing_oracle
+BALANCE_SWEEPS = 100000  # sweeps balancing_oracle takes before it gives up
+
+
+def balancing_oracle(L, W, T, gamma):
     """Alternating row/column scaling of exp(-T/gamma) to both marginals.
 
     Independent verification route; returns (matrix, converged).  Like
     build_elp it balances the unit-mass problem (L / sum L, W / sum W) and
     rescales the result by sum L.  It stops when every unit-mass row sum is
-    within tol, and within 1e-9 / sum L: the rescaled matrix is off by
-    about the rescaled row error (4.65e-6 at mass 8.3e6 with tol alone), so
-    up to mass 1e7 it stays within 1e-8.  Neither bound is taken below 8
-    ulps of the row's marginal, the rounding of its sum.  Each row's least
-    cost, then each column's, is subtracted before exponentiating: the
+    within BALANCE_TOL, and within 1e-9 / sum L: the rescaled matrix is off
+    by about the rescaled row error (4.65e-6 at mass 8.3e6 with BALANCE_TOL
+    alone), so up to mass 1e7 it stays within 1e-8.  Neither bound is taken
+    below 8 ulps of the row's marginal, the rounding of its sum.  Each row's
+    least cost, then each column's, is subtracted before exponentiating: the
     scalings absorb both shifts, and every row and column of the kernel
     holds a 1, so none underflows.  The column update makes the column sums
-    exact, so each sweep tests the row sums only.
+    exact, so each sweep tests the row sums only.  A kernel spanning more
+    than the float range is balanced again, from the start, on log scalings.
     """
-    L = np.asarray(L, dtype=float)
-    W = np.asarray(W, dtype=float)
+    L, W = np.asarray(L, dtype=float), np.asarray(W, dtype=float)
     p, q = L / L.sum(), W / W.sum()
-    bound = np.maximum(min(tol, 1e-9 / L.sum()), 8.0 * np.spacing(p))
+    bound = np.maximum(min(BALANCE_TOL, 1e-9 / L.sum()), 8.0 * np.spacing(p))
     C = np.asarray(T, dtype=float)
     C = C - C.min(axis=1, keepdims=True)
-    K = np.exp(-(C - C.min(axis=0, keepdims=True)) / gamma)
+    log_k = (C - C.min(axis=0, keepdims=True)) / -gamma
+    K = np.exp(log_k)
     u, v = np.ones(len(L)), np.ones(len(W))
-    converged = False
-    for _ in range(max_iter):
-        u = p / (K @ v)
-        v = q / (K.T @ u)
-        if np.all(np.abs(u * (K @ v) - p) <= bound):
-            converged = True
-            break
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for _ in range(BALANCE_SWEEPS):
+                u = p / (K @ v)
+                v = q / (K.T @ u)
+                if converged := bool(np.all(np.abs(u * (K @ v) - p) <= bound)):
+                    break
+    except FloatingPointError:  # a scaling overflowed or divided by 0
+        log_p, log_q, log_rows = np.log(p), np.log(q), np.logaddexp.reduce(log_k, axis=1)
+        for _ in range(BALANCE_SWEEPS):
+            log_u = log_p - log_rows
+            log_v = log_q - np.logaddexp.reduce(log_k + log_u[:, None], axis=0)
+            log_rows = np.logaddexp.reduce(log_k + log_v, axis=1)
+            if converged := bool(np.all(np.abs(np.exp(log_u + log_rows) - p) <= bound)):
+                break
+        return np.exp(log_k + log_u[:, None] + log_v) * L.sum(), converged
     return (u[:, None] * K) * v[None, :] * L.sum(), converged
 
 

@@ -1,10 +1,12 @@
 """Smoothed shortest paths: log-sum-exp potentials, Gibbs flows, hard routes.
 
-The "path set" of an OD pair is the set of walks of at most H hops.  A
-forward dynamic program computes the soft-min potential
-u_v = -gamma * log(sum over walks of exp(-length/gamma)) from every origin
-of a level at once; a backward (adjoint) sweep over the same recursion
-yields the Gibbs edge flows, which are the exact gradient of the
+The "path set" of an OD pair is the set of walks of at most H = n-1 hops
+of its level, n the level's vertices: every solve, effective_weights and
+assignment_flows sweep n-1 hops per level, and only softmin_potentials and
+softmin_flows take an H.  A forward dynamic program computes the soft-min
+potential u_v = -gamma * log(sum over walks of exp(-length/gamma)) from
+every origin of a level at once; a backward (adjoint) sweep over the same
+recursion yields the Gibbs edge flows, which are the exact gradient of the
 demand-weighted soft-min value with respect to the edge weights.
 
 The edges of a level, grouped by head, and one virtual edge per vertex
@@ -204,7 +206,7 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
         raise NetworkError(
             f"level {level}: the soft-min walk sum diverges: at some hop of at most "
             f"{hops} it passed e^700 times the weight of that hop's shortest walk "
-            f"(gamma={gamma:g}); lower the hop bound or raise gamma")
+            f"(gamma={gamma:g}); raise gamma")
     with np.errstate(divide="ignore"):  # log(0) where no walk arrives: u = +inf
         u = ref - gamma * np.log(walks)
     return u, kept if keep else None
@@ -352,14 +354,14 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
     Returns (value, flows) where value = sum_w d_w * u_dest and flows is the
     exact gradient of value with respect to the edge weights.
 
-    `forward`, a kept forward sweep (origins, u, kept) of the same weights,
-    gamma and hops from every origin of the plan, replaces the forward
-    sweeps; u and kept are those of _sweep_forward.
+    `forward`, a kept forward sweep (u, kept) of the same weights, gamma
+    and hops from every origin of the plan, replaces the forward sweeps;
+    u and kept are those of _sweep_forward.
     """
     plan = PairPlan.of(demands)
     if forward is not None:
         # _od_values found every pair reached; one without demand adds 0
-        _, u, kept = forward
+        u, kept = forward
         value, sink = _sink(u, plan.cells, plan.demand)
         return value, _sweep_backward(graph, weights, gamma, kept, sink)
     # the origins of the listed pairs in chunks, each chunk's pairs a run of them
@@ -446,21 +448,21 @@ def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
     return value, flows
 
 
-def effective_weights(network: Network, t, gammas=None, hops=None):
+def effective_weights(network: Network, t, gammas=None):
     """Per-level edge weights with nested edges priced top-down.
 
     A nested edge of level k gets the (soft or hard) shortest-path value
     of its referenced OD pair in level k+1, computed with that level's
-    smoothing scale.  Returns one weight array per level, aligned with
-    the level's edge indexing.
+    smoothing scale over walks of at most n-1 hops.  Returns one weight
+    array per level, aligned with the level's edge indexing.
     """
     gammas = list(network.gammas()) if gammas is None else list(gammas)
-    return _price(network, t, gammas, _hop_bounds(network, hops))[0]
+    return _price(network, t, gammas)[0]
 
 
-def _price(network, t, gammas, hops):
+def _price(network, t, gammas):
     """(weights, kept): effective weights and, per level, the kept pricing
-    sweep (origins, u, kept) when its hops fit in ROUNDS_CAP_BYTES (else None)."""
+    sweep (u, kept) when its hops fit in ROUNDS_CAP_BYTES (else None)."""
     t = np.asarray(t, dtype=float)
     m = network.n_levels
     weights, kept = [None] * m, [None] * m
@@ -471,56 +473,43 @@ def _price(network, t, gammas, hops):
             weights[k] = plain_w.copy()
             continue
         values, kept[k + 1] = _od_values(
-            network.levels[k + 1], weights[k + 1], lg.nested_plan, gammas[k + 1], hops[k + 1],
-            level=k + 2,
-        )
+            network.levels[k + 1], weights[k + 1], lg.nested_plan, gammas[k + 1], level=k + 2)
         weights[k] = np.concatenate([plain_w, values])
     return weights, kept
 
 
-def _od_values(graph, weights, plan, gamma, hops, level):
-    """Shortest-path (soft or hard) value of each pair of plan, or of each
-    nested edge for a plan of nested references, and the kept soft sweep
-    (origins, u, kept) when its hops fit in one chunk."""
+def _od_values(graph, weights, plan, gamma, level):
+    """Shortest-path (soft or hard) value over walks of at most n-1 hops of
+    each pair of plan, or of each nested edge for a plan of nested
+    references, and the kept soft sweep (u, kept) when its hops fit in one chunk."""
+    hops = graph.n_vertices - 1
     keep = gamma > 0 and len(plan.origins) <= _chunk_size(graph, hops)
-    # gamma = 0 prices the exact shortest paths that all_or_nothing loads
-    swept = hops if gamma > 0 else graph.n_vertices - 1
-    u, kept = _sweep_forward(graph, weights, plan.origins, gamma, swept, keep=keep, level=level)
+    u, kept = _sweep_forward(graph, weights, plan.origins, gamma, hops, keep=keep, level=level)
     values = u.take(plan.cells)
     if plan.fold is not None:
         values = values[plan.fold]
-    _reached(plan, values, level, swept, plan.fold)
-    return values, (plan.origins, u, kept) if keep else None
+    _reached(plan, values, level, hops, plan.fold)
+    return values, (u, kept) if keep else None
 
 
-def _hop_bounds(network, hops):
-    if hops is None:
-        return [lg.n_vertices - 1 for lg in network.levels]
-    if np.isscalar(hops):
-        return [int(hops)] * network.n_levels
-    return list(hops)
-
-
-def assignment_flows(network: Network, t, gammas=None, hops=None, demands=None):
+def assignment_flows(network: Network, t, gammas=None, demands=None):
     """Value and flows on every level for the current time vector.
 
-    Level 1 is loaded with the network demands (or the `demands`
-    override, a mapping or a PairPlan); deeper levels inherit the flows of
-    the nested edges referencing them.  Levels with gamma > 0 use the
-    Gibbs assignment (exact gradient); gamma = 0 levels use tie-broken
-    all-or-nothing (a subgradient element).  Returns (value, FlowState) with value the
-    level-1 aggregate.
+    Level 1 is loaded with the network demands (or the `demands` override, a
+    mapping or a PairPlan); deeper levels inherit the flows of the nested
+    edges referencing them.  Every level routes over walks of at most n-1
+    hops.  Levels with gamma > 0 use the Gibbs assignment (exact gradient);
+    gamma = 0 levels use tie-broken all-or-nothing (a subgradient element).
+    Returns (value, FlowState) with value the level-1 aggregate.
 
     Only the forward sweeps run here.  The FlowState is deferred: its
     first read runs the backward sweeps from the kept hops of level 1
     and of the deeper levels' pricing sweeps (gamma = 0 levels load then).
     """
     gammas = list(network.gammas()) if gammas is None else list(gammas)
-    hops = _hop_bounds(network, hops)
-    weights, kept = _price(network, t, gammas, hops)
+    weights, kept = _price(network, t, gammas)
     plan = network.plan if demands is None else PairPlan.of(demands)
-    values, kept[0] = _od_values(network.levels[0], weights[0], plan, gammas[0], hops[0],
-                                 level=1)
+    values, kept[0] = _od_values(network.levels[0], weights[0], plan, gammas[0], level=1)
     value = _total(plan.demand, values)
 
     def fill():
@@ -528,8 +517,8 @@ def assignment_flows(network: Network, t, gammas=None, hops=None, demands=None):
         level_plan = plan
         for k, lg in enumerate(network.levels):
             if gammas[k] > 0:
-                _, edge_flows = softmin_flows(lg, weights[k], level_plan, gammas[k], hops[k],
-                                              level=k + 1, forward=kept[k])
+                _, edge_flows = softmin_flows(lg, weights[k], level_plan, gammas[k],
+                                              lg.n_vertices - 1, level=k + 1, forward=kept[k])
             else:
                 _, edge_flows = all_or_nothing(lg, weights[k], level_plan, level=k + 1)
             n_plain = len(lg.plain_edges)

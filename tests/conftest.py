@@ -136,6 +136,20 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def wide_kernel_draw():
+    """(L, W, T) of 5 x 11 zones with costs up to 100, drawn from seed 5182.
+
+    At gamma 0.1 the row- and column-shifted kernel spans about e^-862,
+    more than the float range: plain alternating scalings overflow.
+    """
+    rng = np.random.default_rng(5182)
+    nr, nc = rng.integers(3, 31, size=2)
+    L = rng.uniform(0.1, 10, nr)
+    W = rng.uniform(0.1, 10, nc)
+    W *= L.sum() / W.sum()
+    return L, W, rng.uniform(0, 100, (nr, nc))
+
+
 def write_instance(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)

@@ -19,6 +19,7 @@ from conftest import (
     PIGOU_INSTANCE,
     SD_TWO_LINK_INSTANCE,
     deadline,
+    wide_kernel_draw,
     write_instance,
 )
 
@@ -836,6 +837,16 @@ class TestOd:
         assert main(["od", c, r, w, "--verify", "--out", str(tmp_path / "o")]) == 1
         assert "verification FAIL" in capsys.readouterr().out
 
+    def test_verify_passes_beyond_the_float_range(self, tmp_path, capsys):
+        # the reference balancing overflowed, warned three times and printed
+        # "verification FAIL: max deviation nan" for a certified solve
+        L, W, T = wide_kernel_draw()
+        c, r, w = od_inputs(tmp_path, {(i, j): T[i, j] for i in range(len(L))
+                                       for j in range(len(W))}, L, W)
+        assert main(["od", c, r, w, "--gamma", "0.1", "--verify",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert "verification PASS" in capsys.readouterr().out
+
     def test_matrix_is_the_last_iterate(self, tmp_path, monkeypatch):
         from equiflow import od
 
@@ -878,9 +889,10 @@ class TestOd:
         assert (cert["newton_steps"] > 0) is (reason == "certified_newton")
 
     def test_outputs_do_not_depend_on_the_blas_threads(self, tmp_path):
-        # 120 zones: the Newton steps solve a 119 x 119 system through LAPACK
-        # after a 120 x 120 x 120 product, both large enough for OpenBLAS to
-        # split over threads; one thread and two must write the same bytes
+        # 120 zones: the Newton steps form the 120 x 120 product x.T @ xr,
+        # large enough for OpenBLAS to split over threads, and factor a
+        # 119 x 119 system by matrix-vector products (od._cholesky_solve),
+        # not LAPACK; one thread and two must write the same bytes
         rng = np.random.default_rng(120)
         pts = rng.uniform(0.0, 4.0, size=(120, 2))
         T = np.linalg.norm(pts[:, None] - pts[None], axis=2)

@@ -20,6 +20,8 @@ from equiflow import (
     solve_entropy_od,
 )
 
+from conftest import wide_kernel_draw
+
 
 def random_balanced(rng, nr, nc):
     L = rng.uniform(0.5, 2.0, size=nr)
@@ -445,6 +447,16 @@ class TestBalancingOracle:
         ref, ok = balancing_oracle(L, W, T, 0.1)
         assert sol.converged and ok
         assert np.abs(sol.matrix - ref).max() <= 1e-6
+
+    def test_kernel_beyond_the_float_range(self):
+        # the scalings overflowed: the balancing ran 100,000 sweeps of NaN,
+        # warned, and failed a solve that certified at gap 5.9e-14
+        L, W, T = wide_kernel_draw()
+        sol = solve_entropy_od(L, W, T, 0.1)
+        ref, ok = balancing_oracle(L, W, T, 0.1)
+        assert sol.converged and ok is True
+        assert np.isfinite(ref).all()
+        assert np.abs(ref - sol.matrix).max() <= 1e-6
 
     def test_agrees_across_seeds(self):
         for seed in range(4):

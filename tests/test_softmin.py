@@ -527,7 +527,7 @@ class TestBatchedSweep:
 
 def eager_assignment(net, t, gammas, hops):
     """Level-by-level assignment with eager softmin_flows at every level."""
-    weights = effective_weights(net, t, gammas, hops)
+    weights = effective_weights(net, t, gammas)
     demands, values, flows = dict(net.demands), [], []
     for k, lg in enumerate(net.levels):
         v, f = softmin_flows(lg, weights[k], demands, gammas[k], hops[k], level=k + 1)
@@ -736,9 +736,9 @@ class TestShiftedSweep:
         with pytest.raises(NetworkError, match="level 2: the soft-min walk sum diverges"):
             softmin_flows(inner, w, {(0, 1): 1.0}, 1.0, 400, level=2)
         outer = LevelGraph(2, nested_edges=[(0, 1, (0, 1))])
-        net = Network([outer, inner], {(0, 1): 1.0})
+        net = Network([outer, LevelGraph(401, inner.plain_edges)], {(0, 1): 1.0})
         with pytest.raises(NetworkError, match="level 2: the soft-min walk sum diverges"):
-            assignment_flows(net, w, hops=[1, 400])
+            assignment_flows(net, w)
 
     def test_sum_out_of_range_at_an_earlier_hop_raises(self):
         # 0 -> a at 30, a <-> b by 8 zero-time edges each way and a 344-edge
