@@ -11,10 +11,13 @@ exactly; identical inputs and config give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -99,14 +102,28 @@ def _out_dir(args):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _row_format(types):
+    """The %-format of a row whose fields have these types: floats %.17g,
+    None an empty field (%.0s prints nothing), anything else as str()."""
+    return ",".join(FLOAT_FMT if issubclass(t, float) else "%.0s" if t is type(None) else "%s"
+                    for t in types) + "\n"
+
+
 def _write_csv(path, header, rows):
     """The float-format line, the header, then one line per row: floats
     %.17g, None an empty field, ints and names as they are."""
+    rows = list(rows)
+    fields = tuple(itertools.chain.from_iterable(rows))
+    width = len(rows[0]) if rows else 0
+    if len(set(map(len, rows))) == 1 and all(len(set(map(type, fields[k::width]))) == 1
+                                             for k in range(width)):
+        # every row has the same field types: one format, filled once
+        body = _row_format(tuple(map(type, rows[0]))) * len(rows) % fields
+    else:
+        body = "".join([_row_format(tuple(map(type, row))) % tuple(row) for row in rows])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# floats formatted {FLOAT_FMT}\n{header}\n")
-        for row in rows:
-            fh.write(",".join([FLOAT_FMT % x if isinstance(x, float) else "" if x is None else str(x)
-                               for x in row]) + "\n")
+        fh.write(f"# floats formatted {FLOAT_FMT}\n{header}\n{body}")
 
 
 def _solution_rows(network, report):
@@ -250,8 +267,11 @@ def cmd_compare(args) -> int:
 
 
 def _csv_records(path, n_ids):
-    """(line number, integer ids, value) per record of a comma-separated file."""
-    with open(path, encoding="utf-8") as fh:
+    """(line number, integer ids, value) per record of a comma-separated file.
+
+    The reference reader, and the one that words every line-numbered error.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -263,15 +283,48 @@ def _csv_records(path, n_ids):
             except ValueError:
                 ids = None
             if ids is None or len(ids) != n_ids:
-                raise ValueError(f"{path}: line {lineno}: expected {n_ids} integer ids "
-                                 f"and a value, got {line!r}")
+                what = "a zone id" if n_ids == 1 else f"{n_ids} integer ids"
+                raise ValueError(f"{path}: line {lineno}: expected {what} and a value, "
+                                 f"got {line!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{path}: line {lineno}: value must be finite, got {value}")
             yield lineno, ids, value
 
 
+def _bulk_records(path, n_ids):
+    """One id array per id column and the value array of a file, parsed in one
+    pass; None when numpy rejects or warns on the file or a value is not
+    finite, so that the reference reader words the error."""
+    dtype = [(f"id{k}", np.intp) for k in range(n_ids)] + [("value", float)]
+    with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments="#", ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if not np.isfinite(table["value"]).all():
+        return None
+    return [table[f"id{k}"] for k in range(n_ids)], table["value"]
+
+
+def _positions(zones, ids):
+    """Each id's position in the ascending `zones`, or None when one is missing."""
+    if not zones:
+        return None
+    zones = np.asarray(zones)
+    at = np.minimum(np.searchsorted(zones, ids), len(zones) - 1)
+    return at if (zones[at] == ids).all() else None
+
+
 def _read_marginal_csv(path):
     """Zone ids in ascending order and their marginals."""
+    bulk = _bulk_records(path, 1)
+    if bulk is not None:
+        (zones,), values = bulk
+        order = np.argsort(zones)
+        zones = zones[order]
+        if not (zones[1:] == zones[:-1]).any():
+            return zones.tolist(), values[order]
     values = {}
     for lineno, (zone,), v in _csv_records(path, 1):
         if zone in values:
@@ -283,6 +336,16 @@ def _read_marginal_csv(path):
 
 def _read_cost_csv(path, rows, cols):
     """Cost matrix over the marginal files' zones; every pair needs one entry."""
+    bulk = _bulk_records(path, 2)
+    if bulk is not None:
+        (i, j), values = bulk
+        r, c = _positions(rows, i), _positions(cols, j)
+        if r is not None and c is not None:
+            cell = r * len(cols) + c
+            if (np.bincount(cell, minlength=len(rows) * len(cols)) == 1).all():
+                T = np.empty((len(rows), len(cols)))
+                T.flat[cell] = values
+                return T
     row_at = {z: k for k, z in enumerate(rows)}
     col_at = {z: k for k, z in enumerate(cols)}
     T = np.zeros((len(rows), len(cols)))
@@ -313,7 +376,7 @@ def cmd_od(args) -> int:
     sol = solve_entropy_od(L, W, T, gamma, **_solver_kwargs(args))
     out = _out_dir(args)
     _write_csv(os.path.join(out, "matrix.csv"), "row,col,value",
-               ((r, c, x) for r, row in zip(rows, sol.matrix) for c, x in zip(cols, row)))
+               ((r, c, x) for r, row in zip(rows, sol.matrix.tolist()) for c, x in zip(cols, row)))
     _write_json(os.path.join(out, "certificate.json"), {
         "gamma": fmt(sol.gamma),
         "gap": fmt(sol.gap),
@@ -389,9 +452,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call rather than at import: parsing
+    leaves it as it was, so every call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args = _merge_config(args)
         return args.func(args)

@@ -990,6 +990,130 @@ class TestOd:
             blobs.append(open(os.path.join(out, "matrix.csv"), "rb").read())
         assert blobs[0] == blobs[1]
 
+    def test_first_bad_line_is_named(self, tmp_path, capsys):
+        # two faults: the bulk parse trips on line 4, the value check on line 2
+        c, r, w = od_inputs(tmp_path, {}, [1.0, 1.0], [1.0, 1.0])
+        with open(c, "w") as fh:
+            fh.write("0,0,1.0\n0,1,nan\n1,0,1.0\n0;1;2\n")
+        assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {c}: line 2: value must be finite, got nan\n"
+
+    def test_malformed_marginal_line_rejected(self, tmp_path, capsys):
+        c, r, w = od_inputs(tmp_path, {(0, 0): 1.0}, [1.0], [1.0])
+        with open(r, "w") as fh:
+            fh.write("0;1.0\n")
+        assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {r}: line 1: expected a zone id and a value, got '0;1.0'\n")
+
+    @pytest.mark.parametrize("reader", ["bulk", "reference"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, reader):
+        # spreadsheet exports start with one; line 1 used to fail as
+        # "expected 1 integer ids and a value, got '\ufeff0,1.0'"
+        from equiflow import cli
+
+        if reader == "reference":
+            monkeypatch.setattr(cli, "_bulk_records", lambda path, n_ids: None)
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        files = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        assert main(["od", *files, "--out", str(tmp_path / "plain")]) == 0
+        for path in files:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\ufeff" + text)
+        assert open(files[0], "rb").read(3) == b"\xef\xbb\xbf"
+        assert main(["od", *files, "--out", str(tmp_path / "bom")]) == 0
+        assert ((tmp_path / "bom" / "matrix.csv").read_bytes()
+                == (tmp_path / "plain" / "matrix.csv").read_bytes())
+
+
+class TestOdReader:
+    """The bulk reader against the per-line reader, kept as the reference."""
+
+    ROWS, COLS = (3, 7, 12), (12, 3, 7)
+    TOKENS = ["0.1", "2.675", "0.30000000000000004", "1e-320", "4.9406564584124654e-324",
+              "-0", "1.7976931348623157e308", "123456789.12345678", "7"]
+
+    @staticmethod
+    def read(c, r, w):
+        from equiflow import cli
+
+        rows, L = cli._read_marginal_csv(r)
+        cols, W = cli._read_marginal_csv(w)
+        return rows, L, cols, W, cli._read_cost_csv(c, rows, cols)
+
+    def write(self, tmp_path, variant):
+        """COSTS, ROWS and COLS in one of the well-formed layouts."""
+        cells = [(i, j, self.TOKENS[k % len(self.TOKENS)])
+                 for k, (i, j) in enumerate((i, j) for i in self.ROWS for j in self.COLS)]
+        files = {"costs": cells, "rows": [(z, "1.5") for z in self.ROWS],
+                 "cols": [(z, "0.5") for z in self.COLS[::-1]]}
+        lead, end = "", "\n"
+
+        def line(*fields):
+            return ",".join(map(str, fields))
+
+        if variant == "shuffled":
+            np.random.default_rng(5).shuffle(cells)
+        elif variant == "crlf":
+            end = "\r\n"
+        elif variant == "comments":
+            lead = "# zone ids, then a value\n\n"
+            end = "  # a note\n\n"
+        elif variant == "spaces":
+            def line(*fields):
+                return " " + " ,\t".join(map(str, fields)) + " "
+        elif variant == "plus":
+            def line(*fields):
+                return ",".join([f"+{z}" for z in fields[:-1]] + [fields[-1]])
+        paths = []
+        for name, records in files.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes((lead + "".join(line(*rec) + end for rec in records)).encode())
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("variant", ["plain", "shuffled", "crlf", "spaces", "plus",
+                                         "comments"])
+    def test_bulk_matches_the_reference_bit_for_bit(self, tmp_path, monkeypatch, variant):
+        from equiflow import cli
+
+        files = self.write(tmp_path, variant)
+
+        def refuse(path, n_ids):
+            raise AssertionError("the bulk reader fell back to the per-line reader")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_csv_records", refuse)
+            bulk = self.read(*files)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_bulk_records", lambda path, n_ids: None)
+            reference = self.read(*files)
+        assert bulk[0] == reference[0] == list(self.ROWS)
+        assert bulk[2] == reference[2] == sorted(self.COLS)
+        for got, want in zip(bulk[1::2], reference[1::2]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert sorted(reference[4].ravel().tolist()) == sorted(map(float, self.TOKENS))
+
+    @pytest.mark.parametrize("costs, column", [
+        ("0,0,1_0\n1,0,2.0\n", [10.0, 2.0]),
+        ("0,0,1.0\n   \n1,0,2.0\n", [1.0, 2.0]),
+        ("0,0,1.0\n1_0,0,2.0\n", None),
+    ], ids=["underscore-value", "whitespace-line", "underscore-id"])
+    def test_files_numpy_rejects_go_to_the_reference(self, tmp_path, costs, column):
+        # the per-line reader's verdict stands: a result when it finds
+        # nothing wrong, else its line-numbered error
+        c, r, w = od_inputs(tmp_path, {}, [1.0, 1.0], [2.0])
+        with open(c, "w") as fh:
+            fh.write(costs)
+        if column is None:
+            with pytest.raises(ValueError, match=r"line 2: zone pair 10,0 is not in"):
+                self.read(c, r, w)
+        else:
+            assert self.read(c, r, w)[4][:, 0].tolist() == column
+
 
 class TestCsvLayout:
     def test_every_csv_has_one_layout(self, tmp_path, monkeypatch):
@@ -1033,3 +1157,64 @@ class TestCsvLayout:
         nested_rows = [r for r in read_solution(outs[0] / "solution.csv") if r[1].startswith("n")]
         assert nested_rows == [["1", "n0", "0", "1", "", nested_rows[0][5], "", ""]]
         assert float(nested_rows[0][5]) > 0
+
+    @pytest.mark.parametrize("rows", [
+        [(-0.0, 5e-324, 1e308, np.float64(0.1), np.int64(-3), True, None, "n0")] * 3,
+        [(1, 0, 0, 1, 0.25, np.float64(0.5), 0.0, -0.0),
+         (1, "n0", 0, 1, None, 0.75, None, None),
+         (2, 1, 1, 0, 5e-324, 1e308, 1.0, 2.0)],
+        [[1, 2.5], (1.5, 2), (None,), (), ("n0", None, True, np.float64(-0.0))],
+        [],
+    ], ids=["one-shape", "solution-rows", "mixed-shapes", "no-rows"])
+    def test_fields_keep_their_format(self, tmp_path, rows):
+        from equiflow import cli
+
+        def field(x):  # the rule the writer had when it joined field by field
+            return "%.17g" % x if isinstance(x, float) else "" if x is None else str(x)
+
+        path = tmp_path / "out.csv"
+        cli._write_csv(str(path), "a,b", iter(rows))
+        assert path.read_text(encoding="utf-8") == "# floats formatted %.17g\na,b\n" + "".join(
+            ",".join(map(field, row)) + "\n" for row in rows)
+
+
+class TestParserState:
+    """main builds its parser once; no call may leave state for the next."""
+
+    @staticmethod
+    def fresh(argv):
+        src = os.path.dirname(os.path.dirname(softmin.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from equiflow.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=300)
+
+    @pytest.mark.parametrize("before", ["gamma-flag", "config", "od-between"])
+    def test_a_call_leaves_no_state(self, tmp_path, capsys, before):
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "stochastic", "gamma": {"1": 0.5}, "trace": True,
+                                   "max_iter": 3}))
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        od_files = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        earlier = {
+            "gamma-flag": [["solve", inst, "--model", "stochastic", "--gamma", "1=0.5"]],
+            "config": [["solve", inst, "--config", str(cfg)]],
+            "od-between": [["solve", inst, "--model", "stochastic", "--gamma", "1=0.5",
+                            "--verify"],
+                           ["od", *od_files, "--gamma", "0.5"]],
+        }[before]
+        for k, argv in enumerate(earlier):
+            assert main([*argv, "--out", str(tmp_path / f"earlier{k}")]) in (0, 2)
+        assert json.loads((tmp_path / "earlier0" / "summary.json").read_text())["gammas"] == ["0.5"]
+        argv = ["solve", inst]
+        capsys.readouterr()
+        code = main([*argv, "--out", str(tmp_path / "later")])
+        later = capsys.readouterr()
+        done = self.fresh([*argv, "--out", str(tmp_path / "fresh")])
+        assert (code, later.out, later.err) == (done.returncode, done.stdout, done.stderr)
+        files = {name: {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+                 for name in ("later", "fresh")}
+        assert sorted(files["later"]) == ["solution.csv", "summary.json"]
+        assert files["later"] == files["fresh"]
