@@ -23,7 +23,7 @@ import numpy as np
 
 # solve_multistage stays bound here for bench/tracing.py to patch
 from .dual import MODELS, duality_gap, model_gammas, solve_assignment, solve_multistage  # noqa: F401
-from .network import NetworkError, load_network
+from .network import NetworkError, load_network, not_utf8
 from .od import balancing_oracle, solve_entropy_od
 from .solvers import DivergedOracleError
 # hard_shortest and softmin_potentials stay bound here for bench/tracing.py to patch
@@ -127,10 +127,10 @@ def _write_csv(path, header, rows):
 
 
 def _solution_rows(network, report):
-    idx = 0
+    flows, idx = report.flows.values, 0
     for k, lg in enumerate(network.levels):
         for j, (tail, head, _) in enumerate(lg.plain_edges):
-            yield (k + 1, j, tail, head, report.t[idx], report.flows.plain[k][j],
+            yield (k + 1, j, tail, head, report.t[idx], flows[idx],
                    report.per_edge_gap[idx], report.multipliers[idx])
             idx += 1
         for j, (tail, head, _) in enumerate(lg.nested_edges):
@@ -220,7 +220,7 @@ def cmd_solve(args) -> int:
                    _potential_rows(network, report))
     if args.verify:
         # the route-choice bound of averaged flows is part of the certified gap
-        total = duality_gap(network, report.t, report.flows)[1] + report.route_gap
+        total = duality_gap(network, report.t, report.flows.plain_flat())[1] + report.route_gap
         ok = math.isclose(total, report.total_gap, rel_tol=1e-12, abs_tol=1e-15)
         unchecked = (f"; route-choice term {fmt(report.route_gap)} taken as reported"
                      if report.route_gap > 0 else "")
@@ -271,8 +271,10 @@ def _csv_records(path, n_ids):
 
     The reference reader, and the one that words every line-numbered error.
     """
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if bad := not_utf8(raw):
+                raise ValueError(f"{path}: line {lineno}: {bad}")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

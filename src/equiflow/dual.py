@@ -42,11 +42,6 @@ def model_gammas(network: Network, model: str) -> list:
     return list(network.gammas()) if default is None else [default] * network.n_levels
 
 
-def _flat(flows) -> np.ndarray:
-    """Plain-edge flows aligned with the time vector."""
-    return flows.plain_flat() if isinstance(flows, FlowState) else np.asarray(flows, dtype=float)
-
-
 def _smooth_part(edges, conjugate):
     """Value and gradient of the smooth (BPR) conjugate terms, given
     edges.conjugate(t).
@@ -83,7 +78,9 @@ class DualOracle(SmoothOracle):
 
     def _by_products(self, t):
         value, flow = assignment_flows(self.network, t, self.gammas)
-        return value, flow, self.network.edges.conjugate(t)
+        conjugate = self.network.edges.conjugate(t)
+        conjugate[0].flags.writeable = conjugate[1].flags.writeable = False
+        return value, flow, conjugate
 
     def point(self, t):
         """(soft-min value, FlowState, edges.conjugate(t)) at t, shared with
@@ -92,9 +89,9 @@ class DualOracle(SmoothOracle):
         Kept per point (SmoothOracle._per_point), so the stop test's reads
         at the gradient point y and at the accepted trial point x sweep
         nothing new and evaluate no conjugate again.  The flows are
-        deferred: their backward sweeps run on first read, so a point that
-        is only valued sweeps forward only.  The returned flows and
-        conjugates must not be modified.
+        filled on first read: their backward sweeps run then, so a point
+        that is only valued sweeps forward only.  The returned flows and
+        conjugates are read-only arrays.
         """
         return self._per_point(t, read=True)
 
@@ -170,7 +167,7 @@ def dual_value_grad(network, t):
 
 
 def duality_gap(network, t, flows, conjugate=None):
-    """Per-edge Fenchel terms and their sum for a time/flow pair.
+    """Per-edge Fenchel terms and their sum at times t and plain-edge flows f.
 
     Each term sigma_e(f) - f*t + sigma*_e(t) is nonnegative for feasible
     t and in-domain f.  On SD edges it reduces to (t - t_free) *
@@ -183,7 +180,7 @@ def duality_gap(network, t, flows, conjugate=None):
     """
     e = network.edges
     t = np.asarray(t, dtype=float)
-    f = _flat(flows)
+    f = np.asarray(flows, dtype=float)
     conj = (e.conjugate(t) if conjugate is None else conjugate)[0]
     bpr = e.integral(f) - f * t + np.where(e.pinned, 0.0, conj)
     sd = (t - e.t_free) * np.maximum(np.where(e.capped, e.capacity, f) - f, 0.0)
@@ -192,9 +189,9 @@ def duality_gap(network, t, flows, conjugate=None):
 
 
 def capacity_violation(network, flows):
-    """Largest flow excess over a hard (capacitated) edge capacity."""
+    """Largest plain-edge flow excess over a hard (capacitated) edge capacity."""
     c = network.edges.capped
-    return float(np.max(_flat(flows)[c] - network.edges.capacity[c], initial=0.0))
+    return float(np.max(np.asarray(flows)[c] - network.edges.capacity[c], initial=0.0))
 
 
 def complementarity_residual(network, t, flows):
@@ -202,7 +199,7 @@ def complementarity_residual(network, t, flows):
     e = network.edges
     c = e.capped
     t = np.asarray(t, dtype=float)
-    residual = (t[c] - e.t_free[c]) * (e.capacity[c] - _flat(flows)[c])
+    residual = (t[c] - e.t_free[c]) * (e.capacity[c] - np.asarray(flows)[c])
     return float(np.max(np.abs(residual), initial=0.0))
 
 
@@ -216,7 +213,7 @@ def frank_wolfe_gap(network, flows):
         raise ValueError("equilibrium gap is defined for single-level networks")
     if network.edges.is_sd.any():
         raise ValueError("equilibrium gap needs BPR cost maps on every edge")
-    f = _flat(flows)
+    f = np.asarray(flows, dtype=float)
     tau = network.edges.cost(f)
     dist, _ = _od_values(network.levels[0], tau, network.plan, 0.0, level=1)
     best = _total(network.plan.demand, dist)
@@ -224,13 +221,13 @@ def frank_wolfe_gap(network, flows):
 
 
 def experienced_times(network, t, flows):
-    """Per-edge travel times at the given flows.
+    """Per-edge travel times at the given plain-edge flows.
 
     BPR edges report their cost map at the flow; capacitated edges keep
     the dual time (free-flow plus congestion multiplier).
     """
     e = network.edges
-    return np.where(e.is_sd, np.asarray(t, dtype=float), e.cost(_flat(flows)))
+    return np.where(e.is_sd, np.asarray(t, dtype=float), e.cost(flows))
 
 
 @dataclass
@@ -258,10 +255,10 @@ class EquilibriumReport:
 
 def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged, solver,
                   fw_gap=math.nan, route_gap=0.0):
-    per_edge, total = duality_gap(network, t, flows)
-    f_flat = flows.plain_flat()
-    tau = experienced_times(network, t, flows)
-    total_time = float(tau @ f_flat)
+    f = flows.plain_flat()
+    per_edge, total = duality_gap(network, t, f)
+    tau = experienced_times(network, t, f)
+    total_time = float(tau @ f)
     # shortest paths under the experienced costs, hard at every level
     weights = effective_weights(network, tau, [0.0] * network.n_levels)
     dist, _ = _od_values(network.levels[0], weights[0], network.plan, 0.0, level=1)
@@ -275,8 +272,8 @@ def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged
         per_edge_gap=per_edge,
         total_gap=total + route_gap,
         fw_gap=fw_gap,
-        capacity_violation=capacity_violation(network, flows),
-        complementarity=complementarity_residual(network, t, flows),
+        capacity_violation=capacity_violation(network, f),
+        complementarity=complementarity_residual(network, t, f),
         multipliers=t - network.free_flow_times(),
         total_time=total_time,
         shortest_costs=shortest,
@@ -332,7 +329,7 @@ def solve_assignment(
         raise ValueError(f"model {model!r} needs positive smoothing at every level")
 
     oracle = DualOracle(network, gammas, variance_bound)
-    acc = FlowState.zeros(network)
+    acc = np.zeros(network.n_flows)  # step-weighted sum of the flows at the points y
     psi = 0.0  # step-weighted sum of the route-choice entropy terms at the points y
     # rank (not certified, certificate value): a certified candidate always wins
     best = {}
@@ -343,14 +340,15 @@ def solve_assignment(
         """Certify (t, flows), route_gap bounding its soft-min term; keep the best.
 
         conjugate is network.edges.conjugate(t_pt), held by the oracle."""
+        f = flows.plain_flat()
         if fw:
-            cert = gap = frank_wolfe_gap(network, flows)
+            cert = gap = frank_wolfe_gap(network, f)
             ok = gap <= eps
             route_gap = 0.0  # the written times are the costs at the flows
         else:
-            gap = duality_gap(network, t_pt, flows, conjugate)[1] + route_gap
-            viol = capacity_violation(network, flows) if capped else 0.0
-            comp = complementarity_residual(network, t_pt, flows) if capped else 0.0
+            gap = duality_gap(network, t_pt, f, conjugate)[1] + route_gap
+            viol = capacity_violation(network, f) if capped else 0.0
+            comp = complementarity_residual(network, t_pt, f) if capped else 0.0
             ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
             cert = max(gap, viol, comp)
         if not best or (not ok, cert) < best["rank"]:
@@ -361,11 +359,11 @@ def solve_assignment(
     def stop(state):
         nonlocal psi
         value_y, flow_y, conj_y = oracle.point(state.y)
-        for a, f in zip(acc.plain + acc.nested, flow_y.plain + flow_y.nested):
-            a += state.alpha * f
+        np.add(acc, state.alpha * flow_y.values, out=acc)
         psi += state.alpha * (value_y - flow_y.plain_flat() @ state.y)
         value_x, flow_x, conj_x = oracle.point(state.x)
-        avg = acc.scaled(1.0 / state.A)
+        # consider reads the average at once, before the next step moves acc
+        avg = FlowState(network, lambda out: np.multiply(acc, 1.0 / state.A, out=out))
         # flows read off a point meet the soft-min Fenchel term with equality;
         # by Jensen, psi / A bounds the entropy term of their average
         route_gap = max(0.0, avg.plain_flat() @ state.x - value_x + psi / state.A)

@@ -10,6 +10,7 @@ reference them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -260,18 +261,26 @@ class Network:
         return len(self.levels)
 
     @cached_property
+    def flow_slices(self) -> tuple:
+        """(plain, nested): per level, the slices of FlowState.values that
+        hold its plain and its nested edge flows, every plain edge first."""
+        groups = [lg.plain_edges for lg in self.levels] + [lg.nested_edges for lg in self.levels]
+        bounds = list(itertools.accumulate(map(len, groups), initial=0))
+        slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        return slices[:self.n_levels], slices[self.n_levels:]
+
+    @property
     def plain_slices(self) -> list:
         """Slice of the flat time vector per level (plain edges only)."""
-        slices, start = [], 0
-        for lg in self.levels:
-            stop = start + len(lg.plain_edges)
-            slices.append(slice(start, stop))
-            start = stop
-        return slices
+        return self.flow_slices[0]
 
     @property
     def n_times(self) -> int:
         return self.plain_slices[-1].stop
+
+    @property
+    def n_flows(self) -> int:
+        return self.flow_slices[1][-1].stop
 
     @cached_property
     def cost_models(self) -> list:
@@ -420,49 +429,44 @@ def validate(levels, demands) -> list:
     return bad
 
 
-@dataclass
 class FlowState:
-    """Edge flows per level, plain and nested separately indexed.
-
-    plain[k] aligns with levels[k].plain_edges, nested[k] with
-    levels[k].nested_edges.
+    """Every edge flow of one point in one read-only array, `values`: the
+    plain flows of every level first, then each level's nested flows
+    (Network.flow_slices).  plain[k] aligns with levels[k].plain_edges,
+    nested[k] with levels[k].nested_edges and plain_flat() with the time
+    vector; all are views of values, so a read copies nothing.  On first
+    read fill(values) writes the flows into the zeroed array it is handed.
     """
 
-    plain: list
-    nested: list
+    def __init__(self, network: Network, fill):
+        self._network = network
+        self._fill = fill
 
-    @classmethod
-    def deferred(cls, fill) -> "FlowState":
-        """A FlowState whose arrays are computed by `fill()` on first read."""
-        flow = cls.__new__(cls)
-        flow._fill = fill
-        return flow
-
-    def __getattr__(self, name):
-        # reached only while plain/nested are unset, i.e. in a deferred state
-        fill = self.__dict__.get("_fill")
-        if fill is None or name not in ("plain", "nested"):
-            raise AttributeError(name)
-        done = fill()
-        self.plain, self.nested = done.plain, done.nested
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.zeros(self._network.n_flows)
+        self._fill(values)
         del self._fill  # releases what fill holds, such as kept forward sweeps
-        return self.__dict__[name]
+        values.flags.writeable = False
+        return values
 
-    @classmethod
-    def zeros(cls, network: Network) -> "FlowState":
-        return cls(
-            plain=[np.zeros(len(lg.plain_edges)) for lg in network.levels],
-            nested=[np.zeros(len(lg.nested_edges)) for lg in network.levels],
-        )
+    @cached_property
+    def plain(self) -> list:
+        return [self.values[s] for s in self._network.plain_slices]
+
+    @cached_property
+    def nested(self) -> list:
+        return [self.values[s] for s in self._network.flow_slices[1]]
 
     def plain_flat(self) -> np.ndarray:
-        return np.concatenate(self.plain) if self.plain else np.zeros(0)
+        return self.values[:self._network.n_times]
 
-    def scaled(self, s: float) -> "FlowState":
-        return FlowState(
-            plain=[a * s for a in self.plain],
-            nested=[a * s for a in self.nested],
-        )
+
+def not_utf8(line):
+    """Why a line read with errors="surrogateescape" is not UTF-8, or None:
+    there a byte b that does not decode reads as chr(0xDC00 + b)."""
+    bad = None if line.isascii() else next((c for c in line if "\udc80" <= c <= "\udcff"), None)
+    return bad and f"byte 0x{ord(bad) - 0xDC00:02x} is not UTF-8"
 
 
 def _parse_float(token, lineno, what):
@@ -500,8 +504,10 @@ def load_network(path) -> Network:
     def note_vertex(level, v):
         max_vertex[level] = max(max_vertex.get(level, -1), v)
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if bad := not_utf8(raw):
+                raise ParseError(lineno, bad)
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -119,12 +119,14 @@ class ElpDualOracle(SmoothOracle):
         self.p = problem
 
     def _by_products(self, y):
-        """(log-sum-exp, softmax) of the logits -(c + A^T y)/gamma, kept per point."""
+        """(log-sum-exp, read-only softmax) of the logits -(c + A^T y)/gamma, kept per point."""
         logits = -(self.p.cost + self.p.A.T @ y) / self.p.gamma
         m = logits.max()
         e = np.exp(logits - m)
         s = e.sum()
-        return m + math.log(s), e / s
+        e /= s
+        e.flags.writeable = False
+        return m + math.log(s), e
 
     def primal(self, y):
         return self._per_point(y, read=True)[1]

@@ -66,9 +66,9 @@ the distances settle; origins are swept in chunks whose kept sums fit in
 ROUNDS_CAP_BYTES, the references, at most as many bytes, on top.  A dense
 one keeps Z_H and K, and its power sums need O(V^2 + V x origins) bytes
 whatever H.  assignment_flows runs only the forward sweeps, which
-give the value, and returns a deferred FlowState: the first read of its
-flows runs the backward sweeps from the kept hops of level 1 and of each
-deeper level's pricing sweep (beyond one chunk, the forward sweeps
+give the value; the FlowState it returns fills its one flow array on
+first read, by the backward sweeps from the kept hops of level 1 and of
+each deeper level's pricing sweep (beyond one chunk, the forward sweeps
 rerun).  A point whose flows are never read pays for no backward sweep,
 every level is swept forward once per point (by _od_values), and
 gamma = 0 levels load all-or-nothing when their flows are read.
@@ -502,9 +502,9 @@ def assignment_flows(network: Network, t, gammas=None, demands=None):
     gamma = 0 levels use tie-broken all-or-nothing (a subgradient element).
     Returns (value, FlowState) with value the level-1 aggregate.
 
-    Only the forward sweeps run here.  The FlowState is deferred: its
-    first read runs the backward sweeps from the kept hops of level 1
-    and of the deeper levels' pricing sweeps (gamma = 0 levels load then).
+    Only the forward sweeps run here.  The FlowState's one array fills on
+    first read, level by level, from backward sweeps over the kept hops of
+    level 1 and of the deeper levels' pricing sweeps (gamma = 0 levels load then).
     """
     gammas = list(network.gammas()) if gammas is None else list(gammas)
     weights, kept = _price(network, t, gammas)
@@ -512,9 +512,9 @@ def assignment_flows(network: Network, t, gammas=None, demands=None):
     values, kept[0] = _od_values(network.levels[0], weights[0], plan, gammas[0], level=1)
     value = _total(plan.demand, values)
 
-    def fill():
-        flow = FlowState.zeros(network)
+    def fill(flows):
         level_plan = plan
+        plain, nested = network.flow_slices
         for k, lg in enumerate(network.levels):
             if gammas[k] > 0:
                 _, edge_flows = softmin_flows(lg, weights[k], level_plan, gammas[k],
@@ -522,13 +522,11 @@ def assignment_flows(network: Network, t, gammas=None, demands=None):
             else:
                 _, edge_flows = all_or_nothing(lg, weights[k], level_plan, level=k + 1)
             n_plain = len(lg.plain_edges)
-            flow.plain[k] = edge_flows[:n_plain]
-            flow.nested[k] = edge_flows[n_plain:]
+            flows[plain[k]], flows[nested[k]] = edge_flows[:n_plain], edge_flows[n_plain:]
             if not lg.nested_edges:
                 break
-            level_plan = lg.nested_plan.hand_down(flow.nested[k])
+            level_plan = lg.nested_plan.hand_down(edge_flows[n_plain:])
             if not level_plan.demand.any():
                 break
-        return flow
 
-    return value, FlowState.deferred(fill)
+    return value, FlowState(network, fill)

@@ -163,6 +163,13 @@ class TestSolve:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_instance_names_its_line(self, tmp_path, capsys):
+        # the message names the line, not the decoder's position in its buffer
+        inst = tmp_path / "bad.net"
+        inst.write_bytes("# caf\u00e9\n".encode() + b"1 0 1 bpr 1.0 \xff 0.5 1.0\nod 1 0 1 1.0\n")
+        assert main(["solve", str(inst), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: line 2: byte 0xff is not UTF-8\n"
+
     def test_negative_cycle_exits_1(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "neg.net", NEGATIVE_CYCLE_INSTANCE)
         with deadline(60):
@@ -997,6 +1004,20 @@ class TestOd:
             fh.write("0,0,1.0\n0,1,nan\n1,0,1.0\n0;1;2\n")
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {c}: line 2: value must be finite, got nan\n"
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["costs", "rows", "cols"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, capsys, which):
+        # the bulk parse fails on the decode; the reference reader names the line
+        costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
+        files = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
+        with open(files[which], "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        lines.insert(1, "# caf\u00e9 \xff\n".encode("latin-1"))
+        with open(files[which], "wb") as fh:
+            fh.write(b"".join(lines))
+        assert main(["od", *files, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {files[which]}: line 2: byte 0xe9 is not UTF-8\n")
 
     def test_malformed_marginal_line_rejected(self, tmp_path, capsys):
         c, r, w = od_inputs(tmp_path, {(0, 0): 1.0}, [1.0], [1.0])

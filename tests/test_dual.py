@@ -183,6 +183,14 @@ class TestAssignmentMemo:
         flow_ref = DualOracle(net).point(t.copy())[1]
         assert np.array_equal(oracle.point(t)[1].plain_flat(), flow_ref.plain_flat())
 
+    def test_held_arrays_are_read_only(self):
+        # every later read of the point shares them
+        net, t = self.point()
+        _, flow, conjugate = DualOracle(net).point(t)
+        for a in (*conjugate, flow.values, flow.plain_flat(), flow.plain[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
 
 class TestForwardOnlyValue:
     """value() sweeps forward only; flows are finished when first read."""

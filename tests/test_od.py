@@ -160,6 +160,13 @@ class TestDualOracle:
         assert np.array_equal(p.b - p.A @ x_at_y, grad)
         assert np.array_equal(x_at_x, elp_dual_oracle(p, x)[2])
 
+    def test_held_softmax_is_read_only(self):
+        # every later read of the point shares it
+        p = build_elp([1.0, 2.0], [1.5, 1.5], np.ones((2, 2)), 0.5)
+        x = od.ElpDualOracle(p).primal(np.zeros(4))
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+
 
 class TestSolveEntropyOd:
     def test_single_cell(self):

@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from equiflow import softmin
 from equiflow import (
     EdgeCostModel,
+    FlowState,
     LevelGraph,
     Network,
     NetworkError,
@@ -607,6 +609,45 @@ class TestDeferredFlows:
 
             monkeypatch.setattr(softmin, name, counting)
         return calls
+
+    def test_one_read_only_array(self):
+        # values lays the per-level arrays end to end, plain flows first;
+        # every level's plain and nested flows, and plain_flat(), are views of it
+        rng = np.random.default_rng(47)
+        net = self.two_level_network(rng)
+        t = net.free_flow_times() + rng.uniform(0.0, 0.5, size=net.n_times)
+        _, flow = assignment_flows(net, t)
+        _, eflows = eager_assignment(net, t, net.gammas(), [lg.n_vertices - 1 for lg in net.levels])
+        cut = [len(lg.plain_edges) for lg in net.levels]
+        plain = [f[:n] for f, n in zip(eflows, cut)]
+        nested = [f[n:] for f, n in zip(eflows, cut)]
+        assert flow.values.tobytes() == np.concatenate(plain + nested).tobytes()
+        assert flow.plain_flat().tobytes() == np.concatenate(plain).tobytes()
+        for k in range(net.n_levels):
+            assert flow.plain[k].tobytes() == plain[k].tobytes()
+            assert flow.nested[k].tobytes() == nested[k].tobytes()
+        views = [flow.plain_flat(), *flow.plain, flow.nested[0]]  # nested[1] is empty
+        for view in views:
+            assert view.base is flow.values and np.shares_memory(view, flow.values)
+        for a in (flow.values, *views):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_fill_runs_once_and_is_released(self):
+        net = self.two_level_network(np.random.default_rng(48))
+        calls = []
+
+        def fill_from(kept):
+            return lambda values: calls.append(1) or np.copyto(values, kept)
+
+        kept = np.arange(net.n_flows, dtype=float)
+        held, flow = weakref.ref(kept), FlowState(net, fill_from(kept))
+        del kept
+        assert calls == [] and held() is not None
+        for _ in range(2):
+            flow.plain_flat(), flow.plain, flow.nested, flow.values
+        assert calls == [1] and held() is None
+        assert flow.values.tolist() == list(range(net.n_flows))
 
     def test_flows_wait_for_first_read(self, monkeypatch):
         net = self.ragged_network()
