@@ -296,12 +296,14 @@ def _csv_records(path, n_ids):
 def _bulk_records(path, n_ids):
     """One id array per id column and the value array of a file, parsed in one
     pass; None when numpy rejects or warns on the file or a value is not
-    finite, so that the reference reader words the error."""
+    finite, so that the reference reader words the error.  Whitespace-only
+    lines, which numpy reads as a one-field record, reach it blank."""
     dtype = [(f"id{k}", np.intp) for k in range(n_ids)] + [("value", float)]
     with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments="#", ndmin=1)
+            lines = ("\n" if line.isspace() else line for line in fh)
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments="#", ndmin=1)
         except (ValueError, Warning):
             return None
     if not np.isfinite(table["value"]).all():

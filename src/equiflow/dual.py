@@ -42,15 +42,18 @@ def model_gammas(network: Network, model: str) -> list:
     return list(network.gammas()) if default is None else [default] * network.n_levels
 
 
-def _smooth_part(edges, conjugate):
-    """Value and gradient of the smooth (BPR) conjugate terms, given
-    edges.conjugate(t).
+def _smooth_value(edges, conjugate):
+    """Sum of the smooth (BPR) conjugate values, given edges.conjugate(t).
 
     Capacitated conjugates are linear and go to the composite term;
     pinned edges stay at t_free, where their conjugate is 0.
     """
-    value, flow = conjugate
-    return float(value[edges.smooth].sum()), np.where(edges.smooth, flow, 0.0)
+    return float(conjugate[0][edges.smooth].sum())
+
+
+def _smooth_grad(edges, conjugate):
+    """Gradient of _smooth_value: the smooth edges' conjugate flows, 0 elsewhere."""
+    return np.where(edges.smooth, conjugate[1], 0.0)
 
 
 class DualOracle(SmoothOracle):
@@ -97,12 +100,13 @@ class DualOracle(SmoothOracle):
 
     def value(self, t):
         softmin_value, _, conjugate = self._per_point(t, read=False)
-        return -softmin_value + _smooth_part(self.network.edges, conjugate)[0]
+        return -softmin_value + _smooth_value(self.network.edges, conjugate)
 
     def value_grad(self, t):
         softmin_value, flow, conjugate = self.point(t)
-        conj_value, conj_grad = _smooth_part(self.network.edges, conjugate)
-        return -softmin_value + conj_value, -flow.plain_flat() + conj_grad
+        edges = self.network.edges
+        return (-softmin_value + _smooth_value(edges, conjugate),
+                -flow.plain_flat() + _smooth_grad(edges, conjugate))
 
     def stochastic_grad(self, t, rng, batch):
         """Mean of `batch` origin draws, each origin drawn w.p. its share of demand.
@@ -115,7 +119,7 @@ class DualOracle(SmoothOracle):
         _, flow, conjugate = self.point(t)
         origins = self.network.origins()
         if len(origins) == 1:
-            return -flow.plain_flat() + _smooth_part(self.network.edges, conjugate)[1]
+            return -flow.plain_flat() + _smooth_grad(self.network.edges, conjugate)
         weights = np.array(self.network.plan.totals())
         draws = rng.choice(len(origins), size=batch, p=weights / weights.sum())
         return stochastic_origin_oracle(self.network, t, [origins[i] for i in draws],
@@ -156,7 +160,7 @@ def stochastic_origin_oracle(network, t, origins, gammas=None):
     demands = {od: dem * (draws[od[0]] * grand / (totals[od[0]] * len(origins)))
                for od, dem in network.demands.items() if draws[od[0]]}
     _, flow = assignment_flows(network, t, gammas, demands=demands)
-    return -flow.plain_flat() + _smooth_part(network.edges, network.edges.conjugate(t))[1]
+    return -flow.plain_flat() + _smooth_grad(network.edges, network.edges.conjugate(t))
 
 
 def dual_value_grad(network, t):
@@ -175,17 +179,22 @@ def duality_gap(network, t, flows, conjugate=None):
     through capacity_violation instead), and to 0 without a capacity.
     Pinned BPR edges count their conjugate as 0: their time stays at
     t_free, up to the rounding of the solver's averaging steps.
-    `conjugate`, network.edges.conjugate(t) when the caller holds it,
-    saves evaluating it again.
+    `conjugate`, the values of network.edges.conjugate(t) when the caller
+    holds them, saves evaluating them again.  t, flows and conjugate may
+    stack several points, one per row; the sums are then an array, each
+    row's the sum of one call on that row.
     """
     e = network.edges
     t = np.asarray(t, dtype=float)
     f = np.asarray(flows, dtype=float)
-    conj = (e.conjugate(t) if conjugate is None else conjugate)[0]
-    bpr = e.integral(f) - f * t + np.where(e.pinned, 0.0, conj)
-    sd = (t - e.t_free) * np.maximum(np.where(e.capped, e.capacity, f) - f, 0.0)
-    terms = np.where(e.is_sd, sd, bpr)
-    return terms, float(terms.sum())
+    conj = e.conjugate(t)[0] if conjugate is None else conjugate
+    _, _, pinned, sd = e.groups
+    terms = e.integral(f) - f * t + (conj if pinned is None else np.where(e.pinned, 0.0, conj))
+    if sd is not None:
+        fs = f[..., sd]
+        slack = np.where(e.capped[sd], e.capacity[sd], fs) - fs
+        terms[..., sd] = (t[..., sd] - e.t_free[sd]) * np.maximum(slack, 0.0)
+    return terms, float(terms.sum()) if terms.ndim == 1 else terms.sum(axis=-1)
 
 
 def capacity_violation(network, flows):
@@ -336,17 +345,15 @@ def solve_assignment(
     comp_tol = 10.0 * max(eps, eps_residual)
     capped = network.edges.capped.any()  # both capacity terms are 0.0 without
 
-    def consider(t_pt, conjugate, flows, route_gap=0.0):
-        """Certify (t, flows), route_gap bounding its soft-min term; keep the best.
-
-        conjugate is network.edges.conjugate(t_pt), held by the oracle."""
-        f = flows.plain_flat()
+    def consider(t_pt, flows, f, gap, route_gap):
+        """Certify (t, flows), f their plain flows, gap their Fenchel gap and
+        route_gap the bound of their soft-min term; keep the best."""
         if fw:
             cert = gap = frank_wolfe_gap(network, f)
             ok = gap <= eps
             route_gap = 0.0  # the written times are the costs at the flows
         else:
-            gap = duality_gap(network, t_pt, f, conjugate)[1] + route_gap
+            gap = gap + route_gap
             viol = capacity_violation(network, f) if capped else 0.0
             comp = complementarity_residual(network, t_pt, f) if capped else 0.0
             ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
@@ -362,13 +369,19 @@ def solve_assignment(
         np.add(acc, state.alpha * flow_y.values, out=acc)
         psi += state.alpha * (value_y - flow_y.plain_flat() @ state.y)
         value_x, flow_x, conj_x = oracle.point(state.x)
-        # consider reads the average at once, before the next step moves acc
+        # the average is read at once, before the next step moves acc
         avg = FlowState(network, lambda out: np.multiply(acc, 1.0 / state.A, out=out))
         # flows read off a point meet the soft-min Fenchel term with equality;
         # by Jensen, psi / A bounds the entropy term of their average
         route_gap = max(0.0, avg.plain_flat() @ state.x - value_x + psi / state.A)
-        checked = [consider(state.y, conj_y, flow_y), consider(state.x, conj_x, flow_x),
-                   consider(state.x, conj_x, avg, route_gap)]
+        candidates = [(state.y, flow_y, 0.0), (state.x, flow_x, 0.0), (state.x, avg, route_gap)]
+        f = np.array([flows.plain_flat() for _, flows, _ in candidates])
+        gaps = [None] * 3
+        if not fw:  # one call over the stack: each row's sum is that of a call on the row
+            gaps = duality_gap(network, np.array([state.y, state.x, state.x]), f,
+                               np.array([conj_y[0], conj_x[0], conj_x[0]]))[1].tolist()
+        checked = [consider(t_pt, flows, row, gap, route)
+                   for (t_pt, flows, route), row, gap in zip(candidates, f, gaps)]
         state.report.gap_trace.append(min(gap for gap, _ in checked))
         return "certified" if any(ok for _, ok in checked) else None
 

@@ -112,15 +112,34 @@ class EdgeTable:
         """
         return self.t_free * (1.0 + self.gain * (_flows(f) / self.capacity) ** self.power)
 
+    @cached_property
+    def groups(self) -> tuple:
+        """(smooth, capped, pinned, sd): each group's edges as a slice when
+        they are contiguous, else as an index array; None when empty."""
+        return tuple(map(_group, (self.smooth, self.capped, self.pinned, self.is_sd)))
+
+    @cached_property
+    def _smooth_constants(self) -> tuple:
+        """Per smooth edge: capacity, 1/mu, mu/(1+mu) and gain * t_free
+        (conjugate), 1 + mu and gain * t_free * capacity / (1+mu) (integral)."""
+        s = self.groups[0]
+        mu, cap, scale = self.power[s], self.capacity[s], self.gain[s] * self.t_free[s]
+        return cap, 1.0 / mu, mu / (1.0 + mu), scale, 1.0 + mu, scale * cap / (1.0 + mu)
+
     def integral(self, f) -> np.ndarray:
-        """Cost integral sigma_e(f) from 0 to f; +inf for SD flow above capacity."""
+        """Cost integral sigma_e(f) from 0 to f; +inf for SD flow above capacity.
+
+        f may stack the flows of several points, one per row.
+        """
         f = _flows(f)
-        s = self.smooth
-        mu = self.power[s]
+        smooth, capped, _, _ = self.groups
         out = self.t_free * f
-        out[s] += (self.t_free[s] * self.gain[s] * self.capacity[s] / (1.0 + mu)
-                   * (f[s] / self.capacity[s]) ** (1.0 + mu))
-        out[self.is_sd & (f > self.capacity)] = math.inf
+        if smooth is not None:
+            cap, _, _, _, mu1, lead = self._smooth_constants
+            out[..., smooth] += lead * (f[..., smooth] / cap) ** mu1
+        if capped is not None:
+            out[..., capped] = np.where(f[..., capped] > self.capacity[capped], math.inf,
+                                        out[..., capped])
         return out
 
     def conjugate(self, t) -> tuple[np.ndarray, np.ndarray]:
@@ -131,20 +150,30 @@ class EdgeTable:
         (not defined below it).  Above t_free a smooth edge's flow inverts
         its cost map, f(t) solves t = cost(f), and integrating f over
         [t_free, t] gives the value mu/(1+mu) * f(t) * (t - t_free);
-        pinned edges give +inf.
+        pinned edges give +inf.  t may stack several points, one per row.
         """
         dt = np.asarray(t, dtype=float) - self.t_free
-        value, flow = np.zeros(len(dt)), np.zeros(len(dt))
-        s = self.smooth & (dt > 0)
-        mu = self.power[s]
-        flow[s] = self.capacity[s] * (dt[s] / (self.gain[s] * self.t_free[s])) ** (1.0 / mu)
-        value[s] = mu / (1.0 + mu) * flow[s] * dt[s]
-        c = self.capped
-        flow[c] = self.capacity[c]
-        value[c] = self.capacity[c] * dt[c]
-        p = self.pinned & (dt > 0)
-        value[p] = flow[p] = math.inf
+        value, flow = np.zeros(dt.shape), np.zeros(dt.shape)
+        smooth, capped, pinned, _ = self.groups
+        if smooth is not None:
+            cap, inv_mu, ratio, scale, _, _ = self._smooth_constants
+            d = np.fmax(dt[..., smooth], 0.0)  # at or below t_free both are 0
+            f = flow[..., smooth] = cap * (d / scale) ** inv_mu
+            value[..., smooth] = ratio * f * d
+        if capped is not None:
+            flow[..., capped] = self.capacity[capped]
+            value[..., capped] = self.capacity[capped] * dt[..., capped]
+        if pinned is not None:
+            value[..., pinned] = flow[..., pinned] = np.where(dt[..., pinned] > 0, math.inf, 0.0)
         return value, flow
+
+
+def _group(mask):
+    """The indices where mask holds: a slice when they are contiguous, None when empty."""
+    i = np.flatnonzero(mask)
+    if not len(i):
+        return None
+    return slice(int(i[0]), int(i[-1]) + 1) if i[-1] - i[0] == len(i) - 1 else i
 
 
 def _flows(f) -> np.ndarray:
@@ -329,9 +358,9 @@ class PairPlan:
     arrivals: np.ndarray = None
 
     def __post_init__(self):
-        for f in fields(self):
-            if isinstance(getattr(self, f.name), np.ndarray):
-                getattr(self, f.name).flags.writeable = False
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @classmethod
     def of(cls, demands) -> "PairPlan":
@@ -355,8 +384,9 @@ class PairPlan:
         pair sums the positive flows of its edges, in edge order."""
         live = flows > 0.0
         arrivals = self.fold[live]
-        return replace(self, arrivals=arrivals,
-                       demand=np.bincount(arrivals, flows[live], minlength=len(self.pairs)))
+        return PairPlan(self.pairs, self.origins, self.dests, self.columns, self.cells,
+                        np.bincount(arrivals, flows[live], minlength=len(self.pairs)),
+                        self.fold, arrivals)
 
     def listed(self) -> np.ndarray:
         """The pairs of the demands mapping in its order once grouped by

@@ -82,7 +82,9 @@ in plan order, as a loop over the pairs grouped by origin adds them.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -158,23 +160,24 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
     if gamma == 0:
         return _min_plus(graph, weights, origins, hops), None
     n, batch = graph.n_vertices, len(origins)
-    order, tails, starts, _ = graph.head_groups
     head, log_fan_in = graph.slots
-    flat = hops * (np.abs(weights).max(initial=0.0) / gamma + log_fan_in) <= WALK_SUM_RANGE
+    widest = float(np.maximum.reduce(np.abs(weights), initial=0.0))
+    flat = hops * (widest / gamma + log_fan_in) <= WALK_SUM_RANGE
     # phi = 0, or at hop h the min-plus distance d_h after it (0 where unreached)
-    ref = np.zeros((n, 1))
+    ref = 0.0
     if flat and n <= DENSE_MAX_VERTICES:
         factor = np.exp(weights / -gamma)
         k = np.bincount(graph.dense_index, factor, minlength=n * n).reshape(n, n)
         walks = _power_sum(k, hops + 1).take(origins, axis=1)
         kept = (walks, (k, factor, origins, hops), "dense")
     else:
+        order, tails, starts, _ = graph.head_groups
         c = np.concatenate([weights, np.zeros(n)])[order, None]
         cand = np.empty((len(c), batch))
         if flat:
             dist, refs, factor = None, [], np.exp(c / -gamma)
         else:
-            dist, refs = _round_zero(n, origins, 0.0, math.inf), [ref]
+            dist, refs = _round_zero(n, origins, 0.0, math.inf), [np.zeros((n, 1))]
             factor, low = np.empty((len(c), batch)), np.empty((n, batch))
         state = _round_zero(n, origins, 1.0, 0.0)
         walks = state[:n]
@@ -202,7 +205,7 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
                 if keep:
                     z[h] = walks
         kept = (z, refs, "sparse")
-    if not (walks <= math.exp(700.0)).all():
+    if not np.maximum.reduce(walks, axis=None, initial=0.0) <= math.exp(700.0):  # or NaN
         raise NetworkError(
             f"level {level}: the soft-min walk sum diverges: at some hop of at most "
             f"{hops} it passed e^700 times the weight of that hop's shortest walk "
@@ -220,22 +223,25 @@ def _power_sum(m, n):
     round some entries differently (OpenBLAS 0.3.31, Haswell kernels)."""
     size = len(m)
     m = np.pad(m, (0, -size % 8)) if size > 64 else m
-    s, p = np.eye(len(m)), m  # S_1 and M^1
+    v = len(m)
+    s, p, ps = np.zeros((v, v)), m, np.empty((v, v))  # S_1 = I, M^1 and p @ s
+    s.reshape(-1)[::v + 1] = 1.0
     bits = bin(n)[3:]
     for i, bit in enumerate(bits):
         more = i + 1 < len(bits)
-        s += p @ s
+        s += np.dot(p, s, out=ps)
         if bit == "1" or more:
-            p = p @ p
+            p = np.dot(p, p)
         if bit == "1":
             s += p
             if more:
-                p = p @ m
+                p = np.dot(p, m)
     return s[:size, :size]
 
 
-def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
-    """Adjoint sweep over the kept hops: route sink_mass[v, b] back to origin b.
+def _sweep_backward(graph: LevelGraph, weights, gamma, kept, cells, demand):
+    """Adjoint sweep over the kept hops: route each demand, the sink mass
+    at flat cell `cells[i]` of the (V, B) hop state, back to its origin.
 
     The sparse adjoint recomputes E_h from the kept references, the last
     serving every later hop.  The dense one gives edge u -> v
@@ -250,24 +256,27 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, sink_mass):
         (k, factor, origins, hops), n = held, len(held[0])
         m = np.zeros((2 * n, 2 * n))
         m[:n, :n] = m[n:, n:] = k.T
-        rest = np.zeros((n, n))
-        rest[:, origins] = np.divide(sink_mass, z, out=np.zeros(z.shape), where=z != 0)
-        flows = np.zeros(graph.n_edges)
-        while (top := rest.max()) > 0.0:
+        # the entries of Q, sink / Z_H at the pairs, and their places in m
+        rest = demand / z.take(cells)
+        dests, columns = np.divmod(cells, len(origins))
+        at = dests * (2 * n) + n + origins[columns]
+        bands = []
+        while (top := np.maximum.reduce(rest, initial=0.0)) > 0.0:
             band = rest >= top * math.exp(-100.0)
-            m[:n, n:] = np.where(band, rest / top, 0.0)
-            flows += factor * _power_sum(m, hops + 1)[:n, n:].take(graph.dense_index) * top
-            rest[band] = 0.0
-        return flows
+            m[:n, n:] = 0.0
+            m.put(at[band], rest[band] / top)
+            bands.append(factor * _power_sum(m, hops + 1)[:n, n:].take(graph.dense_index) * top)
+            rest = np.where(band, 0.0, rest)
+        return sum(bands[1:], bands[0]) if bands else np.zeros(graph.n_edges)
     refs, hops, last = held, len(z) - 1, len(held) - 1
     order, starts, ends = graph.tail_groups
     tails, heads = graph.tails[order], graph.heads[order]
     c = np.asarray(weights, dtype=float)[order, None]
     factor = None if refs else np.exp(c / -gamma)  # phi = 0: no references
-    x, y = np.empty((2, len(order), sink_mass.shape[1]))
+    x, y = np.empty((2, len(order), z.shape[2]))
     acc = np.zeros_like(x)
     q, nxt = np.zeros_like(z[0]), np.zeros_like(z[0])
-    np.divide(sink_mass, z[-1], out=q, where=z[-1] != 0)
+    q.put(cells, demand / z[-1].take(cells))
     # elsewhere q * Z is at most the demand: E^T q overflows only where Z = 0
     with np.errstate(over="ignore"):
         for h in range(hops, 0, -1):
@@ -320,17 +329,7 @@ def _reached(plan, values, level, hops, index=None):
 
 def _total(demand, values):
     """sum_w d_w * v_w added one by one in pair order (np.dot would reorder)."""
-    total = 0.0
-    for dem, v in zip(demand.tolist(), values.tolist()):
-        total += dem * v
-    return total
-
-
-def _sink(u, cells, demand):
-    """Value sum_w d_w * u_dest over the pairs at flat `cells` of u, and their sink masses."""
-    sink = np.zeros(u.shape)
-    sink.put(cells, demand)
-    return _total(demand, u.take(cells)), sink
+    return functools.reduce(operator.add, map(operator.mul, demand.tolist(), values.tolist()), 0.0)
 
 
 def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
@@ -362,8 +361,8 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
     if forward is not None:
         # _od_values found every pair reached; one without demand adds 0
         u, kept = forward
-        value, sink = _sink(u, plan.cells, plan.demand)
-        return value, _sweep_backward(graph, weights, gamma, kept, sink)
+        value = _total(plan.demand, u.take(plan.cells))
+        return value, _sweep_backward(graph, weights, gamma, kept, plan.cells, plan.demand)
     # the origins of the listed pairs in chunks, each chunk's pairs a run of them
     listed = plan.listed()
     used, columns = np.unique(plan.columns[listed], return_inverse=True)
@@ -375,11 +374,10 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
         index = listed[a:b]
         cells = plan.dests[index] * len(batch) + columns[a:b] - lo
         _reached(plan, u.take(cells), level, hops, index)
-        v, sink = _sink(u, cells, plan.demand[index])
-        value += v
-        flows += _sweep_backward(graph, weights, gamma, kept, sink)
+        value += _total(plan.demand[index], u.take(cells))
+        flows += _sweep_backward(graph, weights, gamma, kept, cells, plan.demand[index])
         lo += len(batch)
-        del u, kept, sink  # released before the next chunk's sweep
+        del u, kept  # released before the next chunk's sweep
     return value, flows
 
 

@@ -95,8 +95,10 @@ class EuclideanProx:
         self.linear = None if linear is None else np.asarray(linear, dtype=float)
 
     def clip(self, x):
-        if self.lower is not None or self.upper is not None:
-            return np.clip(x, self.lower, self.upper)
+        if self.lower is not None:
+            x = np.maximum(x, self.lower)
+        if self.upper is not None:
+            x = np.minimum(x, self.upper)
         return x
 
     def bregman(self, x, z):
@@ -272,7 +274,8 @@ def umt_minimize(
                     gy = oracle.stochastic_grad(y, rng, m)
                     rep.batch_trace.append(m)
                     fy = oracle.value(y)
-            u_new = prox.model_argmin(center, G + alpha * gy, A_new, mu_t, Y + alpha * y)
+            G_new, Y_new = G + alpha * gy, Y + alpha * y
+            u_new = prox.model_argmin(center, G_new, A_new, mu_t, Y_new)
             x_new = (alpha * u_new + A * x) / A_new
             fx = oracle.value(x_new)
             rep.value_calls += 1
@@ -285,8 +288,7 @@ def umt_minimize(
                 raise DivergedOracleError(
                     f"line-search L exceeded ceiling {L_CEILING}; oracle inconsistent?"
                 )
-        A, u, x = A_new, u_new, x_new
-        G, Y = G + alpha * gy, Y + alpha * y
+        A, u, x, G, Y = A_new, u_new, x_new, G_new, Y_new
         rep.alpha_trace.append(alpha)
         rep.lipschitz_trace.append(L)
         rep.value_trace.append(fx + prox.composite_value(x))

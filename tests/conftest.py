@@ -58,6 +58,71 @@ def edge_conjugate(m, t):
     return m.bpr_power / (1.0 + m.bpr_power) * f * (t - m.t_free), f
 
 
+def mask_conjugate(table, t):
+    """The conjugate by boolean masks over the whole table, kept as the
+    reference for the table's cached edge groups."""
+    dt = np.asarray(t, dtype=float) - table.t_free
+    value, flow = np.zeros(len(dt)), np.zeros(len(dt))
+    s = table.smooth & (dt > 0)
+    mu = table.power[s]
+    flow[s] = table.capacity[s] * (dt[s] / (table.gain[s] * table.t_free[s])) ** (1.0 / mu)
+    value[s] = mu / (1.0 + mu) * flow[s] * dt[s]
+    c = table.capped
+    flow[c] = table.capacity[c]
+    value[c] = table.capacity[c] * dt[c]
+    p = table.pinned & (dt > 0)
+    value[p] = flow[p] = math.inf
+    return value, flow
+
+
+def mask_integral(table, f):
+    """The cost integral by boolean masks, the reference of mask_conjugate."""
+    f = np.asarray(f, dtype=float)
+    s = table.smooth
+    mu = table.power[s]
+    out = table.t_free * f
+    out[s] += (table.t_free[s] * table.gain[s] * table.capacity[s] / (1.0 + mu)
+               * (f[s] / table.capacity[s]) ** (1.0 + mu))
+    out[table.is_sd & (f > table.capacity)] = math.inf
+    return out
+
+
+# one random edge of each kind a table groups its edges by
+EDGE_KINDS = {
+    "smooth": lambda rng: EdgeCostModel("bpr", rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0),
+                                        rng.uniform(0.1, 1.5), rng.choice([0.25, 0.5, 1.0])),
+    "pinned": lambda rng: EdgeCostModel("bpr", rng.uniform(0.5, 2.0),
+                                        rng.choice([math.inf, 2.0]), 0.0, 0.5),
+    "capped": lambda rng: EdgeCostModel("sd", rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0)),
+    "open": lambda rng: EdgeCostModel("sd", rng.uniform(0.5, 2.0), math.inf),
+}
+
+
+def edge_layouts(rng):
+    """Cost-model lists of every grouping: mixed kinds (groups as index
+    arrays), one run per kind (groups as slices) and lists without one or
+    more of the kinds."""
+    kinds = list(EDGE_KINDS)
+    layouts = [rng.choice(kinds, size=40).tolist() for _ in range(4)]
+    layouts += [sorted(rng.choice(kinds, size=30).tolist()) for _ in range(2)]
+    layouts += [[k] * 12 for k in kinds]
+    layouts += [[k for k in rng.choice(kinds, size=20).tolist() if k != drop] for drop in kinds]
+    return [[EDGE_KINDS[k](rng) for k in layout] for layout in layouts]
+
+
+def times_around_free(t_free, rng):
+    """Times below, at and above t_free, edge by edge."""
+    offset = rng.choice([-0.4, 0.0, 0.0, 0.3, 1.7], size=len(t_free))
+    return t_free + offset * rng.uniform(0.5, 1.0, size=len(offset))
+
+
+def flows_around_capacity(capacity, rng):
+    """Flows from 0 to twice each finite capacity, so that capped SD edges
+    fall on both sides of it."""
+    scale = np.where(np.isfinite(capacity), capacity, 1.0)
+    return scale * rng.choice([0.0, 0.5, 1.0, 1.5, 2.0], size=len(scale))
+
+
 @pytest.fixture
 def pigou_network():
     """Two parallel routes: fixed cost 1 vs cost ~ flow; equilibrium (0, 1)."""

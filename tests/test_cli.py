@@ -1088,6 +1088,8 @@ class TestOdReader:
         elif variant == "plus":
             def line(*fields):
                 return ",".join([f"+{z}" for z in fields[:-1]] + [fields[-1]])
+        elif variant == "whitespace":
+            lead, end = " \t \n", "\n   \n"
         paths = []
         for name, records in files.items():
             path = tmp_path / f"{name}.csv"
@@ -1096,7 +1098,7 @@ class TestOdReader:
         return paths
 
     @pytest.mark.parametrize("variant", ["plain", "shuffled", "crlf", "spaces", "plus",
-                                         "comments"])
+                                         "comments", "whitespace"])
     def test_bulk_matches_the_reference_bit_for_bit(self, tmp_path, monkeypatch, variant):
         from equiflow import cli
 

@@ -25,8 +25,9 @@ from equiflow import (
 from equiflow.dual import MODELS, experienced_times
 
 from conftest import (
-    braess_network, edge_conjugate, edge_cost, edge_integral, fixed_edge, linear_edge,
-    random_network,
+    braess_network, edge_conjugate, edge_cost, edge_integral, edge_layouts, fixed_edge,
+    flows_around_capacity, linear_edge, mask_conjugate, mask_integral, random_network,
+    times_around_free,
 )
 
 
@@ -260,6 +261,39 @@ class TestDualityGap:
         terms, total = duality_gap(net, t, f)
         assert terms.tolist() == [1e-6 * f[0] - f[0] * t[0], 0.0, 0.0]
         assert total == terms[0]
+
+
+def mask_duality_gap(network, t, f):
+    """duality_gap by boolean masks over the whole table, kept as the
+    reference for the cached edge groups and the stacked call."""
+    e = network.edges
+    conj = mask_conjugate(e, t)[0]
+    bpr = mask_integral(e, f) - f * t + np.where(e.pinned, 0.0, conj)
+    sd = (t - e.t_free) * np.maximum(np.where(e.capped, e.capacity, f) - f, 0.0)
+    terms = np.where(e.is_sd, sd, bpr)
+    return terms, float(terms.sum())
+
+
+class TestStackedGap:
+    def test_rows_match_single_calls_and_the_masks(self):
+        # every grouping of edge kinds; the certificate stacks y, x and x
+        rng = np.random.default_rng(97)
+        for models in edge_layouts(rng):
+            net = Network([LevelGraph(2, [(0, 1, m) for m in models])], {(0, 1): 1.0})
+            e = net.edges
+            y, x = (times_around_free(e.t_free, rng) for _ in range(2))
+            t = np.array([y, x, x])
+            f = np.array([flows_around_capacity(e.capacity, rng) for _ in range(3)])
+            for conjugate in (None, e.conjugate(t)[0]):
+                terms, totals = duality_gap(net, t, f, conjugate)
+                assert terms.shape == f.shape and totals.shape == (3,)
+                for k in range(3):
+                    single, total = duality_gap(net, t[k], f[k])
+                    want, want_total = mask_duality_gap(net, t[k], f[k])
+                    assert terms[k].tobytes() == single.tobytes() == want.tobytes()
+                    assert type(total) is float
+                    assert totals[k].tobytes() == np.float64(total).tobytes()
+                    assert total == want_total
 
 
 class TestEdgeKinds:

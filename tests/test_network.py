@@ -18,6 +18,7 @@ from equiflow.network import validate
 
 from conftest import (
     PIGOU_INSTANCE, BRAESS_SHORTCUT_INSTANCE, edge_conjugate, edge_cost, edge_integral,
+    edge_layouts, flows_around_capacity, mask_conjugate, mask_integral, times_around_free,
     write_instance,
 )
 
@@ -205,6 +206,51 @@ class TestEdgeTable:
             net.edges.t_free[0] = 2.0
         net.free_flow_times()[0] = 2.0
         assert net.edges.t_free[0] == 1.0
+
+
+class TestEdgeGroups:
+    """Conjugate and integral over the cached groups against mask_conjugate
+    and mask_integral, bit for bit."""
+
+    @staticmethod
+    def same(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_conjugate_matches_the_masks(self):
+        rng = np.random.default_rng(92)
+        for models in edge_layouts(rng):
+            table = EdgeTable.of(models)
+            for _ in range(3):
+                t = times_around_free(table.t_free, rng)
+                for got, want in zip(table.conjugate(t), mask_conjugate(table, t)):
+                    self.same(got, want)
+
+    def test_integral_matches_the_masks(self):
+        rng = np.random.default_rng(93)
+        for models in edge_layouts(rng):
+            table = EdgeTable.of(models)
+            for _ in range(3):
+                f = flows_around_capacity(table.capacity, rng)
+                self.same(table.integral(f), mask_integral(table, f))
+
+    def test_stacked_rows_match_single_calls(self):
+        rng = np.random.default_rng(94)
+        for models in edge_layouts(rng):
+            table = EdgeTable.of(models)
+            t = np.array([times_around_free(table.t_free, rng) for _ in range(3)])
+            f = np.array([flows_around_capacity(table.capacity, rng) for _ in range(3)])
+            values, flows = table.conjugate(t)
+            integral = table.integral(f)
+            for k in range(3):
+                self.same(values[k], table.conjugate(t[k])[0])
+                self.same(flows[k], table.conjugate(t[k])[1])
+                self.same(integral[k], table.integral(f[k]))
+
+    def test_groups_are_slices_when_contiguous(self):
+        smooth, capped = EdgeCostModel("bpr", 1.0, 2.0, 0.5, 0.5), EdgeCostModel("sd", 1.0, 2.0)
+        assert EdgeTable.of([smooth] * 3 + [capped]).groups == (
+            slice(0, 3), slice(3, 4), None, slice(3, 4))
+        assert EdgeTable.of([capped, smooth, capped]).groups[1].tolist() == [0, 2]
 
 
 class TestLoadNetwork:

@@ -1073,6 +1073,36 @@ class TestDenseKernel:
                 np.testing.assert_allclose(softmin._power_sum(m, n), expect,
                                            rtol=1e-13, atol=0.0)
 
+    @staticmethod
+    def eye_power_sum(m, n):
+        """_power_sum with np.eye and a new array per product, kept as the
+        reference for its written diagonal and preallocated buffer."""
+        size = len(m)
+        m = np.pad(m, (0, -size % 8)) if size > 64 else m
+        s, p = np.eye(len(m)), m
+        bits = bin(n)[3:]
+        for i, bit in enumerate(bits):
+            more = i + 1 < len(bits)
+            s += p @ s
+            if bit == "1" or more:
+                p = p @ p
+            if bit == "1":
+                s += p
+                if more:
+                    p = p @ m
+        return s[:size, :size]
+
+    @pytest.mark.parametrize("size", [6, 16, 25, 72, 73, 144])
+    def test_power_sum_matches_its_reference_bit_for_bit(self, size):
+        # 73 rows take the padding path, 144 are the adjoint's at 72 vertices;
+        # n runs over the doubling's bit patterns
+        rng = np.random.default_rng(69)
+        m = rng.uniform(0.0, 1.0, size=(size, size)) * (rng.uniform(size=(size, size)) < 0.4)
+        m /= m.sum(axis=0).max()
+        for n in (1, 2, 3, 6, 7, 16, 17, size, size + 1):
+            got, want = softmin._power_sum(m, n), self.eye_power_sum(m, n)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_backward_memory_does_not_grow_with_the_hops(self):
         # the dense kernel keeps Z_H, K and the origins, not a stack per hop:
         # at H = 128 the sparse hop would keep 129 x V x B floats
