@@ -74,7 +74,8 @@ class DualOracle(SmoothOracle):
         edges = network.edges
         self.lower = network.free_flow_times()
         self.upper = np.where(edges.pinned, edges.t_free, math.inf)
-        self.linear = np.where(edges.capped, edges.capacity, 0.0)
+        # None without capped edges: the composite term is then the box alone
+        self.linear = np.where(edges.capped, edges.capacity, 0.0) if edges.capped.any() else None
 
     def prox(self):
         return EuclideanProx(lower=self.lower, upper=self.upper, linear=self.linear)
@@ -315,6 +316,14 @@ def solve_assignment(
     level all-or-nothing).  Only stable_dynamics, mixed and multistage
     take a nested network.
 
+    Every model certified by the Fenchel triple below starts at the costs
+    of the flows loaded at t_free: the dual is evaluated once at t_free,
+    and the run starts at tau_e(f_e) on every smooth (positive-gain BPR)
+    edge and at t_free on the others, clipped to the box.  That evaluation
+    counts in the report's value_calls and grad_calls.  beckmann and
+    beckmann_md start at t_free: their Frank-Wolfe certificate ran out of
+    steps from the shifted start on a Braess network.
+
     After every step three candidates are certified: the flows at the
     gradient point y (with t = y), the flows at x (with t = x) and the
     step-weighted average of the flows at y (with t = x).  The average is
@@ -385,12 +394,19 @@ def solve_assignment(
         state.report.gap_trace.append(min(gap for gap, _ in checked))
         return "certified" if any(ok for _, ok in checked) else None
 
+    prox, t0, edges = oracle.prox(), network.free_flow_times(), network.edges
+    if not fw:  # start at the BPR costs of the flows loaded at t_free
+        oracle.value_grad(t0)
+        t0 = prox.clip(np.where(edges.smooth, edges.cost(oracle.point(t0)[1].plain_flat()), t0))
     _, rep = umt_minimize(
-        oracle, oracle.prox(), network.free_flow_times(), eps,
+        oracle, prox, t0, eps,
         mu=oracle.strong_convexity(), max_iter=max_iter, stop=stop,
         rng=None if variance_bound is None else np.random.default_rng(seed),
     )
-    t = network.edges.cost(best["flows"].plain_flat()) if fw else best["t"]
+    if not fw:  # the start's evaluation is an oracle call of the solve
+        rep.value_calls += 1
+        rep.grad_calls += 1
+    t = edges.cost(best["flows"].plain_flat()) if fw else best["t"]
     return _build_report(
         network, model, eps, eps_residual, t, best["flows"], gammas,
         rep.termination == "certified", rep, fw_gap=best["gap"] if fw else math.nan,

@@ -355,14 +355,13 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
 
     `forward`, a kept forward sweep (u, kept) of the same weights, gamma
     and hops from every origin of the plan, replaces the forward sweeps;
-    u and kept are those of _sweep_forward.
+    u and kept are those of _sweep_forward.  The value is then None: the
+    caller summed it from that sweep.
     """
     plan = PairPlan.of(demands)
     if forward is not None:
-        # _od_values found every pair reached; one without demand adds 0
-        u, kept = forward
-        value = _total(plan.demand, u.take(plan.cells))
-        return value, _sweep_backward(graph, weights, gamma, kept, plan.cells, plan.demand)
+        # _od_values found every pair reached
+        return None, _sweep_backward(graph, weights, gamma, forward[1], plan.cells, plan.demand)
     # the origins of the listed pairs in chunks, each chunk's pairs a run of them
     listed = plan.listed()
     used, columns = np.unique(plan.columns[listed], return_inverse=True)

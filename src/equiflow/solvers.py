@@ -219,7 +219,9 @@ def umt_minimize(
     Each outer step halves the Lipschitz estimate, then doubles it until
     the model inequality (with slack alpha/(2A)*eps) holds; the step
     aggregate solves A_{k+1}(1 + A_k*mu_t) = L*alpha^2 exactly.  Step 0 is
-    the same step taken from A = 0, u = x = y0, with L first tried at 1.  With
+    the same step taken from A = 0, u = x = y0, with L first tried at 1; it
+    ends with x = u, so the next step's y is x (up to rounding) for every
+    trial L and is formed and evaluated once, as step 0's y0 is.  With
     r2 >= V(x*, y0) given, stops once r2/A <= eps/2, which certifies
     F(x) - F* <= eps.  `stop` may end the run early with a reason, or return
     "restart": the run then goes on from the current x as step 0 of a fresh
@@ -246,7 +248,8 @@ def umt_minimize(
     rep = SolverReport()
 
     # step 0 is the step from A = 0: alpha = 1/L, slack eps/2, and L halves and
-    # doubles from 1, so alpha is a power of two and (alpha*u)/alpha == u
+    # doubles from 1, so alpha is a power of two and (alpha*u)/alpha == u:
+    # the step's y is its u and its x_new its u_new, bit for bit
     A, u, x, G, Y = 0.0, y0, y0, 0.0, 0.0
     center = y0
     L = 2.0
@@ -258,7 +261,9 @@ def umt_minimize(
             base = (1.0 + A * mu_t) / (2.0 * L)
             alpha = base + math.sqrt(base * base + A * (1.0 + A * mu_t) / L)
             A_new = A + alpha
-            if y is None or A > 0.0:  # at A = 0, y = u for every trial L
+            # after a fresh start (A = 0) and after the step from it, u is x, so
+            # y is x (up to rounding) for every trial L: formed and evaluated once
+            if y is None or u is not x:
                 y = (alpha * u + A * x) / A_new if math.isfinite(A_new) else None
                 if y is None or not np.isfinite(y).all():
                     raise DivergedOracleError(
@@ -274,9 +279,10 @@ def umt_minimize(
                     gy = oracle.stochastic_grad(y, rng, m)
                     rep.batch_trace.append(m)
                     fy = oracle.value(y)
-            G_new, Y_new = G + alpha * gy, Y + alpha * y
+            G_new = G + alpha * gy
+            Y_new = Y + alpha * y if mu_t > 0.0 else Y  # model_argmin reads Y only then
             u_new = prox.model_argmin(center, G_new, A_new, mu_t, Y_new)
-            x_new = (alpha * u_new + A * x) / A_new
+            x_new = u_new if A == 0.0 else (alpha * u_new + A * x) / A_new
             fx = oracle.value(x_new)
             rep.value_calls += 1
             d = x_new - y

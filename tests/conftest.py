@@ -284,3 +284,27 @@ def _random_model(rng):
         bpr_gain=float(rng.uniform(0.1, 1.0)),
         bpr_power=float(rng.choice([0.25, 0.5, 1.0])),
     )
+
+
+def record_solve_points(monkeypatch):
+    """Patch the solve's oracle and solver; returns the points value_grad
+    and value were called at, the y0 of each umt_minimize call and the
+    (value_calls, grad_calls) of its report when it returned."""
+    import equiflow.dual as dual
+    from equiflow import DualOracle
+
+    seen = {"value_grad": [], "value": [], "y0": [], "umt_calls": []}
+    for name in ("value_grad", "value"):
+        real = getattr(DualOracle, name)
+        monkeypatch.setattr(DualOracle, name, lambda self, t, real=real, name=name:
+                            seen[name].append(np.array(t)) or real(self, t))
+    real_umt = dual.umt_minimize
+
+    def umt(oracle, prox, y0, *args, **kwargs):
+        seen["y0"].append(np.array(y0))
+        x, rep = real_umt(oracle, prox, y0, *args, **kwargs)
+        seen["umt_calls"].append((rep.value_calls, rep.grad_calls))
+        return x, rep
+
+    monkeypatch.setattr(dual, "umt_minimize", umt)
+    return seen

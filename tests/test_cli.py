@@ -19,6 +19,7 @@ from conftest import (
     PIGOU_INSTANCE,
     SD_TWO_LINK_INSTANCE,
     deadline,
+    record_solve_points,
     wide_kernel_draw,
     write_instance,
 )
@@ -156,6 +157,21 @@ class TestSolve:
         assert flows[1] == pytest.approx(1.0, abs=1e-4)
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["converged"] is True
+
+    @pytest.mark.parametrize("model,start", [("stochastic", 1), ("beckmann", 0)])
+    def test_summary_counts_every_oracle_call(self, tmp_path, monkeypatch, model, start):
+        # the evaluation at t_free that places a stochastic solve's start is
+        # an oracle call of the solve; beckmann starts at t_free itself
+        seen = record_solve_points(monkeypatch)
+        inst = write_instance(tmp_path / "grid.net", grid_instance())
+        out = tmp_path / "out"
+        assert main(["solve", inst, "--model", model, "--max-iter", "20",
+                     "--out", str(out)]) in (0, 2)
+        summary = json.load(open(out / "summary.json"))
+        grads, values = len(seen["value_grad"]), len(seen["value"])
+        inner_values, inner_grads = seen["umt_calls"][0]
+        assert (summary["value_calls"], summary["grad_calls"]) == (grads + values, grads)
+        assert (grads + values, grads) == (inner_values + start, inner_grads + start)
 
     def test_corrupt_instance_reports_line(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "bad.net", "# ok\n1 0 1 bpr oops 1 1 1\n")

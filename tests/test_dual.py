@@ -27,7 +27,7 @@ from equiflow.dual import MODELS, experienced_times
 from conftest import (
     braess_network, edge_conjugate, edge_cost, edge_integral, edge_layouts, fixed_edge,
     flows_around_capacity, linear_edge, mask_conjugate, mask_integral, random_network,
-    times_around_free,
+    record_solve_points, times_around_free,
 )
 
 
@@ -49,6 +49,88 @@ def count_assignments(monkeypatch):
     monkeypatch.setattr(dual, "assignment_flows",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     return calls
+
+
+def mixed_edge_network(nested):
+    """Smooth BPR, zero-gain BPR, capped SD and uncapped SD edges, on one
+    level or on the inner level of a nested network."""
+    lg = LevelGraph(3, plain_edges=[
+        (0, 1, EdgeCostModel("bpr", 1.0, 1.0, 0.5, 1.0)),
+        (1, 2, EdgeCostModel("bpr", 1.0, 1.0, 0.3, 0.5)),
+        (0, 2, fixed_edge(2.5)),
+        (0, 1, EdgeCostModel("sd", 1.2, 0.4)),
+        (1, 2, EdgeCostModel("sd", 3.0, math.inf)),
+    ], gamma=0.5)
+    if not nested:
+        return Network([lg], {(0, 2): 2.0})
+    outer = LevelGraph(2, plain_edges=[(0, 1, EdgeCostModel("bpr", 2.0, 1.0, 0.4, 1.0))],
+                       nested_edges=[(0, 1, (0, 2))], gamma=0.5)
+    return Network([outer, lg], {(0, 1): 2.0})
+
+
+def congested_grid(k=4, gamma=1.0):
+    """k x k BPR grid, both directions, mixed powers; eight ODs of about one unit."""
+    edges = []
+    for v in range(k * k):
+        r, c = divmod(v, k)
+        for w in ([v + 1] if c + 1 < k else []) + ([v + k] if r + 1 < k else []):
+            for a, b in ((v, w), (w, v)):
+                edges.append((a, b, EdgeCostModel(
+                    "bpr", 1.0 + 0.25 * ((a + 2 * b) % 5), 1.0 + 0.5 * ((a + b) % 5),
+                    0.5 + 0.125 * ((a * b) % 5), (0.25, 0.5, 1.0)[(2 * a + b) % 3])))
+    n = k * k
+    pairs = [(0, n - 1), (n - 1, 0), (k - 1, n - k), (n - k, k - 1),
+             (1, n - 2), (k, 2 * k - 1), (n - 2, 1), (2 * k + 1, k + 2)]
+    return Network([LevelGraph(n, plain_edges=edges, gamma=gamma)],
+                   {od: 0.75 + 0.125 * (i % 5) for i, od in enumerate(pairs)})
+
+
+class TestStart:
+    """Models certified by the triple start at the costs of the free-flow loads."""
+
+    @pytest.mark.parametrize("model,nested", [("stochastic", False), ("multistage", True),
+                                              ("mixed", True)])
+    def test_first_gradient_point_is_the_free_flow_costs(self, monkeypatch, model, nested):
+        seen = record_solve_points(monkeypatch)
+        net = mixed_edge_network(nested)
+        rep = solve_assignment(net, model=model, max_iter=2)
+        e, t_free = net.edges, net.free_flow_times()
+        f = DualOracle(net, rep.gammas).point(t_free)[1].plain_flat()
+        start = np.where(e.smooth, e.cost(f), t_free)
+        assert e.pinned[~e.is_sd].any() and e.capped.any() and e.pinned[e.is_sd].any()
+        assert np.all(start[e.smooth] > t_free[e.smooth])
+        assert np.array_equal(start[~e.smooth], t_free[~e.smooth])
+        assert np.array_equal(seen["value_grad"][0], t_free)
+        assert np.array_equal(seen["y0"][0], start)
+        assert np.array_equal(seen["value_grad"][1], start)
+
+    @pytest.mark.parametrize("model", ["beckmann", "beckmann_md"])
+    def test_frank_wolfe_models_start_at_free_flow(self, monkeypatch, pigou_network, model):
+        seen = record_solve_points(monkeypatch)
+        rep = solve_assignment(pigou_network, model=model, max_iter=2)
+        t_free = pigou_network.free_flow_times()
+        assert np.array_equal(seen["y0"][0], t_free)
+        assert np.array_equal(seen["value_grad"][0], t_free)
+        assert [rep.solver.value_calls, rep.solver.grad_calls] == list(seen["umt_calls"][0])
+
+    @pytest.mark.parametrize("variance_bound", [None, 0.1])
+    def test_reported_calls_count_the_start(self, monkeypatch, variance_bound):
+        seen = record_solve_points(monkeypatch)
+        rep = solve_assignment(two_origin_network(), model="stochastic", eps=1e-4,
+                               variance_bound=variance_bound)
+        assert rep.converged
+        grads, values = len(seen["value_grad"]), len(seen["value"])
+        assert (rep.solver.value_calls, rep.solver.grad_calls) == (grads + values, grads)
+        inner_values, inner_grads = seen["umt_calls"][0]
+        assert (rep.solver.value_calls, rep.solver.grad_calls) == (inner_values + 1,
+                                                                   inner_grads + 1)
+        if variance_bound is not None:  # the mini-batch gradients are no value_grad call
+            assert rep.solver.grad_calls == 1
+
+    def test_grid_certifies_in_fewer_steps(self):
+        rep = solve_assignment(congested_grid(), model="stochastic", eps=1e-6)
+        assert rep.converged and rep.total_gap <= 1e-6
+        assert rep.solver.iterations == 16  # 19 when the solve started at t_free
 
 
 class TestDualOracle:
@@ -519,7 +601,7 @@ class TestStochasticOracle:
         net = random_network(np.random.default_rng(16), gamma=1.0)
         rep = solve_assignment(net, model="stochastic", eps=1e-3, variance_bound=0.1, seed=0)
         assert rep.converged
-        assert len(calls) == rep.solver.value_calls == 57  # 85 with a second assignment
+        assert len(calls) == rep.solver.value_calls == 15  # 20 with a second assignment
         oracle = DualOracle(net, variance_bound=0.1)
         t = net.free_flow_times() + 0.3
         est = oracle.stochastic_grad(t, np.random.default_rng(0), 7)
@@ -591,7 +673,7 @@ class TestMultistage:
         net = random_network(np.random.default_rng(27), m=2)
         rep = solve_multistage(net, gammas=[0.5, 0.0])
         assert rep.converged and rep.total_gap <= 1e-6
-        assert rep.solver.iterations == 60
+        assert rep.solver.iterations == 36
         with pytest.raises(ValueError, match="positive smoothing"):
             solve_assignment(net, model="mixed", gammas=[0.5, 0.0])
 
