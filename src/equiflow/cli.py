@@ -212,9 +212,9 @@ def cmd_solve(args) -> int:
     _write_json(os.path.join(out, "summary.json"), _summary_dict(report))
     if args.trace:
         rep = report.solver
-        _write_csv(os.path.join(out, "trace.csv"), "iter,value,lipschitz,gap",
-                   ((i, *row) for i, row in enumerate(
-                       zip(rep.value_trace, rep.lipschitz_trace, rep.gap_trace))))
+        _write_csv(os.path.join(out, "trace.csv"), "iter,value,lipschitz,gap,trials",
+                   ((i, *row) for i, row in enumerate(zip(
+                       rep.value_trace, rep.lipschitz_trace, rep.gap_trace, rep.trial_trace))))
     if args.dump_potentials:
         _write_csv(os.path.join(out, "potentials.csv"), "origin,vertex,potential",
                    _potential_rows(network, report))

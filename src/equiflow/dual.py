@@ -192,9 +192,10 @@ def duality_gap(network, t, flows, conjugate=None):
     _, _, pinned, sd = e.groups
     terms = e.integral(f) - f * t + (conj if pinned is None else np.where(e.pinned, 0.0, conj))
     if sd is not None:
-        fs = f[..., sd]
+        key = e.keys(f)[3]
+        fs = f[key]
         slack = np.where(e.capped[sd], e.capacity[sd], fs) - fs
-        terms[..., sd] = (t[..., sd] - e.t_free[sd]) * np.maximum(slack, 0.0)
+        terms[key] = (t[key] - e.t_free[sd]) * np.maximum(slack, 0.0)
     return terms, float(terms.sum()) if terms.ndim == 1 else terms.sum(axis=-1)
 
 

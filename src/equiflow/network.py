@@ -118,6 +118,22 @@ class EdgeTable:
         they are contiguous, else as an index array; None when empty."""
         return tuple(map(_group, (self.smooth, self.capped, self.pinned, self.is_sd)))
 
+    def keys(self, x) -> tuple:
+        """The groups as keys into the array x, whose last axis runs over the edges.
+
+        A 1-D x takes the groups as they are: an index array costs several
+        times as much behind an Ellipsis as alone.
+        """
+        return self.groups if x.ndim == 1 else self._stacked_keys
+
+    @cached_property
+    def _stacked_keys(self) -> tuple:
+        return tuple(None if g is None else (Ellipsis, g) for g in self.groups)
+
+    @cached_property
+    def _capped_capacity(self) -> np.ndarray:
+        return self.capacity[self.capped]
+
     @cached_property
     def _smooth_constants(self) -> tuple:
         """Per smooth edge: capacity, 1/mu, mu/(1+mu) and gain * t_free
@@ -132,14 +148,13 @@ class EdgeTable:
         f may stack the flows of several points, one per row.
         """
         f = _flows(f)
-        smooth, capped, _, _ = self.groups
+        smooth, capped, _, _ = self.keys(f)
         out = self.t_free * f
         if smooth is not None:
             cap, _, _, _, mu1, lead = self._smooth_constants
-            out[..., smooth] += lead * (f[..., smooth] / cap) ** mu1
+            out[smooth] += lead * (f[smooth] / cap) ** mu1
         if capped is not None:
-            out[..., capped] = np.where(f[..., capped] > self.capacity[capped], math.inf,
-                                        out[..., capped])
+            out[capped] = np.where(f[capped] > self._capped_capacity, math.inf, out[capped])
         return out
 
     def conjugate(self, t) -> tuple[np.ndarray, np.ndarray]:
@@ -154,17 +169,17 @@ class EdgeTable:
         """
         dt = np.asarray(t, dtype=float) - self.t_free
         value, flow = np.zeros(dt.shape), np.zeros(dt.shape)
-        smooth, capped, pinned, _ = self.groups
+        smooth, capped, pinned, _ = self.keys(dt)
         if smooth is not None:
             cap, inv_mu, ratio, scale, _, _ = self._smooth_constants
-            d = np.fmax(dt[..., smooth], 0.0)  # at or below t_free both are 0
-            f = flow[..., smooth] = cap * (d / scale) ** inv_mu
-            value[..., smooth] = ratio * f * d
+            d = np.fmax(dt[smooth], 0.0)  # at or below t_free both are 0
+            f = flow[smooth] = cap * (d / scale) ** inv_mu
+            value[smooth] = ratio * f * d
         if capped is not None:
-            flow[..., capped] = self.capacity[capped]
-            value[..., capped] = self.capacity[capped] * dt[..., capped]
+            flow[capped] = self._capped_capacity
+            value[capped] = self._capped_capacity * dt[capped]
         if pinned is not None:
-            value[..., pinned] = flow[..., pinned] = np.where(dt[..., pinned] > 0, math.inf, 0.0)
+            value[pinned] = flow[pinned] = np.where(dt[pinned] > 0, math.inf, 0.0)
         return value, flow
 
 

@@ -14,6 +14,7 @@ read it back by point, as oracle.point(y), not from the last call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -185,6 +186,7 @@ class SolverReport:
     alpha_trace: list = field(default_factory=list)
     gap_trace: list = field(default_factory=list)
     batch_trace: list = field(default_factory=list)
+    trial_trace: list = field(default_factory=list)  # line-search trials of each step
 
 
 @dataclass
@@ -216,12 +218,16 @@ def umt_minimize(
 ):
     """Composite minimization by the adaptive accelerated triangle scheme.
 
-    Each outer step halves the Lipschitz estimate, then doubles it until
-    the model inequality (with slack alpha/(2A)*eps) holds; the step
-    aggregate solves A_{k+1}(1 + A_k*mu_t) = L*alpha^2 exactly.  Step 0 is
-    the same step taken from A = 0, u = x = y0, with L first tried at 1; it
-    ends with x = u, so the next step's y is x (up to rounding) for every
-    trial L and is formed and evaluated once, as step 0's y0 is.  With
+    Each outer step doubles the Lipschitz estimate L until the model
+    inequality (with slack alpha/(2A)*eps) holds; the step aggregate solves
+    A_{k+1}(1 + A_k*mu_t) = L*alpha^2 exactly.  A step opens at half the
+    last accepted L only if the last step passed with room for it,
+    f(x) <= model - (L/4)|x - y|^2 (the inequality at L/2 with that step's
+    own x - y and slack), and at the accepted L otherwise; the trials of
+    each step are in report.trial_trace.  Step 0 is the same step taken
+    from A = 0, u = x = y0, with L first tried at 1; it ends with x = u, so
+    the next step's y is x itself for every trial L and is evaluated once,
+    as step 0's y0 is.  With
     r2 >= V(x*, y0) given, stops once r2/A <= eps/2, which certifies
     F(x) - F* <= eps.  `stop` may end the run early with a reason, or return
     "restart": the run then goes on from the current x as step 0 of a fresh
@@ -247,24 +253,24 @@ def umt_minimize(
         mu_t = 0.0
     rep = SolverReport()
 
-    # step 0 is the step from A = 0: alpha = 1/L, slack eps/2, and L halves and
-    # doubles from 1, so alpha is a power of two and (alpha*u)/alpha == u:
-    # the step's y is its u and its x_new its u_new, bit for bit
+    # step 0 is the step from A = 0: alpha = 1/L, slack eps/2, L first tried at
+    # 1, and its x_new is its u_new, bit for bit, since (alpha*u)/alpha == u
     A, u, x, G, Y = 0.0, y0, y0, 0.0, 0.0
     center = y0
-    L = 2.0
+    L, halve = 1.0, False
     k = 0
     while True:
-        L = L / 2.0
+        if halve:
+            L = L / 2.0
         y = None
-        while True:
+        for trials in itertools.count(1):
             base = (1.0 + A * mu_t) / (2.0 * L)
             alpha = base + math.sqrt(base * base + A * (1.0 + A * mu_t) / L)
             A_new = A + alpha
             # after a fresh start (A = 0) and after the step from it, u is x, so
-            # y is x (up to rounding) for every trial L: formed and evaluated once
+            # y is x for every trial L: taken as x itself and evaluated once
             if y is None or u is not x:
-                y = (alpha * u + A * x) / A_new if math.isfinite(A_new) else None
+                y = x if u is x else (alpha * u + A * x) / A_new if math.isfinite(A_new) else None
                 if y is None or not np.isfinite(y).all():
                     raise DivergedOracleError(
                         f"solver stalled at step {k}: the step aggregate A = {A_new:.3g} or "
@@ -286,8 +292,11 @@ def umt_minimize(
             fx = oracle.value(x_new)
             rep.value_calls += 1
             d = x_new - y
-            model = fy + float(gy @ d) + 0.5 * L * prox.norm_sq(d) + alpha / (2.0 * A_new) * eps
+            d_sq = prox.norm_sq(d)
+            model = fy + float(gy @ d) + 0.5 * L * d_sq + alpha / (2.0 * A_new) * eps
             if model >= fx:
+                # the next step opens at L/2 only if this one would have passed there
+                halve = fx <= model - 0.25 * L * d_sq
                 break
             L *= 2.0
             if L > L_CEILING:
@@ -297,6 +306,7 @@ def umt_minimize(
         A, u, x, G, Y = A_new, u_new, x_new, G_new, Y_new
         rep.alpha_trace.append(alpha)
         rep.lipschitz_trace.append(L)
+        rep.trial_trace.append(trials)
         rep.value_trace.append(fx + prox.composite_value(x))
         state = UmtState(k=k, x=x, u=u, y=y, alpha=alpha, A=A, L=L, fx=fx, report=rep)
         reason = stop(state) if stop is not None else None
@@ -308,7 +318,7 @@ def umt_minimize(
             if r2 is not None:
                 raise ValueError("a restart voids the r2 certificate; pass r2=None")
             rep.restarts += 1
-            A, u, center, G, Y, L = 0.0, x, x, 0.0, 0.0, 2.0
+            A, u, center, G, Y, L, halve = 0.0, x, x, 0.0, 0.0, 1.0, False
             reason = None
         if reason is None and r2 is not None and r2 / A <= 0.5 * eps:
             reason = "certified"

@@ -259,9 +259,10 @@ class TestSolve:
         assert code == 2
         summary = json.load(open(os.path.join(out, "summary.json")))
         lines = open(os.path.join(out, "trace.csv")).read().splitlines()
-        assert lines[1] == "iter,value,lipschitz,gap"
+        assert lines[1] == "iter,value,lipschitz,gap,trials"
         rows = [line.split(",") for line in lines[2:]]
         assert len(rows) == summary["iterations"] + 1 == 51
+        assert all(int(r[4]) >= 1 for r in rows)
         assert all(np.isfinite([float(x) for x in r[1:]]).all() for r in rows)
         assert min(float(r[3]) for r in rows) == float(summary["fw_gap"])
 

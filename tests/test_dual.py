@@ -51,6 +51,18 @@ def count_assignments(monkeypatch):
     return calls
 
 
+def record_points(monkeypatch):
+    """Patch DualOracle.value and .point, through which value_grad and
+    stochastic_grad read, to add the bytes of every point requested to the
+    returned set."""
+    points = set()
+    for name in ("value", "point"):
+        real = getattr(DualOracle, name)
+        monkeypatch.setattr(DualOracle, name, lambda self, t, real=real:
+                            points.add(np.asarray(t, dtype=float).tobytes()) or real(self, t))
+    return points
+
+
 def mixed_edge_network(nested):
     """Smooth BPR, zero-gain BPR, capped SD and uncapped SD edges, on one
     level or on the inner level of a nested network."""
@@ -130,7 +142,8 @@ class TestStart:
     def test_grid_certifies_in_fewer_steps(self):
         rep = solve_assignment(congested_grid(), model="stochastic", eps=1e-6)
         assert rep.converged and rep.total_gap <= 1e-6
-        assert rep.solver.iterations == 16  # 19 when the solve started at t_free
+        assert rep.solver.iterations == 18  # 25 when the solve started at t_free
+        assert rep.solver.value_calls == 55  # 68, in 16 steps, when every step opened at L/2
 
 
 class TestDualOracle:
@@ -219,12 +232,15 @@ class TestAssignmentMemo:
 
     @pytest.mark.parametrize("model", ["stochastic", "multistage"])
     def test_one_assignment_per_solver_call(self, monkeypatch, model):
+        # the step after a fresh start takes y = x, a point the line search
+        # has valued: its value_grad is a call that sweeps nothing new
         calls = count_assignments(monkeypatch)
+        points = record_points(monkeypatch)
         net = random_network(np.random.default_rng(27), m=1 if model == "stochastic" else 2,
                              gamma=0.5)
         rep = solve_assignment(net, model=model, eps=1e-6)
         assert rep.converged and rep.solver.iterations > 5
-        assert len(calls) == rep.solver.value_calls
+        assert len(calls) == len(points) == rep.solver.value_calls - 1
 
     @pytest.mark.parametrize("model", ["stochastic", "multistage"])
     def test_one_conjugate_per_point(self, monkeypatch, model):
@@ -232,17 +248,18 @@ class TestAssignmentMemo:
         # conjugates the oracle evaluated there
         from equiflow.network import EdgeTable
 
-        points = []
+        conjugated = []
         real = EdgeTable.conjugate
-        monkeypatch.setattr(EdgeTable, "conjugate",
-                            lambda self, t: points.append(np.asarray(t).tobytes()) or real(self, t))
+        monkeypatch.setattr(EdgeTable, "conjugate", lambda self, t:
+                            conjugated.append(np.asarray(t).tobytes()) or real(self, t))
+        points = record_points(monkeypatch)
         net = random_network(np.random.default_rng(27), m=1 if model == "stochastic" else 2,
                              gamma=0.5)
         rep = solve_assignment(net, model=model, eps=1e-6)
         assert rep.converged and rep.solver.iterations > 5
-        # one per evaluated point, and one for the report
-        assert len(points) == rep.solver.value_calls + 1
-        assert len(set(points[:-1])) == len(points) - 1
+        # one per distinct point requested, and one for the report
+        assert len(conjugated) == len(points) + 1
+        assert set(conjugated[:-1]) == points
 
     def test_new_point_not_stale(self):
         net, t = self.point()
@@ -598,10 +615,13 @@ class TestStochasticOracle:
     def test_single_origin_batch_reads_the_gradient_point(self, monkeypatch):
         # every draw is the only origin, whose reweighted demands are its own
         calls = count_assignments(monkeypatch)
+        points = record_points(monkeypatch)
         net = random_network(np.random.default_rng(16), gamma=1.0)
         rep = solve_assignment(net, model="stochastic", eps=1e-3, variance_bound=0.1, seed=0)
         assert rep.converged
-        assert len(calls) == rep.solver.value_calls == 15  # 20 with a second assignment
+        # the points requested include every mini-batch gradient point
+        assert len(calls) == len(points) == 13  # 18 with a second assignment per draw
+        assert rep.solver.value_calls == 14
         oracle = DualOracle(net, variance_bound=0.1)
         t = net.free_flow_times() + 0.3
         est = oracle.stochastic_grad(t, np.random.default_rng(0), 7)
@@ -673,7 +693,7 @@ class TestMultistage:
         net = random_network(np.random.default_rng(27), m=2)
         rep = solve_multistage(net, gammas=[0.5, 0.0])
         assert rep.converged and rep.total_gap <= 1e-6
-        assert rep.solver.iterations == 36
+        assert rep.solver.iterations == 37
         with pytest.raises(ValueError, match="positive smoothing"):
             solve_assignment(net, model="mixed", gammas=[0.5, 0.0])
 

@@ -388,6 +388,74 @@ class TestRestart:
                          r2=1.0, stop=lambda state: "restart")
 
 
+class TestLineSearch:
+    """A step opens at L/2 only if the step before would have passed there."""
+
+    @staticmethod
+    def first_trials(rep):
+        # each rejected trial doubles L up to the accepted one
+        return [L / 2.0 ** (n - 1) for L, n in zip(rep.lipschitz_trace, rep.trial_trace)]
+
+    def test_settled_quadratic_takes_one_trial_a_step(self):
+        # curvature 3: L settles at 4 in step 0, and L = 2 never passes
+        oracle = _CountingQuadratic(3.0)
+        _, rep = umt_minimize(oracle, EuclideanProx(), np.ones(4), eps=1e-20, max_iter=25)
+        assert rep.lipschitz_trace == [4.0] * 26
+        assert rep.trial_trace == [3] + [1] * 25  # step 0 tries L = 1, 2, 4
+        # opening every step at L/2 took 103 calls: a rejected trial a step
+        assert rep.value_calls == len(oracle.calls) == 54
+
+    def test_accepted_steps_pass_and_the_rule_picks_the_opening(self):
+        rng = np.random.default_rng(0)
+        A, b = rng.normal(size=(6, 4)), rng.normal(size=6)
+        calls = {}
+
+        def f(x):
+            calls[x.tobytes()] = value = float(np.sum(np.log(np.cosh(A @ x - b))))
+            return value
+
+        def grad(x):
+            return A.T @ np.tanh(A @ x - b)
+
+        eps = 1e-9
+        steps = []
+        _, rep = umt_minimize(FunctionOracle(f, grad), EuclideanProx(), np.zeros(4), eps=eps,
+                              max_iter=60, stop=lambda s: steps.append(
+                                  (s.y.copy(), s.x.copy(), s.L, s.alpha, s.A, s.fx)))
+        opens = [1.0]  # step 0 tries L = 1 first
+        for y, x, L, alpha, A_new, fx in steps:
+            assert y.tobytes() in calls and calls[x.tobytes()] == fx  # both were valued
+            d = x - y
+            model = f(y) + float(grad(y) @ d) + 0.5 * L * float(d @ d) + alpha / (2 * A_new) * eps
+            assert fx <= model
+            opens.append(L / 2.0 if fx <= model - 0.25 * L * float(d @ d) else L)
+        assert self.first_trials(rep) == opens[:-1]
+        halved = [o < L for o, L in zip(opens[1:], rep.lipschitz_trace)]
+        assert any(halved) and not all(halved)
+
+    @staticmethod
+    def quartic():
+        # x^4/4 flattens towards its minimizer 0
+        return FunctionOracle(lambda x: 0.25 * float(np.sum(x ** 4)), lambda x: x ** 3)
+
+    def test_lipschitz_estimate_falls_with_the_curvature(self):
+        _, rep = umt_minimize(self.quartic(), EuclideanProx(), np.full(2, 4.0), eps=1e-8,
+                              max_iter=60)
+        assert rep.lipschitz_trace[0] == 64.0
+        assert rep.lipschitz_trace[-1] <= 1e-3
+
+    def test_restart_opens_at_one(self):
+        run = dict(eps=1e-8, max_iter=8)
+        _, plain = umt_minimize(self.quartic(), EuclideanProx(), np.full(2, 4.0), **run)
+        _, rep = umt_minimize(self.quartic(), EuclideanProx(), np.full(2, 4.0), **run,
+                              stop=lambda state: "restart" if state.k == 5 else None)
+        assert rep.restarts == 1
+        # without the restart, step 6 opens at half of step 5's L = 4
+        assert self.first_trials(plain) == [1.0, 64.0, 32.0, 16.0, 8.0, 4.0, 2.0, 1.0, 0.5]
+        assert self.first_trials(rep)[:6] == self.first_trials(plain)[:6]
+        assert self.first_trials(rep)[6] == 1.0
+
+
 class TestFinish:
     def test_finish_steps_count_in_the_run(self):
         seen = []
