@@ -24,14 +24,12 @@ from .softmin import (
 )
 from .solvers import (
     DivergedOracleError,
-    EntropySimplexProx,
     EuclideanProx,
     FunctionOracle,
     MirrorReport,
     SmoothOracle,
     SolverReport,
     mirror_descent_constrained,
-    regularize,
     restart_wrapper,
     umt_minimize,
     umt_stochastic,
@@ -52,11 +50,8 @@ from .od import (
     ElpDualOracle,
     ElpProblem,
     ElpSolution,
-    UnsupportedRegimeError,
     balancing_oracle,
     build_elp,
-    elp_dual_oracle,
-    entropy_regression_simplex,
     primal_value,
     solve_entropy_od,
 )

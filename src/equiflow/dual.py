@@ -343,7 +343,10 @@ def solve_assignment(
     if eps_residual is None:
         eps_residual = eps
     _, fw, zero_ok = MODEL_DEFAULTS[model]
-    gammas = base_gammas if gammas is None else gammas
+    gammas = base_gammas if gammas is None else list(gammas)
+    if len(gammas) != network.n_levels or not all(map(math.isfinite, gammas)):
+        raise ValueError(f"gammas must be {network.n_levels} finite values, one per level, "
+                         f"got {gammas}")
     if any(g <= 0 and not (zero_ok and g == 0) for g in gammas):
         raise ValueError(f"model {model!r} needs positive smoothing at every level")
 

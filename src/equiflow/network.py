@@ -382,17 +382,13 @@ class PairPlan:
         """The plan of a mapping (origin, dest) -> demand, or the plan given."""
         if isinstance(demands, PairPlan):
             return demands
-        groups = {}
-        for (o, d), dem in demands.items():
-            groups.setdefault(o, {})[(o, d)] = dem
-        groups = dict(sorted(groups.items()))
-        pairs = tuple(od for group in groups.values() for od in group)
-        column = {o: b for b, o in enumerate(groups)}
+        pairs = tuple(sorted(demands, key=lambda od: od[0]))  # stable: keeps first appearance
+        column = {o: b for b, o in enumerate(dict.fromkeys(o for o, _ in pairs))}
         dests = np.array([d for _, d in pairs], dtype=np.intp)
         columns = np.array([column[o] for o, _ in pairs], dtype=np.intp)
-        return cls(pairs, np.array(list(groups), dtype=np.intp), dests, columns,
-                   dests * len(groups) + columns,
-                   np.array([x for group in groups.values() for x in group.values()], dtype=float))
+        return cls(pairs, np.array(list(column), dtype=np.intp), dests, columns,
+                   dests * len(column) + columns,
+                   np.array([demands[od] for od in pairs], dtype=float))
 
     def hand_down(self, flows) -> "PairPlan":
         """This plan at the demands that nested-edge flows hand down: each
@@ -412,13 +408,18 @@ class PairPlan:
         seen = self.arrivals[np.sort(first)]
         return seen[np.argsort(self.columns[seen], kind="stable")]
 
+    def grouped(self):
+        """(listed(), the origin columns its pairs use, ascending, each pair's place among them)."""
+        listed = self.listed()
+        return (listed, *np.unique(self.columns[listed], return_inverse=True))
+
     def __iter__(self):
         """The listed (origin, dest) pairs, as the demands mapping iterates."""
         return (self.pairs[i] for i in self.listed())
 
     def totals(self) -> list:
         """Each origin's total demand, summed in pair order."""
-        return [sum(self.demand[self.columns == b].tolist()) for b in range(len(self.origins))]
+        return np.bincount(self.columns, self.demand, minlength=len(self.origins)).tolist()
 
 
 def validate(levels, demands) -> list:

@@ -23,17 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import (
-    EntropySimplexProx,
-    EuclideanProx,
-    FunctionOracle,
-    SmoothOracle,
-    umt_minimize,
-)
-
-
-class UnsupportedRegimeError(ValueError):
-    """Requested parameters fall outside the supported solver regime."""
+from .solvers import EuclideanProx, SmoothOracle, umt_minimize
 
 
 class MarginalMap:
@@ -138,14 +128,6 @@ class ElpDualOracle(SmoothOracle):
     def value_grad(self, y):
         lse, x = self._per_point(y, read=True)
         return float(y @ self.p.b) + self.p.gamma * lse, self.p.b - self.p.A @ x
-
-
-def elp_dual_oracle(problem: ElpProblem, y):
-    """(value, gradient, primal softmax point) of the dual at y."""
-    oracle = ElpDualOracle(problem)
-    y = np.asarray(y, dtype=float)
-    value, grad = oracle.value_grad(y)
-    return value, grad, oracle.primal(y)
 
 
 def primal_value(problem: ElpProblem, x):
@@ -369,32 +351,3 @@ def balancing_oracle(L, W, T, gamma):
         return np.exp(log_k + log_u[:, None] + log_v) * L.sum(), converged
     return (u[:, None] * K) * v[None, :] * L.sum(), converged
 
-
-def entropy_regression_simplex(A, b, mu, eps, max_iter=100000):
-    """Minimize 0.5*|Ax - b|^2 + mu * sum x ln x over the simplex.
-
-    Supported only in the small-entropy regime 0 < mu < eps/(2 ln n),
-    where the entropy term rides along as a composite of the entropic
-    prox; larger mu needs a strongly-convex treatment (see regularize
-    and restart_wrapper) and is rejected.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = A.shape[1]
-    if n < 2:
-        raise ValueError("simplex dimension must be at least 2")
-    limit = eps / (2.0 * math.log(n))
-    if not 0.0 < mu < limit:
-        raise UnsupportedRegimeError(
-            f"entropy weight {mu} outside supported range (0, {limit:.3g}); "
-            "use the regularize/restart combinators for the strongly convex regime"
-        )
-    oracle = FunctionOracle(
-        lambda x: 0.5 * float(np.sum((A @ x - b) ** 2)),
-        lambda x: A.T @ (A @ x - b),
-    )
-    prox = EntropySimplexProx(n, entropy_weight=mu)
-    x, rep = umt_minimize(
-        oracle, prox, prox.center, eps, mu=0.0, max_iter=max_iter, r2=math.log(n),
-    )
-    return x, rep

@@ -363,8 +363,7 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
         # _od_values found every pair reached
         return None, _sweep_backward(graph, weights, gamma, forward[1], plan.cells, plan.demand)
     # the origins of the listed pairs in chunks, each chunk's pairs a run of them
-    listed = plan.listed()
-    used, columns = np.unique(plan.columns[listed], return_inverse=True)
+    listed, used, columns = plan.grouped()
     value, lo = 0.0, 0
     flows = np.zeros(graph.n_edges)
     for batch in _chunks(graph, plan.origins[used], hops):
@@ -423,8 +422,7 @@ def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
     cause.
     """
     plan = PairPlan.of(demands)
-    index = plan.listed()
-    used, columns = np.unique(plan.columns[index], return_inverse=True)
+    index, used, columns = plan.grouped()
     dist, pred_edge = _shortest(graph, weights, plan.origins[used])
     values = dist.take(plan.dests[index] * len(used) + columns)
     _reached(plan, values, level, graph.n_vertices - 1, index)

@@ -88,8 +88,6 @@ class EuclideanProx:
     Composite term: <linear, x> plus the indicator of [lower, upper].
     """
 
-    omega_tilde = 1.0
-
     def __init__(self, lower=None, upper=None, linear=None):
         self.lower = None if lower is None else np.asarray(lower, dtype=float)
         self.upper = None if upper is None else np.asarray(upper, dtype=float)
@@ -102,75 +100,23 @@ class EuclideanProx:
             x = np.minimum(x, self.upper)
         return x
 
-    def bregman(self, x, z):
-        d = np.asarray(x) - z
-        return 0.5 * float(d @ d)
-
-    def bregman_grad(self, x, z):
-        return np.asarray(x) - z
-
     def norm_sq(self, d):
         return float(d @ d)
 
     def composite_value(self, x):
         return 0.0 if self.linear is None else float(self.linear @ x)
 
-    def model_argmin(self, y0, G, S, mu_t, Y):
-        """argmin V(x,y0) + <G,x> + (mu_t/2)(S|x|^2 - 2<Y,x>) + S*h(x)."""
+    def model_argmin(self, y0, G, S, mu, Y):
+        """argmin V(x,y0) + <G,x> + (mu/2)(S|x|^2 - 2<Y,x>) + S*h(x)."""
         num = y0 - G
-        if mu_t > 0.0:
-            num = num + mu_t * Y
+        if mu > 0.0:
+            num = num + mu * Y
         if self.linear is not None:
             num = num - S * self.linear
-        return self.clip(num / (1.0 + mu_t * S))
+        return self.clip(num / (1.0 + mu * S))
 
     def mirror_step(self, x, v):
         return self.clip(x - v)
-
-
-class EntropySimplexProx:
-    """Entropic prox on the probability simplex.
-
-    Composite term: entropy_weight * sum x_k ln x_k.  Supports only
-    mu = 0 model steps (the recentered KL loses its properties).
-    """
-
-    omega_tilde = None  # unbounded for KL; strongly convex runs need Euclidean
-
-    def __init__(self, n, entropy_weight=0.0):
-        self.n = n
-        self.entropy_weight = float(entropy_weight)
-        self.center = np.full(n, 1.0 / n)
-
-    def bregman(self, x, z):
-        x = np.asarray(x, dtype=float)
-        pos = x > 0
-        return float(np.sum(x[pos] * np.log(x[pos] / z[pos])))
-
-    def norm_sq(self, d):
-        return float(np.sum(np.abs(d))) ** 2
-
-    def composite_value(self, x):
-        if self.entropy_weight == 0.0:
-            return 0.0
-        x = np.asarray(x, dtype=float)
-        pos = x > 0
-        return self.entropy_weight * float(np.sum(x[pos] * np.log(x[pos])))
-
-    def model_argmin(self, y0, G, S, mu_t, Y):
-        if mu_t > 0.0:
-            raise ValueError("entropic prox supports only mu = 0")
-        logits = (np.log(y0) - G) / (1.0 + S * self.entropy_weight)
-        return _softmax(logits)
-
-    def mirror_step(self, x, v):
-        return _softmax(np.log(np.maximum(x, 1e-300)) - v)
-
-
-def _softmax(logits):
-    z = logits - np.max(logits)
-    e = np.exp(z)
-    return e / e.sum()
 
 
 @dataclass
@@ -220,7 +166,7 @@ def umt_minimize(
 
     Each outer step doubles the Lipschitz estimate L until the model
     inequality (with slack alpha/(2A)*eps) holds; the step aggregate solves
-    A_{k+1}(1 + A_k*mu_t) = L*alpha^2 exactly.  A step opens at half the
+    A_{k+1}(1 + A_k*mu) = L*alpha^2 exactly.  A step opens at half the
     last accepted L only if the last step passed with room for it,
     f(x) <= model - (L/4)|x - y|^2 (the inequality at L/2 with that step's
     own x - y and slack), and at the accepted L otherwise; the trials of
@@ -245,12 +191,6 @@ def umt_minimize(
     if rng is not None and oracle.variance_bound is None:
         raise ValueError("mini-batch run requires the oracle's variance bound")
     y0 = np.asarray(y0, dtype=float)
-    if mu > 0.0:
-        if prox.omega_tilde is None:
-            raise ValueError("prox does not support strongly convex runs")
-        mu_t = mu / prox.omega_tilde
-    else:
-        mu_t = 0.0
     rep = SolverReport()
 
     # step 0 is the step from A = 0: alpha = 1/L, slack eps/2, L first tried at
@@ -264,8 +204,8 @@ def umt_minimize(
             L = L / 2.0
         y = None
         for trials in itertools.count(1):
-            base = (1.0 + A * mu_t) / (2.0 * L)
-            alpha = base + math.sqrt(base * base + A * (1.0 + A * mu_t) / L)
+            base = (1.0 + A * mu) / (2.0 * L)
+            alpha = base + math.sqrt(base * base + A * (1.0 + A * mu) / L)
             A_new = A + alpha
             # after a fresh start (A = 0) and after the step from it, u is x, so
             # y is x for every trial L: taken as x itself and evaluated once
@@ -286,8 +226,8 @@ def umt_minimize(
                     rep.batch_trace.append(m)
                     fy = oracle.value(y)
             G_new = G + alpha * gy
-            Y_new = Y + alpha * y if mu_t > 0.0 else Y  # model_argmin reads Y only then
-            u_new = prox.model_argmin(center, G_new, A_new, mu_t, Y_new)
+            Y_new = Y + alpha * y if mu > 0.0 else Y  # model_argmin reads Y only then
+            u_new = prox.model_argmin(center, G_new, A_new, mu, Y_new)
             x_new = u_new if A == 0.0 else (alpha * u_new + A * x) / A_new
             fx = oracle.value(x_new)
             rep.value_calls += 1
@@ -344,43 +284,6 @@ def umt_stochastic(oracle, prox, y0, eps, mu=0.0, seed=0, **kwargs):
     return umt_minimize(oracle, prox, y0, eps, mu=mu, rng=rng, **kwargs)
 
 
-class RegularizedOracle(SmoothOracle):
-    """f(x) + mu * V(x, center) for a prox-aligned Bregman divergence."""
-
-    def __init__(self, oracle, prox, center, mu):
-        self.inner = oracle
-        self.prox = prox
-        self.center = np.asarray(center, dtype=float)
-        self.mu = float(mu)
-        self.variance_bound = oracle.variance_bound
-
-    def value(self, x):
-        return self.inner.value(x) + self.mu * self.prox.bregman(x, self.center)
-
-    def value_grad(self, x):
-        v, g = self.inner.value_grad(x)
-        return (
-            v + self.mu * self.prox.bregman(x, self.center),
-            g + self.mu * self.prox.bregman_grad(x, self.center),
-        )
-
-    def stochastic_grad(self, x, rng, batch):
-        g = self.inner.stochastic_grad(x, rng, batch)
-        return g + self.mu * self.prox.bregman_grad(x, self.center)
-
-
-def regularize(oracle, prox, y0, eps, r2):
-    """Strongly convex surrogate with mu = eps/(2*r2).
-
-    r2 must upper-bound V(x*, y0); an eps/2-solution of the surrogate is
-    an eps-solution of the original problem.
-    """
-    if r2 <= 0:
-        raise ValueError("r2 must be positive")
-    mu = eps / (2.0 * r2)
-    return RegularizedOracle(oracle, prox, y0, mu), mu
-
-
 def restart_wrapper(
     oracle,
     prox,
@@ -395,8 +298,9 @@ def restart_wrapper(
     """Geometric restarts for a mu-strongly-convex objective.
 
     One mu = 0 run restarts every ceil(sqrt(16*L/mu)) + 1 steps from its
-    current point (omega = 1 for the Euclidean prox); the objective gap
-    halves per restart, so restarts >= log2(mu*|y0 - x*|^2/eps) reach eps.
+    current point; with the Euclidean prox's V(x, y) = |x - y|^2/2 the
+    objective gap halves per restart, so restarts >= log2(mu*|y0 - x*|^2/eps)
+    reach eps.
     callback(leg, x, report) runs at each leg's end, report.final_value
     being that leg's last value; report.iterations counts every step.
     An r2 in umt_kwargs is rejected: a restart voids it.

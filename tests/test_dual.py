@@ -697,6 +697,14 @@ class TestMultistage:
         with pytest.raises(ValueError, match="positive smoothing"):
             solve_assignment(net, model="mixed", gammas=[0.5, 0.0])
 
+    @pytest.mark.parametrize("gammas", [[0.5], [0.5, 0.5, 0.5], [0.5, math.nan], [0.5, math.inf]],
+                             ids=["short", "long", "nan", "inf"])
+    def test_bad_gammas_rejected(self, gammas):
+        # one finite value per level, checked before any sweep runs
+        net = random_network(np.random.default_rng(3), m=2)
+        with pytest.raises(ValueError, match="2 finite values, one per level"):
+            solve_assignment(net, model="multistage", gammas=gammas)
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model 'wardrop'"):
             solve_assignment(random_network(np.random.default_rng(3)), model="wardrop")

@@ -1,4 +1,4 @@
-"""Entropy OD matrix estimation and entropy-regularized regression."""
+"""Entropy OD matrix estimation."""
 
 import math
 import random
@@ -7,15 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from equiflow import od
 from equiflow import (
-    UnsupportedRegimeError,
     balancing_oracle,
     build_elp,
-    elp_dual_oracle,
-    entropy_regression_simplex,
     primal_value,
     solve_entropy_od,
 )
@@ -117,30 +113,32 @@ class TestMarginalMap:
 class TestDualOracle:
     def test_uniform_at_zero(self):
         p = build_elp([1.0, 1.0], [1.0, 1.0], np.zeros((2, 2)), 1.0)
-        _, _, x = elp_dual_oracle(p, np.zeros(4))
+        x = od.ElpDualOracle(p).primal(np.zeros(4))
         assert x == pytest.approx([0.25] * 4)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(31)
         p = build_elp(*random_balanced(rng, 3, 3), gamma=0.7)
         y = rng.normal(size=p.A.shape[0])
-        _, grad, _ = elp_dual_oracle(p, y)
+        oracle = od.ElpDualOracle(p)
+        _, grad = oracle.value_grad(y)
         h = 1e-6
         for k in range(len(y)):
             yp, ym = y.copy(), y.copy()
             yp[k] += h
             ym[k] -= h
-            fd = (elp_dual_oracle(p, yp)[0] - elp_dual_oracle(p, ym)[0]) / (2 * h)
+            fd = (oracle.value_grad(yp)[0] - oracle.value_grad(ym)[0]) / (2 * h)
             assert abs(fd - grad[k]) <= 1e-6 * max(1.0, abs(grad[k]))
 
     def test_gap_soundness(self):
         # dual value + primal value >= 0 for any multiplier / simplex pair
         rng = np.random.default_rng(32)
         p = build_elp(*random_balanced(rng, 2, 3), gamma=0.5)
+        oracle = od.ElpDualOracle(p)
         for _ in range(20):
             y = rng.normal(size=p.A.shape[0])
             x = rng.dirichlet(np.ones(p.n))
-            assert elp_dual_oracle(p, y)[0] + primal_value(p, x) >= -1e-12
+            assert oracle.value_grad(y)[0] + primal_value(p, x) >= -1e-12
 
     def test_one_softmax_per_point(self, monkeypatch):
         # the solve loop reads primal(y) after value_grad(y) and primal(x)
@@ -158,7 +156,7 @@ class TestDualOracle:
         x_at_y, x_at_x = oracle.primal(y), oracle.primal(x)
         assert len(calls) == 2
         assert np.array_equal(p.b - p.A @ x_at_y, grad)
-        assert np.array_equal(x_at_x, elp_dual_oracle(p, x)[2])
+        assert np.array_equal(x_at_x, od.ElpDualOracle(p).primal(x))
 
     def test_held_softmax_is_read_only(self):
         # every later read of the point shares it
@@ -345,7 +343,9 @@ class TestNewtonDirection:
         for nr, nc in [(1, 3), (3, 1), (4, 3), (6, 6)]:
             p = build_elp(*random_balanced(rng, nr, nc), gamma=0.7)
             y = rng.normal(size=nr + nc)
-            _, g, x = elp_dual_oracle(p, y)
+            oracle = od.ElpDualOracle(p)
+            _, g = oracle.value_grad(y)
+            x = oracle.primal(y)
             A = dense_constraints(nr, nc)
             hess = (A @ np.diag(x) @ A.T - np.outer(A @ x, A @ x)) / p.gamma
             d = od.newton_direction(x.reshape(nr, nc), g, p.gamma)
@@ -473,49 +473,3 @@ class TestBalancingOracle:
             ref, ok = balancing_oracle(L, W, T, 0.6)
             assert sol.converged and ok
             assert np.abs(sol.matrix - ref).max() <= 1e-6
-
-
-class TestEntropyRegression:
-    def test_recovers_constructed_optimum(self):
-        # pick x* interior, set b = A x*: the quadratic part vanishes there
-        # and the tiny entropy weight moves the optimum only within eps
-        A = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 1.5]])
-        xs = np.array([0.2, 0.3, 0.5])
-        b = A @ xs
-        eps = 1e-6
-        x, rep = entropy_regression_simplex(A, b, mu=1e-8, eps=eps)
-        assert 0.5 * np.sum((A @ x - b) ** 2) <= eps + 1e-8 * math.log(3)
-
-    def test_matches_generic_solver(self):
-        rng = np.random.default_rng(37)
-        A = rng.normal(size=(4, 3))
-        b = rng.normal(size=4)
-        mu = 1e-7
-        eps = 1e-5
-        x, _ = entropy_regression_simplex(A, b, mu, eps)
-
-        def obj(z):
-            z = np.abs(z) / np.abs(z).sum()
-            return 0.5 * np.sum((A @ z - b) ** 2) + mu * np.sum(z * np.log(z + 1e-300))
-
-        ref = min(
-            scipy.optimize.minimize(obj, np.abs(rng.dirichlet(np.ones(3)))).fun
-            for _ in range(5)
-        )
-        val = 0.5 * np.sum((A @ x - b) ** 2) + mu * np.sum(x * np.log(x))
-        assert val <= ref + eps
-
-    def test_iteration_budget(self):
-        rng = np.random.default_rng(38)
-        A = rng.normal(size=(5, 4))
-        b = rng.normal(size=5)
-        eps = 1e-4
-        x, rep = entropy_regression_simplex(A, b, mu=1e-7, eps=eps)
-        lip = np.linalg.norm(A, 2) ** 2 * 1.0  # smoothness w.r.t. the l1 ball
-        assert rep.iterations <= 10 * math.sqrt(lip * math.log(4) / eps) + 10
-
-    def test_regime_guard(self):
-        A = np.eye(3)
-        b = np.ones(3)
-        with pytest.raises(UnsupportedRegimeError):
-            entropy_regression_simplex(A, b, mu=1.0, eps=1e-4)

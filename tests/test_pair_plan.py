@@ -190,6 +190,29 @@ class TestPairPlan:
         assert list(handed) == listed  # iterates like the demands mapping
         assert plan.demand.tolist() == [0.0, 0.0, 0.0]
 
+    def test_totals_add_in_pair_order(self):
+        # bit for bit the pair-order Python sums; 1e16 + 1 + 1 rounds to 1e16,
+        # where 1 + 1 + 1e16 would not
+        plan = PairPlan.of({(0, 1): 1e16, (0, 2): 1.0, (0, 3): 1.0, (4, 1): 0.1})
+        assert plan.totals() == [1e16, 0.1]
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            demands = {(int(o), int(d)): float(x) for o, d, x in zip(
+                rng.integers(0, 6, n), rng.integers(0, 30, n), 10.0 ** rng.uniform(-17, 17, n))}
+            plan = PairPlan.of(demands)
+            expect = [sum(x for (o, _), x in zip(plan.pairs, plan.demand.tolist()) if o == origin)
+                      for origin in plan.origins.tolist()]
+            assert [t.hex() for t in plan.totals()] == [t.hex() for t in expect]
+
+    def test_grouped_places_the_listed_pairs_among_their_origins(self):
+        # handed down, only origins 1 and 2 carry flow: their columns, renumbered
+        level = LevelGraph(1, nested_edges=[(0, 0, od) for od in [(2, 5), (0, 4), (1, 3)]])
+        handed = level.nested_plan.hand_down(np.array([0.3, 0.0, 0.1]))
+        listed, used, places = handed.grouped()
+        assert [handed.pairs[i] for i in listed] == [(1, 3), (2, 5)]
+        assert used.tolist() == [1, 2] and places.tolist() == [0, 1]
+
     def test_zero_flows_hand_down_no_demand(self):
         plan = LevelGraph(1, nested_edges=[(0, 0, (0, 1)), (0, 0, (0, 2))]).nested_plan
         handed = plan.hand_down(np.array([0.0, 0.0]))

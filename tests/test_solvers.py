@@ -1,4 +1,4 @@
-"""Accelerated method, restarts, regularization, and mirror descent."""
+"""Accelerated method, restarts and mirror descent."""
 
 import math
 
@@ -7,12 +7,10 @@ import pytest
 
 from equiflow import (
     DivergedOracleError,
-    EntropySimplexProx,
     EuclideanProx,
     FunctionOracle,
     SmoothOracle,
     mirror_descent_constrained,
-    regularize,
     restart_wrapper,
     umt_minimize,
     umt_stochastic,
@@ -215,56 +213,7 @@ class TestRestarts:
                             mu=0.0, lipschitz=1.0, eps=1e-6, restarts=1)
 
 
-class TestRegularize:
-    def test_abs_one_dimensional(self):
-        oracle, prox = abs_oracle(), EuclideanProx()
-        y0 = np.array([1.0])
-        reg, mu = regularize(oracle, prox, y0, eps=0.1, r2=1.0)
-        assert mu == pytest.approx(0.05)
-        x, _ = umt_minimize(reg, prox, y0, eps=0.05, mu=mu, max_iter=5000)
-        assert abs(x[0]) <= 0.1  # F-gap |x| - 0 <= eps
-
-    def test_wrapper_on_strongly_convex(self):
-        reg, mu = regularize(quadratic_oracle(), EuclideanProx(), np.zeros(2),
-                             eps=0.2, r2=2.0)
-        v, g = reg.value_grad(np.array([1.0, 0.0]))
-        assert v == pytest.approx(0.5 + mu * 0.5)
-        assert g == pytest.approx([1.0 + mu, 0.0])
-
-    def test_minibatch_run_on_surrogate(self):
-        reg, mu = regularize(_NoisyQuadratic(0.0), EuclideanProx(), np.ones(2), 1e-3, 1.0)
-        x = np.array([0.5, -2.0])
-        assert np.array_equal(reg.stochastic_grad(x, np.random.default_rng(0), 4),
-                              reg.value_grad(x)[1])
-        xs, _ = umt_stochastic(reg, EuclideanProx(), np.ones(2), 1e-3, mu=mu, max_iter=2000)
-        assert reg.value(xs) - reg.value(np.full(2, mu / (1.0 + mu))) <= 1e-3
-
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            regularize(quadratic_oracle(), EuclideanProx(), np.zeros(2), 0.1, 0.0)
-
-    def test_chained_with_restarts(self):
-        oracle, prox = abs_oracle(), EuclideanProx()
-        y0 = np.array([0.5])
-        eps = 1e-3
-        reg, mu = regularize(oracle, prox, y0, eps=eps, r2=0.5 * 0.25)
-        # the gap halves per restart from mu * |y0 - x*|^2 = mu * 0.25 down to eps/2
-        restarts = math.ceil(math.log2(mu * 0.25 / (eps / 2)))
-        p, rep = restart_wrapper(reg, prox, y0, mu=mu, lipschitz=100.0,
-                                 eps=eps / 2, restarts=restarts)
-        assert abs(p[0]) <= eps
-
-
 class TestMirrorDescent:
-    def test_simplex_linear_objective(self):
-        c = np.array([0.3, 0.1, 0.7])
-        prox = EntropySimplexProx(3)
-        n = 4000
-        xb, rep = mirror_descent_constrained(
-            lambda x, rng: c, prox, eps=0.02, M_f=1.0, M_g=1.0, N=n,
-            x0=prox.center, f_value=lambda x: float(c @ x))
-        assert rep.final_value - c.min() <= 1.0 * math.sqrt(2 * math.log(3) / n) + 0.02
-
     def test_inactive_constraint(self):
         # min |x|^2 on a box; constraint already satisfied at the optimum
         prox = EuclideanProx(lower=np.full(2, -1.0), upper=np.full(2, 1.0))
@@ -532,33 +481,9 @@ class TestStochastic:
 
 
 class TestProxSetups:
-    def test_entropy_strong_convexity_samples(self):
-        # Bregman divergence dominates half the squared l1 distance
-        rng = np.random.default_rng(0)
-        prox = EntropySimplexProx(4)
-        for _ in range(50):
-            x = rng.dirichlet(np.ones(4))
-            z = rng.dirichlet(np.ones(4))
-            v = prox.bregman(x, z)
-            assert v + 1e-12 >= 0.5 * np.abs(x - z).sum() ** 2 / 2  # Pinsker-type
-            assert prox.bregman(x, x) == pytest.approx(0.0, abs=1e-12)
-
     def test_euclidean_model_argmin_closed_form(self):
         prox = EuclideanProx(lower=np.zeros(2), upper=np.ones(2))
         y0 = np.array([0.5, 0.5])
         G = np.array([2.0, -2.0])
         x = prox.model_argmin(y0, G, 1.0, 0.0, y0)
         assert x == pytest.approx([0.0, 1.0])
-
-    def test_entropy_model_argmin_is_softmax(self):
-        prox = EntropySimplexProx(3)
-        y0 = prox.center
-        G = np.array([0.0, 1.0, 2.0])
-        x = prox.model_argmin(y0, G, 1.0, 0.0, None)
-        w = np.exp(-G)
-        assert x == pytest.approx(w / w.sum(), abs=1e-12)
-
-    def test_entropy_rejects_strong_convexity(self):
-        prox = EntropySimplexProx(3)
-        with pytest.raises(ValueError):
-            prox.model_argmin(prox.center, np.zeros(3), 1.0, 0.5, None)
