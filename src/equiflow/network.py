@@ -182,6 +182,17 @@ class EdgeTable:
             value[pinned] = flow[pinned] = np.where(dt[pinned] > 0, math.inf, 0.0)
         return value, flow
 
+    def curvature(self, t) -> np.ndarray:
+        """sigma*''_e(t), the derivative of the conjugate's flow: on a smooth edge
+        (capacity/(mu*scale)) * (d/scale)**(1/mu - 1), d = max(t - t_free, 0), from
+        above at t_free; 0 on the others, whose conjugates are linear or pinned."""
+        out, smooth = np.zeros(np.shape(t)), self.groups[0]
+        if smooth is not None:
+            cap, inv_mu, _, scale, _, _ = self._smooth_constants
+            d = np.fmax(np.asarray(t, dtype=float)[smooth] - self.t_free[smooth], 0.0)
+            out[smooth] = cap * inv_mu / scale * (d / scale) ** (inv_mu - 1.0)
+        return out
+
 
 def _group(mask):
     """The indices where mask holds: a slice when they are contiguous, None when empty."""

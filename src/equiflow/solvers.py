@@ -85,13 +85,15 @@ class FunctionOracle(SmoothOracle):
 class EuclideanProx:
     """Half-squared-distance prox on a box, with an optional linear composite.
 
-    Composite term: <linear, x> plus the indicator of [lower, upper].
+    Composite term: <linear, x> plus the box indicator.  `scale` > 0 gives |d|^2 =
+    sum scale_i d_i^2 (dual norm sum g_i^2/scale_i); its default 1.0 is exact.
     """
 
-    def __init__(self, lower=None, upper=None, linear=None):
+    def __init__(self, lower=None, upper=None, linear=None, scale=1.0):
         self.lower = None if lower is None else np.asarray(lower, dtype=float)
         self.upper = None if upper is None else np.asarray(upper, dtype=float)
         self.linear = None if linear is None else np.asarray(linear, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
 
     def clip(self, x):
         if self.lower is not None:
@@ -101,22 +103,24 @@ class EuclideanProx:
         return x
 
     def norm_sq(self, d):
-        return float(d @ d)
+        return float(d @ (self.scale * d))
 
     def composite_value(self, x):
         return 0.0 if self.linear is None else float(self.linear @ x)
 
     def model_argmin(self, y0, G, S, mu, Y):
-        """argmin V(x,y0) + <G,x> + (mu/2)(S|x|^2 - 2<Y,x>) + S*h(x)."""
-        num = y0 - G
+        """argmin |x-y0|^2/2 + <G,x> + (mu/2)(S|x|^2 - 2<Y,x>_W) + S*h(x), W = diag(scale)."""
+        w = self.scale
+        num = w * y0 - G
         if mu > 0.0:
-            num = num + mu * Y
+            num = num + mu * (w * Y)
         if self.linear is not None:
             num = num - S * self.linear
-        return self.clip(num / (1.0 + mu * S))
+        return self.clip(num / (w * (1.0 + mu * S)))
 
     def mirror_step(self, x, v):
-        return self.clip(x - v)
+        """The box-clipped step x - W^-1 v, v a gradient (dual-norm) vector."""
+        return self.clip(x - v / self.scale)
 
 
 @dataclass
@@ -170,12 +174,12 @@ def umt_minimize(
     last accepted L only if the last step passed with room for it,
     f(x) <= model - (L/4)|x - y|^2 (the inequality at L/2 with that step's
     own x - y and slack), and at the accepted L otherwise; the trials of
-    each step are in report.trial_trace.  Step 0 is the same step taken
-    from A = 0, u = x = y0, with L first tried at 1; it ends with x = u, so
-    the next step's y is x itself for every trial L and is evaluated once,
-    as step 0's y0 is.  With
-    r2 >= V(x*, y0) given, stops once r2/A <= eps/2, which certifies
-    F(x) - F* <= eps.  `stop` may end the run early with a reason, or return
+    each step are in report.trial_trace; |x - y|, L and mu are in the prox's
+    norm, scaled or not.  Step 0 is the same step taken from A = 0,
+    u = x = y0, with L first tried at 1; it ends with x = u, so the next
+    step's y is x itself for every trial L and is evaluated once, as step
+    0's y0 is.  With r2 >= V(x*, y0) given, stops once r2/A <= eps/2, which
+    certifies F(x) - F* <= eps.  `stop` may end the run early with a reason, or return
     "restart": the run then goes on from the current x as step 0 of a fresh
     run centred there (A = 0, u = x, L first tried at 1), while k, the oracle
     counts and the traces of the report go on in the same call and
@@ -190,6 +194,8 @@ def umt_minimize(
         raise ValueError("eps must be positive")
     if rng is not None and oracle.variance_bound is None:
         raise ValueError("mini-batch run requires the oracle's variance bound")
+    if rng is not None:  # a bound on |g|^2, in the dual norm: sum g_i^2/scale_i <= |g|^2/min(scale)
+        variance = oracle.variance_bound / np.min(prox.scale)
     y0 = np.asarray(y0, dtype=float)
     rep = SolverReport()
 
@@ -221,7 +227,7 @@ def umt_minimize(
                     rep.grad_calls += 1
                     fy, gy = oracle.value_grad(y)
                 else:
-                    m = max(1, math.ceil(8.0 * oracle.variance_bound * A_new / (L * alpha * eps)))
+                    m = max(1, math.ceil(8.0 * variance * A_new / (L * alpha * eps)))
                     gy = oracle.stochastic_grad(y, rng, m)
                     rep.batch_trace.append(m)
                     fy = oracle.value(y)

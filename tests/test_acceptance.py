@@ -112,7 +112,7 @@ def test_criterion_03_classical_equilibria(tmp_path, pigou_network):
     out = str(tmp_path / "out")
     code = main(["compare", shortcut, base, "--model", "beckmann",
                  "--eps", "1e-9", "--out", out])
-    payload = json.load(open(os.path.join(out, "comparison.json")))
+    payload = json.load(open(os.path.join(out, "comparison.json"), encoding="utf-8"))
     times = {r["scenario"]: float(r["total_time"]) for r in payload["scenarios"]}
     braess_ok = (code == 0
                  and abs(times["shortcut"] - 2.0) <= 1e-4
@@ -322,11 +322,11 @@ def test_criterion_10_stochastic_unbiasedness():
 def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
     inst = write_instance(tmp_path / "braess.net", BRAESS_SHORTCUT_INSTANCE)
     costs = tmp_path / "costs.csv"
-    costs.write_text("0,0,0.3\n0,1,1.2\n1,0,0.8\n1,1,0.1\n")
+    costs.write_text("0,0,0.3\n0,1,1.2\n1,0,0.8\n1,1,0.1\n", encoding="utf-8")
     rows = tmp_path / "rows.csv"
-    rows.write_text("0,2.0\n1,1.0\n")
+    rows.write_text("0,2.0\n1,1.0\n", encoding="utf-8")
     cols = tmp_path / "cols.csv"
-    cols.write_text("0,1.5\n1,1.5\n")
+    cols.write_text("0,1.5\n1,1.5\n", encoding="utf-8")
     blobs = []
     for run, threads in (("a", "1"), ("b", "4")):
         monkeypatch.setenv("OMP_NUM_THREADS", threads)

@@ -135,11 +135,11 @@ def read_solution(path):
 
 def od_inputs(tmp_path, costs, L, W):
     c = tmp_path / "costs.csv"
-    c.write_text("".join(f"{i},{j},{v}\n" for (i, j), v in costs.items()))
+    c.write_text("".join(f"{i},{j},{v}\n" for (i, j), v in costs.items()), encoding="utf-8")
     r = tmp_path / "rows.csv"
-    r.write_text("".join(f"{i},{v}\n" for i, v in enumerate(L)))
+    r.write_text("".join(f"{i},{v}\n" for i, v in enumerate(L)), encoding="utf-8")
     w = tmp_path / "cols.csv"
-    w.write_text("".join(f"{j},{v}\n" for j, v in enumerate(W)))
+    w.write_text("".join(f"{j},{v}\n" for j, v in enumerate(W)), encoding="utf-8")
     return str(c), str(r), str(w)
 
 
@@ -155,7 +155,7 @@ class TestSolve:
         flows = [float(r[5]) for r in rows]
         assert flows[0] == pytest.approx(0.0, abs=1e-4)
         assert flows[1] == pytest.approx(1.0, abs=1e-4)
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.load(open(os.path.join(out, "summary.json"), encoding="utf-8"))
         assert summary["converged"] is True
 
     @pytest.mark.parametrize("model,start", [("stochastic", 1), ("beckmann", 0)])
@@ -167,7 +167,7 @@ class TestSolve:
         out = tmp_path / "out"
         assert main(["solve", inst, "--model", model, "--max-iter", "20",
                      "--out", str(out)]) in (0, 2)
-        summary = json.load(open(out / "summary.json"))
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
         grads, values = len(seen["value_grad"]), len(seen["value"])
         inner_values, inner_grads = seen["umt_calls"][0]
         assert (summary["value_calls"], summary["grad_calls"]) == (grads + values, grads)
@@ -213,7 +213,7 @@ class TestSolve:
         inst = write_instance(tmp_path / "in.net", instance)
         out = tmp_path / "out"
         assert main(["solve", inst, *flags, "--out", str(out)]) == code
-        summary = json.load(open(out / "summary.json"))
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
         assert summary["stop_reason"] == reason
         assert summary["converged"] is (reason == "certified")
 
@@ -226,7 +226,7 @@ class TestSolve:
         assert "verification PASS" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "trace.csv"))
         assert os.path.exists(os.path.join(out, "potentials.csv"))
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.load(open(os.path.join(out, "summary.json"), encoding="utf-8"))
         assert summary["gammas"] == ["0.20000000000000001"]
 
     @pytest.mark.parametrize("model,gamma", [("stochastic", "1"), ("stochastic", "0.3"),
@@ -257,8 +257,8 @@ class TestSolve:
         code = main(["solve", inst, "--model", "beckmann_md", "--trace",
                      "--max-iter", "50", "--out", out])
         assert code == 2
-        summary = json.load(open(os.path.join(out, "summary.json")))
-        lines = open(os.path.join(out, "trace.csv")).read().splitlines()
+        summary = json.load(open(os.path.join(out, "summary.json"), encoding="utf-8"))
+        lines = open(os.path.join(out, "trace.csv"), encoding="utf-8").read().splitlines()
         assert lines[1] == "iter,value,lipschitz,gap,trials"
         rows = [line.split(",") for line in lines[2:]]
         assert len(rows) == summary["iterations"] + 1 == 51
@@ -278,7 +278,7 @@ class TestSolve:
         code = main(["solve", inst, "--model", model, "--verify", "--out", str(out)])
         assert code == 0
         assert "verification PASS" in capsys.readouterr().out
-        summary = json.load(open(out / "summary.json"))
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
         assert abs(float(summary["total_gap"])) <= 1e-6
         assert float(summary["fw_gap"]) <= 1e-6
         rows = np.array(read_solution(out / "solution.csv"))[:, 4:7].astype(float)
@@ -292,7 +292,7 @@ class TestSolve:
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         out = str(tmp_path / "out")
         assert main(["solve", inst, "--model", model, "--out", out]) == 0
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.load(open(os.path.join(out, "summary.json"), encoding="utf-8"))
         last = capsys.readouterr().out.splitlines()[-1]
         assert ("fw_gap" in last) == shown
         if shown:
@@ -329,7 +329,7 @@ class TestSolve:
             flags = ["--gamma", f"1={value}"]
         else:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"gamma": [f"1={value}"]}))
+            cfg.write_text(json.dumps({"gamma": [f"1={value}"]}), encoding="utf-8")
             flags = ["--config", str(cfg)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -350,7 +350,7 @@ class TestSolve:
             flags = ["--max-iter", "-5"]
         else:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"max_iter": -5}))
+            cfg.write_text(json.dumps({"max_iter": -5}), encoding="utf-8")
             flags = ["--config", str(cfg)]
         out = tmp_path / "o"
         assert main([command, *inputs, *flags, "--out", str(out)]) == 1
@@ -362,10 +362,11 @@ class TestSolve:
         out = tmp_path / "o"
         code = main(["solve", inst, "--model", "beckmann_md", "--max-iter", "0", "--trace",
                      "--out", str(out)])
-        summary = json.load(open(out / "summary.json"))
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
         assert code == (0 if summary["converged"] else 2)
         assert summary["iterations"] == 0  # iterations count from 0
-        assert len((out / "trace.csv").read_text().splitlines()) == 3  # comment, header, 1 row
+        # comment, header, 1 row
+        assert len((out / "trace.csv").read_text(encoding="utf-8").splitlines()) == 3
 
     def test_deterministic_outputs(self, tmp_path):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
@@ -405,7 +406,7 @@ class TestSolve:
                 [sys.executable, "-c", "import sys; from equiflow.cli import main; "
                  "sys.exit(main(sys.argv[1:]))", "solve", inst, "--model", "stochastic",
                  "--gamma", "1=1", "--max-iter", "3", "--dump-potentials", "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=300)
+                env=env, capture_output=True, text=True, timeout=300, encoding="utf-8")
             assert done.returncode in (0, 2), done.stderr
             files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert "potentials.csv" in files["1"]
@@ -426,7 +427,7 @@ class TestModelRouting:
         out = tmp_path / "out"
         flags = ["--model", model] if model else []
         assert main(["solve", inst, *flags, "--eps", "1e-4", "--out", str(out)]) == 0
-        summary = json.load(open(out / "summary.json"))
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
         assert summary["model"] == (model or "multistage")
         assert summary["converged"] is True
 
@@ -450,7 +451,7 @@ class TestModelRouting:
         for path in (tmp_path / "model").iterdir():
             assert (tmp_path / "override" / path.name).read_bytes() == path.read_bytes()
         if command == "solve":
-            summary = json.load(open(tmp_path / "override" / "summary.json"))
+            summary = json.load(open(tmp_path / "override" / "summary.json", encoding="utf-8"))
             assert summary["gammas"] == ["0.10000000000000001", "0.10000000000000001"]
 
     def test_override_applies_on_the_model_smoothing(self, tmp_path):
@@ -458,7 +459,7 @@ class TestModelRouting:
         out = tmp_path / "out"
         assert main(["solve", inst, "--model", "stable_dynamics", "--gamma", "1=0.3",
                      "--out", str(out)]) == 0
-        assert json.load(open(out / "summary.json"))["gammas"] == [
+        assert json.load(open(out / "summary.json", encoding="utf-8"))["gammas"] == [
             "0.29999999999999999", "0.10000000000000001"]
 
 
@@ -467,28 +468,29 @@ class TestConfig:
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "beckmann", "eps": 1e-3,
-                                   "out": str(tmp_path / "cfg_out")}))
+                                   "out": str(tmp_path / "cfg_out")}), encoding="utf-8")
         assert main(["solve", inst, "--config", str(cfg), "--eps", "1e-9"]) == 0
-        summary = json.load(open(tmp_path / "cfg_out" / "summary.json"))
+        summary = json.load(open(tmp_path / "cfg_out" / "summary.json", encoding="utf-8"))
         assert summary["model"] == "beckmann"
         assert float(summary["eps"]) == 1e-9  # flag beats config
 
     def test_config_gamma_dict_matches_flag(self, tmp_path):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": {"1": 0.5}}))
+        cfg.write_text(json.dumps({"gamma": {"1": 0.5}}), encoding="utf-8")
         runs = {"flag": ["--gamma", "1=0.5"], "config": ["--config", str(cfg)]}
         for name, flags in runs.items():
             assert main(["solve", inst, "--model", "stochastic", *flags,
                          "--out", str(tmp_path / name)]) == 0
         for f in ("solution.csv", "summary.json"):
             assert (tmp_path / "config" / f).read_bytes() == (tmp_path / "flag" / f).read_bytes()
-        assert json.load(open(tmp_path / "config" / "summary.json"))["gammas"] == ["0.5"]
+        summary = json.load(open(tmp_path / "config" / "summary.json", encoding="utf-8"))
+        assert summary["gammas"] == ["0.5"]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epz": 1e-3}))
+        cfg.write_text(json.dumps({"epz": 1e-3}), encoding="utf-8")
         assert main(["solve", inst, "--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
@@ -496,7 +498,7 @@ class TestConfig:
         # the CLI runs no mini-batch solve, so a seed would change nothing
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 1}))
+        cfg.write_text(json.dumps({"seed": 1}), encoding="utf-8")
         assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
@@ -504,7 +506,7 @@ class TestConfig:
         # no subcommand has a hop flag, so the key would be dropped silently
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"hops": 3}))
+        cfg.write_text(json.dumps({"hops": 3}), encoding="utf-8")
         assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "unknown config keys: ['hops']" in capsys.readouterr().err
 
@@ -515,7 +517,7 @@ class TestConfig:
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, key, value):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
         assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key {key!r} must be ") and "Traceback" not in err
@@ -527,7 +529,7 @@ class TestConfig:
     def test_bad_value_rejected(self, tmp_path, capsys, key, value, message):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
         assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(message)
 
@@ -535,7 +537,7 @@ class TestConfig:
         # the overrides apply on the model's smoothing, so the name is checked first
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": "wardrop"}))
+        cfg.write_text(json.dumps({"model": "wardrop"}), encoding="utf-8")
         assert main(["solve", inst, "--config", str(cfg), "--gamma", "1=0.5",
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
@@ -550,7 +552,7 @@ class TestCompare:
         code = main(["compare", shortcut, base, "--model", "beckmann",
                      "--eps", "1e-9", "--out", out])
         assert code == 0
-        payload = json.load(open(os.path.join(out, "comparison.json")))
+        payload = json.load(open(os.path.join(out, "comparison.json"), encoding="utf-8"))
         assert payload["ranking"] == ["base", "shortcut"]
         times = {r["scenario"]: float(r["total_time"]) for r in payload["scenarios"]}
         assert times["base"] == pytest.approx(1.5, abs=1e-4)
@@ -563,7 +565,7 @@ class TestCompare:
         out = str(tmp_path / "out")
         assert main(["compare", b, a, "--model", "beckmann", "--eps", "1e-9",
                      "--out", out]) == 0
-        payload = json.load(open(os.path.join(out, "comparison.json")))
+        payload = json.load(open(os.path.join(out, "comparison.json"), encoding="utf-8"))
         assert payload["ranking"] == ["a", "b"]
 
     def test_od_sets_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
@@ -600,7 +602,7 @@ class TestCertifiedOutput:
         eps = 1e-3
         code = main(["solve", inst, "--model", model, "--eps", repr(eps), "--verify",
                      "--out", str(out)])
-        summary = json.load(open(out / "summary.json"))
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
         assert code == 0 and summary["converged"] is True
         rows = read_solution(out / "solution.csv")
         t = np.array([float(r[4]) for r in rows])
@@ -616,7 +618,7 @@ class TestCertifiedOutput:
         inst = write_instance(tmp_path / "sd.net", SD_TWO_LINK_INSTANCE)
         out = tmp_path / "out"
         code = main(["solve", inst, "--model", "stochastic", "--out", str(out)])
-        summary = json.load(open(out / "summary.json"))
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
         assert code == (0 if summary["converged"] else 2)
         if summary["converged"]:
             eps, eps_res = float(summary["eps"]), float(summary["eps_residual"])
@@ -631,7 +633,7 @@ class TestCertifiedOutput:
         out = tmp_path / "out"
         code = main(["solve", inst, "--max-iter", "5000", "--verify", "--out", str(out)])
         printed = capsys.readouterr().out
-        summary = json.load(open(out / "summary.json"))
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
         assert code == 0 and "verification PASS" in printed
         # --verify rechecks only the edge terms and says so
         assert (f"; route-choice term {summary['route_gap']} taken as reported\n"
@@ -762,7 +764,7 @@ class TestUnreadOptions:
     ])
     def test_config_key_rejected(self, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
         out = tmp_path / "o"
         inputs = self.inputs(tmp_path, command)
         assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 1
@@ -780,14 +782,14 @@ class TestOd:
         assert code == 0
         assert "verification PASS" in capsys.readouterr().out
         cells = {}
-        with open(os.path.join(out, "matrix.csv")) as fh:
+        with open(os.path.join(out, "matrix.csv"), encoding="utf-8") as fh:
             for line in fh:
                 if line.startswith("#") or line.startswith("row,"):
                     continue
                 i, j, v = line.split(",")
                 cells[(int(i), int(j))] = float(v)
         assert all(v == pytest.approx(0.5, abs=1e-6) for v in cells.values())
-        cert = json.load(open(os.path.join(out, "certificate.json")))
+        cert = json.load(open(os.path.join(out, "certificate.json"), encoding="utf-8"))
         assert cert["converged"] is True
 
     def test_unbalanced_marginals_error(self, tmp_path, capsys):
@@ -798,14 +800,14 @@ class TestOd:
 
     def test_duplicate_marginal_zone_rejected(self, tmp_path, capsys):
         c, r, w = od_inputs(tmp_path, {(0, 0): 1.0, (0, 1): 1.0}, [2.0], [1.0, 1.0])
-        with open(w, "a") as fh:
+        with open(w, "a", encoding="utf-8") as fh:
             fh.write("1,1.0\n")
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {w}: line 3: duplicate zone 1\n"
 
     def test_duplicate_cost_pair_rejected(self, tmp_path, capsys):
         c, r, w = od_inputs(tmp_path, {(0, 0): 1.0, (0, 1): 1.0}, [2.0], [1.0, 1.0])
-        with open(c, "a") as fh:
+        with open(c, "a", encoding="utf-8") as fh:
             fh.write("0,1,2.0\n")
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {c}: line 3: duplicate zone pair 0,1\n"
@@ -830,7 +832,7 @@ class TestOd:
     ])
     def test_malformed_cost_line_rejected(self, tmp_path, capsys, record, message):
         c, r, w = od_inputs(tmp_path, {(0, 0): 1.0}, [1.0], [1.0, 1.0])
-        with open(c, "a") as fh:
+        with open(c, "a", encoding="utf-8") as fh:
             fh.write(record + "\n")
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
@@ -889,11 +891,11 @@ class TestOd:
         c, r, w = od_inputs(tmp_path, costs, L, [1.5, 1.5])
         out = tmp_path / "out"
         assert main(["od", c, r, w, "--gamma", "0.5", "--out", str(out)]) == 0
-        cert = json.load(open(out / "certificate.json"))
+        cert = json.load(open(out / "certificate.json", encoding="utf-8"))
         assert cert["stop_reason"] == "certified_newton" and cert["newton_steps"] > 0
         assert cert["iterations"] + 1 == len(steps) and "primal" not in cert
-        written = np.array([float(line.split(",")[2])
-                            for line in (out / "matrix.csv").read_text().splitlines()[2:]])
+        lines = (out / "matrix.csv").read_text(encoding="utf-8").splitlines()
+        written = np.array([float(line.split(",")[2]) for line in lines[2:]])
         assert np.array_equal(written, steps[-1] * sum(L))
 
     @pytest.mark.parametrize("budget, code, reason", [
@@ -907,7 +909,7 @@ class TestOd:
         c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
         out = tmp_path / "out"
         assert main(["od", c, r, w, "--gamma", "0.5", *budget, "--out", str(out)]) == code
-        cert = json.load(open(out / "certificate.json"))
+        cert = json.load(open(out / "certificate.json", encoding="utf-8"))
         assert cert["stop_reason"] == reason
         assert cert["converged"] is (reason != "max_iter")
         assert (cert["newton_steps"] > 0) is (reason == "certified_newton")
@@ -933,7 +935,7 @@ class TestOd:
             done = subprocess.run(
                 [sys.executable, "-c", "import sys; from equiflow.cli import main; "
                  "sys.exit(main(sys.argv[1:]))", "od", c, r, w, "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=300)
+                env=env, capture_output=True, text=True, timeout=300, encoding="utf-8")
             assert done.returncode == 0, done.stderr
             files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert json.loads(files["1"]["certificate.json"])["newton_steps"] > 0
@@ -943,10 +945,10 @@ class TestOd:
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
         c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": 0.5}))
+        cfg.write_text(json.dumps({"gamma": 0.5}), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["od", c, r, w, "--config", str(cfg), "--out", str(out)]) == 0
-        assert json.load(open(out / "certificate.json"))["gamma"] == "0.5"
+        assert json.load(open(out / "certificate.json", encoding="utf-8"))["gamma"] == "0.5"
 
     @pytest.mark.parametrize("value, message", [
         (float("nan"), "gamma must be positive and finite, got nan"),
@@ -956,21 +958,21 @@ class TestOd:
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
         c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": value}))
+        cfg.write_text(json.dumps({"gamma": value}), encoding="utf-8")
         assert main(["od", c, r, w, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
 
     def test_matrix_rows_are_zone_ids(self, tmp_path):
         # the rows used to be positions: 0,0 0,1 1,0 1,1
         c = tmp_path / "costs.csv"
-        c.write_text("10,0,0.3\n10,9,1.2\n20,0,0.8\n20,9,0.1\n")
+        c.write_text("10,0,0.3\n10,9,1.2\n20,0,0.8\n20,9,0.1\n", encoding="utf-8")
         r = tmp_path / "rows.csv"
-        r.write_text("20,1.0\n10,2.0\n")
+        r.write_text("20,1.0\n10,2.0\n", encoding="utf-8")
         w = tmp_path / "cols.csv"
-        w.write_text("9,1.5\n0,1.5\n")
+        w.write_text("9,1.5\n0,1.5\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["od", str(c), str(r), str(w), "--verify", "--out", str(out)]) == 0
-        lines = (out / "matrix.csv").read_text().splitlines()
+        lines = (out / "matrix.csv").read_text(encoding="utf-8").splitlines()
         cells = {tuple(map(int, line.split(",")[:2])): float(line.split(",")[2])
                  for line in lines[2:]}
         assert list(cells) == [(10, 0), (10, 9), (20, 0), (20, 9)]
@@ -981,7 +983,7 @@ class TestOd:
     def test_empty_marginal_files_exit_1(self, tmp_path, capsys, empty):
         c, r, w = od_inputs(tmp_path, {}, [], [])
         if empty == "rows":
-            (tmp_path / "cols.csv").write_text("0,1.0\n")
+            (tmp_path / "cols.csv").write_text("0,1.0\n", encoding="utf-8")
         n_cols = int(empty == "rows")
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: empty marginals: 0 rows and {n_cols} columns\n"
@@ -1017,7 +1019,7 @@ class TestOd:
     def test_first_bad_line_is_named(self, tmp_path, capsys):
         # two faults: the bulk parse trips on line 4, the value check on line 2
         c, r, w = od_inputs(tmp_path, {}, [1.0, 1.0], [1.0, 1.0])
-        with open(c, "w") as fh:
+        with open(c, "w", encoding="utf-8") as fh:
             fh.write("0,0,1.0\n0,1,nan\n1,0,1.0\n0;1;2\n")
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {c}: line 2: value must be finite, got nan\n"
@@ -1038,7 +1040,7 @@ class TestOd:
 
     def test_malformed_marginal_line_rejected(self, tmp_path, capsys):
         c, r, w = od_inputs(tmp_path, {(0, 0): 1.0}, [1.0], [1.0])
-        with open(r, "w") as fh:
+        with open(r, "w", encoding="utf-8") as fh:
             fh.write("0;1.0\n")
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
@@ -1146,7 +1148,7 @@ class TestOdReader:
         # the per-line reader's verdict stands: a result when it finds
         # nothing wrong, else its line-numbered error
         c, r, w = od_inputs(tmp_path, {}, [1.0, 1.0], [2.0])
-        with open(c, "w") as fh:
+        with open(c, "w", encoding="utf-8") as fh:
             fh.write(costs)
         if column is None:
             with pytest.raises(ValueError, match=r"line 2: zone pair 10,0 is not in"):
@@ -1228,14 +1230,14 @@ class TestParserState:
         return subprocess.run(
             [sys.executable, "-c", "import sys; from equiflow.cli import main; "
              "sys.exit(main(sys.argv[1:]))", *argv],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=env, capture_output=True, text=True, timeout=300, encoding="utf-8")
 
     @pytest.mark.parametrize("before", ["gamma-flag", "config", "od-between"])
     def test_a_call_leaves_no_state(self, tmp_path, capsys, before):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "stochastic", "gamma": {"1": 0.5}, "trace": True,
-                                   "max_iter": 3}))
+                                   "max_iter": 3}), encoding="utf-8")
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
         od_files = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
         earlier = {
@@ -1247,7 +1249,8 @@ class TestParserState:
         }[before]
         for k, argv in enumerate(earlier):
             assert main([*argv, "--out", str(tmp_path / f"earlier{k}")]) in (0, 2)
-        assert json.loads((tmp_path / "earlier0" / "summary.json").read_text())["gammas"] == ["0.5"]
+        summary = (tmp_path / "earlier0" / "summary.json").read_text(encoding="utf-8")
+        assert json.loads(summary)["gammas"] == ["0.5"]
         argv = ["solve", inst]
         capsys.readouterr()
         code = main([*argv, "--out", str(tmp_path / "later")])

@@ -136,6 +136,25 @@ class TestBprConjugate:
         gaps = np.abs(table.conjugate([t] * 3)[0])
         assert gaps[0] > gaps[1] > gaps[2]
 
+    @pytest.mark.parametrize("power", [0.25, 0.5, 1.0])
+    def test_curvature_is_the_derivative_of_the_flow(self, power):
+        # one smooth edge among a capped SD, an uncapped SD and a zero-gain edge
+        table = EdgeTable.of([EdgeCostModel("bpr", 1.5, 2.0, 0.4, power),
+                              EdgeCostModel("sd", 1.2, 0.4), EdgeCostModel("sd", 3.0),
+                              EdgeCostModel("bpr", 2.0, 1.0, 0.0, 1.0)])
+        flow = lambda t: table.conjugate([t, 1.2, 3.0, 2.0])[1][0]  # noqa: E731
+        h = 1e-6
+        t = 1.5 + 0.7
+        got = table.curvature([t, 1.2, 3.0, 2.0])
+        assert got[0] == pytest.approx((flow(t + h) - flow(t - h)) / (2 * h), rel=1e-6)
+        assert got[1:].tolist() == [0.0, 0.0, 0.0]
+        # at t_free the flow is 0 below and the box keeps t above: the central
+        # difference over [t_free, t_free + 2h], from above
+        h = 1e-8
+        at_free = table.curvature([1.5, 1.2, 3.0, 2.0])[0]
+        assert at_free == (2.0 / (0.4 * 1.5) if power == 1.0 else 0.0)
+        assert at_free == pytest.approx((flow(1.5 + 2 * h) - flow(1.5)) / (2 * h), abs=1e-6)
+
 
 class TestSdConjugate:
     def test_at_free_flow_time(self):

@@ -475,12 +475,50 @@ class TestStochastic:
                                                         * rep.alpha_trace[k] * eps)))
             assert rep.batch_trace[k] >= 1
 
+    def test_batch_rule_reads_the_variance_in_the_dual_norm(self):
+        # sum g_i^2 / w_i <= |g|^2 / min(w): a bound D on |g|^2 is D / min(w)
+        # in the dual of the scaled norm, 4 here; step 0's first trial sizes
+        # its batch at L = 1, A = alpha = 1
+        batches = []
+        for prox, D in ((EuclideanProx(scale=[0.5, 0.25, 2.0]), 1.0), (EuclideanProx(), 4.0)):
+            _, rep = umt_stochastic(_CountingQuadratic(1.0, variance_bound=D), prox,
+                                    np.ones(3), eps=1e-3, max_iter=0)
+            batches.append(rep.batch_trace)
+        assert batches[0] == batches[1] == [math.ceil(8.0 * 4.0 / 1e-3)]
+
     def test_requires_variance_bound(self):
         with pytest.raises(ValueError):
             umt_stochastic(quadratic_oracle(), EuclideanProx(), np.ones(2), eps=1e-3)
 
 
 class TestProxSetups:
+    @pytest.mark.parametrize("mu", [0.0, 0.7])
+    def test_scaled_model_argmin_matches_brute_force(self, mu):
+        # coordinate 0 ends clipped at its lower bound, coordinate 1 inside
+        w, linear = np.array([0.3, 2.5]), np.array([0.4, -0.2])
+        lower, upper = np.array([-1.0, 0.0]), np.array([1.0, 1.5])
+        prox = EuclideanProx(lower=lower, upper=upper, linear=linear, scale=w)
+        y0, G, Y, S = np.array([0.2, 0.9]), np.array([0.5, -1.1]), np.array([0.3, 1.2]), 1.5
+
+        def model(x):  # the points run over the last axis
+            return (0.5 * (w * (x - y0) ** 2).sum(-1) + x @ G
+                    + 0.5 * mu * (S * (w * x * x).sum(-1) - 2.0 * x @ (w * Y)) + S * x @ linear)
+
+        x = prox.model_argmin(y0, G, S, mu, Y)
+        axes = [np.linspace(lo, hi, 801) for lo, hi in zip(lower, upper)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = model(grid)
+        assert x[0] == lower[0] and lower[1] < x[1] < upper[1]
+        assert model(x) <= values.min() + 1e-12
+        assert np.abs(x - grid[values.argmin()]).max() <= (upper - lower).max() / 800
+
+    def test_scaled_mirror_step_moves_in_the_metric(self):
+        # argmin <v, z> + sum_i w_i (z_i - x_i)^2 / 2 on the box: x - v/w, clipped
+        box = dict(lower=np.zeros(2), upper=np.full(2, 2.0))
+        x, v = np.ones(2), np.array([1.0, -2.0])
+        assert np.array_equal(EuclideanProx(**box, scale=[0.5, 4.0]).mirror_step(x, v), [0.0, 1.5])
+        assert np.array_equal(EuclideanProx(**box).mirror_step(x, v), [0.0, 2.0])
+
     def test_euclidean_model_argmin_closed_form(self):
         prox = EuclideanProx(lower=np.zeros(2), upper=np.ones(2))
         y0 = np.array([0.5, 0.5])
