@@ -144,6 +144,7 @@ def _summary_dict(report):
         "eps_residual": fmt(report.eps_residual),
         "converged": report.converged,
         "iterations": report.solver.iterations,
+        "restarts": report.solver.restarts,
         "stop_reason": report.solver.termination,
         "value_calls": report.solver.value_calls,
         "grad_calls": report.solver.grad_calls,

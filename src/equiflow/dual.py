@@ -339,13 +339,21 @@ def solve_assignment(
     w_e e's conjugate curvature at the start floored at 1/100 of the largest.
     A mini-batch run with variance_bound > 0 keeps the plain norm: the metric
     doubled the origin draws of grid solves, for fewer steps at no less time.
+    A run in that metric (the metric path) starts in a gradient phase: after
+    step 0, and after every next step whose gap (its gap_trace entry) is at
+    most half the step before's, it restarts from x, so its steps are
+    gradient steps of one point each; the first step that does not halve the
+    gap ends the phase, and the run goes on accelerated.
 
-    After every step three candidates are certified: the flows at the
-    gradient point y (with t = y), the flows at x (with t = x) and the
+    After every step the flows at the gradient point y (with t = y) and the
+    flows at x (with t = x) are certified.  Off the metric path so is the
     step-weighted average of the flows at y (with t = x).  The average is
     no route choice at x, so its Fenchel gap adds a bound on the soft-min
     term, which flows read off a point meet with equality; the report's
-    total_gap and route_gap carry that bound.  Certificate:
+    total_gap and route_gap carry that bound.  Averaged over a gradient
+    phase's short legs it certified flows 0.005 off the assignment at the
+    written times, so the metric path certifies flows read off a point
+    only.  Certificate:
     the equilibrium gap <tau(f),f> - sum d_w SP_w(tau(f)) <= eps for
     beckmann and beckmann_md, which then write t = tau(f); for every other
     model, Fenchel gap <= eps, capacity violation <= eps_residual and
@@ -389,34 +397,43 @@ def solve_assignment(
         return gap, ok
 
     def stop(state):
-        nonlocal psi
+        nonlocal psi, gradient_phase
         value_y, flow_y, conj_y = oracle.point(state.y)
-        np.add(acc, state.alpha * flow_y.values, out=acc)
-        psi += state.alpha * (value_y - flow_y.plain_flat() @ state.y)
         value_x, flow_x, conj_x = oracle.point(state.x)
-        # the average is read at once, before the next step moves acc
-        avg = FlowState(network, lambda out: np.multiply(acc, 1.0 / state.A, out=out))
-        # flows read off a point meet the soft-min Fenchel term with equality;
-        # by Jensen, psi / A bounds the entropy term of their average
-        route_gap = max(0.0, avg.plain_flat() @ state.x - value_x + psi / state.A)
-        candidates = [(state.y, flow_y, 0.0), (state.x, flow_x, 0.0), (state.x, avg, route_gap)]
-        f = np.array([flows.plain_flat() for _, flows, _ in candidates])
-        gaps = [None] * 3
+        candidates = [(state.y, flow_y, 0.0, conj_y[0]), (state.x, flow_x, 0.0, conj_x[0])]
+        if not metric:
+            np.add(acc, state.alpha * flow_y.values, out=acc)
+            psi += state.alpha * (value_y - flow_y.plain_flat() @ state.y)
+            # the average is read at once, before the next step moves acc
+            avg = FlowState(network, lambda out: np.multiply(acc, 1.0 / state.A, out=out))
+            # flows read off a point meet the soft-min Fenchel term with equality;
+            # by Jensen, psi / A bounds the entropy term of their average
+            route_gap = max(0.0, avg.plain_flat() @ state.x - value_x + psi / state.A)
+            candidates.append((state.x, avg, route_gap, conj_x[0]))
+        f = np.array([flows.plain_flat() for _, flows, _, _ in candidates])
+        gaps = [None] * len(candidates)
         if not fw:  # one call over the stack: each row's sum is that of a call on the row
-            gaps = duality_gap(network, np.array([state.y, state.x, state.x]), f,
-                               np.array([conj_y[0], conj_x[0], conj_x[0]]))[1].tolist()
+            gaps = duality_gap(network, np.array([c[0] for c in candidates]), f,
+                               np.array([c[3] for c in candidates]))[1].tolist()
         checked = [consider(t_pt, flows, row, gap, route)
-                   for (t_pt, flows, route), row, gap in zip(candidates, f, gaps)]
-        state.report.gap_trace.append(min(gap for gap, _ in checked))
-        return "certified" if any(ok for _, ok in checked) else None
+                   for (t_pt, flows, route, _), row, gap in zip(candidates, f, gaps)]
+        trace = state.report.gap_trace
+        trace.append(min(gap for gap, _ in checked))
+        if any(ok for _, ok in checked):
+            return "certified"
+        gradient_phase = gradient_phase and (len(trace) == 1 or trace[-1] <= 0.5 * trace[-2])
+        return "restart" if gradient_phase else None
 
     prox, t0, edges = oracle.prox(), network.free_flow_times(), network.edges
+    metric = False  # the metric path (see the docstring) skips the average
     if not fw:  # start at the BPR costs of the flows loaded at t_free
         oracle.value_grad(t0)
         t0 = prox.clip(np.where(edges.smooth, edges.cost(oracle.point(t0)[1].plain_flat()), t0))
         curvature = 0.0 if capped or variance_bound else edges.curvature(t0)  # see docstring
-        if np.max(curvature) > 0.0:
+        metric = np.max(curvature) > 0.0
+        if metric:
             prox = oracle.prox(np.fmax(curvature, np.max(curvature) / 100.0))
+    gradient_phase = metric  # gradient steps while each halves the gap
     _, rep = umt_minimize(
         oracle, prox, t0, eps,
         mu=oracle.strong_convexity(prox.scale), max_iter=max_iter, stop=stop,

@@ -181,9 +181,10 @@ def umt_minimize(
     0's y0 is.  With r2 >= V(x*, y0) given, stops once r2/A <= eps/2, which
     certifies F(x) - F* <= eps.  `stop` may end the run early with a reason, or return
     "restart": the run then goes on from the current x as step 0 of a fresh
-    run centred there (A = 0, u = x, L first tried at 1), while k, the oracle
-    counts and the traces of the report go on in the same call and
-    `report.restarts` counts the restarts.  A restart voids the r2 test.
+    run centred there (A = 0, u = x), which keeps the last accepted L and
+    whether to open at half of it, while k, the oracle counts and the traces
+    of the report go on in the same call and `report.restarts` counts the
+    restarts.  A restart voids the r2 test.
     When `stop` returns "finish", `finish(x, report, max_iter - k)` goes on
     from x by a method of its own and returns (x, reason, steps): its steps
     count in k and its oracle calls in the report, and a reason of None
@@ -264,7 +265,7 @@ def umt_minimize(
             if r2 is not None:
                 raise ValueError("a restart voids the r2 certificate; pass r2=None")
             rep.restarts += 1
-            A, u, center, G, Y, L, halve = 0.0, x, x, 0.0, 0.0, 1.0, False
+            A, u, center, G, Y = 0.0, x, x, 0.0, 0.0
             reason = None
         if reason is None and r2 is not None and r2 / A <= 0.5 * eps:
             reason = "certified"

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from equiflow import hard_shortest, load_network, softmin, softmin_potentials
+from equiflow import hard_shortest, load_network, softmin, softmin_potentials, solve_assignment
 from equiflow.cli import main
 from equiflow.dual import MODELS
 
@@ -172,6 +172,22 @@ class TestSolve:
         inner_values, inner_grads = seen["umt_calls"][0]
         assert (summary["value_calls"], summary["grad_calls"]) == (grads + values, grads)
         assert (grads + values, grads) == (inner_values + start, inner_grads + start)
+
+    @pytest.mark.parametrize("capped,model,eps", [(False, "stochastic", 1e-6),
+                                                  (True, "mixed", 1e-3)])
+    def test_summary_counts_the_restarts(self, tmp_path, capped, model, eps):
+        # a solve in the curvature metric restarts in its gradient phase; one
+        # on a network with a capped edge never restarts
+        text = grid_instance() + ("1 0 1 sd 0.5 0.3\n" if capped else "")
+        inst = write_instance(tmp_path / "in.net", text)
+        out = tmp_path / "out"
+        assert main(["solve", inst, "--model", model, "--eps", repr(eps),
+                     "--out", str(out)]) == 0
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
+        rep = solve_assignment(load_network(inst), model=model, eps=eps)
+        assert rep.solver.iterations >= 5
+        assert summary["restarts"] == rep.solver.restarts
+        assert (summary["restarts"] > 0) != capped
 
     def test_corrupt_instance_reports_line(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "bad.net", "# ok\n1 0 1 bpr oops 1 1 1\n")

@@ -1,6 +1,9 @@
 """Dual objective oracle, certificates, and equilibrium solves."""
 
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from equiflow import (
     dual_value_grad,
     duality_gap,
     frank_wolfe_gap,
+    load_network,
     solve_assignment,
     solve_multistage,
     stochastic_origin_oracle,
@@ -97,6 +101,36 @@ def congested_grid(k=4, gamma=1.0):
                    {od: 0.75 + 0.125 * (i % 5) for i, od in enumerate(pairs)})
 
 
+def bench_network(tmp_path, workload, key, **kwargs):
+    """The network of bench/workloads.py's `workload` drawn from
+    random.Random(key), loaded from its file as the CLI loads it."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    path = tmp_path / "in.net"
+    workloads.write_network(path, getattr(workloads, workload)(random.Random(key), **kwargs))
+    return load_network(path)
+
+
+def record_stops(monkeypatch):
+    """Patch the solve's umt_minimize to append what its stop test returns
+    after each step to the returned list."""
+    import equiflow.dual as dual
+
+    reasons = []
+    real = dual.umt_minimize
+
+    def umt(*args, stop, **kwargs):
+        return real(*args, stop=lambda state: reasons.append(stop(state)) or reasons[-1],
+                    **kwargs)
+
+    monkeypatch.setattr(dual, "umt_minimize", umt)
+    return reasons
+
+
 class TestStart:
     """Models certified by the triple start at the costs of the free-flow loads."""
 
@@ -144,9 +178,9 @@ class TestStart:
         assert rep.converged and rep.total_gap <= 1e-6
         # 18 steps and 55 value calls in the plain Euclidean norm; 25 steps when
         # the solve started at t_free; 68 calls, in 16 steps, when every step
-        # opened at L/2
-        assert rep.solver.iterations == 10
-        assert rep.solver.value_calls == 28
+        # opened at L/2; 10 steps and 28 calls without the gradient phase
+        assert rep.solver.iterations == 7
+        assert rep.solver.value_calls == 18
 
 
 class TestDualOracle:
@@ -258,22 +292,25 @@ class TestAssignmentMemo:
 
     @pytest.mark.parametrize("model", ["stochastic", "multistage"])
     def test_one_assignment_per_solver_call(self, monkeypatch, model):
-        # the step after a fresh start takes y = x, a point the line search
-        # has valued: its value_grad is a call that sweeps nothing new
+        # the step after a fresh start or a restart, and the step after that
+        # one, take y = x, a point the line search has valued: its value_grad
+        # is a call that sweeps nothing new
         calls = count_assignments(monkeypatch)
         points = record_points(monkeypatch)
-        # seed 23: 7 and 8 steps; seed 27 took 26 and 37 in the Euclidean
-        # norm, 4 and 4 in the curvature-scaled one
-        net = random_network(np.random.default_rng(23), m=1 if model == "stochastic" else 2,
+        # seed 21: 7 and 7 steps, 3 restarts each; seed 23 took 7 and 8 steps
+        # without the gradient phase, 5 and 6 with it; seed 27 took 26 and 37
+        # in the Euclidean norm, 4 and 4 in the curvature-scaled one
+        net = random_network(np.random.default_rng(21), m=1 if model == "stochastic" else 2,
                              gamma=0.5)
         rep = solve_assignment(net, model=model, eps=1e-6)
         assert rep.converged and rep.solver.iterations > 5
-        assert len(calls) == len(points) == rep.solver.value_calls - 1
+        assert 0 < rep.solver.restarts < rep.solver.iterations
+        assert len(calls) == len(points) == rep.solver.value_calls - 1 - rep.solver.restarts
 
     @pytest.mark.parametrize("model", ["stochastic", "multistage"])
     def test_one_conjugate_per_point(self, monkeypatch, model):
-        # the stop test certifies y, x and the average at x with the
-        # conjugates the oracle evaluated there
+        # the stop test certifies y and x (and, off the metric path, the
+        # average at x) with the conjugates the oracle evaluated there
         from equiflow.network import EdgeTable
 
         conjugated = []
@@ -281,9 +318,10 @@ class TestAssignmentMemo:
         monkeypatch.setattr(EdgeTable, "conjugate", lambda self, t:
                             conjugated.append(np.asarray(t).tobytes()) or real(self, t))
         points = record_points(monkeypatch)
-        # seed 23: 7 and 8 steps; seed 27 took 26 and 37 in the Euclidean
-        # norm, 4 and 4 in the curvature-scaled one
-        net = random_network(np.random.default_rng(23), m=1 if model == "stochastic" else 2,
+        # seed 21: 7 and 7 steps; seed 23 took 7 and 8 steps without the
+        # gradient phase, 5 and 6 with it; seed 27 took 26 and 37 in the
+        # Euclidean norm, 4 and 4 in the curvature-scaled one
+        net = random_network(np.random.default_rng(21), m=1 if model == "stochastic" else 2,
                              gamma=0.5)
         rep = solve_assignment(net, model=model, eps=1e-6)
         assert rep.converged and rep.solver.iterations > 5
@@ -585,6 +623,62 @@ class TestOneCertificateRule:
         assert rep.converged
         flows = dual_value_grad(net, rep.t)[2]
         assert np.abs(flows.plain_flat() - rep.flows.plain_flat()).max() <= 1e-12
+
+
+class TestGradientPhase:
+    """Metric-path solves restart after every step that halves the gap, until one does not."""
+
+    @pytest.mark.parametrize("workload,key,model", [
+        ("grid_stochastic", "grid_stochastic:3303:24", "stochastic"),
+        *[("grid_stochastic", f"grid_stochastic:{s}", "stochastic") for s in range(6)],
+        *[("nested_multistage", f"nested_multistage:{s}", "multistage") for s in range(6)],
+    ])
+    def test_written_flows_are_the_assignment_at_the_written_times(
+            self, tmp_path, workload, key, model):
+        # the step-weighted average of one restart leg is no logit assignment
+        # at x; certified with it, the bench's grid_stochastic seed 3303 call
+        # 24 wrote flows 0.00528 off the assignment at the written times
+        kwargs = dict(k=4, n_od=8) if workload == "grid_stochastic" else {}
+        net = bench_network(tmp_path, workload, key, **kwargs)
+        rep = solve_assignment(net, model=model, eps=1e-4)
+        assert rep.converged and rep.solver.restarts > 0 and rep.route_gap == 0.0
+        flows = dual_value_grad(net, rep.t)[2]
+        assert np.abs(flows.plain_flat() - rep.flows.plain_flat()).max() <= 1e-12
+
+    @pytest.mark.parametrize("workload,key,model", [
+        ("grid_stochastic", "grid_stochastic:9", "stochastic"),
+        ("nested_multistage", "nested_multistage:4", "multistage"),
+        ("nested_multistage", "nested_multistage:8", "multistage"),
+    ])
+    def test_phase_ends_at_the_first_step_that_does_not_halve_the_gap(
+            self, monkeypatch, tmp_path, workload, key, model):
+        reasons = record_stops(monkeypatch)
+        kwargs = dict(k=4, n_od=8) if workload == "grid_stochastic" else {}
+        rep = solve_assignment(bench_network(tmp_path, workload, key, **kwargs), model=model,
+                               eps=1e-4)
+        gaps = rep.solver.gap_trace
+        halved = [k == 0 or gaps[k] <= 0.5 * gaps[k - 1] for k in range(len(gaps))]
+        expect = ["restart" if all(halved[:k + 1]) else None for k in range(len(gaps))]
+        expect[-1] = "certified"
+        assert rep.converged and reasons == expect
+        # the phase ended before the certificate: the run went on accelerated
+        assert 0 < rep.solver.restarts == reasons.count("restart") < rep.solver.iterations
+
+    @pytest.mark.parametrize("case", ["capped", "mini-batch", "frank-wolfe"])
+    def test_no_restart_off_the_metric_path(self, monkeypatch, tmp_path, case):
+        reasons = record_stops(monkeypatch)
+        if case == "capped":
+            net = bench_network(tmp_path, "capacity_mixed", "capacity_mixed:1", k=3)
+            rep = solve_assignment(net, model="mixed", eps=1e-3)
+        elif case == "mini-batch":
+            rep = solve_assignment(two_origin_network(), model="stochastic", eps=1e-5,
+                                   variance_bound=0.1)
+        else:
+            rep = solve_assignment(congested_grid(), model="beckmann", max_iter=20)
+        # on the metric path step 0 restarts
+        assert rep.solver.iterations > 3
+        assert rep.solver.restarts == 0 and "restart" not in reasons
+        assert rep.converged == (case != "frank-wolfe")
 
 
 class TestStochasticOracle:

@@ -313,18 +313,22 @@ class TestRestart:
         _, rep = umt_minimize(oracle, EuclideanProx(), np.ones(3), eps=1e-6,
                               max_iter=5, stop=stop)
         (before, start), (after, end) = seen[3], seen[4]
-        # the step after the restart is step 0 of a fresh run from x
+        # the step after the restart is step 0 of a fresh run from x, which
+        # settles at the same L
         fresh = _CountingQuadratic(1e4)
         x0, rep0 = umt_minimize(fresh, EuclideanProx(), before.x, eps=1e-6, max_iter=0)
         assert np.array_equal(after.x, x0) and after.alpha == rep0.alpha_trace[0]
-        assert after.A == after.alpha and after.L == rep0.lipschitz_trace[0]
+        assert after.A == after.alpha and after.L == rep0.lipschitz_trace[0] == before.L
         assert np.array_equal(after.y, before.x)
-        # a plain gradient step with L first tried at 1 again
+        # a plain gradient step at the kept L
         assert np.allclose(after.x, before.x - 1e4 * before.x / after.L, rtol=0, atol=1e-15)
         replay = oracle.calls[start:end]
-        assert [kind for kind, _ in replay] == [kind for kind, _ in fresh.calls]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(replay, fresh.calls))
-        assert len(replay) == rep0.value_calls == 16  # one gradient, 15 trials from L = 1
+        assert [kind for kind, _ in replay] == [kind for kind, _ in fresh.calls[::15]]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(replay, fresh.calls[::15]))
+        # one gradient and one trial at the kept L; 16 when a restart tried
+        # L = 1 first again, as the fresh run does
+        assert len(replay) == 2 and rep0.value_calls == 16
+        assert rep.trial_trace == [15, 1, 1, 1, 1, 1]
         # one report counts across the restart
         assert rep.restarts == 1 and rep.termination == "max_iter"
         assert rep.iterations == 5 and len(rep.alpha_trace) == 6
@@ -393,7 +397,7 @@ class TestLineSearch:
         assert rep.lipschitz_trace[0] == 64.0
         assert rep.lipschitz_trace[-1] <= 1e-3
 
-    def test_restart_opens_at_one(self):
+    def test_restart_keeps_the_opening(self):
         run = dict(eps=1e-8, max_iter=8)
         _, plain = umt_minimize(self.quartic(), EuclideanProx(), np.full(2, 4.0), **run)
         _, rep = umt_minimize(self.quartic(), EuclideanProx(), np.full(2, 4.0), **run,
@@ -402,7 +406,9 @@ class TestLineSearch:
         # without the restart, step 6 opens at half of step 5's L = 4
         assert self.first_trials(plain) == [1.0, 64.0, 32.0, 16.0, 8.0, 4.0, 2.0, 1.0, 0.5]
         assert self.first_trials(rep)[:6] == self.first_trials(plain)[:6]
-        assert self.first_trials(rep)[6] == 1.0
+        # and so it does after the restart, which opened at L = 1 when it
+        # reset the estimate
+        assert self.first_trials(rep)[6] == 2.0
 
 
 class TestFinish:
@@ -470,10 +476,18 @@ class TestStochastic:
         # recompute the declared rule from the accepted traces
         A = np.cumsum(rep.alpha_trace)
         D = oracle.variance_bound
-        for k in range(1, len(A)):
-            expect = max(1, math.ceil(8.0 * D * A[k] / (rep.lipschitz_trace[k]
-                                                        * rep.alpha_trace[k] * eps)))
-            assert rep.batch_trace[k] >= 1
+        # each trial that forms a gradient point draws one batch, sized at
+        # that trial's L; steps 0 and 1 form one point, y = x, at their first
+        expect = []
+        for k, (L, trials) in enumerate(zip(rep.lipschitz_trace, rep.trial_trace)):
+            A_k = A[k - 1] if k else 0.0
+            for j in range(1 if k < 2 else trials):
+                L_j = L / 2.0 ** (trials - 1 - j)
+                base = 1.0 / (2.0 * L_j)
+                alpha = base + math.sqrt(base * base + A_k / L_j)
+                expect.append(max(1, math.ceil(8.0 * D * (A_k + alpha) / (L_j * alpha * eps))))
+        assert len(expect) > len(rep.alpha_trace)  # some steps formed several points
+        assert rep.batch_trace == expect
 
     def test_batch_rule_reads_the_variance_in_the_dual_norm(self):
         # sum g_i^2 / w_i <= |g|^2 / min(w): a bound D on |g|^2 is D / min(w)
