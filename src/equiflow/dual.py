@@ -18,7 +18,8 @@ import numpy as np
 
 from .network import FlowState, Network
 # all_or_nothing stays bound here for bench/tracing.py to patch
-from .softmin import _od_values, _total, all_or_nothing, assignment_flows, effective_weights  # noqa: F401
+from .softmin import (_checked_gammas, _od_values, _total, all_or_nothing,  # noqa: F401
+                      assignment_flows, effective_weights)
 from .solvers import EuclideanProx, SmoothOracle, umt_minimize
 
 # model -> (default smoothing per level, None for the network's own scales;
@@ -42,15 +43,6 @@ def model_gammas(network: Network, model: str) -> list:
     return list(network.gammas()) if default is None else [default] * network.n_levels
 
 
-def _checked_gammas(network: Network, gammas) -> list:
-    """gammas (the network's own if None) as a list of one finite scale per level."""
-    gammas = list(network.gammas() if gammas is None else gammas)
-    if len(gammas) != network.n_levels or not all(map(math.isfinite, gammas)):
-        raise ValueError(f"gammas must be {network.n_levels} finite values, one per level, "
-                         f"got {gammas}")
-    return gammas
-
-
 def _smooth_value(edges, conjugate):
     """Sum of the smooth (BPR) conjugate values, given edges.conjugate(t).
 
@@ -72,14 +64,13 @@ class DualOracle(SmoothOracle):
     domain (BPR) edges.  Capacitated (SD) conjugates are linear and go to
     the composite term together with the box; edges whose time is pinned
     (constant-cost or uncapacitated SD) get a degenerate box interval.
-    Given a variance_bound, stochastic_grad samples origins in proportion
-    to their demand for a mini-batch run (see stochastic_origin_oracle).
+    On the metric path (no capped SD edge, some positive curvature)
+    solve_assignment measures steps in prox(scale=curvature).
     """
 
-    def __init__(self, network: Network, gammas=None, variance_bound=None):
+    def __init__(self, network: Network, gammas=None):
         self.network = network
         self.gammas = _checked_gammas(network, gammas)
-        self.variance_bound = variance_bound
         edges = network.edges
         self.lower = network.free_flow_times()
         self.upper = np.where(edges.pinned, edges.t_free, math.inf)
@@ -118,23 +109,6 @@ class DualOracle(SmoothOracle):
         return (-softmin_value + _smooth_value(edges, conjugate),
                 -flow.plain_flat() + _smooth_grad(edges, conjugate))
 
-    def stochastic_grad(self, t, rng, batch):
-        """Mean of `batch` origin draws, each origin drawn w.p. its share of demand.
-
-        Leaves t in the read slot, where the line search's value at t and
-        the stop test's assignment at t find it.  With a single origin
-        every draw is that origin at its own demands, so the estimate is
-        the gradient at t, read from that slot.
-        """
-        _, flow, conjugate = self.point(t)
-        origins = self.network.origins()
-        if len(origins) == 1:
-            return -flow.plain_flat() + _smooth_grad(self.network.edges, conjugate)
-        weights = np.array(self.network.plan.totals())
-        draws = rng.choice(len(origins), size=batch, p=weights / weights.sum())
-        return stochastic_origin_oracle(self.network, t, [origins[i] for i in draws],
-                                        self.gammas)
-
     def strong_convexity(self, scale=1.0):
         """Lower curvature bound of the smooth part over the free box, in prox(scale)'s norm.
 
@@ -161,7 +135,6 @@ def stochastic_origin_oracle(network, t, origins, gammas=None):
     """
     if not origins:
         raise ValueError("empty origin batch")
-    gammas = _checked_gammas(network, gammas)
     totals = dict(zip(network.origins(), network.plan.totals()))
     draws = Counter(origins)
     for o in draws:
@@ -312,8 +285,6 @@ def solve_assignment(
     eps_residual: float = None,
     gammas=None,
     max_iter: int = 200000,
-    seed: int = 0,
-    variance_bound: float = None,
 ) -> EquilibriumReport:
     """Solve an assignment model to a certified tolerance.
 
@@ -327,38 +298,36 @@ def solve_assignment(
     level all-or-nothing).  Only stable_dynamics, mixed and multistage
     take a nested network.
 
-    Every model certified by the Fenchel triple below starts at the costs
-    of the flows loaded at t_free: the dual is evaluated once at t_free,
-    and the run starts at tau_e(f_e) on every smooth (positive-gain BPR)
-    edge and at t_free on the others, clipped to the box.  That evaluation
-    counts in the report's value_calls and grad_calls.  beckmann and
-    beckmann_md start at t_free: their Frank-Wolfe certificate ran out of
-    steps from the shifted start on a Braess network.  Without capped SD
-    edges, whose linear conjugates have no curvature, the triple-certified
-    models measure the prox step, L and mu in the metric sum_e w_e * d_e^2,
-    w_e e's conjugate curvature at the start floored at 1/100 of the largest.
-    A mini-batch run with variance_bound > 0 keeps the plain norm: the metric
-    doubled the origin draws of grid solves, for fewer steps at no less time.
-    A run in that metric (the metric path) starts in a gradient phase: after
-    step 0, and after every next step whose gap (its gap_trace entry) is at
-    most half the step before's, it restarts from x, so its steps are
-    gradient steps of one point each; the first step that does not halve the
-    gap ends the phase, and the run goes on accelerated.
+    Every model certified by the Fenchel triple below starts at the costs of
+    the flows loaded at t_free: the dual is evaluated once at t_free (counted
+    in the report's oracle calls), and the run starts at tau_e(f_e) on every
+    smooth (positive-gain BPR) edge and at t_free on the others, clipped to
+    the box.  beckmann and beckmann_md start at t_free: their Frank-Wolfe
+    certificate ran out of steps from the shifted start on a Braess network.
+    On the metric path (a triple-certified model, no capped SD edge, some
+    positive curvature) the prox step, L and mu are measured in
+    sum_e w_e * d_e^2, w_e e's conjugate curvature at the start floored at
+    1/100 of the largest, and the run starts in a gradient phase: after step
+    0, and after every next step whose gap (its gap_trace entry) is at most
+    half the step before's, it restarts from x, so its steps are gradient
+    steps of one point each; the first step that does not halve the gap ends
+    the phase, and the run goes on accelerated.
 
-    After every step the flows at the gradient point y (with t = y) and the
-    flows at x (with t = x) are certified.  Off the metric path so is the
-    step-weighted average of the flows at y (with t = x).  The average is
-    no route choice at x, so its Fenchel gap adds a bound on the soft-min
-    term, which flows read off a point meet with equality; the report's
-    total_gap and route_gap carry that bound.  Averaged over a gradient
-    phase's short legs it certified flows 0.005 off the assignment at the
-    written times, so the metric path certifies flows read off a point
-    only.  Certificate:
-    the equilibrium gap <tau(f),f> - sum d_w SP_w(tau(f)) <= eps for
-    beckmann and beckmann_md, which then write t = tau(f); for every other
-    model, Fenchel gap <= eps, capacity violation <= eps_residual and
-    complementarity <= 10*max(eps, eps_residual), so stochastic/multistage
-    may end uncertified on SD edges.
+    After every step the flows at the gradient point y (with t = y) and at x
+    (with t = x) are certified, so the gradient at y is always the full
+    assignment: sampled origins would add work, not replace any.  Off the
+    metric path (capped networks, beckmann and beckmann_md) so is the
+    step-weighted average of the flows at y (with t = x).  The average is no
+    route choice at x, so its Fenchel gap adds a bound on the soft-min term,
+    which flows read off a point meet with equality; the report's total_gap
+    and route_gap carry that bound.  Averaged over a gradient phase's short
+    legs it certified flows 0.005 off the assignment at the written times, so
+    the metric path keeps none.  Certificate: the equilibrium gap
+    <tau(f),f> - sum d_w SP_w(tau(f)) <= eps for beckmann and beckmann_md,
+    which then write t = tau(f); for every other model, Fenchel gap <= eps,
+    capacity violation <= eps_residual and complementarity
+    <= 10*max(eps, eps_residual), so stochastic/multistage may end uncertified
+    on SD edges.
     """
     base_gammas = model_gammas(network, model)  # rejects an unknown model first
     if model in ("stochastic", "beckmann", "beckmann_md") and network.n_levels != 1:
@@ -370,7 +339,7 @@ def solve_assignment(
     if any(g <= 0 and not (zero_ok and g == 0) for g in gammas):
         raise ValueError(f"model {model!r} needs positive smoothing at every level")
 
-    oracle = DualOracle(network, gammas, variance_bound)
+    oracle = DualOracle(network, gammas)
     acc = np.zeros(network.n_flows)  # step-weighted sum of the flows at the points y
     psi = 0.0  # step-weighted sum of the route-choice entropy terms at the points y
     # rank (not certified, certificate value): a certified candidate always wins
@@ -429,7 +398,7 @@ def solve_assignment(
     if not fw:  # start at the BPR costs of the flows loaded at t_free
         oracle.value_grad(t0)
         t0 = prox.clip(np.where(edges.smooth, edges.cost(oracle.point(t0)[1].plain_flat()), t0))
-        curvature = 0.0 if capped or variance_bound else edges.curvature(t0)  # see docstring
+        curvature = 0.0 if capped else edges.curvature(t0)  # see docstring
         metric = np.max(curvature) > 0.0
         if metric:
             prox = oracle.prox(np.fmax(curvature, np.max(curvature) / 100.0))
@@ -437,7 +406,6 @@ def solve_assignment(
     _, rep = umt_minimize(
         oracle, prox, t0, eps,
         mu=oracle.strong_convexity(prox.scale), max_iter=max_iter, stop=stop,
-        rng=None if variance_bound is None else np.random.default_rng(seed),
     )
     if not fw:  # the start's evaluation is an oracle call of the solve
         rep.value_calls += 1

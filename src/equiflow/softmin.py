@@ -443,6 +443,19 @@ def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
     return value, flows
 
 
+def _checked_gammas(network: Network, gammas) -> list:
+    """gammas (the network's own if None) as one finite, nonnegative scale per level; a
+    negative one would sweep a soft-max forward and load all-or-nothing flows."""
+    gammas = list(network.gammas() if gammas is None else gammas)
+    if len(gammas) != network.n_levels or not all(map(math.isfinite, gammas)):
+        raise ValueError(f"gammas must be {network.n_levels} finite values, one per level, "
+                         f"got {gammas}")
+    for k, g in enumerate(gammas, start=1):
+        if g < 0:
+            raise ValueError(f"level {k}: gamma must be finite and nonnegative, got {g}")
+    return gammas
+
+
 def effective_weights(network: Network, t, gammas=None):
     """Per-level edge weights with nested edges priced top-down.
 
@@ -451,8 +464,7 @@ def effective_weights(network: Network, t, gammas=None):
     smoothing scale over walks of at most n-1 hops.  Returns one weight
     array per level, aligned with the level's edge indexing.
     """
-    gammas = list(network.gammas()) if gammas is None else list(gammas)
-    return _price(network, t, gammas)[0]
+    return _price(network, t, _checked_gammas(network, gammas))[0]
 
 
 def _price(network, t, gammas):
@@ -501,7 +513,7 @@ def assignment_flows(network: Network, t, gammas=None, demands=None):
     first read, level by level, from backward sweeps over the kept hops of
     level 1 and of the deeper levels' pricing sweeps (gamma = 0 levels load then).
     """
-    gammas = list(network.gammas()) if gammas is None else list(gammas)
+    gammas = _checked_gammas(network, gammas)
     weights, kept = _price(network, t, gammas)
     plan = network.plan if demands is None else PairPlan.of(demands)
     values, kept[0] = _od_values(network.levels[0], weights[0], plan, gammas[0], level=1)
