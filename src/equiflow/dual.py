@@ -113,7 +113,9 @@ class DualOracle(SmoothOracle):
         """Lower curvature bound of the smooth part over the free box, in prox(scale)'s norm.
 
         Linear-cost (power 1) BPR conjugates have constant curvature
-        capacity/(gain * t_free); any other free edge contributes 0.
+        capacity/(gain * t_free); any other free edge contributes 0.  So the
+        bound is nonzero only where the curvature is the same at every t: a
+        metric re-measured along a run (solve_assignment) keeps it.
         """
         e = self.network.edges
         s = e.smooth
@@ -306,16 +308,24 @@ def solve_assignment(
     certificate ran out of steps from the shifted start on a Braess network.
     On the metric path (a triple-certified model, no capped SD edge, some
     positive curvature) the prox step, L and mu are measured in
-    sum_e w_e * d_e^2, w_e e's conjugate curvature at the start floored at
-    1/100 of the largest, and the run starts in a gradient phase: after step
-    0, and after every next step whose gap (its gap_trace entry) is at most
-    half the step before's, it restarts from x, so its steps are gradient
-    steps of one point each; the first step that does not halve the gap ends
-    the phase, and the run goes on accelerated.
+    sum_e w_e * d_e^2, w_e e's conjugate curvature floored at 1/100 of the
+    largest, and the run starts in a gradient phase: after step 0, and after
+    every next step whose gap (its gap_trace entry) is at most half the step
+    before's, it restarts from x, so its steps are gradient steps of one
+    point each; the first step that does not halve the gap ends the phase,
+    and the run goes on accelerated.  The curvature is measured at the start
+    and again at x at every restart, and the step after a restart opens at
+    the secant L = |g(x) - g(y)|_* / |x - y| of the step before, g the smooth
+    part's gradient, in the new metric.  mu stays as measured at the start:
+    it is nonzero only when every smooth edge has power 1, whose curvature is
+    constant, so the metric is then the start's bit for bit.
 
     After every step the flows at the gradient point y (with t = y) and at x
     (with t = x) are certified, so the gradient at y is always the full
-    assignment: sampled origins would add work, not replace any.  Off the
+    assignment: sampled origins would add work, not replace any.  A
+    gradient-phase step after step 0 certifies x alone: its y is the last
+    step's x, certified then, and its gap_trace entry is the smaller of x's
+    gap and the last entry.  Off the
     metric path (capped networks, beckmann and beckmann_md) so is the
     step-weighted average of the flows at y (with t = x).  The average is no
     route choice at x, so its Fenchel gap adds a bound on the soft-min term,
@@ -369,7 +379,13 @@ def solve_assignment(
         nonlocal psi, gradient_phase
         value_y, flow_y, conj_y = oracle.point(state.y)
         value_x, flow_x, conj_x = oracle.point(state.x)
-        candidates = [(state.y, flow_y, 0.0, conj_y[0]), (state.x, flow_x, 0.0, conj_x[0])]
+        trace = state.report.gap_trace
+        # a gradient-phase step after step 0 starts at y = the last step's x,
+        # certified then: its gap is in trace[-1]
+        fresh = gradient_phase and bool(trace)
+        candidates = [(state.x, flow_x, 0.0, conj_x[0])]
+        if not fresh:
+            candidates.insert(0, (state.y, flow_y, 0.0, conj_y[0]))
         if not metric:
             np.add(acc, state.alpha * flow_y.values, out=acc)
             psi += state.alpha * (value_y - flow_y.plain_flat() @ state.y)
@@ -386,22 +402,37 @@ def solve_assignment(
                                np.array([c[3] for c in candidates]))[1].tolist()
         checked = [consider(t_pt, flows, row, gap, route)
                    for (t_pt, flows, route, _), row, gap in zip(candidates, f, gaps)]
-        trace = state.report.gap_trace
-        trace.append(min(gap for gap, _ in checked))
+        trace.append(min([gap for gap, _ in checked] + (trace[-1:] if fresh else [])))
         if any(ok for _, ok in checked):
             return "certified"
         gradient_phase = gradient_phase and (len(trace) == 1 or trace[-1] <= 0.5 * trace[-2])
-        return "restart" if gradient_phase else None
+        if not gradient_phase:
+            return None
+        # the next step is measured in the curvature at x and opens at this
+        # step's secant L = |g(x) - g(y)|_* / |x - y| in that metric
+        prox.scale = curvature_metric(state.x, prox.scale)
+        dg = (flow_y.plain_flat() - flow_x.plain_flat()
+              + _smooth_grad(edges, conj_x) - _smooth_grad(edges, conj_y))
+        dx_sq = prox.norm_sq(state.x - state.y)
+        secant = math.sqrt(dg @ (dg / prox.scale) / dx_sq) if dx_sq > 0.0 else 0.0
+        return "restart", secant
+
+    def curvature_metric(t, fallback):
+        """The conjugates' curvature at t floored at 1/100 of its largest, or
+        fallback where it is 0 on every edge."""
+        curvature = edges.curvature(t)
+        top = np.max(curvature)
+        return np.fmax(curvature, top / 100.0) if top > 0.0 else fallback
 
     prox, t0, edges = oracle.prox(), network.free_flow_times(), network.edges
     metric = False  # the metric path (see the docstring) skips the average
     if not fw:  # start at the BPR costs of the flows loaded at t_free
         oracle.value_grad(t0)
         t0 = prox.clip(np.where(edges.smooth, edges.cost(oracle.point(t0)[1].plain_flat()), t0))
-        curvature = 0.0 if capped else edges.curvature(t0)  # see docstring
-        metric = np.max(curvature) > 0.0
+        scale = None if capped else curvature_metric(t0, None)  # see docstring
+        metric = scale is not None
         if metric:
-            prox = oracle.prox(np.fmax(curvature, np.max(curvature) / 100.0))
+            prox = oracle.prox(scale)
     gradient_phase = metric  # gradient steps while each halves the gap
     _, rep = umt_minimize(
         oracle, prox, t0, eps,

@@ -184,7 +184,10 @@ def umt_minimize(
     run centred there (A = 0, u = x), which keeps the last accepted L and
     whether to open at half of it, while k, the oracle counts and the traces
     of the report go on in the same call and `report.restarts` counts the
-    restarts.  A restart voids the r2 test.
+    restarts.  `stop` may instead return ("restart", L): the fresh run then
+    opens at L, or, when L is not a positive finite number, restarts as
+    above.  A stop test may change the prox's scale before a restart; the
+    fresh run is measured in it, with mu as given.  A restart voids the r2 test.
     When `stop` returns "finish", `finish(x, report, max_iter - k)` goes on
     from x by a method of its own and returns (x, reason, steps): its steps
     count in k and its oracle calls in the report, and a reason of None
@@ -257,6 +260,10 @@ def umt_minimize(
         rep.value_trace.append(fx + prox.composite_value(x))
         state = UmtState(k=k, x=x, u=u, y=y, alpha=alpha, A=A, L=L, fx=fx, report=rep)
         reason = stop(state) if stop is not None else None
+        if isinstance(reason, tuple):  # ("restart", L): the fresh run opens at L
+            reason, opening = reason
+            if 0.0 < opening < math.inf:
+                L, halve = opening, False
         if reason == "finish":
             x, reason, steps = finish(x, rep, max_iter - k)
             k += steps

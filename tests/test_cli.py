@@ -177,8 +177,10 @@ class TestSolve:
                                                   (True, "mixed", 1e-3)])
     def test_summary_counts_the_restarts(self, tmp_path, capped, model, eps):
         # a solve in the curvature metric restarts in its gradient phase; one
-        # on a network with a capped edge never restarts
-        text = grid_instance() + ("1 0 1 sd 0.5 0.3\n" if capped else "")
+        # on a network with a capped edge never restarts.  On the 4 x 4 grid
+        # the stochastic solve took 2 steps once its phase steps opened at
+        # their secants; the 5 x 5 one takes 7
+        text = grid_instance(5) + ("1 0 1 sd 0.5 0.3\n" if capped else "")
         inst = write_instance(tmp_path / "in.net", text)
         out = tmp_path / "out"
         assert main(["solve", inst, "--model", model, "--eps", repr(eps),
@@ -421,11 +423,13 @@ class TestSolve:
             done = subprocess.run(
                 [sys.executable, "-c", "import sys; from equiflow.cli import main; "
                  "sys.exit(main(sys.argv[1:]))", "solve", inst, "--model", "stochastic",
-                 "--gamma", "1=1", "--max-iter", "3", "--dump-potentials", "--out", str(out)],
+                 "--gamma", "1=1", "--max-iter", "3", "--dump-potentials", "--trace",
+                 "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=300, encoding="utf-8")
             assert done.returncode in (0, 2), done.stderr
             files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert "potentials.csv" in files["1"]
+        # trace.csv's lipschitz and trials columns follow the secants
+        assert "potentials.csv" in files["1"] and "trace.csv" in files["1"]
         assert files["1"] == files["2"]
 
     def test_out_env_var(self, tmp_path, monkeypatch):

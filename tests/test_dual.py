@@ -84,8 +84,9 @@ def mixed_edge_network(nested):
     return Network([outer, lg], {(0, 1): 2.0})
 
 
-def congested_grid(k=4, gamma=1.0):
-    """k x k BPR grid, both directions, mixed powers; eight ODs of about one unit."""
+def congested_grid(k=4, gamma=1.0, power=None):
+    """k x k BPR grid, both directions, mixed powers (or all `power`); eight
+    ODs of about one unit."""
     edges = []
     for v in range(k * k):
         r, c = divmod(v, k)
@@ -93,7 +94,8 @@ def congested_grid(k=4, gamma=1.0):
             for a, b in ((v, w), (w, v)):
                 edges.append((a, b, EdgeCostModel(
                     "bpr", 1.0 + 0.25 * ((a + 2 * b) % 5), 1.0 + 0.5 * ((a + b) % 5),
-                    0.5 + 0.125 * ((a * b) % 5), (0.25, 0.5, 1.0)[(2 * a + b) % 3])))
+                    0.5 + 0.125 * ((a * b) % 5),
+                    power or (0.25, 0.5, 1.0)[(2 * a + b) % 3])))
     n = k * k
     pairs = [(0, n - 1), (n - 1, 0), (k - 1, n - k), (n - k, k - 1),
              (1, n - 2), (k, 2 * k - 1), (n - 2, 1), (2 * k + 1, k + 2)]
@@ -174,9 +176,11 @@ class TestStart:
         assert rep.converged and rep.total_gap <= 1e-6
         # 18 steps and 55 value calls in the plain Euclidean norm; 25 steps when
         # the solve started at t_free; 68 calls, in 16 steps, when every step
-        # opened at L/2; 10 steps and 28 calls without the gradient phase
-        assert rep.solver.iterations == 7
-        assert rep.solver.value_calls == 18
+        # opened at L/2; 10 steps and 28 calls without the gradient phase; 7
+        # steps and 18 calls when its steps opened at the last accepted L, all
+        # in the start's metric
+        assert rep.solver.iterations == 5
+        assert rep.solver.value_calls == 16
 
 
 class TestDualOracle:
@@ -293,12 +297,14 @@ class TestAssignmentMemo:
         # is a call that sweeps nothing new
         calls = count_assignments(monkeypatch)
         points = record_points(monkeypatch)
-        # seed 21: 7 and 7 steps, 3 restarts each; seed 23 took 7 and 8 steps
-        # without the gradient phase, 5 and 6 with it; seed 27 took 26 and 37
-        # in the Euclidean norm, 4 and 4 in the curvature-scaled one
+        # seed 21 at 1e-8: 10 and 10 steps, 2 restarts each; at 1e-6 it took 7
+        # and 7 before the phase steps opened at their secants, 4 and 4 after;
+        # seed 23 took 7 and 8 steps without the gradient phase, 5 and 6 with
+        # it; seed 27 took 26 and 37 in the Euclidean norm, 4 and 4 in the
+        # curvature-scaled one
         net = random_network(np.random.default_rng(21), m=1 if model == "stochastic" else 2,
                              gamma=0.5)
-        rep = solve_assignment(net, model=model, eps=1e-6)
+        rep = solve_assignment(net, model=model, eps=1e-8)
         assert rep.converged and rep.solver.iterations > 5
         assert 0 < rep.solver.restarts < rep.solver.iterations
         assert len(calls) == len(points) == rep.solver.value_calls - 1 - rep.solver.restarts
@@ -314,12 +320,10 @@ class TestAssignmentMemo:
         monkeypatch.setattr(EdgeTable, "conjugate", lambda self, t:
                             conjugated.append(np.asarray(t).tobytes()) or real(self, t))
         points = record_points(monkeypatch)
-        # seed 21: 7 and 7 steps; seed 23 took 7 and 8 steps without the
-        # gradient phase, 5 and 6 with it; seed 27 took 26 and 37 in the
-        # Euclidean norm, 4 and 4 in the curvature-scaled one
+        # seed 21 at 1e-8: 10 and 10 steps (see test_one_assignment_per_solver_call)
         net = random_network(np.random.default_rng(21), m=1 if model == "stochastic" else 2,
                              gamma=0.5)
-        rep = solve_assignment(net, model=model, eps=1e-6)
+        rep = solve_assignment(net, model=model, eps=1e-8)
         assert rep.converged and rep.solver.iterations > 5
         # one per distinct point requested, and one for the report
         assert len(conjugated) == len(points) + 1
@@ -657,24 +661,112 @@ class TestGradientPhase:
         flows = dual_value_grad(net, rep.t)[2]
         assert np.abs(flows.plain_flat() - rep.flows.plain_flat()).max() <= 1e-12
 
-    @pytest.mark.parametrize("workload,key,model", [
-        ("grid_stochastic", "grid_stochastic:9", "stochastic"),
-        ("nested_multistage", "nested_multistage:4", "multistage"),
-        ("nested_multistage", "nested_multistage:8", "multistage"),
+    @pytest.mark.parametrize("workload,key,model,gammas", [
+        # at gamma 1 no bench grid key from 0 to 39 ends its phase before the certificate
+        ("grid_stochastic", "grid_stochastic:4", "stochastic", [0.3]),
+        ("nested_multistage", "nested_multistage:14", "multistage", None),
+        ("nested_multistage", "nested_multistage:30", "multistage", None),
     ])
     def test_phase_ends_at_the_first_step_that_does_not_halve_the_gap(
-            self, monkeypatch, tmp_path, workload, key, model):
+            self, monkeypatch, tmp_path, workload, key, model, gammas):
         reasons = record_stops(monkeypatch)
         kwargs = dict(k=4, n_od=8) if workload == "grid_stochastic" else {}
         rep = solve_assignment(bench_network(tmp_path, workload, key, **kwargs), model=model,
-                               eps=1e-4)
+                               eps=1e-4, gammas=gammas)
         gaps = rep.solver.gap_trace
         halved = [k == 0 or gaps[k] <= 0.5 * gaps[k - 1] for k in range(len(gaps))]
         expect = ["restart" if all(halved[:k + 1]) else None for k in range(len(gaps))]
         expect[-1] = "certified"
-        assert rep.converged and reasons == expect
+        # a restart carries the L its next step opens at
+        assert rep.converged and [r[0] if isinstance(r, tuple) else r for r in reasons] == expect
         # the phase ended before the certificate: the run went on accelerated
-        assert 0 < rep.solver.restarts == reasons.count("restart") < rep.solver.iterations
+        restarts = [r for r in reasons if isinstance(r, tuple)]
+        assert 0 < rep.solver.restarts == len(restarts) < rep.solver.iterations
+
+    def test_phase_steps_certify_x_alone(self, monkeypatch, tmp_path):
+        # a step after a restart starts at y = the x the step before certified
+        import equiflow.dual as dual
+
+        rows, real = [], dual.duality_gap
+        monkeypatch.setattr(dual, "duality_gap", lambda network, t, *args: rows.append(
+            len(t) if np.ndim(t) == 2 else 0) or real(network, t, *args))
+        reasons = record_stops(monkeypatch)
+        net = bench_network(tmp_path, "grid_stochastic", "grid_stochastic:4", k=4, n_od=8)
+        rep = solve_assignment(net, model="stochastic", eps=1e-4, gammas=[0.3])
+        after_restart = [False] + [isinstance(r, tuple) for r in reasons[:-1]]
+        assert rep.converged and 0 < rep.solver.restarts < rep.solver.iterations
+        # the last call is the report's, at one point
+        assert rows == [1 if fresh else 2 for fresh in after_restart] + [0]
+
+    @pytest.mark.parametrize("key,gammas", [("grid_stochastic:1:0", None),
+                                            ("grid_stochastic:4", [0.3])])
+    def test_phase_steps_open_at_the_last_steps_secant(self, monkeypatch, tmp_path, key, gammas):
+        import equiflow.dual as dual
+
+        steps, real = [], dual.umt_minimize
+
+        def umt(*args, stop, **kwargs):
+            def recorded(state):
+                steps.append((state.y.copy(), state.x.copy(), stop(state)))
+                return steps[-1][2]
+            return real(*args, stop=recorded, **kwargs)
+
+        monkeypatch.setattr(dual, "umt_minimize", umt)
+        net = bench_network(tmp_path, "grid_stochastic", key, k=4, n_od=8)
+        rep = solve_assignment(net, model="stochastic", eps=1e-4, gammas=gammas)
+        oracle, opened = DualOracle(net, rep.gammas), 0
+        for k, (y, x, reason) in enumerate(steps):
+            if not isinstance(reason, tuple):
+                continue
+            curvature = net.edges.curvature(x)
+            w = np.fmax(curvature, curvature.max() / 100.0)
+            dg = oracle.value_grad(x)[1] - oracle.value_grad(y)[1]
+            secant = math.sqrt(np.sum(dg * dg / w) / np.sum(w * (x - y) ** 2))
+            assert reason[1] == pytest.approx(secant, rel=1e-12)
+            # the next step's first trial is at the secant; each failed trial doubles L
+            trials = rep.solver.trial_trace[k + 1]
+            assert rep.solver.lipschitz_trace[k + 1] == reason[1] * 2.0 ** (trials - 1)
+            opened += 1
+        assert rep.converged and opened == rep.solver.restarts >= 2
+
+    def test_eight_by_eight_grids_at_small_gamma(self, tmp_path):
+        # median 75.5 steps with every phase step opening at the last accepted
+        # L in the start's metric; 33.5 at the secants
+        steps = []
+        for s in range(200, 206):
+            net = bench_network(tmp_path, "grid_stochastic", f"grid8:{s}", k=8, n_od=16)
+            rep = solve_assignment(net, model="stochastic", eps=1e-6, gammas=[0.3])
+            assert rep.converged
+            steps.append(rep.solver.iterations)
+        assert np.median(steps) <= 40
+
+    def test_metric_with_constant_curvature_is_the_starts(self, monkeypatch):
+        # mu > 0 only when every smooth edge has power 1; the curvature is then
+        # constant, so the metric re-measured at each restart is the start's
+        import equiflow.dual as dual
+
+        scales, real = [], dual.umt_minimize
+
+        def umt(oracle, prox, *args, stop, **kwargs):
+            scales.append(prox.scale.copy())
+
+            def recorded(state):
+                reason = stop(state)
+                scales.append(prox.scale.copy())
+                return reason
+            return real(oracle, prox, *args, stop=recorded, **kwargs)
+
+        monkeypatch.setattr(dual, "umt_minimize", umt)
+        net = congested_grid()
+        rep = solve_assignment(net, model="stochastic", eps=1e-6)
+        # the metric moves on a grid of mixed powers
+        assert rep.solver.restarts > 0 and not np.array_equal(scales[0], scales[-1])
+        scales.clear()
+        net = congested_grid(power=1.0)
+        rep = solve_assignment(net, model="stochastic", eps=1e-6)
+        assert DualOracle(net).strong_convexity(scales[0]) > 0.0
+        assert rep.converged and rep.solver.restarts > 0
+        assert all(np.array_equal(scale, scales[0]) for scale in scales)
 
     @pytest.mark.parametrize("case", ["capped", "frank-wolfe"])
     def test_no_restart_off_the_metric_path(self, monkeypatch, tmp_path, case):
@@ -806,7 +898,8 @@ class TestMultistage:
         net = random_network(np.random.default_rng(27), m=2)
         rep = solve_multistage(net, gammas=[0.5, 0.0])
         assert rep.converged and rep.total_gap <= 1e-6
-        assert rep.solver.iterations == 4  # 37 in the Euclidean norm
+        # 37 in the Euclidean norm; 4 when its steps opened at the last accepted L
+        assert rep.solver.iterations == 2
         with pytest.raises(ValueError, match="positive smoothing"):
             solve_assignment(net, model="mixed", gammas=[0.5, 0.0])
 
