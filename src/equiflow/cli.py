@@ -45,7 +45,7 @@ CONFIG_TYPES = {
 
 
 def _load_config(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         cfg = json.load(fh)
     unknown = set(cfg) - CONFIG_TYPES.keys()
     if unknown:

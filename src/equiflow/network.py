@@ -370,8 +370,8 @@ class PairPlan:
     pairs: distinct (origin, dest), grouped by ascending origin, in order of
     first appearance within a group; a sweep from origins finds pair i at
     u[dests[i], columns[i]], flat index cells[i].  A plan of nested
-    references has fold, the pair of each nested edge, and once handed
-    down, arrivals, the pair of each flow handed down.  Arrays are read-only.
+    references has fold, the pair of each nested edge.  Every sweep lists
+    the pairs in this one order.  Arrays are read-only.
     """
 
     pairs: tuple
@@ -381,7 +381,6 @@ class PairPlan:
     cells: np.ndarray
     demand: np.ndarray
     fold: np.ndarray = None
-    arrivals: np.ndarray = None
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -405,19 +404,12 @@ class PairPlan:
         """This plan at the demands that nested-edge flows hand down: each
         pair sums the positive flows of its edges, in edge order."""
         live = flows > 0.0
-        arrivals = self.fold[live]
-        return PairPlan(self.pairs, self.origins, self.dests, self.columns, self.cells,
-                        np.bincount(arrivals, flows[live], minlength=len(self.pairs)),
-                        self.fold, arrivals)
+        return replace(self, demand=np.bincount(self.fold[live], flows[live],
+                                                minlength=len(self.pairs)))
 
     def listed(self) -> np.ndarray:
-        """The pairs of the demands mapping in its order once grouped by
-        origin; handed down, those with flow in order of arrival."""
-        if self.arrivals is None:
-            return np.arange(len(self.pairs))
-        _, first = np.unique(self.arrivals, return_index=True)
-        seen = self.arrivals[np.sort(first)]
-        return seen[np.argsort(self.columns[seen], kind="stable")]
+        """The pairs with demand, in plan order: handed down, those given flow."""
+        return np.flatnonzero(self.demand)
 
     def grouped(self):
         """(listed(), the origin columns its pairs use, ascending, each pair's place among them)."""
@@ -425,7 +417,7 @@ class PairPlan:
         return (listed, *np.unique(self.columns[listed], return_inverse=True))
 
     def __iter__(self):
-        """The listed (origin, dest) pairs, as the demands mapping iterates."""
+        """The listed (origin, dest) pairs; bench/tracing.py counts a call's origins by them."""
         return (self.pairs[i] for i in self.listed())
 
     def totals(self) -> list:
@@ -561,7 +553,7 @@ def load_network(path) -> Network:
     def note_vertex(level, v):
         max_vertex[level] = max(max_vertex.get(level, -1), v)
 
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if bad := not_utf8(raw):
                 raise ParseError(lineno, bad)

@@ -76,8 +76,9 @@ gamma = 0 levels load all-or-nothing when their flows are read.
 Each level's OD pairs are a PairPlan built once per network (Network.plan,
 LevelGraph.nested_plan): a sweep's values are one gather u[dests, columns],
 its sink masses one scatter of the demands, and the demands a level hands
-down one np.bincount of its nested flows.  Values are summed pair by pair
-in plan order, as a loop over the pairs grouped by origin adds them.
+down one np.bincount of its nested flows.  Values and all-or-nothing loads
+are summed pair by pair in plan order, as a loop over the pairs grouped by
+origin adds them.
 """
 
 from __future__ import annotations

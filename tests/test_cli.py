@@ -204,6 +204,21 @@ class TestSolve:
         assert main(["solve", str(inst), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: line 2: byte 0xff is not UTF-8\n"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # line 1 used to fail as "bad level '\ufeff1'"
+        runs = {"plain": PIGOU_INSTANCE, "bom": "\ufeff" + PIGOU_INSTANCE}
+        for name, text in runs.items():
+            inst = write_instance(tmp_path / "pigou.net", text)
+            assert main(["solve", inst, "--model", "stochastic",
+                         "--out", str(tmp_path / name)]) == 0
+        assert open(inst, "rb").read(3) == b"\xef\xbb\xbf"
+        for f in ("solution.csv", "summary.json"):
+            assert (tmp_path / "bom" / f).read_bytes() == (tmp_path / "plain" / f).read_bytes()
+        # a bad byte is still named with its line
+        (tmp_path / "bad.net").write_bytes(b"\xef\xbb\xbf# ok\n1 0 1 bpr 1.0 \xff 0.5 1.0\n")
+        assert main(["solve", str(tmp_path / "bad.net"), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith("error: line 2: byte 0xff is not UTF-8\n")
+
     def test_negative_cycle_exits_1(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "neg.net", NEGATIVE_CYCLE_INSTANCE)
         with deadline(60):
@@ -505,6 +520,20 @@ class TestConfig:
         for f in ("solution.csv", "summary.json"):
             assert (tmp_path / "config" / f).read_bytes() == (tmp_path / "flag" / f).read_bytes()
         summary = json.load(open(tmp_path / "config" / "summary.json", encoding="utf-8"))
+        assert summary["gammas"] == ["0.5"]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # used to fail as "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
+        cfg = tmp_path / "cfg.json"
+        text = json.dumps({"model": "stochastic", "gamma": {"1": 0.5}})
+        for name, prefix in [("plain", ""), ("bom", "\ufeff")]:
+            cfg.write_text(prefix + text, encoding="utf-8")
+            assert main(["solve", inst, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        assert cfg.read_bytes()[:3] == b"\xef\xbb\xbf"
+        for f in ("solution.csv", "summary.json"):
+            assert (tmp_path / "bom" / f).read_bytes() == (tmp_path / "plain" / f).read_bytes()
+        summary = json.load(open(tmp_path / "bom" / "summary.json", encoding="utf-8"))
         assert summary["gammas"] == ["0.5"]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):

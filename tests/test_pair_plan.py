@@ -51,8 +51,9 @@ def layered_network(rng):
 
 def handed_down(net, t, gammas, demands):
     """Value and per-level flows at hand-built demands: softmin_flows or
-    all_or_nothing per level, the next level's demands a dict filled edge by
-    edge with the positive nested flows."""
+    all_or_nothing per level, the next level's demands a dict of the positive
+    nested flows summed edge by edge, its pairs in order of first reference
+    and those given no flow left out."""
     hops = [lg.n_vertices - 1 for lg in net.levels]
     weights = effective_weights(net, t, gammas)
     value, flows, level_demands = None, [], dict(demands)
@@ -66,10 +67,11 @@ def handed_down(net, t, gammas, demands):
             v, f = all_or_nothing(lg, weights[k], level_demands, level=k + 1)
         value = v if value is None else value
         flows.append(f)
-        level_demands = {}
+        level_demands = dict.fromkeys((od for _, _, od in lg.nested_edges), 0.0)
         for (_, _, od), fe in zip(lg.nested_edges, f[len(lg.plain_edges):]):
             if fe > 0.0:
-                level_demands[od] = level_demands.get(od, 0.0) + fe
+                level_demands[od] += fe
+        level_demands = {od: x for od, x in level_demands.items() if x > 0.0}
     return value, flows
 
 
@@ -112,17 +114,18 @@ class TestAgainstHandBuiltDemands:
             for k, lg in enumerate(net.levels):
                 assert same_bits(flow.plain[k], eflows[k][:len(lg.plain_edges)])
 
-    def test_zero_gamma_level_loads_in_arrival_order(self):
+    def test_zero_gamma_level_loads_in_plan_order(self):
         # inner pairs A, B, C all load edge 0 -> 1.  The first reference to A
-        # carries no flow, so a dict filled edge by edge lists B, C, A, and
-        # ((0 + 0.5) + 0.1) + 0.3 differs from the plan order's ((0 + 0.3) + 0.5) + 0.1
+        # carries no flow, yet the plan lists A, B, C, as first referenced:
+        # ((0 + 0.3) + 0.5) + 0.1, not the ((0 + 0.5) + 0.1) + 0.3 of a dict
+        # filled edge by edge with the positive flows
         a, b, c = (0, 4), (0, 3), (0, 2)
         outer = LevelGraph(6, nested_edges=[(5, 1, a), (0, 1, b), (0, 2, c), (0, 3, a)])
         inner = LevelGraph(5, [(v, v + 1, fixed_edge(1.0)) for v in range(4)], gamma=0.0)
         net = Network([outer, inner], {(0, 1): 0.5, (0, 2): 0.1, (0, 3): 0.3})
         _, flow = assignment_flows(net, np.ones(4), [0.0, 0.0])
         assert flow.nested[0].tolist() == [0.0, 0.5, 0.1, 0.3]
-        assert flow.plain[1][0] == ((0.0 + 0.5) + 0.1) + 0.3 != ((0.0 + 0.3) + 0.5) + 0.1
+        assert flow.plain[1][0] == ((0.0 + 0.3) + 0.5) + 0.1 != ((0.0 + 0.5) + 0.1) + 0.3
         _, eflows = handed_down(net, np.ones(4), [0.0, 0.0], net.demands)
         assert same_bits(flow.plain[1], eflows[1])
 
@@ -173,21 +176,22 @@ class TestPairPlan:
         assert plan.totals() == [6.0, 1.5]
         assert not plan.demand.flags.writeable and not plan.columns.flags.writeable
 
-    def test_hand_down_sums_in_edge_order_and_lists_by_arrival(self):
+    def test_hand_down_sums_in_edge_order_and_lists_in_plan_order(self):
         a, b, c = (2, 5), (2, 4), (1, 3)
         plan = LevelGraph(1, nested_edges=[(0, 0, od) for od in [a, b, a, c, b]]).nested_plan
         assert plan.pairs == (c, a, b) and plan.fold.tolist() == [1, 2, 1, 0, 2]
         flows = np.array([0.0, 0.3, 0.7, 0.1, 0.2])
         handed = plan.hand_down(flows)
-        # a dict filled edge by edge with the positive flows, as the levels hand down
-        expect = {}
+        # the positive flows summed edge by edge; a, first referenced by an
+        # edge with no flow, keeps its place ahead of b
+        expect = dict.fromkeys([a, b, c], 0.0)
         for od, f in zip([a, b, a, c, b], flows):
             if f > 0.0:
-                expect[od] = expect.get(od, 0.0) + f
+                expect[od] += f
         listed = [handed.pairs[i] for i in handed.listed()]
-        assert listed == list(PairPlan.of(expect).pairs) == [c, b, a]
+        assert listed == list(PairPlan.of(expect).pairs) == [c, a, b]
         assert {handed.pairs[i]: handed.demand[i] for i in handed.listed()} == expect
-        assert list(handed) == listed  # iterates like the demands mapping
+        assert list(handed) == listed  # the bench tracer iterates a plan
         assert plan.demand.tolist() == [0.0, 0.0, 0.0]
 
     def test_totals_add_in_pair_order(self):
@@ -216,7 +220,7 @@ class TestPairPlan:
     def test_zero_flows_hand_down_no_demand(self):
         plan = LevelGraph(1, nested_edges=[(0, 0, (0, 1)), (0, 0, (0, 2))]).nested_plan
         handed = plan.hand_down(np.array([0.0, 0.0]))
-        assert not handed.demand.any() and list(handed) == []
+        assert not handed.demand.any() and handed.listed().tolist() == []
 
 
 class TestDenseKernel:
