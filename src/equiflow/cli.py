@@ -59,15 +59,13 @@ def _load_config(path):
 
 
 def _merge_config(args):
-    """Config file supplies defaults; explicit flags win; checks the budget."""
+    """Config file supplies defaults; explicit flags win."""
     cfg = _load_config(args.config) if args.config else {}
     for key, value in cfg.items():
         if not hasattr(args, key):  # the subcommand has no such flag
             raise ValueError(f"config key {key!r} is not used by {args.command}")
         if getattr(args, key) is None:
             setattr(args, key, value)
-    if args.max_iter is not None and args.max_iter < 0:
-        raise ValueError(f"--max-iter must be nonnegative, got {args.max_iter}")
     return args
 
 
@@ -113,15 +111,11 @@ def _row_format(types):
 def _write_csv(path, header, rows):
     """The float-format line, the header, then one line per row: floats
     %.17g, None an empty field, ints and names as they are."""
-    rows = list(rows)
-    fields = tuple(itertools.chain.from_iterable(rows))
-    width = len(rows[0]) if rows else 0
-    if len(set(map(len, rows))) == 1 and all(len(set(map(type, fields[k::width]))) == 1
-                                             for k in range(width)):
-        # every row has the same field types: one format, filled once
-        body = _row_format(tuple(map(type, rows[0]))) * len(rows) % fields
-    else:
-        body = "".join([_row_format(tuple(map(type, row))) % tuple(row) for row in rows])
+    # each run of rows whose fields share their types fills one format once
+    runs = ((types, list(run)) for types, run in
+            itertools.groupby(rows, key=lambda row: tuple(map(type, row))))
+    body = "".join([_row_format(types) * len(run) % tuple(itertools.chain.from_iterable(run))
+                    for types, run in runs])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# floats formatted {FLOAT_FMT}\n{header}\n{body}")
 
@@ -173,21 +167,10 @@ def _potential_rows(network, report):
     return ((o, v, u[v, b]) for b, o in enumerate(origins) for v in range(lg.n_vertices))
 
 
-def _tolerance(value, flag):
-    """A positive, finite tolerance from the command line, or None when unset."""
-    if value is None:
-        return None
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{flag} must be positive and finite, got {value}")
-    return value
-
-
 def _solver_kwargs(args):
-    """The tolerances and budget the user set; the solver's defaults fill the rest."""
-    given = {"eps": _tolerance(args.eps, "--eps"),
-             "eps_residual": _tolerance(args.eps_residual, "--eps-residual"),
-             "max_iter": args.max_iter}
+    """The tolerances and budget the user set; the solver's defaults fill the rest
+    and the solver checks them."""
+    given = {"eps": args.eps, "eps_residual": args.eps_residual, "max_iter": args.max_iter}
     return {k: v for k, v in given.items() if v is not None}
 
 

@@ -20,7 +20,7 @@ from .network import FlowState, Network
 # all_or_nothing stays bound here for bench/tracing.py to patch
 from .softmin import (_checked_gammas, _od_values, _total, all_or_nothing,  # noqa: F401
                       assignment_flows, effective_weights)
-from .solvers import EuclideanProx, SmoothOracle, umt_minimize
+from .solvers import EuclideanProx, SmoothOracle, _check_budget, umt_minimize
 
 # model -> (default smoothing per level, None for the network's own scales;
 #           certified by the Frank-Wolfe gap; a zero smoothing scale allowed)
@@ -65,7 +65,7 @@ class DualOracle(SmoothOracle):
     the composite term together with the box; edges whose time is pinned
     (constant-cost or uncapacitated SD) get a degenerate box interval.
     On the metric path (no capped SD edge, some positive curvature)
-    solve_assignment measures steps in prox(scale=curvature).
+    solve_assignment sets the prox's scale to the conjugates' curvature.
     """
 
     def __init__(self, network: Network, gammas=None):
@@ -77,8 +77,8 @@ class DualOracle(SmoothOracle):
         # None without capped edges: the composite term is then the box alone
         self.linear = np.where(edges.capped, edges.capacity, 0.0) if edges.capped.any() else None
 
-    def prox(self, scale=1.0):
-        return EuclideanProx(lower=self.lower, upper=self.upper, linear=self.linear, scale=scale)
+    def prox(self):
+        return EuclideanProx(lower=self.lower, upper=self.upper, linear=self.linear)
 
     def _by_products(self, t):
         value, flow = assignment_flows(self.network, t, self.gammas)
@@ -110,7 +110,8 @@ class DualOracle(SmoothOracle):
                 -flow.plain_flat() + _smooth_grad(edges, conjugate))
 
     def strong_convexity(self, scale=1.0):
-        """Lower curvature bound of the smooth part over the free box, in prox(scale)'s norm.
+        """Lower curvature bound of the smooth part over the free box, in the norm of a
+        prox whose scale is `scale`.
 
         Linear-cost (power 1) BPR conjugates have constant curvature
         capacity/(gain * t_free); any other free edge contributes 0.  So the
@@ -166,9 +167,7 @@ def duality_gap(network, t, flows, conjugate=None):
     Pinned BPR edges count their conjugate as 0: their time stays at
     t_free, up to the rounding of the solver's averaging steps.
     `conjugate`, the values of network.edges.conjugate(t) when the caller
-    holds them, saves evaluating them again.  t, flows and conjugate may
-    stack several points, one per row; the sums are then an array, each
-    row's the sum of one call on that row.
+    holds them, saves evaluating them again.
     """
     e = network.edges
     t = np.asarray(t, dtype=float)
@@ -177,25 +176,27 @@ def duality_gap(network, t, flows, conjugate=None):
     _, _, pinned, sd = e.groups
     terms = e.integral(f) - f * t + (conj if pinned is None else np.where(e.pinned, 0.0, conj))
     if sd is not None:
-        key = e.keys(f)[3]
-        fs = f[key]
+        fs = f[sd]
         slack = np.where(e.capped[sd], e.capacity[sd], fs) - fs
-        terms[key] = (t[key] - e.t_free[sd]) * np.maximum(slack, 0.0)
-    return terms, float(terms.sum()) if terms.ndim == 1 else terms.sum(axis=-1)
+        terms[sd] = (t[sd] - e.t_free[sd]) * np.maximum(slack, 0.0)
+    return terms, float(terms.sum())
 
 
 def capacity_violation(network, flows):
     """Largest plain-edge flow excess over a hard (capacitated) edge capacity."""
-    c = network.edges.capped
-    return float(np.max(np.asarray(flows)[c] - network.edges.capacity[c], initial=0.0))
+    e, c = network.edges, network.edges.groups[1]
+    if c is None:
+        return 0.0
+    return float(np.max(np.asarray(flows)[c] - e.capacity[c], initial=0.0))
 
 
 def complementarity_residual(network, t, flows):
     """max |(t_e - t_free_e) * (capacity_e - f_e)| over capacitated edges."""
-    e = network.edges
-    c = e.capped
-    t = np.asarray(t, dtype=float)
-    residual = (t[c] - e.t_free[c]) * (e.capacity[c] - np.asarray(flows)[c])
+    e, c = network.edges, network.edges.groups[1]
+    if c is None:
+        return 0.0
+    t, f = np.asarray(t, dtype=float), np.asarray(flows)
+    residual = (t[c] - e.t_free[c]) * (e.capacity[c] - f[c])
     return float(np.max(np.abs(residual), initial=0.0))
 
 
@@ -321,11 +322,11 @@ def solve_assignment(
     constant, so the metric is then the start's bit for bit.
 
     After every step the flows at the gradient point y (with t = y) and at x
-    (with t = x) are certified, so the gradient at y is always the full
-    assignment: sampled origins would add work, not replace any.  A
-    gradient-phase step after step 0 certifies x alone: its y is the last
-    step's x, certified then, and its gap_trace entry is the smaller of x's
-    gap and the last entry.  Off the
+    (with t = x) are certified, each by a duality_gap call of its own, so
+    the gradient at y is always the full assignment: sampled origins would
+    add work, not replace any.  A gradient-phase step after step 0
+    certifies x alone: its y is the last step's x, certified then, and its
+    gap_trace entry is the smaller of x's gap and the last entry.  Off the
     metric path (capped networks, beckmann and beckmann_md) so is the
     step-weighted average of the flows at y (with t = x).  The average is no
     route choice at x, so its Fenchel gap adds a bound on the soft-min term,
@@ -337,13 +338,15 @@ def solve_assignment(
     which then write t = tau(f); for every other model, Fenchel gap <= eps,
     capacity violation <= eps_residual and complementarity
     <= 10*max(eps, eps_residual), so stochastic/multistage may end uncertified
-    on SD edges.
+    on SD edges.  A tolerance that is not positive and finite, or a negative
+    max_iter, raises a ValueError before any work.
     """
+    if eps_residual is None:
+        eps_residual = eps
+    _check_budget(eps, eps_residual, max_iter)
     base_gammas = model_gammas(network, model)  # rejects an unknown model first
     if model in ("stochastic", "beckmann", "beckmann_md") and network.n_levels != 1:
         raise ValueError(f"model {model!r} expects a single-level network")
-    if eps_residual is None:
-        eps_residual = eps
     _, fw, zero_ok = MODEL_DEFAULTS[model]
     gammas = base_gammas if gammas is None else _checked_gammas(network, gammas)
     if any(g <= 0 and not (zero_ok and g == 0) for g in gammas):
@@ -355,19 +358,19 @@ def solve_assignment(
     # rank (not certified, certificate value): a certified candidate always wins
     best = {}
     comp_tol = 10.0 * max(eps, eps_residual)
-    capped = network.edges.capped.any()  # both capacity terms are 0.0 without
 
-    def consider(t_pt, flows, f, gap, route_gap):
-        """Certify (t, flows), f their plain flows, gap their Fenchel gap and
-        route_gap the bound of their soft-min term; keep the best."""
+    def consider(t_pt, flows, route_gap, conjugate):
+        """Certify (t, flows), route_gap the bound of their soft-min term and
+        conjugate the values of edges.conjugate(t); keep the best."""
+        f = flows.plain_flat()
         if fw:
             cert = gap = frank_wolfe_gap(network, f)
             ok = gap <= eps
             route_gap = 0.0  # the written times are the costs at the flows
         else:
-            gap = gap + route_gap
-            viol = capacity_violation(network, f) if capped else 0.0
-            comp = complementarity_residual(network, t_pt, f) if capped else 0.0
+            gap = duality_gap(network, t_pt, f, conjugate)[1] + route_gap
+            viol = capacity_violation(network, f)
+            comp = complementarity_residual(network, t_pt, f)
             ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
             cert = max(gap, viol, comp)
         if not best or (not ok, cert) < best["rank"]:
@@ -383,9 +386,8 @@ def solve_assignment(
         # a gradient-phase step after step 0 starts at y = the last step's x,
         # certified then: its gap is in trace[-1]
         fresh = gradient_phase and bool(trace)
-        candidates = [(state.x, flow_x, 0.0, conj_x[0])]
-        if not fresh:
-            candidates.insert(0, (state.y, flow_y, 0.0, conj_y[0]))
+        checked = [] if fresh else [consider(state.y, flow_y, 0.0, conj_y[0])]
+        checked.append(consider(state.x, flow_x, 0.0, conj_x[0]))
         if not metric:
             np.add(acc, state.alpha * flow_y.values, out=acc)
             psi += state.alpha * (value_y - flow_y.plain_flat() @ state.y)
@@ -394,14 +396,7 @@ def solve_assignment(
             # flows read off a point meet the soft-min Fenchel term with equality;
             # by Jensen, psi / A bounds the entropy term of their average
             route_gap = max(0.0, avg.plain_flat() @ state.x - value_x + psi / state.A)
-            candidates.append((state.x, avg, route_gap, conj_x[0]))
-        f = np.array([flows.plain_flat() for _, flows, _, _ in candidates])
-        gaps = [None] * len(candidates)
-        if not fw:  # one call over the stack: each row's sum is that of a call on the row
-            gaps = duality_gap(network, np.array([c[0] for c in candidates]), f,
-                               np.array([c[3] for c in candidates]))[1].tolist()
-        checked = [consider(t_pt, flows, row, gap, route)
-                   for (t_pt, flows, route, _), row, gap in zip(candidates, f, gaps)]
+            checked.append(consider(state.x, avg, route_gap, conj_x[0]))
         trace.append(min([gap for gap, _ in checked] + (trace[-1:] if fresh else [])))
         if any(ok for _, ok in checked):
             return "certified"
@@ -429,10 +424,10 @@ def solve_assignment(
     if not fw:  # start at the BPR costs of the flows loaded at t_free
         oracle.value_grad(t0)
         t0 = prox.clip(np.where(edges.smooth, edges.cost(oracle.point(t0)[1].plain_flat()), t0))
-        scale = None if capped else curvature_metric(t0, None)  # see docstring
+        scale = None if edges.capped.any() else curvature_metric(t0, None)  # see docstring
         metric = scale is not None
         if metric:
-            prox = oracle.prox(scale)
+            prox.scale = scale
     gradient_phase = metric  # gradient steps while each halves the gap
     _, rep = umt_minimize(
         oracle, prox, t0, eps,

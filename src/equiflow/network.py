@@ -118,18 +118,6 @@ class EdgeTable:
         they are contiguous, else as an index array; None when empty."""
         return tuple(map(_group, (self.smooth, self.capped, self.pinned, self.is_sd)))
 
-    def keys(self, x) -> tuple:
-        """The groups as keys into the array x, whose last axis runs over the edges.
-
-        A 1-D x takes the groups as they are: an index array costs several
-        times as much behind an Ellipsis as alone.
-        """
-        return self.groups if x.ndim == 1 else self._stacked_keys
-
-    @cached_property
-    def _stacked_keys(self) -> tuple:
-        return tuple(None if g is None else (Ellipsis, g) for g in self.groups)
-
     @cached_property
     def _capped_capacity(self) -> np.ndarray:
         return self.capacity[self.capped]
@@ -143,12 +131,9 @@ class EdgeTable:
         return cap, 1.0 / mu, mu / (1.0 + mu), scale, 1.0 + mu, scale * cap / (1.0 + mu)
 
     def integral(self, f) -> np.ndarray:
-        """Cost integral sigma_e(f) from 0 to f; +inf for SD flow above capacity.
-
-        f may stack the flows of several points, one per row.
-        """
+        """Cost integral sigma_e(f) from 0 to f; +inf for SD flow above capacity."""
         f = _flows(f)
-        smooth, capped, _, _ = self.keys(f)
+        smooth, capped, _, _ = self.groups
         out = self.t_free * f
         if smooth is not None:
             cap, _, _, _, mu1, lead = self._smooth_constants
@@ -165,11 +150,11 @@ class EdgeTable:
         (not defined below it).  Above t_free a smooth edge's flow inverts
         its cost map, f(t) solves t = cost(f), and integrating f over
         [t_free, t] gives the value mu/(1+mu) * f(t) * (t - t_free);
-        pinned edges give +inf.  t may stack several points, one per row.
+        pinned edges give +inf.
         """
         dt = np.asarray(t, dtype=float) - self.t_free
         value, flow = np.zeros(dt.shape), np.zeros(dt.shape)
-        smooth, capped, pinned, _ = self.keys(dt)
+        smooth, capped, pinned, _ = self.groups
         if smooth is not None:
             cap, inv_mu, ratio, scale, _, _ = self._smooth_constants
             d = np.fmax(dt[smooth], 0.0)  # at or below t_free both are 0

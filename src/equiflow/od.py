@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import EuclideanProx, SmoothOracle, umt_minimize
+from .solvers import EuclideanProx, SmoothOracle, _check_budget, umt_minimize
 
 
 class MarginalMap:
@@ -216,8 +216,10 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
     point), which hands over again once the residual is a tenth of the one
     that Newton started from.  The accelerated method restarts from the
     current point, too, when a step does not certify and the dual value
-    rose from the previous step.
+    rose from the previous step.  A tolerance that is not positive and
+    finite, or a negative max_iter, raises a ValueError before any work.
     """
+    _check_budget(eps, eps_residual, max_iter)
     problem = build_elp(L, W, T, gamma)
     oracle = ElpDualOracle(problem)
     prox = EuclideanProx()

@@ -154,6 +154,15 @@ class UmtState:
     report: SolverReport = None
 
 
+def _check_budget(eps, eps_residual, max_iter):
+    """Reject a tolerance that is not positive and finite, or a negative step budget."""
+    for name, value in (("eps", eps), ("eps_residual", eps_residual)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+
+
 def umt_minimize(
     oracle,
     prox,

@@ -7,12 +7,15 @@ test evaluates its criterion, prints the verdict, then asserts it.
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import equiflow
 from equiflow import (
     DualOracle,
     EdgeCostModel,
@@ -319,7 +322,7 @@ def test_criterion_10_stochastic_unbiasedness():
     verdict(10, "stochastic unbiasedness", unbiased and identical)
 
 
-def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
+def test_criterion_11_cli_determinism(tmp_path):
     inst = write_instance(tmp_path / "braess.net", BRAESS_SHORTCUT_INSTANCE)
     costs = tmp_path / "costs.csv"
     costs.write_text("0,0,0.3\n0,1,1.2\n1,0,0.8\n1,1,0.1\n", encoding="utf-8")
@@ -327,14 +330,21 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
     rows.write_text("0,2.0\n1,1.0\n", encoding="utf-8")
     cols = tmp_path / "cols.csv"
     cols.write_text("0,1.5\n1,1.5\n", encoding="utf-8")
+    # OpenBLAS reads its thread count once, when numpy loads: each side runs
+    # its CLI calls in interpreters of its own
+    src = os.path.dirname(os.path.dirname(equiflow.__file__))
     blobs = []
     for run, threads in (("a", "1"), ("b", "4")):
-        monkeypatch.setenv("OMP_NUM_THREADS", threads)
         out = str(tmp_path / run)
-        assert main(["solve", inst, "--model", "beckmann", "--eps", "1e-9",
-                     "--trace", "--out", out]) == 0
-        assert main(["od", str(costs), str(rows), str(cols), "--gamma", "0.5",
-                     "--out", out]) == 0
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for argv in (["solve", inst, "--model", "beckmann", "--eps", "1e-9", "--trace"],
+                     ["od", str(costs), str(rows), str(cols), "--gamma", "0.5"]):
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from equiflow.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv, "--out", out],
+                env=env, capture_output=True, text=True, timeout=300, encoding="utf-8")
+            assert done.returncode == 0, done.stderr
         files = {}
         for name in ("solution.csv", "summary.json", "trace.csv",
                      "matrix.csv", "certificate.json"):

@@ -335,10 +335,14 @@ class TestSolve:
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_bad_tolerance_exits_1(self, tmp_path, capsys, flag, value):
         inst = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
-        code = main(["solve", inst, flag, value, "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
+        out = tmp_path / "o"
+        code = main(["solve", inst, flag, value, "--out", str(out)])
+        # the library's message, naming its parameter
+        name = flag[2:].replace("-", "_")
         assert code == 1
-        assert err.startswith(f"error: {flag} must be positive and finite")
+        assert capsys.readouterr().err == (
+            f"error: {name} must be positive and finite, got {float(value)}\n")
+        assert not out.exists()
 
     def test_failed_verify_exits_1(self, tmp_path, capsys, monkeypatch):
         from equiflow import cli
@@ -387,7 +391,7 @@ class TestSolve:
             flags = ["--config", str(cfg)]
         out = tmp_path / "o"
         assert main([command, *inputs, *flags, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: --max-iter must be nonnegative, got -5\n"
+        assert capsys.readouterr().err == "error: max_iter must be nonnegative, got -5\n"
         assert not out.exists()
 
     def test_subgradient_zero_budget_takes_one_step(self, tmp_path):
@@ -889,10 +893,10 @@ class TestOd:
     @pytest.mark.parametrize("flags, message", [
         (["--gamma", "inf"], "gamma must be positive and finite, got inf"),
         (["--gamma", "nan"], "gamma must be positive and finite, got nan"),
-        (["--eps", "nan"], "--eps must be positive and finite, got nan"),
-        (["--eps", "-1"], "--eps must be positive and finite, got -1"),
-        (["--eps-residual", "nan"], "--eps-residual must be positive and finite, got nan"),
-        (["--eps-residual", "inf"], "--eps-residual must be positive and finite, got inf"),
+        (["--eps", "nan"], "eps must be positive and finite, got nan"),
+        (["--eps", "-1"], "eps must be positive and finite, got -1.0"),
+        (["--eps-residual", "nan"], "eps_residual must be positive and finite, got nan"),
+        (["--eps-residual", "inf"], "eps_residual must be positive and finite, got inf"),
     ], ids=["gamma-inf", "gamma-nan", "eps-nan", "eps-negative", "eps-residual-nan",
             "eps-residual-inf"])
     def test_bad_parameter_exits_1(self, tmp_path, capsys, flags, message):

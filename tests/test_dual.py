@@ -133,6 +133,29 @@ def record_stops(monkeypatch):
     return reasons
 
 
+def count_gap_calls(monkeypatch):
+    """Patch dual.duality_gap and the solve's umt_minimize; returns (points,
+    steps): the number of dimensions of t in every duality_gap call, and
+    (what the stop test returned, its duality_gap calls) per step."""
+    import equiflow.dual as dual
+
+    points, steps = [], []
+    real_gap, real_umt = dual.duality_gap, dual.umt_minimize
+    monkeypatch.setattr(dual, "duality_gap", lambda network, t, *args: points.append(
+        np.ndim(t)) or real_gap(network, t, *args))
+
+    def umt(*args, stop, **kwargs):
+        def counted(state):
+            before = len(points)
+            reason = stop(state)
+            steps.append((reason, len(points) - before))
+            return reason
+        return real_umt(*args, stop=counted, **kwargs)
+
+    monkeypatch.setattr(dual, "umt_minimize", umt)
+    return points, steps
+
+
 class TestStart:
     """Models certified by the triple start at the costs of the free-flow loads."""
 
@@ -432,7 +455,7 @@ class TestDualityGap:
 
 def mask_duality_gap(network, t, f):
     """duality_gap by boolean masks over the whole table, kept as the
-    reference for the cached edge groups and the stacked call."""
+    reference for the cached edge groups."""
     e = network.edges
     conj = mask_conjugate(e, t)[0]
     bpr = mask_integral(e, f) - f * t + np.where(e.pinned, 0.0, conj)
@@ -441,26 +464,48 @@ def mask_duality_gap(network, t, f):
     return terms, float(terms.sum())
 
 
-class TestStackedGap:
-    def test_rows_match_single_calls_and_the_masks(self):
-        # every grouping of edge kinds; the certificate stacks y, x and x
-        rng = np.random.default_rng(97)
+def mask_capacity_terms(network, t, f):
+    """capacity_violation and complementarity_residual by boolean masks."""
+    e = network.edges
+    c = e.capped
+    violation = float(np.max(f[c] - e.capacity[c], initial=0.0))
+    residual = (t[c] - e.t_free[c]) * (e.capacity[c] - f[c])
+    return violation, float(np.max(np.abs(residual), initial=0.0))
+
+
+class TestCertificateGroups:
+    """One-point certificates over the cached edge groups against the masks, bit for bit."""
+
+    @staticmethod
+    def layouts(seed):
+        """(network, times, flows) per grouping of edge kinds."""
+        rng = np.random.default_rng(seed)
         for models in edge_layouts(rng):
             net = Network([LevelGraph(2, [(0, 1, m) for m in models])], {(0, 1): 1.0})
             e = net.edges
-            y, x = (times_around_free(e.t_free, rng) for _ in range(2))
-            t = np.array([y, x, x])
-            f = np.array([flows_around_capacity(e.capacity, rng) for _ in range(3)])
-            for conjugate in (None, e.conjugate(t)[0]):
-                terms, totals = duality_gap(net, t, f, conjugate)
-                assert terms.shape == f.shape and totals.shape == (3,)
-                for k in range(3):
-                    single, total = duality_gap(net, t[k], f[k])
-                    want, want_total = mask_duality_gap(net, t[k], f[k])
-                    assert terms[k].tobytes() == single.tobytes() == want.tobytes()
-                    assert type(total) is float
-                    assert totals[k].tobytes() == np.float64(total).tobytes()
-                    assert total == want_total
+            for _ in range(3):
+                yield (net, times_around_free(e.t_free, rng),
+                       flows_around_capacity(e.capacity, rng))
+
+    def test_duality_gap_matches_the_masks(self):
+        for net, t, f in self.layouts(97):
+            want, want_total = mask_duality_gap(net, t, f)
+            for conjugate in (None, net.edges.conjugate(t)[0]):
+                terms, total = duality_gap(net, t, f, conjugate)
+                assert terms.shape == f.shape and terms.tobytes() == want.tobytes()
+                assert type(total) is float and total == want_total
+
+    def test_capacity_terms_match_the_masks(self):
+        uncapped = 0
+        for net, t, f in self.layouts(98):
+            got = capacity_violation(net, f), complementarity_residual(net, t, f)
+            want = mask_capacity_terms(net, t, f)
+            assert all(type(x) is float for x in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            if not net.edges.capped.any():
+                uncapped += 1
+                assert got == (0.0, 0.0)
+        assert uncapped > 0
 
 
 class TestEdgeKinds:
@@ -509,6 +554,25 @@ class TestEdgeKinds:
         assert oracle.strong_convexity() == 0.0  # capacitated edges are free
 
 
+class TestBudgetChecks:
+    """solve_assignment rejects tolerances and budgets before any work."""
+
+    @pytest.mark.parametrize("kwargs,message", [
+        # before the check: a DivergedOracleError, "certified" after 0 steps,
+        # and two silent runs to the step budget
+        (dict(eps=math.nan), "eps must be positive and finite, got nan"),
+        (dict(eps=math.inf), "eps must be positive and finite, got inf"),
+        (dict(eps_residual=math.nan), "eps_residual must be positive and finite, got nan"),
+        (dict(eps_residual=-1.0), "eps_residual must be positive and finite, got -1.0"),
+        (dict(max_iter=-3), "max_iter must be nonnegative, got -3"),
+    ], ids=["eps-nan", "eps-inf", "eps-residual-nan", "eps-residual-negative",
+            "max-iter-negative"])
+    def test_rejected_with_the_parameter_named(self, pigou_network, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            solve_assignment(pigou_network, model="stochastic", **{"max_iter": 5, **kwargs})
+        assert str(info.value) == message
+
+
 class TestBeckmannSolve:
     def test_pigou_equilibrium(self, pigou_network):
         rep = solve_assignment(pigou_network, model="beckmann", eps=1e-9)
@@ -526,10 +590,11 @@ class TestBeckmannSolve:
         base = solve_assignment(braess_network(False), model="beckmann", eps=1e-9)
         assert base.total_time == pytest.approx(1.5, abs=1e-4)
 
-    @pytest.mark.parametrize("max_iter", [0, -4])
+    @pytest.mark.parametrize("max_iter", [0])
     @pytest.mark.parametrize("model", MODELS)
     def test_mirror_descent_takes_at_least_one_step(self, pigou_network, model, max_iter):
-        # iterations count from 0: a zero budget stops after step 0
+        # iterations count from 0: a zero budget stops after step 0 (a
+        # negative one is rejected, TestBudgetChecks)
         rep = solve_assignment(pigou_network, model=model, max_iter=max_iter)
         assert rep.solver.iterations == 0 and len(rep.solver.gap_trace) == 1
 
@@ -684,19 +749,22 @@ class TestGradientPhase:
         assert 0 < rep.solver.restarts == len(restarts) < rep.solver.iterations
 
     def test_phase_steps_certify_x_alone(self, monkeypatch, tmp_path):
-        # a step after a restart starts at y = the x the step before certified
-        import equiflow.dual as dual
-
-        rows, real = [], dual.duality_gap
-        monkeypatch.setattr(dual, "duality_gap", lambda network, t, *args: rows.append(
-            len(t) if np.ndim(t) == 2 else 0) or real(network, t, *args))
-        reasons = record_stops(monkeypatch)
+        # a step after a restart starts at y = the x the step before certified;
+        # off the metric path (a capped network) every step certifies y, x and
+        # the average.  Every call takes one point; the last is the report's
+        points, steps = count_gap_calls(monkeypatch)
         net = bench_network(tmp_path, "grid_stochastic", "grid_stochastic:4", k=4, n_od=8)
         rep = solve_assignment(net, model="stochastic", eps=1e-4, gammas=[0.3])
-        after_restart = [False] + [isinstance(r, tuple) for r in reasons[:-1]]
+        after_restart = [False] + [isinstance(r, tuple) for r, _ in steps[:-1]]
         assert rep.converged and 0 < rep.solver.restarts < rep.solver.iterations
-        # the last call is the report's, at one point
-        assert rows == [1 if fresh else 2 for fresh in after_restart] + [0]
+        calls = [1 if fresh else 2 for fresh in after_restart]
+        assert [n for _, n in steps] == calls and points == [1] * (sum(calls) + 1)
+        points.clear()
+        steps.clear()
+        net = TestOneCertificateRule.capped_links(np.random.default_rng(142), 1)
+        rep = solve_assignment(net, model="mixed", eps=1e-4)
+        assert rep.converged and rep.solver.iterations > 1
+        assert [n for _, n in steps] == [3] * len(steps) and points == [1] * (3 * len(steps) + 1)
 
     @pytest.mark.parametrize("key,gammas", [("grid_stochastic:1:0", None),
                                             ("grid_stochastic:4", [0.3])])

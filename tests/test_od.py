@@ -167,6 +167,18 @@ class TestDualOracle:
 
 
 class TestSolveEntropyOd:
+    @pytest.mark.parametrize("kwargs,message", [
+        # before the check: a divide-by-zero warning in the certificate, and
+        # iterations = -3 in the report
+        (dict(eps_residual=0.0), "eps_residual must be positive and finite, got 0.0"),
+        (dict(max_iter=-3), "max_iter must be nonnegative, got -3"),
+        (dict(eps=math.nan), "eps must be positive and finite, got nan"),
+    ], ids=["eps-residual-zero", "max-iter-negative", "eps-nan"])
+    def test_bad_tolerance_or_budget_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            solve_entropy_od([2.0], [2.0], np.array([[1.0]]), 0.5, **{"max_iter": 5, **kwargs})
+        assert str(info.value) == message
+
     def test_single_cell(self):
         sol = solve_entropy_od([2.0], [2.0], np.array([[1.0]]), 0.5)
         assert sol.converged
