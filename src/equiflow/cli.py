@@ -81,15 +81,11 @@ def _gamma_overrides(network, model, gamma_flags):
     for item in gamma_flags:
         level, _, value = str(item).partition("=")
         try:
-            k = int(level)
-            v = float(value)
+            k, v = int(level), float(value)
         except ValueError:
             raise ValueError(f"bad gamma override {item!r}; expected level=value") from None
         if not 1 <= k <= network.n_levels:
             raise ValueError(f"gamma override for missing level {k}")
-        if not 0 <= v < math.inf:
-            raise ValueError(f"gamma override for level {k} must be finite and "
-                             f"nonnegative, got {v}")
         gammas[k - 1] = v
     return gammas
 

@@ -200,6 +200,12 @@ def complementarity_residual(network, t, flows):
     return float(np.max(np.abs(residual), initial=0.0))
 
 
+def _check_cost_maps(network):
+    """The Frank-Wolfe gap needs a flow-cost map (BPR) on every edge."""
+    if network.edges.is_sd.any():
+        raise ValueError("equilibrium gap needs BPR cost maps on every edge")
+
+
 def frank_wolfe_gap(network, flows):
     """Equilibrium gap <tau(f), f> - sum_w d_w * shortest-path_w(tau(f)).
 
@@ -208,8 +214,7 @@ def frank_wolfe_gap(network, flows):
     """
     if network.n_levels != 1:
         raise ValueError("equilibrium gap is defined for single-level networks")
-    if network.edges.is_sd.any():
-        raise ValueError("equilibrium gap needs BPR cost maps on every edge")
+    _check_cost_maps(network)
     f = np.asarray(flows, dtype=float)
     tau = network.edges.cost(f)
     dist, _ = _od_values(network.levels[0], tau, network.plan, 0.0, level=1)
@@ -338,8 +343,9 @@ def solve_assignment(
     which then write t = tau(f); for every other model, Fenchel gap <= eps,
     capacity violation <= eps_residual and complementarity
     <= 10*max(eps, eps_residual), so stochastic/multistage may end uncertified
-    on SD edges.  A tolerance that is not positive and finite, or a negative
-    max_iter, raises a ValueError before any work.
+    on SD edges.  A tolerance that is not positive and finite, a negative
+    max_iter, or an SD edge under beckmann or beckmann_md raises a
+    ValueError before any work.
     """
     if eps_residual is None:
         eps_residual = eps
@@ -348,6 +354,8 @@ def solve_assignment(
     if model in ("stochastic", "beckmann", "beckmann_md") and network.n_levels != 1:
         raise ValueError(f"model {model!r} expects a single-level network")
     _, fw, zero_ok = MODEL_DEFAULTS[model]
+    if fw:  # certified by the Frank-Wolfe gap
+        _check_cost_maps(network)
     gammas = base_gammas if gammas is None else _checked_gammas(network, gammas)
     if any(g <= 0 and not (zero_ok and g == 0) for g in gammas):
         raise ValueError(f"model {model!r} needs positive smoothing at every level")

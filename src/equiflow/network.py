@@ -355,8 +355,9 @@ class PairPlan:
     pairs: distinct (origin, dest), grouped by ascending origin, in order of
     first appearance within a group; a sweep from origins finds pair i at
     u[dests[i], columns[i]], flat index cells[i].  A plan of nested
-    references has fold, the pair of each nested edge.  Every sweep lists
-    the pairs in this one order.  Arrays are read-only.
+    references has fold, the pair of each nested edge.  Every sweep runs
+    over origins (a chunk over a slice) and lists every pair, with demand
+    or not, in this one order.  Arrays are read-only.
     """
 
     pairs: tuple
@@ -395,11 +396,6 @@ class PairPlan:
     def listed(self) -> np.ndarray:
         """The pairs with demand, in plan order: handed down, those given flow."""
         return np.flatnonzero(self.demand)
-
-    def grouped(self):
-        """(listed(), the origin columns its pairs use, ascending, each pair's place among them)."""
-        listed = self.listed()
-        return (listed, *np.unique(self.columns[listed], return_inverse=True))
 
     def __iter__(self):
         """The listed (origin, dest) pairs; bench/tracing.py counts a call's origins by them."""

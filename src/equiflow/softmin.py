@@ -74,11 +74,12 @@ every level is swept forward once per point (by _od_values), and
 gamma = 0 levels load all-or-nothing when their flows are read.
 
 Each level's OD pairs are a PairPlan built once per network (Network.plan,
-LevelGraph.nested_plan): a sweep's values are one gather u[dests, columns],
-its sink masses one scatter of the demands, and the demands a level hands
-down one np.bincount of its nested flows.  Values and all-or-nothing loads
-are summed pair by pair in plan order, as a loop over the pairs grouped by
-origin adds them.
+LevelGraph.nested_plan), read in one layout: a sweep runs over the plan's
+origins, a chunk of them over a run of its pairs, pairs without demand
+included, so kept and rerun sweeps give the same flows.  A sweep's values
+are one gather of its pairs' cells, its sink masses one scatter of the
+demands, and the demands a level hands down one np.bincount of its nested
+flows.  Values and all-or-nothing loads are summed pair by pair in plan order.
 """
 
 from __future__ import annotations
@@ -314,12 +315,6 @@ def _chunk_size(graph, hops):
     return max(1, ROUNDS_CAP_BYTES // _kept_bytes(graph, hops))
 
 
-def _chunks(graph, origins, hops):
-    """Batches of origins whose kept forward hops fit in ROUNDS_CAP_BYTES."""
-    size = _chunk_size(graph, hops)
-    return [origins[lo:lo + size] for lo in range(0, len(origins), size)]
-
-
 def _reached(plan, values, level, hops, index=None):
     """Raise UnreachableError for the first pair index[i] (or i) whose values[i] is not finite."""
     # one sum clears a finite set; only a sum that is not finite asks which value
@@ -363,19 +358,18 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
     if forward is not None:
         # _od_values found every pair reached
         return None, _sweep_backward(graph, weights, gamma, forward[1], plan.cells, plan.demand)
-    # the origins of the listed pairs in chunks, each chunk's pairs a run of them
-    listed, used, columns = plan.grouped()
-    value, lo = 0.0, 0
+    # the plan's origins in chunks, each chunk's pairs a run a:b of the plan
+    value, size = 0.0, _chunk_size(graph, hops)
     flows = np.zeros(graph.n_edges)
-    for batch in _chunks(graph, plan.origins[used], hops):
+    for lo in range(0, len(plan.origins), size):
+        batch = plan.origins[lo:lo + size]
         u, kept = _sweep_forward(graph, weights, batch, gamma, hops, keep=True, level=level)
-        a, b = np.searchsorted(columns, [lo, lo + len(batch)])
-        index = listed[a:b]
-        cells = plan.dests[index] * len(batch) + columns[a:b] - lo
-        _reached(plan, u.take(cells), level, hops, index)
-        value += _total(plan.demand[index], u.take(cells))
-        flows += _sweep_backward(graph, weights, gamma, kept, cells, plan.demand[index])
-        lo += len(batch)
+        a, b = np.searchsorted(plan.columns, [lo, lo + size])
+        cells = plan.dests[a:b] * len(batch) + plan.columns[a:b] - lo
+        values = u.take(cells)
+        _reached(plan, values, level, hops, range(a, b))
+        value += _total(plan.demand[a:b], values)
+        flows += _sweep_backward(graph, weights, gamma, kept, cells, plan.demand[a:b])
         del u, kept  # released before the next chunk's sweep
     return value, flows
 
@@ -423,14 +417,14 @@ def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
     cause.
     """
     plan = PairPlan.of(demands)
-    index, used, columns = plan.grouped()
-    dist, pred_edge = _shortest(graph, weights, plan.origins[used])
-    values = dist.take(plan.dests[index] * len(used) + columns)
-    _reached(plan, values, level, graph.n_vertices - 1, index)
-    value = _total(plan.demand[index], values)
+    dist, pred_edge = _shortest(graph, weights, plan.origins)
+    values = dist.take(plan.cells)
+    _reached(plan, values, level, graph.n_vertices - 1)
+    value = _total(plan.demand, values)
     flows = np.zeros(graph.n_edges)
-    for i, b, dem in zip(index.tolist(), columns.tolist(), plan.demand[index].tolist()):
-        o, d = plan.pairs[i]
+    for (o, d), b, dem in zip(plan.pairs, plan.columns.tolist(), plan.demand.tolist()):
+        if not dem:  # handed down, a pair its nested edges gave no flow
+            continue
         v, steps = d, 0
         while v != o:
             e = pred_edge[v, b]
@@ -448,11 +442,11 @@ def _checked_gammas(network: Network, gammas) -> list:
     """gammas (the network's own if None) as one finite, nonnegative scale per level; a
     negative one would sweep a soft-max forward and load all-or-nothing flows."""
     gammas = list(network.gammas() if gammas is None else gammas)
-    if len(gammas) != network.n_levels or not all(map(math.isfinite, gammas)):
+    if len(gammas) != network.n_levels:
         raise ValueError(f"gammas must be {network.n_levels} finite values, one per level, "
                          f"got {gammas}")
     for k, g in enumerate(gammas, start=1):
-        if g < 0:
+        if not 0 <= g < math.inf:
             raise ValueError(f"level {k}: gamma must be finite and nonnegative, got {g}")
     return gammas
 

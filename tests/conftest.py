@@ -254,6 +254,16 @@ def enumerated_softmin(graph, weights, origin, dest, gamma, hops):
     return value, flows
 
 
+def grid_graph(k):
+    """k x k grid, both directions on every side."""
+    edges = []
+    for v in range(k * k):
+        r, c = divmod(v, k)
+        for nb in ([v + 1] if c < k - 1 else []) + ([v + k] if r < k - 1 else []):
+            edges += [(v, nb, fixed_edge(1.0)), (nb, v, fixed_edge(1.0))]
+    return LevelGraph(k * k, plain_edges=edges)
+
+
 def random_network(rng, m=1, gamma=1.0):
     """Small random connected instance for property checks."""
     plain = []

@@ -374,7 +374,7 @@ class TestSolve:
                          "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: gamma override for level 1 must be finite and nonnegative, got {shown}\n")
+            f"error: level 1: gamma must be finite and nonnegative, got {shown}\n")
 
     @pytest.mark.parametrize("command", ["solve", "compare", "od"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -476,6 +476,15 @@ class TestModelRouting:
         assert main(["solve", inst, "--model", model, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: model {model!r} expects a single-level network\n"
+
+    @pytest.mark.parametrize("model", ["beckmann", "beckmann_md", None])
+    def test_frank_wolfe_models_reject_sd_edges(self, tmp_path, capsys, model):
+        # beckmann is the single-level default
+        inst = write_instance(tmp_path / "sd.net", SD_TWO_LINK_INSTANCE)
+        flags = ["--model", model] if model else []
+        assert main(["solve", inst, *flags, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: equilibrium gap needs BPR cost maps on every edge\n")
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_partial_gamma_override_keeps_model_smoothing(self, tmp_path, command):

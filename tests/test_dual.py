@@ -184,6 +184,20 @@ class TestStart:
         assert np.array_equal(seen["value_grad"][0], t_free)
         assert [rep.solver.value_calls, rep.solver.grad_calls] == list(seen["umt_calls"][0])
 
+    @pytest.mark.parametrize("model", ["beckmann", "beckmann_md"])
+    def test_frank_wolfe_models_reject_sd_edges_before_any_sweep(self, monkeypatch,
+                                                                  sd_two_link, model):
+        # the Frank-Wolfe gap needs a cost map on every edge: checked before any work
+        from equiflow import softmin
+
+        sweeps = []
+        real = softmin._sweep_forward
+        monkeypatch.setattr(softmin, "_sweep_forward",
+                            lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
+        with pytest.raises(ValueError, match="^equilibrium gap needs BPR cost maps on every edge$"):
+            solve_assignment(sd_two_link, model=model)
+        assert sweeps == []
+
     def test_reported_calls_count_the_start(self, monkeypatch):
         seen = record_solve_points(monkeypatch)
         rep = solve_assignment(two_origin_network(), model="stochastic", eps=1e-4)
@@ -971,22 +985,29 @@ class TestMultistage:
         with pytest.raises(ValueError, match="positive smoothing"):
             solve_assignment(net, model="mixed", gammas=[0.5, 0.0])
 
-    @pytest.mark.parametrize("gammas", [[0.5], [0.5, 0.5, 0.5], [0.5, math.nan], [0.5, math.inf]],
-                             ids=["short", "long", "nan", "inf"])
-    def test_bad_gammas_rejected(self, gammas):
+    BAD_GAMMAS = {
+        "short": ([0.5], "2 finite values, one per level"),
+        "long": ([0.5, 0.5, 0.5], "2 finite values, one per level"),
+        "nan": ([0.5, math.nan], "^level 2: gamma must be finite and nonnegative, got nan$"),
+        "inf": ([0.5, math.inf], "^level 2: gamma must be finite and nonnegative, got inf$"),
+    }
+
+    @pytest.mark.parametrize("case", ["short", "long", "nan", "inf"])
+    def test_bad_gammas_rejected(self, case):
         # one finite value per level, checked before any sweep runs
+        gammas, message = self.BAD_GAMMAS[case]
         net = random_network(np.random.default_rng(3), m=2)
-        with pytest.raises(ValueError, match="2 finite values, one per level"):
+        with pytest.raises(ValueError, match=message):
             solve_assignment(net, model="multistage", gammas=gammas)
 
-    @pytest.mark.parametrize("gammas", [[0.5], [0.5, 0.5, 0.5], [0.5, math.nan]],
-                             ids=["short", "long", "nan"])
-    def test_bad_gammas_rejected_by_the_oracles(self, gammas):
+    @pytest.mark.parametrize("case", ["short", "long", "nan"])
+    def test_bad_gammas_rejected_by_the_oracles(self, case):
         # the oracles share solve_assignment's check
+        gammas, message = self.BAD_GAMMAS[case]
         net = random_network(np.random.default_rng(3), m=2)
-        with pytest.raises(ValueError, match="2 finite values, one per level"):
+        with pytest.raises(ValueError, match=message):
             DualOracle(net, gammas)
-        with pytest.raises(ValueError, match="2 finite values, one per level"):
+        with pytest.raises(ValueError, match=message):
             stochastic_origin_oracle(net, net.free_flow_times(), net.origins(), gammas)
 
     @pytest.mark.parametrize("entry", ["DualOracle", "stochastic_origin_oracle",

@@ -15,7 +15,7 @@ from equiflow import (
 from equiflow import softmin
 from equiflow.network import PairPlan
 
-from conftest import fixed_edge, random_network
+from conftest import fixed_edge, grid_graph, random_network
 
 
 def plain_level(rng):
@@ -142,6 +142,39 @@ class TestAgainstHandBuiltDemands:
             assert same_bits(v1, v2) and same_bits(f1, f2)
 
 
+class TestOneLayout:
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
+    def test_rerun_gives_the_flows_of_the_kept_sweep(self, monkeypatch, gamma):
+        # a handed-down plan over 8 origins, 3 of them given no flow: a
+        # rerun sweeps the plan's own origins, as the kept pricing sweep
+        # did, so the flows agree bit for bit, on a 10 x 10 grid (sparse
+        # kernel) and an 8 x 8 one (dense); in chunks of 3 origins, to rounding
+        rng = np.random.default_rng(704)
+        for side, kernel in ((10, "sparse"), (8, "dense")):
+            inner = grid_graph(side)
+            n, hops = inner.n_vertices, inner.n_vertices - 1
+            w = rng.uniform(1.0, 2.0, size=inner.n_edges)
+            origins = rng.choice(n, size=8, replace=False).tolist()
+            refs = [(o, int(d)) for o in origins
+                    for d in rng.choice([v for v in range(n) if v != o], size=2, replace=False)]
+            plan = LevelGraph(1, nested_edges=[(0, 0, od) for od in refs]).nested_plan
+            flows = rng.uniform(0.1, 1.0, size=len(refs))
+            flows[[i for i, (o, _) in enumerate(refs) if o in origins[1::3]]] = 0.0
+            handed = plan.hand_down(flows)
+            assert 0 < np.count_nonzero(handed.totals()) < len(handed.origins)
+            _, kept = softmin._od_values(inner, w, handed, gamma, level=2)
+            assert kept[1][2] == kernel
+            value, rerun = softmin_flows(inner, w, handed, gamma, hops, level=2)
+            assert np.isfinite(value)
+            _, from_kept = softmin_flows(inner, w, handed, gamma, hops, level=2, forward=kept)
+            assert same_bits(rerun, from_kept)
+            with monkeypatch.context() as m:
+                m.setattr(softmin, "ROUNDS_CAP_BYTES", 3 * softmin._kept_bytes(inner, hops))
+                chunked = softmin_flows(inner, w, handed, gamma, hops, level=2)
+            assert chunked[0] == pytest.approx(value, rel=1e-12)
+            np.testing.assert_allclose(chunked[1], rerun, rtol=1e-12, atol=1e-12)
+
+
 class TestUnreachable:
     def chain(self):
         return [(0, 1, fixed_edge(1.0)), (1, 2, fixed_edge(1.0))]
@@ -208,14 +241,6 @@ class TestPairPlan:
             expect = [sum(x for (o, _), x in zip(plan.pairs, plan.demand.tolist()) if o == origin)
                       for origin in plan.origins.tolist()]
             assert [t.hex() for t in plan.totals()] == [t.hex() for t in expect]
-
-    def test_grouped_places_the_listed_pairs_among_their_origins(self):
-        # handed down, only origins 1 and 2 carry flow: their columns, renumbered
-        level = LevelGraph(1, nested_edges=[(0, 0, od) for od in [(2, 5), (0, 4), (1, 3)]])
-        handed = level.nested_plan.hand_down(np.array([0.3, 0.0, 0.1]))
-        listed, used, places = handed.grouped()
-        assert [handed.pairs[i] for i in listed] == [(1, 3), (2, 5)]
-        assert used.tolist() == [1, 2] and places.tolist() == [0, 1]
 
     def test_zero_flows_hand_down_no_demand(self):
         plan = LevelGraph(1, nested_edges=[(0, 0, (0, 1)), (0, 0, (0, 2))]).nested_plan

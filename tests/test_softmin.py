@@ -26,7 +26,8 @@ from equiflow import (
 )
 
 from conftest import (
-    braess_network, deadline, enumerate_walks, enumerated_softmin, fixed_edge, random_network,
+    braess_network, deadline, enumerate_walks, enumerated_softmin, fixed_edge, grid_graph,
+    random_network,
 )
 
 
@@ -42,16 +43,6 @@ def random_graph(rng, n, m):
     """m random edges over n vertices, some of them possibly unreachable."""
     pairs = [rng.choice(n, size=2, replace=False) for _ in range(m)]
     return LevelGraph(n, plain_edges=[(int(a), int(b), fixed_edge(1.0)) for a, b in pairs])
-
-
-def grid_graph(k):
-    """k x k grid, both directions on every side."""
-    edges = []
-    for v in range(k * k):
-        r, c = divmod(v, k)
-        for nb in ([v + 1] if c < k - 1 else []) + ([v + k] if r < k - 1 else []):
-            edges += [(v, nb, fixed_edge(1.0)), (nb, v, fixed_edge(1.0))]
-    return LevelGraph(k * k, plain_edges=edges)
 
 
 def fold(w, walk):
@@ -283,6 +274,17 @@ class TestAllOrNothing:
         assert hard_shortest(g, [0.0, 0.0, 1.0, 1.0], 2)[1].tolist() == [1, 0, -1]
         with deadline(10), pytest.raises(ValueError, match=r"level 1: .* OD 2->0; .*cycle"):
             all_or_nothing(g, [0.0, 0.0, 1.0, 1.0], {(2, 0): 1.0})
+
+    def test_cycle_behind_a_tight_origin_edge_raises(self):
+        # 3 -> 1 is tight, but 2 -> 1 (0 + 1 == 1) wins the tie-break by its
+        # tail, and 1 -> 2 is 2's predecessor: the walk back from 1 cycles
+        e = fixed_edge(1.0)
+        g = LevelGraph(4, [(3, 1, e), (3, 2, e), (1, 2, e), (2, 1, e)])
+        with deadline(10), pytest.raises(ValueError, match=r"^level 1: .* OD 3->1; .*cycle"):
+            all_or_nothing(g, [1.0, 1.0, 0.0, 0.0], {(3, 1): 1.0})
+        # at 0.5 across, 3 -> 1 alone is tight
+        value, flows = all_or_nothing(g, [1.0, 1.0, 0.5, 0.5], {(3, 1): 1.0})
+        assert value == 1.0 and flows.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_batched_origins_on_grid(self):
         # 4x4 grid, every ordered pair among 6 origins: edges carry 3+ ODs
@@ -992,7 +994,7 @@ class TestDenseKernel:
         demands = {(o, (5 * o + 3) % 16): 1.0 for o in range(0, 16, 3)}
         whole = softmin_flows(g, w, demands, 1.0, hops)[1]
         monkeypatch.setattr(softmin, "ROUNDS_CAP_BYTES", 2 * softmin._kept_bytes(g, hops))
-        assert len(softmin._chunks(g, sorted({o for o, _ in demands}), hops)) == 3
+        assert math.ceil(len({o for o, _ in demands}) / softmin._chunk_size(g, hops)) == 3
         self.same(self.agree(monkeypatch, g, w, demands, 1.0, hops), whole)
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -1132,7 +1134,7 @@ class TestDenseKernel:
         w = np.random.default_rng(66).uniform(1.0, 2.0, size=g.n_edges)
         assert self.kernel(g, w, 1.0, hops) == "dense"
         demands = {(o, (o + 37) % n): 1.0 for o in range(n)}
-        assert len(softmin._chunks(g, list(range(n)), hops)) == 1
+        assert math.ceil(n / softmin._chunk_size(g, hops)) == 1
         tracemalloc.start()
         try:
             softmin_flows(g, w, demands, 1.0, hops)
