@@ -255,11 +255,14 @@ class EquilibriumReport:
     route_gap: float = 0.0
 
 
-def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged, solver,
-                  fw_gap=math.nan, route_gap=0.0):
-    f = flows.plain_flat()
-    per_edge, total = duality_gap(network, t, f)
-    tau = experienced_times(network, t, f)
+def _build_report(network, model, eps, eps_residual, record, gammas, converged, solver):
+    """The report of the winning candidate, from the record of it that the stop test kept."""
+    f = record["flows"].plain_flat()
+    if MODEL_DEFAULTS[model][1]:  # Frank-Wolfe: the written times are the costs at the flows
+        t = network.edges.cost(f)
+        per_edge, total = duality_gap(network, t, f)
+        record = dict(record, t=t, per_edge_gap=per_edge, total_gap=total)
+    tau = experienced_times(network, record["t"], f)
     total_time = float(tau @ f)
     # shortest paths under the experienced costs, hard at every level
     weights = effective_weights(network, tau, [0.0] * network.n_levels)
@@ -269,20 +272,13 @@ def _build_report(network, model, eps, eps_residual, t, flows, gammas, converged
         model=model,
         eps=eps,
         eps_residual=eps_residual,
-        t=t,
-        flows=flows,
-        per_edge_gap=per_edge,
-        total_gap=total + route_gap,
-        fw_gap=fw_gap,
-        capacity_violation=capacity_violation(network, f),
-        complementarity=complementarity_residual(network, t, f),
-        multipliers=t - network.free_flow_times(),
+        multipliers=record["t"] - network.free_flow_times(),
         total_time=total_time,
         shortest_costs=shortest,
         gammas=list(gammas),
         converged=converged,
         solver=solver,
-        route_gap=route_gap,
+        **record,
     )
 
 
@@ -340,10 +336,12 @@ def solve_assignment(
     legs it certified flows 0.005 off the assignment at the written times, so
     the metric path keeps none.  Certificate: the equilibrium gap
     <tau(f),f> - sum d_w SP_w(tau(f)) <= eps for beckmann and beckmann_md,
-    which then write t = tau(f); for every other model, Fenchel gap <= eps,
+    which then write t = tau(f), where the report computes their per-edge
+    terms, once; for every other model, Fenchel gap <= eps,
     capacity violation <= eps_residual and complementarity
     <= 10*max(eps, eps_residual), so stochastic/multistage may end uncertified
-    on SD edges.  A tolerance that is not positive and finite, a negative
+    on SD edges; their report carries the winner's certificate as the stop
+    test computed it.  A tolerance that is not positive and finite, a negative
     max_iter, or an SD edge under beckmann or beckmann_md raises a
     ValueError before any work.
     """
@@ -363,7 +361,8 @@ def solve_assignment(
     oracle = DualOracle(network, gammas)
     acc = np.zeros(network.n_flows)  # step-weighted sum of the flows at the points y
     psi = 0.0  # step-weighted sum of the route-choice entropy terms at the points y
-    # rank (not certified, certificate value): a certified candidate always wins
+    # rank (not certified, certificate value), so a certified candidate always
+    # wins, and record, the winner's report fields as its certificate gave them
     best = {}
     comp_tol = 10.0 * max(eps, eps_residual)
 
@@ -371,19 +370,22 @@ def solve_assignment(
         """Certify (t, flows), route_gap the bound of their soft-min term and
         conjugate the values of edges.conjugate(t); keep the best."""
         f = flows.plain_flat()
-        if fw:
+        if fw:  # the report computes the Fenchel terms, at t = tau(f)
             cert = gap = frank_wolfe_gap(network, f)
             ok = gap <= eps
-            route_gap = 0.0  # the written times are the costs at the flows
+            record = dict(fw_gap=gap, capacity_violation=0.0, complementarity=0.0)  # no SD edge
         else:
-            gap = duality_gap(network, t_pt, f, conjugate)[1] + route_gap
+            per_edge, gap = duality_gap(network, t_pt, f, conjugate)
+            gap += route_gap
             viol = capacity_violation(network, f)
             comp = complementarity_residual(network, t_pt, f)
             ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
             cert = max(gap, viol, comp)
+            record = dict(per_edge_gap=per_edge, total_gap=gap, fw_gap=math.nan,
+                          route_gap=route_gap, capacity_violation=viol, complementarity=comp)
         if not best or (not ok, cert) < best["rank"]:
-            best.update(rank=(not ok, cert), gap=gap, route_gap=route_gap, flows=flows,
-                        t=np.array(t_pt, dtype=float))
+            best.update(rank=(not ok, cert),
+                        record=dict(record, t=np.array(t_pt, dtype=float), flows=flows))
         return gap, ok
 
     def stop(state):
@@ -444,11 +446,9 @@ def solve_assignment(
     if not fw:  # the start's evaluation is an oracle call of the solve
         rep.value_calls += 1
         rep.grad_calls += 1
-    t = edges.cost(best["flows"].plain_flat()) if fw else best["t"]
     return _build_report(
-        network, model, eps, eps_residual, t, best["flows"], gammas,
-        rep.termination == "certified", rep, fw_gap=best["gap"] if fw else math.nan,
-        route_gap=best["route_gap"],
+        network, model, eps, eps_residual, best["record"], gammas,
+        rep.termination == "certified", rep,
     )
 
 

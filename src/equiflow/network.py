@@ -500,8 +500,6 @@ def not_utf8(line):
 
 
 def _parse_float(token, lineno, what):
-    if token == "inf":
-        return math.inf
     try:
         return float(token)
     except ValueError:

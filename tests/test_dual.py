@@ -135,8 +135,9 @@ def record_stops(monkeypatch):
 
 def count_gap_calls(monkeypatch):
     """Patch dual.duality_gap and the solve's umt_minimize; returns (points,
-    steps): the number of dimensions of t in every duality_gap call, and
-    (what the stop test returned, its duality_gap calls) per step."""
+    steps): the number of dimensions of t in every duality_gap call, the
+    stop test's and any after the last step (the report's), and (what the
+    stop test returned, its duality_gap calls) per step."""
     import equiflow.dual as dual
 
     points, steps = [], []
@@ -362,9 +363,10 @@ class TestAssignmentMemo:
                              gamma=0.5)
         rep = solve_assignment(net, model=model, eps=1e-8)
         assert rep.converged and rep.solver.iterations > 5
-        # one per distinct point requested, and one for the report
-        assert len(conjugated) == len(points) + 1
-        assert set(conjugated[:-1]) == points
+        # one per distinct point requested: the report carries the winner's
+        # certificate as the stop test computed it
+        assert len(conjugated) == len(points)
+        assert set(conjugated) == points
 
     def test_new_point_not_stale(self):
         net, t = self.point()
@@ -720,6 +722,79 @@ class TestOneCertificateRule:
         assert rep.total_gap == float(rep.per_edge_gap.sum()) + rep.route_gap
 
 
+class TestCarriedCertificate:
+    """The report carries the winning candidate's certificate as the stop test
+    computed it; the Frank-Wolfe models' report computes it once, at tau(f)."""
+
+    CASES = {
+        "stochastic": (congested_grid, dict(eps=1e-6)),
+        "multistage": (lambda: random_network(np.random.default_rng(21), m=2, gamma=0.5),
+                       dict(eps=1e-8)),
+        # the step-weighted average certifies, with a route-choice bound
+        "mixed": (lambda: TestOneCertificateRule.capped_links(np.random.default_rng(142), 1),
+                  dict(eps=1e-4)),
+        # uncertified at the budget: the rank picks a candidate of an earlier step
+        "stable_dynamics": (
+            lambda: TestOneCertificateRule.capped_links(np.random.default_rng(140), 1),
+            dict(eps=1e-6, max_iter=5)),
+        "beckmann": (congested_grid, dict(max_iter=20)),
+        "beckmann_md": (congested_grid, dict(max_iter=20)),
+    }
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_report_is_its_certificate_recomputed(self, monkeypatch, model):
+        import equiflow.dual as dual
+
+        last, real = [], dual.umt_minimize
+
+        def umt(*args, stop, **kwargs):
+            def recorded(state):
+                last[:] = [state.y.copy(), state.x.copy()]
+                return stop(state)
+            return real(*args, stop=recorded, **kwargs)
+
+        monkeypatch.setattr(dual, "umt_minimize", umt)
+        make, kwargs = self.CASES[model]
+        net = make()
+        rep = solve_assignment(net, model=model, **kwargs)
+        f = rep.flows.plain_flat()
+        per_edge, total = duality_gap(net, rep.t, f)
+        assert np.array_equal(rep.per_edge_gap, per_edge)
+        # the route-choice bound is added to the edge terms' sum as the stop test added it
+        assert rep.total_gap == total + rep.route_gap
+        assert rep.capacity_violation == capacity_violation(net, f)
+        assert rep.complementarity == complementarity_residual(net, rep.t, f)
+        if model in ("beckmann", "beckmann_md"):
+            assert np.array_equal(rep.t, net.edges.cost(f))
+            assert rep.fw_gap == frank_wolfe_gap(net, f) and rep.route_gap == 0.0
+        else:
+            assert math.isnan(rep.fw_gap)
+        if model == "mixed":
+            assert rep.converged and rep.route_gap > 0.0
+        if model == "stable_dynamics":
+            assert rep.solver.termination == "max_iter" and not rep.converged
+            assert not any(np.array_equal(rep.t, t) for t in last)
+
+    @pytest.mark.parametrize("model,report_calls", [
+        ("beckmann_md", 1), ("stochastic", 0), ("mixed", 0)])
+    def test_only_a_frank_wolfe_report_certifies(self, monkeypatch, model, report_calls):
+        import equiflow.dual as dual
+
+        points, steps = count_gap_calls(monkeypatch)
+        residuals = []
+        for name in ("capacity_violation", "complementarity_residual"):
+            monkeypatch.setattr(dual, name, lambda *args, real=getattr(dual, name):
+                                residuals.append(1) or real(*args))
+        make, kwargs = self.CASES[model]
+        rep = solve_assignment(make(), model=model, **kwargs)
+        assert rep.solver.iterations > 1
+        # the calls after the last stop test are the report's; each of the stop
+        # test's duality_gap calls comes with one capacity_violation and one
+        # complementarity call, and a Frank-Wolfe model (no SD edge) makes none
+        checked = sum(n for _, n in steps)
+        assert len(points) - checked == report_calls and len(residuals) == 2 * checked
+
+
 class TestGradientPhase:
     """Metric-path solves restart after every step that halves the gap, until one does not."""
 
@@ -765,20 +840,21 @@ class TestGradientPhase:
     def test_phase_steps_certify_x_alone(self, monkeypatch, tmp_path):
         # a step after a restart starts at y = the x the step before certified;
         # off the metric path (a capped network) every step certifies y, x and
-        # the average.  Every call takes one point; the last is the report's
+        # the average.  Every call takes one point, and all are the stop test's:
+        # the report carries the winner's certificate
         points, steps = count_gap_calls(monkeypatch)
         net = bench_network(tmp_path, "grid_stochastic", "grid_stochastic:4", k=4, n_od=8)
         rep = solve_assignment(net, model="stochastic", eps=1e-4, gammas=[0.3])
         after_restart = [False] + [isinstance(r, tuple) for r, _ in steps[:-1]]
         assert rep.converged and 0 < rep.solver.restarts < rep.solver.iterations
         calls = [1 if fresh else 2 for fresh in after_restart]
-        assert [n for _, n in steps] == calls and points == [1] * (sum(calls) + 1)
+        assert [n for _, n in steps] == calls and points == [1] * sum(calls)
         points.clear()
         steps.clear()
         net = TestOneCertificateRule.capped_links(np.random.default_rng(142), 1)
         rep = solve_assignment(net, model="mixed", eps=1e-4)
         assert rep.converged and rep.solver.iterations > 1
-        assert [n for _, n in steps] == [3] * len(steps) and points == [1] * (3 * len(steps) + 1)
+        assert [n for _, n in steps] == [3] * len(steps) and points == [1] * (3 * len(steps))
 
     @pytest.mark.parametrize("key,gammas", [("grid_stochastic:1:0", None),
                                             ("grid_stochastic:4", [0.3])])
