@@ -23,7 +23,7 @@ import numpy as np
 
 # solve_multistage stays bound here for bench/tracing.py to patch
 from .dual import MODELS, duality_gap, model_gammas, solve_assignment, solve_multistage  # noqa: F401
-from .network import NetworkError, load_network, not_utf8
+from .network import NetworkError, ParseError, load_network, text_records
 from .od import balancing_oracle, solve_entropy_od
 from .solvers import DivergedOracleError
 # hard_shortest and softmin_potentials stay bound here for bench/tracing.py to patch
@@ -251,26 +251,19 @@ def _csv_records(path, n_ids):
 
     The reference reader, and the one that words every line-numbered error.
     """
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if bad := not_utf8(raw):
-                raise ValueError(f"{path}: line {lineno}: {bad}")
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                ids = tuple(int(x) for x in fields[:-1])
-                value = float(fields[-1])
-            except ValueError:
-                ids = None
-            if ids is None or len(ids) != n_ids:
-                what = "a zone id" if n_ids == 1 else f"{n_ids} integer ids"
-                raise ValueError(f"{path}: line {lineno}: expected {what} and a value, "
-                                 f"got {line!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: value must be finite, got {value}")
-            yield lineno, ids, value
+    for lineno, line in text_records(path):
+        fields = line.split(",")
+        try:
+            ids = tuple(int(x) for x in fields[:-1])
+            value = float(fields[-1])
+        except ValueError:
+            ids = None
+        if ids is None or len(ids) != n_ids:
+            what = "a zone id" if n_ids == 1 else f"{n_ids} integer ids"
+            raise ParseError(path, lineno, f"expected {what} and a value, got {line!r}")
+        if not math.isfinite(value):
+            raise ParseError(path, lineno, f"value must be finite, got {value}")
+        yield lineno, ids, value
 
 
 def _bulk_records(path, n_ids):
@@ -292,16 +285,15 @@ def _bulk_records(path, n_ids):
 
 
 def _positions(zones, ids):
-    """Each id's position in the ascending `zones`, or None when one is missing."""
-    if not zones:
-        return None
+    """Each id's position in the ascending, nonempty `zones`, or None when one is missing."""
     zones = np.asarray(zones)
     at = np.minimum(np.searchsorted(zones, ids), len(zones) - 1)
     return at if (zones[at] == ids).all() else None
 
 
 def _read_marginal_csv(path):
-    """Zone ids in ascending order and their marginals."""
+    """Zone ids in ascending order and their marginals; a file without a
+    record is an error."""
     bulk = _bulk_records(path, 1)
     if bulk is not None:
         (zones,), values = bulk
@@ -312,8 +304,10 @@ def _read_marginal_csv(path):
     values = {}
     for lineno, (zone,), v in _csv_records(path, 1):
         if zone in values:
-            raise ValueError(f"{path}: line {lineno}: duplicate zone {zone}")
+            raise ParseError(path, lineno, f"duplicate zone {zone}")
         values[zone] = v
+    if not values:
+        raise ParseError(path, None, "no zone records")
     zones = sorted(values)
     return zones, np.array([values[z] for z in zones])
 
@@ -336,17 +330,17 @@ def _read_cost_csv(path, rows, cols):
     seen = np.zeros(T.shape, dtype=bool)
     for lineno, (i, j), v in _csv_records(path, 2):
         if i not in row_at or j not in col_at:
-            raise ValueError(f"{path}: line {lineno}: zone pair {i},{j} is not in the "
-                             f"row and column marginal files")
+            raise ParseError(path, lineno,
+                             f"zone pair {i},{j} is not in the row and column marginal files")
         r, c = row_at[i], col_at[j]
         if seen[r, c]:
-            raise ValueError(f"{path}: line {lineno}: duplicate zone pair {i},{j}")
+            raise ParseError(path, lineno, f"duplicate zone pair {i},{j}")
         T[r, c] = v
         seen[r, c] = True
     if not seen.all():
         r, c = np.argwhere(~seen)[0]
-        raise ValueError(f"{path}: no cost for zone pair {rows[r]},{cols[c]} "
-                         f"({int((~seen).sum())} of {seen.size} pairs missing)")
+        raise ParseError(path, None, f"no cost for zone pair {rows[r]},{cols[c]} "
+                                     f"({int((~seen).sum())} of {seen.size} pairs missing)")
     return T
 
 

@@ -347,7 +347,7 @@ def solve_assignment(
     """
     if eps_residual is None:
         eps_residual = eps
-    _check_budget(eps, eps_residual, max_iter)
+    _check_budget(max_iter, eps=eps, eps_residual=eps_residual)
     base_gammas = model_gammas(network, model)  # rejects an unknown model first
     if model in ("stochastic", "beckmann", "beckmann_md") and network.n_levels != 1:
         raise ValueError(f"model {model!r} expects a single-level network")

@@ -26,19 +26,23 @@ class NetworkError(Exception):
 
 
 class ParseError(NetworkError):
-    """Malformed instance file; carries the 1-based line number, or None."""
+    """Malformed input file; carries its path and the 1-based line number,
+    or None, and reads "PATH: line N: message" (or "PATH: message")."""
 
-    def __init__(self, lineno, message):
-        super().__init__(message if lineno is None else f"line {lineno}: {message}")
+    def __init__(self, path, lineno, message):
+        where = f"{path}: " if lineno is None else f"{path}: line {lineno}: "
+        super().__init__(where + message)
+        self.path = path
         self.lineno = lineno
 
 
 class ValidationError(NetworkError):
-    """Inconsistent instance; lists every violation found."""
+    """Inconsistent instance; lists every violation found, after its file's path if given."""
 
-    def __init__(self, violations):
-        super().__init__("; ".join(violations))
+    def __init__(self, violations, path=None):
+        super().__init__(("" if path is None else f"{path}: ") + "; ".join(violations))
         self.violations = list(violations)
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -492,25 +496,26 @@ class FlowState:
         return self.values[:self._network.n_times]
 
 
-def not_utf8(line):
-    """Why a line read with errors="surrogateescape" is not UTF-8, or None:
-    there a byte b that does not decode reads as chr(0xDC00 + b)."""
-    bad = None if line.isascii() else next((c for c in line if "\udc80" <= c <= "\udcff"), None)
-    return bad and f"byte 0x{ord(bad) - 0xDC00:02x} is not UTF-8"
+def text_records(path):
+    """(line number, stripped text) of each line of a UTF-8 file that holds a record, after
+    a byte-order mark and '#' comments are dropped.  A byte b that does not decode reads
+    as chr(0xDC00 + b) under surrogate escapes and raises a ParseError naming its line."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            bad = None if raw.isascii() else next((c for c in raw if "\udc80" <= c <= "\udcff"), None)
+            if bad:
+                raise ParseError(path, lineno, f"byte 0x{ord(bad) - 0xDC00:02x} is not UTF-8")
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
 
 
-def _parse_float(token, lineno, what):
+def _parse(kind, token, what, path, lineno):
+    """token as an int or a float; a ParseError naming the line when it is not one."""
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
-        raise ParseError(lineno, f"bad {what} {token!r}") from None
-
-
-def _parse_int(token, lineno, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(lineno, f"bad {what} {token!r}") from None
+        raise ParseError(path, lineno, f"bad {what} {token!r}") from None
 
 
 def load_network(path) -> Network:
@@ -522,105 +527,102 @@ def load_network(path) -> Network:
       level tail head nested o:d        references OD pair (o, d) one level up
       od level origin dest demand       level must be 1
       gamma level value                 optional smoothing scale per level
+    A malformed record raises a ParseError and an inconsistent instance a
+    ValidationError; both messages begin with the path.
     """
     plain = {}   # level -> list
     nested = {}  # level -> list
     gammas = {}  # level -> (line number, value)
     demands = {}
-    max_vertex = {}
 
-    def note_vertex(level, v):
-        max_vertex[level] = max(max_vertex.get(level, -1), v)
+    for lineno, line in text_records(path):
+        tok = line.split()
+        if tok[0] == "od":
+            if len(tok) != 5:
+                raise ParseError(path, lineno, "od record needs: od level origin dest demand")
+            level = _parse(int, tok[1], "level", path, lineno)
+            if level != 1:
+                raise ParseError(path, lineno, "demands are only declared at level 1")
+            o = _parse(int, tok[2], "origin", path, lineno)
+            d = _parse(int, tok[3], "dest", path, lineno)
+            dem = _parse(float, tok[4], "demand", path, lineno)
+            if (o, d) in demands:
+                raise ParseError(path, lineno, f"duplicate demand for OD {o}->{d}")
+            demands[(o, d)] = dem
+            continue
+        if tok[0] == "gamma":
+            if len(tok) != 3:
+                raise ParseError(path, lineno, "gamma record needs: gamma level value")
+            level = _parse(int, tok[1], "level", path, lineno)
+            if level in gammas:
+                raise ParseError(path, lineno, f"duplicate gamma for level {level}")
+            gammas[level] = (lineno, _parse(float, tok[2], "gamma", path, lineno))
+            continue
+        if len(tok) < 5:
+            raise ParseError(path, lineno, "edge record needs at least 5 fields")
+        level = _parse(int, tok[0], "level", path, lineno)
+        tail = _parse(int, tok[1], "tail", path, lineno)
+        head = _parse(int, tok[2], "head", path, lineno)
+        kind = tok[3]
+        if kind == "nested":
+            ref = tok[4].split(":")
+            if len(ref) != 2:
+                raise ParseError(path, lineno, "nested reference must look like o:d")
+            o = _parse(int, ref[0], "nested origin", path, lineno)
+            d = _parse(int, ref[1], "nested dest", path, lineno)
+            nested.setdefault(level, []).append((tail, head, (o, d)))
+        elif kind == BPR:
+            if len(tok) != 8:
+                raise ParseError(path, lineno,
+                                 "bpr record needs: level tail head bpr t_free capacity gain power")
+            model = EdgeCostModel(
+                BPR,
+                t_free=_parse(float, tok[4], "t_free", path, lineno),
+                capacity=_parse(float, tok[5], "capacity", path, lineno),
+                bpr_gain=_parse(float, tok[6], "gain", path, lineno),
+                bpr_power=_parse(float, tok[7], "power", path, lineno),
+            )
+            plain.setdefault(level, []).append((tail, head, model))
+        elif kind == SD:
+            if len(tok) not in (6, 8):
+                raise ParseError(path, lineno, "sd record needs: level tail head sd t_free capacity")
+            model = EdgeCostModel(
+                SD,
+                t_free=_parse(float, tok[4], "t_free", path, lineno),
+                capacity=_parse(float, tok[5], "capacity", path, lineno),
+            )
+            plain.setdefault(level, []).append((tail, head, model))
+        else:
+            raise ParseError(path, lineno, f"unknown edge kind {kind!r}")
 
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if bad := not_utf8(raw):
-                raise ParseError(lineno, bad)
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            if tok[0] == "od":
-                if len(tok) != 5:
-                    raise ParseError(lineno, "od record needs: od level origin dest demand")
-                level = _parse_int(tok[1], lineno, "level")
-                if level != 1:
-                    raise ParseError(lineno, "demands are only declared at level 1")
-                o = _parse_int(tok[2], lineno, "origin")
-                d = _parse_int(tok[3], lineno, "dest")
-                dem = _parse_float(tok[4], lineno, "demand")
-                if (o, d) in demands:
-                    raise ParseError(lineno, f"duplicate demand for OD {o}->{d}")
-                demands[(o, d)] = dem
-                note_vertex(1, o)
-                note_vertex(1, d)
-                continue
-            if tok[0] == "gamma":
-                if len(tok) != 3:
-                    raise ParseError(lineno, "gamma record needs: gamma level value")
-                level = _parse_int(tok[1], lineno, "level")
-                if level in gammas:
-                    raise ParseError(lineno, f"duplicate gamma for level {level}")
-                gammas[level] = (lineno, _parse_float(tok[2], lineno, "gamma"))
-                continue
-            if len(tok) < 5:
-                raise ParseError(lineno, "edge record needs at least 5 fields")
-            level = _parse_int(tok[0], lineno, "level")
-            tail = _parse_int(tok[1], lineno, "tail")
-            head = _parse_int(tok[2], lineno, "head")
-            kind = tok[3]
-            note_vertex(level, tail)
-            note_vertex(level, head)
-            if kind == "nested":
-                ref = tok[4].split(":")
-                if len(ref) != 2:
-                    raise ParseError(lineno, "nested reference must look like o:d")
-                o = _parse_int(ref[0], lineno, "nested origin")
-                d = _parse_int(ref[1], lineno, "nested dest")
-                nested.setdefault(level, []).append((tail, head, (o, d)))
-                note_vertex(level + 1, o)
-                note_vertex(level + 1, d)
-            elif kind == BPR:
-                if len(tok) != 8:
-                    raise ParseError(lineno, "bpr record needs: level tail head bpr t_free capacity gain power")
-                model = EdgeCostModel(
-                    BPR,
-                    t_free=_parse_float(tok[4], lineno, "t_free"),
-                    capacity=_parse_float(tok[5], lineno, "capacity"),
-                    bpr_gain=_parse_float(tok[6], lineno, "gain"),
-                    bpr_power=_parse_float(tok[7], lineno, "power"),
-                )
-                plain.setdefault(level, []).append((tail, head, model))
-            elif kind == SD:
-                if len(tok) not in (6, 8):
-                    raise ParseError(lineno, "sd record needs: level tail head sd t_free capacity")
-                model = EdgeCostModel(
-                    SD,
-                    t_free=_parse_float(tok[4], lineno, "t_free"),
-                    capacity=_parse_float(tok[5], lineno, "capacity"),
-                )
-                plain.setdefault(level, []).append((tail, head, model))
-            else:
-                raise ParseError(lineno, f"unknown edge kind {kind!r}")
-
-    if not max_vertex:
-        raise ParseError(None, "empty instance")
-    n_levels = max(max_vertex)
+    if not (plain or nested or demands):
+        raise ParseError(path, None, "empty instance")
+    # the levels are those with edge records: a nested reference names vertices, not a level
+    edge_levels = sorted(set(plain) | set(nested))
+    n_levels = max([1, *edge_levels])
     for level, (lineno, _) in gammas.items():
         if not 1 <= level <= n_levels:
-            raise ParseError(lineno, f"gamma for missing level {level}")
-    if sorted(set(plain) | set(nested)) != list(range(1, n_levels + 1)):
-        raise ValidationError(
-            [f"levels must be contiguous starting at 1, got {sorted(set(plain) | set(nested))}"]
+            raise ParseError(path, lineno, f"gamma for missing level {level}")
+    if edge_levels != list(range(1, n_levels + 1)):
+        raise ValidationError([f"levels must be contiguous starting at 1, got {edge_levels}"], path)
+
+    def n_vertices(k):
+        """One more than the largest vertex named on level k: by its edges, by
+        the nested references into it and, on level 1, by the demands."""
+        named = [(tail, head) for tail, head, _ in plain.get(k, []) + nested.get(k, [])]
+        named += [od for _, _, od in nested.get(k - 1, [])] + (list(demands) if k == 1 else [])
+        return max(itertools.chain([-1], *named)) + 1
+
+    levels = [
+        LevelGraph(
+            n_vertices=n_vertices(k),
+            plain_edges=plain.get(k, []),
+            nested_edges=nested.get(k, []),
+            gamma=gammas.get(k, (None, 1.0))[1],
         )
-    levels = []
-    for k in range(1, n_levels + 1):
-        levels.append(
-            LevelGraph(
-                n_vertices=max_vertex.get(k, -1) + 1,
-                plain_edges=plain.get(k, []),
-                nested_edges=nested.get(k, []),
-                gamma=gammas.get(k, (None, 1.0))[1],
-            )
-        )
-    return Network(levels=levels, demands=demands)
+        for k in range(1, n_levels + 1)
+    ]
+    try:
+        return Network(levels=levels, demands=demands)
+    except ValidationError as exc:
+        raise ValidationError(exc.violations, path) from None

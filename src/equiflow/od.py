@@ -219,7 +219,7 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
     rose from the previous step.  A tolerance that is not positive and
     finite, or a negative max_iter, raises a ValueError before any work.
     """
-    _check_budget(eps, eps_residual, max_iter)
+    _check_budget(max_iter, eps=eps, eps_residual=eps_residual)
     problem = build_elp(L, W, T, gamma)
     oracle = ElpDualOracle(problem)
     prox = EuclideanProx()

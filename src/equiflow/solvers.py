@@ -154,9 +154,9 @@ class UmtState:
     report: SolverReport = None
 
 
-def _check_budget(eps, eps_residual, max_iter):
+def _check_budget(max_iter, **tolerances):
     """Reject a tolerance that is not positive and finite, or a negative step budget."""
-    for name, value in (("eps", eps), ("eps_residual", eps_residual)):
+    for name, value in tolerances.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if not max_iter >= 0:
@@ -202,9 +202,10 @@ def umt_minimize(
     count in k and its oracle calls in the report, and a reason of None
     goes on with this method from the x it returned, as after a restart.
     Given `rng`, the gradients at y are mini-batch means (see umt_stochastic).
+    An eps that is not positive and finite, or a negative max_iter, raises a
+    ValueError before any step.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_budget(max_iter, eps=eps)
     if rng is not None and oracle.variance_bound is None:
         raise ValueError("mini-batch run requires the oracle's variance bound")
     if rng is not None:  # a bound on |g|^2, in the dual norm: sum g_i^2/scale_i <= |g|^2/min(scale)

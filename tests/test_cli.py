@@ -12,6 +12,7 @@ import pytest
 from equiflow import hard_shortest, load_network, softmin, softmin_potentials, solve_assignment
 from equiflow.cli import main
 from equiflow.dual import MODELS
+from equiflow.network import ParseError
 
 from conftest import (
     BRAESS_BASE_INSTANCE,
@@ -202,7 +203,7 @@ class TestSolve:
         inst = tmp_path / "bad.net"
         inst.write_bytes("# caf\u00e9\n".encode() + b"1 0 1 bpr 1.0 \xff 0.5 1.0\nod 1 0 1 1.0\n")
         assert main(["solve", str(inst), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "error: line 2: byte 0xff is not UTF-8\n"
+        assert capsys.readouterr().err == f"error: {inst}: line 2: byte 0xff is not UTF-8\n"
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         # line 1 used to fail as "bad level '\ufeff1'"
@@ -217,7 +218,8 @@ class TestSolve:
         # a bad byte is still named with its line
         (tmp_path / "bad.net").write_bytes(b"\xef\xbb\xbf# ok\n1 0 1 bpr 1.0 \xff 0.5 1.0\n")
         assert main(["solve", str(tmp_path / "bad.net"), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.endswith("error: line 2: byte 0xff is not UTF-8\n")
+        assert capsys.readouterr().err.endswith(
+            f"error: {tmp_path / 'bad.net'}: line 2: byte 0xff is not UTF-8\n")
 
     def test_negative_cycle_exits_1(self, tmp_path, capsys):
         inst = write_instance(tmp_path / "neg.net", NEGATIVE_CYCLE_INSTANCE)
@@ -644,6 +646,19 @@ class TestCompare:
         assert capsys.readouterr().err == "error: scenarios do not share the same OD set\n"
         assert solves == []
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 0 1 bpr 1.0 1.0 0.5 x\nod 1 0 1 1.0\n", "line 1: bad power 'x'"),
+        ("1 0 1 bpr 1.0 1.0 0.5 1.0\nod 1 0 1 -1.0\n",
+         "demand 0->1: demand must be positive and finite"),
+    ], ids=["parse", "validation"])
+    def test_bad_scenario_is_named(self, tmp_path, capsys, text, message):
+        # neither message said which scenario it came from
+        good = write_instance(tmp_path / "good.net", PIGOU_INSTANCE)
+        bad = write_instance(tmp_path / "bad.net", text)
+        assert main(["compare", good, bad, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_mismatched_od_sets_rejected(self, tmp_path, capsys):
         a = write_instance(tmp_path / "a.net", PIGOU_INSTANCE)
         other = "1 0 1 bpr 1.0 1.0 0.0 1.0\n1 1 2 bpr 1.0 1.0 0.0 1.0\nod 1 0 2 1.0\n"
@@ -765,16 +780,19 @@ class TestBadInput:
         ("# no records\n", "empty instance"),
         (EDGE + "3 0 1 bpr 1.0 1.0 0.5 1.0\n" + OD,
          "levels must be contiguous starting at 1, got [1, 3]"),
+        # the referenced level 2 counted as a level: "levels must be contiguous ..., got [1]"
+        (EDGE + "1 0 1 nested 0:1\n" + OD,
+         "level 1 nested edge 0->1: top level admits no nested edges"),
     ], ids=["vertex-range", "bpr-capacity", "nested-self-loop", "nested-od-range",
             "nested-od-self-pair", "demand-range", "demand-self-pair", "bad-int",
             "od-fields", "od-level", "gamma-fields", "gamma-level-above", "gamma-level-0",
             "gamma-duplicate", "edge-fields", "nested-ref", "bpr-fields", "sd-fields",
-            "edge-kind", "empty", "levels-gap"])
+            "edge-kind", "empty", "levels-gap", "nested-on-top"])
     def test_bad_record_exits_1(self, tmp_path, capsys, text, message):
         inst = write_instance(tmp_path / "bad.net", text)
         code = main(["solve", inst, "--model", "stochastic", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {inst}: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_diverged_solver_exits_1(self, tmp_path, capsys, monkeypatch):
@@ -1041,14 +1059,18 @@ class TestOd:
         assert cells[(10, 0)] + cells[(10, 9)] == pytest.approx(2.0, abs=1e-6)
         assert cells[(10, 9)] + cells[(20, 9)] == pytest.approx(1.5, abs=1e-6)
 
-    @pytest.mark.parametrize("empty", ["rows", "both"])
-    def test_empty_marginal_files_exit_1(self, tmp_path, capsys, empty):
-        c, r, w = od_inputs(tmp_path, {}, [], [])
-        if empty == "rows":
-            (tmp_path / "cols.csv").write_text("0,1.0\n", encoding="utf-8")
-        n_cols = int(empty == "rows")
+    @pytest.mark.parametrize("empty, text", [
+        ("rows", ""), ("both", ""), ("cols", ""), ("rows", "# zone,marginal\n\n  \n"),
+    ], ids=["rows", "both", "cols", "rows-comments-only"])
+    def test_empty_marginal_files_exit_1(self, tmp_path, capsys, empty, text):
+        # an empty ROWS file was blamed on COSTS: "line 1: zone pair 0,0 is not in ..."
+        c, r, w = od_inputs(tmp_path, {(0, 0): 1.0}, [1.0], [1.0])
+        emptied = {"rows": [r], "cols": [w], "both": [r, w]}[empty]
+        for path in emptied:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         assert main(["od", c, r, w, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == f"error: empty marginals: 0 rows and {n_cols} columns\n"
+        assert capsys.readouterr().err == f"error: {emptied[0]}: no zone records\n"
 
     def test_overflowing_marginal_total_exits_1(self, tmp_path, capsys):
         # the sum overflowed with a RuntimeWarning, then failed as "eps must be positive"
@@ -1213,8 +1235,10 @@ class TestOdReader:
         with open(c, "w", encoding="utf-8") as fh:
             fh.write(costs)
         if column is None:
-            with pytest.raises(ValueError, match=r"line 2: zone pair 10,0 is not in"):
+            with pytest.raises(ParseError) as info:
                 self.read(c, r, w)
+            assert str(info.value) == (
+                f"{c}: line 2: zone pair 10,0 is not in the row and column marginal files")
         else:
             assert self.read(c, r, w)[4][:, 0].tolist() == column
 

@@ -622,6 +622,12 @@ class TestBeckmannSolve:
         assert f[1] == pytest.approx(1.0, abs=0.05)
         assert frank_wolfe_gap(pigou_network, f) <= 1e-3
 
+    def test_frank_wolfe_gap_rejects_a_nested_network(self):
+        net = mixed_edge_network(nested=True)
+        with pytest.raises(ValueError) as info:
+            frank_wolfe_gap(net, np.zeros(net.n_times))
+        assert str(info.value) == "equilibrium gap is defined for single-level networks"
+
     def test_stochastic_model_certifies_fenchel_gap(self, pigou_network):
         rep = solve_assignment(pigou_network, model="stochastic", eps=1e-6,
                                gammas=[0.2])

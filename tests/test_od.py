@@ -96,6 +96,12 @@ class TestBuildElp:
             build_elp(L, [1.0, 1.0], np.zeros((2, 2)), 1.0)
 
 
+    def test_cost_matrix_shape_checked(self):
+        with pytest.raises(ValueError) as info:
+            build_elp([1.0], [1.0], np.zeros((2, 2)), 1.0)
+        assert str(info.value) == "cost matrix shape (2, 2) != (1, 1)"
+
+
 class TestMarginalMap:
     @pytest.mark.parametrize("nr, nc", [(1, 1), (1, 5), (5, 1), (3, 4), (7, 5)])
     def test_matches_dense_matrix(self, nr, nc):

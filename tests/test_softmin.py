@@ -85,6 +85,15 @@ class TestPotentials:
         u = softmin_potentials(parallel_graph(), [1.0, 1.0], 0, gamma=0.01, hops=1)
         assert 1.0 - 0.01 * math.log(2.0) <= u[1] <= 1.0
 
+    @pytest.mark.parametrize("gamma, hops, message", [
+        (0.0, 1, "gamma must be positive; use hard_shortest for gamma=0"),
+        (1.0, 0, "hop bound must be at least 1"),
+    ], ids=["gamma-0", "hops-0"])
+    def test_bad_scale_or_hop_bound_rejected(self, gamma, hops, message):
+        with pytest.raises(ValueError) as info:
+            softmin_potentials(parallel_graph(), [1.0, 1.0], 0, gamma=gamma, hops=hops)
+        assert str(info.value) == message
+
     def test_unreachable_is_inf(self):
         g = LevelGraph(3, plain_edges=[(0, 1, fixed_edge(1.0))])
         u = softmin_potentials(g, [1.0], 0, gamma=1.0, hops=2)

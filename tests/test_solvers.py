@@ -60,6 +60,19 @@ class TestUmtMinimize:
         assert rep.termination == "certified"
         assert 0.5 * float(x @ x) <= 1e-8
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # before the check: x ~ 1.4e154 with overflow warnings, a
+        # DivergedOracleError, and a step taken and reported as max_iter
+        (dict(eps=math.inf), "eps must be positive and finite, got inf"),
+        (dict(eps=math.nan), "eps must be positive and finite, got nan"),
+        (dict(eps=1e-6, max_iter=-3), "max_iter must be nonnegative, got -3"),
+    ], ids=["eps-inf", "eps-nan", "max-iter-negative"])
+    def test_budget_rejected_with_the_parameter_named(self, kwargs, message):
+        oracle = FunctionOracle(lambda x: float(x @ x), lambda x: 2 * x)
+        with pytest.raises(ValueError) as info:
+            umt_minimize(oracle, EuclideanProx(), np.ones(2), **{"max_iter": 50, **kwargs})
+        assert str(info.value) == message
+
     def test_nonsmooth_abs_within_budget(self):
         x0 = np.array([0.02])
         x, rep = umt_minimize(abs_oracle(), EuclideanProx(), x0, eps=1e-3,
