@@ -96,35 +96,13 @@ def _out_dir(args):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _row_format(types):
-    """The %-format of a row whose fields have these types: floats %.17g,
-    None an empty field (%.0s prints nothing), anything else as str()."""
-    return ",".join(FLOAT_FMT if issubclass(t, float) else "%.0s" if t is type(None) else "%s"
-                    for t in types) + "\n"
-
-
-def _write_csv(path, header, rows):
-    """The float-format line, the header, then one line per row: floats
-    %.17g, None an empty field, ints and names as they are."""
-    # each run of rows whose fields share their types fills one format once
-    runs = ((types, list(run)) for types, run in
-            itertools.groupby(rows, key=lambda row: tuple(map(type, row))))
-    body = "".join([_row_format(types) * len(run) % tuple(itertools.chain.from_iterable(run))
-                    for types, run in runs])
+def _write_csv(path, header, *blocks):
+    """The float-format line, the header, then the rows of each block:
+    (row %-format, list of row tuples), the format filled once per block."""
+    body = "".join([layout * len(rows) % tuple(itertools.chain.from_iterable(rows))
+                    for layout, rows in blocks])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# floats formatted {FLOAT_FMT}\n{header}\n{body}")
-
-
-def _solution_rows(network, report):
-    flows, idx = report.flows.values, 0
-    for k, lg in enumerate(network.levels):
-        for j, (tail, head, _) in enumerate(lg.plain_edges):
-            yield (k + 1, j, tail, head, report.t[idx], flows[idx],
-                   report.per_edge_gap[idx], report.multipliers[idx])
-            idx += 1
-        for j, (tail, head, _) in enumerate(lg.nested_edges):
-            yield k + 1, f"n{j}", tail, head, None, report.flows.nested[k][j], None, None
 
 
 def _summary_dict(report):
@@ -151,8 +129,7 @@ def _summary_dict(report):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _potential_rows(network, report):
@@ -160,7 +137,7 @@ def _potential_rows(network, report):
     lg = network.levels[0]
     origins = network.origins()
     u, _ = _sweep_forward(lg, weights[0], origins, report.gammas[0], lg.n_vertices - 1)
-    return ((o, v, u[v, b]) for b, o in enumerate(origins) for v in range(lg.n_vertices))
+    return [(o, v, x) for o, column in zip(origins, u.T.tolist()) for v, x in enumerate(column)]
 
 
 def _solver_kwargs(args):
@@ -187,17 +164,29 @@ def cmd_solve(args) -> int:
     network = load_network(args.instance)
     report = _solve_one(network, args)
     out = _out_dir(args)
+    # (t, flow, gap, multiplier) of each plain edge, level after level; a
+    # level's zip with its edges takes exactly its own cells
+    cells = zip(*(a.tolist() for a in (report.t, report.flows.plain_flat(),
+                                        report.per_edge_gap, report.multipliers)))
+    blocks = []
+    for k, (lg, nested) in enumerate(zip(network.levels, report.flows.nested), start=1):
+        blocks += [("%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g\n",
+                    [(k, j, tail, head, *c) for j, ((tail, head, _), c)
+                     in enumerate(zip(lg.plain_edges, cells))]),
+                   ("%s,n%s,%s,%s,,%.17g,,\n",  # nested edges have no t, gap or multiplier
+                    [(k, j, tail, head, f) for j, ((tail, head, _), f)
+                     in enumerate(zip(lg.nested_edges, nested.tolist()))])]
     _write_csv(os.path.join(out, "solution.csv"), "level,edge,tail,head,t,flow,gap,multiplier",
-               _solution_rows(network, report))
+               *blocks)
     _write_json(os.path.join(out, "summary.json"), _summary_dict(report))
     if args.trace:
         rep = report.solver
         _write_csv(os.path.join(out, "trace.csv"), "iter,value,lipschitz,gap,trials",
-                   ((i, *row) for i, row in enumerate(zip(
-                       rep.value_trace, rep.lipschitz_trace, rep.gap_trace, rep.trial_trace))))
+                   ("%s,%.17g,%.17g,%.17g,%s\n", [(i, *row) for i, row in enumerate(zip(
+                       rep.value_trace, rep.lipschitz_trace, rep.gap_trace, rep.trial_trace))]))
     if args.dump_potentials:
         _write_csv(os.path.join(out, "potentials.csv"), "origin,vertex,potential",
-                   _potential_rows(network, report))
+                   ("%s,%s,%.17g\n", _potential_rows(network, report)))
     if args.verify:
         # the route-choice bound of averaged flows is part of the certified gap
         total = duality_gap(network, report.t, report.flows.plain_flat())[1] + report.route_gap
@@ -240,8 +229,9 @@ def cmd_compare(args) -> int:
     }
     _write_json(os.path.join(out, "comparison.json"), payload)
     _write_csv(os.path.join(out, "comparison.csv"), "rank,scenario,total_time,total_gap,converged",
-               ((rank, r["scenario"], r["total_time"], r["total_gap"], int(r["converged"]))
-                for rank, r in enumerate(ranking, start=1)))
+               ("%s,%s,%.17g,%.17g,%s\n",
+                [(rank, r["scenario"], r["total_time"], r["total_gap"], int(r["converged"]))
+                 for rank, r in enumerate(ranking, start=1)]))
     print("ranking: " + " < ".join(r["scenario"] for r in ranking))
     return 0 if all_ok else 2
 
@@ -354,7 +344,8 @@ def cmd_od(args) -> int:
     sol = solve_entropy_od(L, W, T, gamma, **_solver_kwargs(args))
     out = _out_dir(args)
     _write_csv(os.path.join(out, "matrix.csv"), "row,col,value",
-               ((r, c, x) for r, row in zip(rows, sol.matrix.tolist()) for c, x in zip(cols, row)))
+               ("%s,%s,%.17g\n", [(r, c, x) for r, row in zip(rows, sol.matrix.tolist())
+                                   for c, x in zip(cols, row)]))
     _write_json(os.path.join(out, "certificate.json"), {
         "gamma": fmt(sol.gamma),
         "gap": fmt(sol.gap),

@@ -132,10 +132,8 @@ class ElpDualOracle(SmoothOracle):
 
 def primal_value(problem: ElpProblem, x):
     x = np.asarray(x, dtype=float)
-    pos = x > 0
-    return float(problem.cost @ x) + problem.gamma * float(
-        np.sum(x[pos] * np.log(x[pos]))
-    )
+    pos = x[x > 0]
+    return float(problem.cost @ x) + problem.gamma * float(np.sum(pos * np.log(pos)))
 
 
 @dataclass
@@ -217,7 +215,8 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
     that Newton started from.  The accelerated method restarts from the
     current point, too, when a step does not certify and the dual value
     rose from the previous step.  A tolerance that is not positive and
-    finite, or a negative max_iter, raises a ValueError before any work.
+    finite, a negative max_iter, or an eps whose unit-mass square (the line
+    search's slack) is 0 or inf, raises a ValueError before any step.
     """
     _check_budget(max_iter, eps=eps, eps_residual=eps_residual)
     problem = build_elp(L, W, T, gamma)
@@ -226,9 +225,12 @@ def solve_entropy_od(L, W, T, gamma, eps=1e-8, eps_residual=1e-6,
     y0 = np.zeros(problem.A.shape[0])
     # tolerances act on the unit-mass problem so the rescaled matrix obeys
     # the caller's residual tolerance
-    scale = max(problem.mass, 1.0)
-    eps_n = eps / scale
+    scale = float(max(problem.mass, 1.0))
+    eps_n = float(eps) / scale
     eps_res_n = eps_residual / scale
+    if not 0.0 < eps_n * eps_n < math.inf:
+        raise ValueError(f"eps out of range, got {eps}: (eps / max(marginal total, 1))**2 "
+                         "must be positive and finite")
 
     best = {"x": None}
     run = {"fx": math.inf, "handover": NEWTON_HANDOVER, "newton_steps": 0}
@@ -334,13 +336,14 @@ def balancing_oracle(L, W, T, gamma):
     C = C - C.min(axis=1, keepdims=True)
     log_k = (C - C.min(axis=0, keepdims=True)) / -gamma
     K = np.exp(log_k)
-    u, v = np.ones(len(L)), np.ones(len(W))
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            Kv = K @ np.ones(len(W))
             for _ in range(BALANCE_SWEEPS):
-                u = p / (K @ v)
+                u = p / Kv
                 v = q / (K.T @ u)
-                if converged := bool(np.all(np.abs(u * (K @ v) - p) <= bound)):
+                Kv = K @ v  # the convergence test's product is the next sweep's
+                if converged := bool(np.all(np.abs(u * Kv - p) <= bound)):
                     break
     except FloatingPointError:  # a scaling overflowed or divided by 0
         log_p, log_q, log_rows = np.log(p), np.log(q), np.logaddexp.reduce(log_k, axis=1)

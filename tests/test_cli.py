@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files, determinism, config."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from equiflow import hard_shortest, load_network, softmin, softmin_potentials, solve_assignment
+from equiflow import (effective_weights, hard_shortest, load_network, softmin, softmin_potentials,
+                      solve_assignment)
 from equiflow.cli import main
 from equiflow.dual import MODELS
 from equiflow.network import ParseError
@@ -924,14 +926,17 @@ class TestOd:
         (["--eps", "-1"], "eps must be positive and finite, got -1.0"),
         (["--eps-residual", "nan"], "eps_residual must be positive and finite, got nan"),
         (["--eps-residual", "inf"], "eps_residual must be positive and finite, got inf"),
+        (["--eps", "1e-200"], "eps out of range, got 1e-200: "
+                              "(eps / max(marginal total, 1))**2 must be positive and finite"),
     ], ids=["gamma-inf", "gamma-nan", "eps-nan", "eps-negative", "eps-residual-nan",
-            "eps-residual-inf"])
+            "eps-residual-inf", "eps-underflows"])
     def test_bad_parameter_exits_1(self, tmp_path, capsys, flags, message):
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
         c, r, w = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
         assert main(["od", c, r, w, *flags, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_failed_verify_exits_1(self, tmp_path, capsys, monkeypatch):
         from equiflow import cli
@@ -1245,65 +1250,91 @@ class TestOdReader:
 
 class TestCsvLayout:
     def test_every_csv_has_one_layout(self, tmp_path, monkeypatch):
-        # every CSV the CLI writes: the float-format line, its header, and
-        # one line per row the library handed over, floats at 17 digits
+        # every CSV the CLI writes: the float-format line, its header, and one
+        # line per record of the library's arrays, field by field
         from equiflow import cli
 
-        written = {}
-        real = cli._write_csv
+        def field(x):  # floats at 17 digits, None an empty field, ints and names as they are
+            return format(x, ".17g") if isinstance(x, float) else "" if x is None else str(x)
 
-        def spy(path, header, rows):
-            rows = [tuple(r) for r in rows]
-            written[path] = (header, rows)
-            real(path, header, rows)
+        reports, solutions = [], []
 
-        monkeypatch.setattr(cli, "_write_csv", spy)
+        def keep(solve, into):
+            def wrapper(*args, **kwargs):
+                into.append(solve(*args, **kwargs))
+                return into[-1]
+            return wrapper
+
+        monkeypatch.setattr(cli, "solve_assignment", keep(cli.solve_assignment, reports))
+        monkeypatch.setattr(cli, "solve_entropy_od", keep(cli.solve_entropy_od, solutions))
         nested = write_instance(tmp_path / "nested.net", NESTED_INSTANCE)
         pigou = write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE)
         costs = {(0, 0): 0.3, (0, 1): 1.2, (1, 0): 0.8, (1, 1): 0.1}
         od_files = od_inputs(tmp_path, costs, [2.0, 1.0], [1.5, 1.5])
         outs = [tmp_path / name for name in ("solve", "compare", "od")]
-        assert main(["solve", nested, "--trace", "--dump-potentials", "--out", str(outs[0])]) == 0
+        assert main(["solve", nested, "--eps", "1e-12", "--trace", "--dump-potentials",
+                     "--out", str(outs[0])]) == 0
         assert main(["compare", nested, pigou, "--out", str(outs[1])]) == 0
         assert main(["od", *od_files, "--out", str(outs[2])]) == 0
-        csvs = sorted(str(p) for out in outs for p in out.glob("*.csv"))
-        assert [os.path.basename(p) for p in csvs] == [
-            "comparison.csv", "matrix.csv", "potentials.csv", "solution.csv", "trace.csv"]
-        assert sorted(written) == csvs
-        for path, (header, rows) in written.items():
-            lines = open(path, encoding="utf-8").read().splitlines()
+        assert len(reports) == 3 and len(solutions) == 1
+
+        net, rep = load_network(nested), reports[0]
+        solution, at = [], 0
+        for k, lg in enumerate(net.levels, start=1):
+            for j, (tail, head, _) in enumerate(lg.plain_edges):
+                solution.append((k, j, tail, head, rep.t[at], rep.flows.plain_flat()[at],
+                                 rep.per_edge_gap[at], rep.multipliers[at]))
+                at += 1
+            solution += [(k, f"n{j}", tail, head, None, rep.flows.nested[k - 1][j], None, None)
+                         for j, (tail, head, _) in enumerate(lg.nested_edges)]
+        assert at == len(rep.t) and [r[1] for r in solution] == [0, "n0", 0, 1]
+        solver = rep.solver
+        trace = [(i, *row) for i, row in enumerate(zip(
+            solver.value_trace, solver.lipschitz_trace, solver.gap_trace, solver.trial_trace))]
+        lg = net.levels[0]
+        weights = effective_weights(net, rep.t, rep.gammas)[0]
+        potentials = [(o, v, x) for o in net.origins() for v, x in enumerate(
+            softmin_potentials(lg, weights, o, rep.gammas[0], lg.n_vertices - 1))]
+        ranked = sorted(zip(["nested", "pigou"], reports[1:]), key=lambda p: (p[1].total_time, p[0]))
+        comparison = [(rank, name, r.total_time, r.total_gap, int(r.converged))
+                      for rank, (name, r) in enumerate(ranked, start=1)]
+        matrix = [(r, c, solutions[0].matrix[r, c]) for r in range(2) for c in range(2)]
+        expected = {
+            outs[0] / "solution.csv": ("level,edge,tail,head,t,flow,gap,multiplier", solution),
+            outs[0] / "trace.csv": ("iter,value,lipschitz,gap,trials", trace),
+            outs[0] / "potentials.csv": ("origin,vertex,potential", potentials),
+            outs[1] / "comparison.csv": ("rank,scenario,total_time,total_gap,converged",
+                                         comparison),
+            outs[2] / "matrix.csv": ("row,col,value", matrix),
+        }
+        assert sorted(p for out in outs for p in out.glob("*.csv")) == sorted(expected)
+        for path, (header, rows) in expected.items():
+            lines = path.read_text(encoding="utf-8").splitlines()
             assert lines[:2] == ["# floats formatted %.17g", header]
             assert len(lines) == len(rows) + 2 and rows
             for line, row in zip(lines[2:], rows):
                 fields = line.split(",")
                 assert len(fields) == len(row) == len(header.split(","))
-                for field, x in zip(fields, row):
-                    if isinstance(x, float):
-                        assert float(field) == x and field == f"{x:.17g}"
-                    else:
-                        assert field == ("" if x is None else str(x))
-        nested_rows = [r for r in read_solution(outs[0] / "solution.csv") if r[1].startswith("n")]
-        assert nested_rows == [["1", "n0", "0", "1", "", nested_rows[0][5], "", ""]]
-        assert float(nested_rows[0][5]) > 0
+                assert fields == [field(x) for x in row]
+                assert all(float(f) == x for f, x in zip(fields, row) if isinstance(x, float))
+        assert solution[1][5] > 0 and len(trace) == solver.iterations + 1 > 2
 
-    @pytest.mark.parametrize("rows", [
-        [(-0.0, 5e-324, 1e308, np.float64(0.1), np.int64(-3), True, None, "n0")] * 3,
-        [(1, 0, 0, 1, 0.25, np.float64(0.5), 0.0, -0.0),
-         (1, "n0", 0, 1, None, 0.75, None, None),
-         (2, 1, 1, 0, 5e-324, 1e308, 1.0, 2.0)],
-        [[1, 2.5], (1.5, 2), (None,), (), ("n0", None, True, np.float64(-0.0))],
-        [],
-    ], ids=["one-shape", "solution-rows", "mixed-shapes", "no-rows"])
-    def test_fields_keep_their_format(self, tmp_path, rows):
+    @pytest.mark.parametrize("blocks, body", [
+        ([("%s,%s,%.17g\n", [(1, 0, -0.0), (1, 1, 5e-324)]),
+          ("%s,n%s,,%.17g,\n", [(2, 0, 1e308), (2, 1, np.float64(math.inf))])],
+         "1,0,-0\n1,1,4.9406564584124654e-324\n2,n0,,1e+308,\n2,n1,,inf,\n"),
+        ([("%.17g,%s\n", []), ("%.17g,%s\n", [(0.1, np.int64(-3))]), ("%s\n", [])],
+         "0.10000000000000001,-3\n"),
+        ([("%.17g,%.17g,%.17g,%.17g\n", [(-0.0, 5e-324, 1e308, math.inf)] * 2)],
+         "-0,4.9406564584124654e-324,1e+308,inf\n" * 2),
+        ([], ""),
+    ], ids=["two-blocks", "empty-block", "extreme-floats", "no-blocks"])
+    def test_fields_keep_their_format(self, tmp_path, blocks, body):
         from equiflow import cli
 
-        def field(x):  # the rule the writer had when it joined field by field
-            return "%.17g" % x if isinstance(x, float) else "" if x is None else str(x)
-
         path = tmp_path / "out.csv"
-        cli._write_csv(str(path), "a,b", iter(rows))
-        assert path.read_text(encoding="utf-8") == "# floats formatted %.17g\na,b\n" + "".join(
-            ",".join(map(field, row)) + "\n" for row in rows)
+        cli._write_csv(str(path), "a,b", *blocks)
+        assert path.read_text(encoding="utf-8") == "# floats formatted %.17g\na,b\n" + body
 
 
 class TestParserState:

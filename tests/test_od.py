@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,21 @@ class TestSolveEntropyOd:
         with pytest.raises(ValueError) as info:
             solve_entropy_od([2.0], [2.0], np.array([[1.0]]), 0.5, **{"max_iter": 5, **kwargs})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("eps, given", [(1e-200, "1e-200"), (1e200, "1e+200")],
+                             ids=["underflows", "overflows"])
+    def test_eps_outside_the_unit_mass_range_rejected(self, monkeypatch, eps, given):
+        # the line search's slack is (eps / max(mass, 1))**2: it underflowed to
+        # 0 and was rejected as "got 0.0", or overflowed with a RuntimeWarning
+        # and was rejected as "got inf", values the caller never gave
+        monkeypatch.setattr(od, "umt_minimize", None)  # no step is taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                solve_entropy_od([2.0, 1.0], [1.5, 1.5], np.array([[0.3, 1.2], [0.8, 0.1]]),
+                                 0.5, eps=eps)
+        assert str(info.value) == (f"eps out of range, got {given}: "
+                                   "(eps / max(marginal total, 1))**2 must be positive and finite")
 
     def test_single_cell(self):
         sol = solve_entropy_od([2.0], [2.0], np.array([[1.0]]), 0.5)
