@@ -43,17 +43,8 @@ def model_gammas(network: Network, model: str) -> list:
     return list(network.gammas()) if default is None else [default] * network.n_levels
 
 
-def _smooth_value(edges, conjugate):
-    """Sum of the smooth (BPR) conjugate values, given edges.conjugate(t).
-
-    Capacitated conjugates are linear and go to the composite term;
-    pinned edges stay at t_free, where their conjugate is 0.
-    """
-    return float(conjugate[0][edges.smooth].sum())
-
-
 def _smooth_grad(edges, conjugate):
-    """Gradient of _smooth_value: the smooth edges' conjugate flows, 0 elsewhere."""
+    """Gradient of the smooth (BPR) conjugates' sum: their conjugate flows, 0 elsewhere."""
     return np.where(edges.smooth, conjugate[1], 0.0)
 
 
@@ -81,10 +72,14 @@ class DualOracle(SmoothOracle):
         return EuclideanProx(lower=self.lower, upper=self.upper, linear=self.linear)
 
     def _by_products(self, t):
-        value, flow = assignment_flows(self.network, t, self.gammas)
-        conjugate = self.network.edges.conjugate(t)
+        """(dual value, soft-min value, FlowState, edges.conjugate(t)) at t."""
+        edges = self.network.edges
+        softmin_value, flow = assignment_flows(self.network, t, self.gammas)
+        conjugate = edges.conjugate(t)
         conjugate[0].flags.writeable = conjugate[1].flags.writeable = False
-        return value, flow, conjugate
+        # a pinned edge's conjugate is 0 at t_free, and a capped one's is in the composite term
+        value = -softmin_value + float(conjugate[0][edges.smooth].sum())
+        return value, softmin_value, flow, conjugate
 
     def point(self, t):
         """(soft-min value, FlowState, edges.conjugate(t)) at t, shared with
@@ -97,17 +92,14 @@ class DualOracle(SmoothOracle):
         that is only valued sweeps forward only.  The returned flows and
         conjugates are read-only arrays.
         """
-        return self._per_point(t, read=True)
+        return self._per_point(t, read=True)[1:]
 
     def value(self, t):
-        softmin_value, _, conjugate = self._per_point(t, read=False)
-        return -softmin_value + _smooth_value(self.network.edges, conjugate)
+        return self._per_point(t, read=False)[0]
 
     def value_grad(self, t):
-        softmin_value, flow, conjugate = self.point(t)
-        edges = self.network.edges
-        return (-softmin_value + _smooth_value(edges, conjugate),
-                -flow.plain_flat() + _smooth_grad(edges, conjugate))
+        value, _, flow, conjugate = self._per_point(t, read=True)
+        return value, -flow.plain_flat() + _smooth_grad(self.network.edges, conjugate)
 
     def strong_convexity(self, scale=1.0):
         """Lower curvature bound of the smooth part over the free box, in the norm of a

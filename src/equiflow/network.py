@@ -571,27 +571,16 @@ def load_network(path) -> Network:
             o = _parse(int, ref[0], "nested origin", path, lineno)
             d = _parse(int, ref[1], "nested dest", path, lineno)
             nested.setdefault(level, []).append((tail, head, (o, d)))
-        elif kind == BPR:
-            if len(tok) != 8:
-                raise ParseError(path, lineno,
-                                 "bpr record needs: level tail head bpr t_free capacity gain power")
-            model = EdgeCostModel(
-                BPR,
-                t_free=_parse(float, tok[4], "t_free", path, lineno),
-                capacity=_parse(float, tok[5], "capacity", path, lineno),
-                bpr_gain=_parse(float, tok[6], "gain", path, lineno),
-                bpr_power=_parse(float, tok[7], "power", path, lineno),
-            )
-            plain.setdefault(level, []).append((tail, head, model))
-        elif kind == SD:
-            if len(tok) not in (6, 8):
-                raise ParseError(path, lineno, "sd record needs: level tail head sd t_free capacity")
-            model = EdgeCostModel(
-                SD,
-                t_free=_parse(float, tok[4], "t_free", path, lineno),
-                capacity=_parse(float, tok[5], "capacity", path, lineno),
-            )
-            plain.setdefault(level, []).append((tail, head, model))
+        elif kind in (BPR, SD):
+            if len(tok) != 8 and not (kind == SD and len(tok) == 6):
+                fields = "t_free capacity gain power" if kind == BPR else "t_free capacity"
+                raise ParseError(path, lineno, f"{kind} record needs: level tail head {kind} {fields}")
+            params = [_parse(float, tok[4], "t_free", path, lineno),
+                      _parse(float, tok[5], "capacity", path, lineno)]
+            if kind == BPR:  # an sd record's trailing fields are ignored
+                params += [_parse(float, tok[6], "gain", path, lineno),
+                           _parse(float, tok[7], "power", path, lineno)]
+            plain.setdefault(level, []).append((tail, head, EdgeCostModel(kind, *params)))
         else:
             raise ParseError(path, lineno, f"unknown edge kind {kind!r}")
 

@@ -109,25 +109,24 @@ class ElpDualOracle(SmoothOracle):
         self.p = problem
 
     def _by_products(self, y):
-        """(log-sum-exp, read-only softmax) of the logits -(c + A^T y)/gamma, kept per point."""
+        """(dual value, read-only softmax of the logits -(c + A^T y)/gamma), kept per point."""
         logits = -(self.p.cost + self.p.A.T @ y) / self.p.gamma
         m = logits.max()
         e = np.exp(logits - m)
         s = e.sum()
         e /= s
         e.flags.writeable = False
-        return m + math.log(s), e
+        return float(y @ self.p.b) + self.p.gamma * (m + math.log(s)), e
 
     def primal(self, y):
         return self._per_point(y, read=True)[1]
 
     def value(self, y):
-        lse, _ = self._per_point(y, read=False)
-        return float(y @ self.p.b) + self.p.gamma * lse
+        return self._per_point(y, read=False)[0]
 
     def value_grad(self, y):
-        lse, x = self._per_point(y, read=True)
-        return float(y @ self.p.b) + self.p.gamma * lse, self.p.b - self.p.A @ x
+        value, x = self._per_point(y, read=True)
+        return value, self.p.b - self.p.A @ x
 
 
 def primal_value(problem: ElpProblem, x):

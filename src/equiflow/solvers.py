@@ -8,8 +8,9 @@ every step; step 0 is the step from A = 0.  Composite terms are handled
 unlinearized through the prox setup's model-minimization step.
 
 An oracle whose value and gradient share a by-product (an assignment, a
-softmax) computes it once per point (SmoothOracle._per_point); solve loops
-read it back by point, as oracle.point(y), not from the last call.
+softmax) computes it once per point (SmoothOracle._per_point), the value among
+them: the line search, the stop tests and a finish read it back.  Solve loops
+read by-products back by point, as oracle.point(y), not from the last call.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ class SmoothOracle:
     def _per_point(self, x, read):
         """self._by_products(x), which a subclass defines, kept in two slots.
 
-        The read slot holds the last point whose by-products were read, the
-        valued slot the last point only valued.  Every lookup checks both, so
-        the line search's trial values never evict the gradient point.
+        The by-products begin with the value at x, formed once per point.  The
+        read slot holds the last point whose by-products were read, the valued
+        slot the last point only valued.  Every lookup checks both, so the line
+        search's trial values never evict the gradient point.
         """
         x = np.asarray(x, dtype=float)
         key = x.tobytes()

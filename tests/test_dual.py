@@ -28,6 +28,7 @@ from equiflow import (
 )
 
 from equiflow.dual import MODELS, experienced_times
+from equiflow.solvers import SmoothOracle
 
 from conftest import (
     braess_network, edge_conjugate, edge_cost, edge_integral, edge_layouts, fixed_edge,
@@ -57,13 +58,13 @@ def count_assignments(monkeypatch):
 
 
 def record_points(monkeypatch):
-    """Patch DualOracle.value and .point, through which value_grad reads, to
-    add the bytes of every point requested to the returned set."""
+    """Patch SmoothOracle._per_point, the one lookup through which value,
+    value_grad and point read, to add the bytes of every point requested to
+    the returned set."""
     points = set()
-    for name in ("value", "point"):
-        real = getattr(DualOracle, name)
-        monkeypatch.setattr(DualOracle, name, lambda self, t, real=real:
-                            points.add(np.asarray(t, dtype=float).tobytes()) or real(self, t))
+    real = SmoothOracle._per_point
+    monkeypatch.setattr(SmoothOracle, "_per_point", lambda self, t, read:
+                        points.add(np.asarray(t, dtype=float).tobytes()) or real(self, t, read))
     return points
 
 
@@ -389,6 +390,17 @@ class TestAssignmentMemo:
         assert np.array_equal(g, g_ref)
         flow_ref = DualOracle(net).point(t.copy())[1]
         assert np.array_equal(oracle.point(t)[1].plain_flat(), flow_ref.plain_flat())
+
+    def test_value_is_read_from_the_held_record(self):
+        # the dual value is one of a point's by-products: value and value_grad
+        # read it from the record, and form it nowhere else
+        net, t = self.point()
+        oracle = DualOracle(net)
+        oracle.value_grad(t)
+        key, record = oracle._read
+        oracle._read = (key, (0.125, *record[1:]))
+        assert oracle.value(t) == oracle.value_grad(t)[0] == 0.125
+        assert all(a is b for a, b in zip(oracle.point(t), record[1:], strict=True))
 
     def test_held_arrays_are_read_only(self):
         # every later read of the point shares them

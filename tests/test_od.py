@@ -165,6 +165,18 @@ class TestDualOracle:
         assert np.array_equal(p.b - p.A @ x_at_y, grad)
         assert np.array_equal(x_at_x, od.ElpDualOracle(p).primal(x))
 
+    def test_value_is_read_from_the_held_record(self):
+        # the dual value is one of a point's by-products: value and value_grad
+        # read it from the record, and form it nowhere else
+        p = build_elp([1.0, 2.0], [1.5, 1.5], np.ones((2, 2)), 0.5)
+        y = np.array([0.5, -0.25, 1.0, 0.75])
+        oracle = od.ElpDualOracle(p)
+        oracle.value(y)
+        key, (_, x) = oracle._valued
+        oracle._valued = (key, (0.125, x))
+        assert oracle.value(y) == oracle.value_grad(y)[0] == 0.125
+        assert oracle.primal(y) is x
+
     def test_held_softmax_is_read_only(self):
         # every later read of the point shares it
         p = build_elp([1.0, 2.0], [1.5, 1.5], np.ones((2, 2)), 0.5)
