@@ -238,41 +238,35 @@ class LevelGraph:
         Virtual edge E + v (E = n_edges) runs from row n_vertices + v to
         v; a soft-min sweep keeps round 0 in those rows, so the virtual
         edge carries the empty walk at an origin, and every vertex has a
-        group.  Returns (order, tails, starts, counts): order sorts the
-        indices 0..E+n_vertices-1 stably by head, tails are their tails in
-        that order, and v's group has counts[v] entries from starts[v] on.
+        group.  Returns (order, tails, starts, heads): order sorts the
+        indices 0..E+n_vertices-1 stably by head, tails and heads are
+        their endpoints in that order, and v's group begins at starts[v].
         """
         n = self.n_vertices
         heads = np.concatenate([self.heads, np.arange(n)])
         tails = np.concatenate([self.tails, n + np.arange(n)])
         order = np.argsort(heads, kind="stable")
         counts = np.bincount(heads, minlength=n)
-        return order, tails[order], np.cumsum(counts) - counts, counts
+        return order, tails[order], np.cumsum(counts) - counts, heads[order]
 
     @cached_property
-    def slots(self) -> tuple:
-        """The slots of head_groups (edges, then virtual edges, by head) as
-        a soft-min sweep reads them.
-
-        Returns (head, log_fan_in): the head of each slot and the log of
-        the largest slot count of one head, which bounds the log of a
-        hop's sum.
-        """
-        counts = self.head_groups[3]
-        return np.repeat(np.arange(self.n_vertices), counts), math.log(counts.max(initial=1))
+    def log_fan_in(self) -> float:
+        """Log of the size of head_groups' largest group, a head's in-edges and
+        its virtual edge, which bounds the log of a soft-min hop's sum."""
+        return math.log(np.bincount(self.heads).max(initial=0) + 1)
 
     @cached_property
     def tail_groups(self) -> tuple:
-        """(order, starts, vertices) for segment reductions over edge tails.
+        """(order, starts, vertices, tails, heads) for segment reductions over edge tails.
 
-        order sorts the edge indices stably by tail; starts[i] is where the
-        run of vertices[i] begins in that order.  Vertices without an
-        out-edge have no run.
+        order sorts the edge indices stably by tail, tails and heads are
+        their endpoints in that order, and the run of vertices[i] begins
+        at starts[i].  Vertices without an out-edge have no run.
         """
         order = np.argsort(self.tails, kind="stable")
-        ordered = self.tails[order]
-        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-        return order, starts, ordered[starts]
+        tails = self.tails[order]
+        starts = np.flatnonzero(np.diff(tails, prepend=-1))
+        return order, starts, tails[starts], tails, self.heads[order]
 
     @cached_property
     def dense_index(self) -> np.ndarray:
@@ -327,14 +321,9 @@ class Network:
         return self.flow_slices[1][-1].stop
 
     @cached_property
-    def cost_models(self) -> list:
-        """Flat list of EdgeCostModel aligned with the time vector."""
-        return [e[2] for lg in self.levels for e in lg.plain_edges]
-
-    @cached_property
     def edges(self) -> EdgeTable:
-        """Cost parameters of cost_models as one table of arrays."""
-        return EdgeTable.of(self.cost_models)
+        """Cost parameters of every plain edge, aligned with the time vector."""
+        return EdgeTable.of([model for lg in self.levels for _, _, model in lg.plain_edges])
 
     def free_flow_times(self) -> np.ndarray:
         return self.edges.t_free.copy()
@@ -421,10 +410,7 @@ def validate(levels, demands) -> list:
             bad.append(f"level {k}: gamma must be finite and nonnegative, got {lg.gamma}")
         for tail, head, model in lg.plain_edges:
             where = f"level {k} edge {tail}->{head}"
-            if tail == head:
-                bad.append(f"{where}: self-loop")
-            if not (0 <= tail < lg.n_vertices and 0 <= head < lg.n_vertices):
-                bad.append(f"{where}: vertex out of range")
+            bad += _endpoint_problems(where, tail, head, lg.n_vertices)
             if not 0 < model.t_free < math.inf:
                 bad.append(f"{where}: t_free must be positive and finite")
             if not model.capacity > 0:
@@ -441,8 +427,7 @@ def validate(levels, demands) -> list:
             if k == m:
                 bad.append(f"{where}: top level admits no nested edges")
                 continue
-            if tail == head:
-                bad.append(f"{where}: self-loop")
+            bad += _endpoint_problems(where, tail, head, lg.n_vertices)
             nxt = levels[k]  # level k+1, 0-based index k
             o, d = od
             if not (0 <= o < nxt.n_vertices and 0 <= d < nxt.n_vertices):
@@ -460,6 +445,14 @@ def validate(levels, demands) -> list:
             bad.append(f"{where}: demand must be positive and finite")
     if not demands:
         bad.append("no level-1 demands")
+    return bad
+
+
+def _endpoint_problems(where, tail, head, n) -> list:
+    """The endpoint rule of every edge, plain or nested: two distinct vertices in 0..n-1."""
+    bad = [f"{where}: self-loop"] if tail == head else []
+    if not (0 <= tail < n and 0 <= head < n):
+        bad.append(f"{where}: vertex out of range")
     return bad
 
 

@@ -162,9 +162,8 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
     if gamma == 0:
         return _min_plus(graph, weights, origins, hops), None
     n, batch = graph.n_vertices, len(origins)
-    head, log_fan_in = graph.slots
     widest = float(np.maximum.reduce(np.abs(weights), initial=0.0))
-    flat = hops * (widest / gamma + log_fan_in) <= WALK_SUM_RANGE
+    flat = hops * (widest / gamma + graph.log_fan_in) <= WALK_SUM_RANGE
     # phi = 0, or at hop h the min-plus distance d_h after it (0 where unreached)
     ref = 0.0
     if flat and n <= DENSE_MAX_VERTICES:
@@ -173,7 +172,7 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
         walks = _power_sum(k, hops + 1).take(origins, axis=1)
         kept = (walks, (k, factor, origins, hops), "dense")
     else:
-        order, tails, starts, _ = graph.head_groups
+        order, tails, starts, head = graph.head_groups
         c = np.concatenate([weights, np.zeros(n)])[order, None]
         cand = np.empty((len(c), batch))
         if flat:
@@ -271,8 +270,7 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, cells, demand):
             rest = np.where(band, 0.0, rest)
         return sum(bands[1:], bands[0]) if bands else np.zeros(graph.n_edges)
     refs, hops, last = held, len(z) - 1, len(held) - 1
-    order, starts, ends = graph.tail_groups
-    tails, heads = graph.tails[order], graph.heads[order]
+    order, starts, ends, tails, heads = graph.tail_groups
     c = np.asarray(weights, dtype=float)[order, None]
     factor = None if refs else np.exp(c / -gamma)  # phi = 0: no references
     x, y = np.empty((2, len(order), z.shape[2]))

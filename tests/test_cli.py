@@ -100,6 +100,18 @@ NESTED_BPR_INSTANCE = """\
 od 1 0 1 1.0
 """
 
+# a two-link outer path 0 -> 1 -> 2 and a nested shortcut 0 -> 2 priced by two inner links
+NESTED_SHORTCUT_INSTANCE = """\
+1 0 1 bpr 1.0 1.0 0.5 1.0
+1 1 2 bpr 1.0 1.0 0.5 1.0
+1 0 2 nested 0:1
+2 0 1 bpr 1.0 1.0 0.5 1.0
+2 0 1 bpr 2.0 1.0 0.5 1.0
+od 1 0 2 1.0
+gamma 1 0.5
+gamma 2 0.5
+"""
+
 # an outer link priced by two inner SD links, one capacitated
 NESTED_SD_INSTANCE = """\
 1 0 1 nested 0:1
@@ -474,6 +486,16 @@ class TestModelRouting:
         assert summary["model"] == (model or "multistage")
         assert summary["converged"] is True
 
+    def test_nested_shortcut_certified(self, tmp_path, capsys):
+        # the well-formed file of TestBadInput's nested-vertex-range case
+        inst = write_instance(tmp_path / "shortcut.net", NESTED_SHORTCUT_INSTANCE)
+        out = tmp_path / "out"
+        assert main(["solve", inst, "--verify", "--out", str(out)]) == 0
+        assert "verification PASS" in capsys.readouterr().out
+        summary = json.load(open(out / "summary.json", encoding="utf-8"))
+        assert (summary["model"], summary["stop_reason"]) == ("multistage", "certified")
+        assert float(summary["total_time"]) == pytest.approx(1.5849457430262421, rel=1e-12)
+
     @pytest.mark.parametrize("model", ["stochastic", "beckmann", "beckmann_md"])
     def test_single_level_models_reject_nested_network(self, tmp_path, capsys, model):
         inst = write_instance(tmp_path / "nested.net", NESTED_INSTANCE)
@@ -785,11 +807,14 @@ class TestBadInput:
         # the referenced level 2 counted as a level: "levels must be contiguous ..., got [1]"
         (EDGE + "1 0 1 nested 0:1\n" + OD,
          "level 1 nested edge 0->1: top level admits no nested edges"),
+        # the dense index heads * n + tails wired this edge as 2 -> 1, and it certified
+        (NESTED_SHORTCUT_INSTANCE.replace("1 0 2 nested", "1 -1 2 nested"),
+         "level 1 nested edge -1->2: vertex out of range"),
     ], ids=["vertex-range", "bpr-capacity", "nested-self-loop", "nested-od-range",
             "nested-od-self-pair", "demand-range", "demand-self-pair", "bad-int",
             "od-fields", "od-level", "gamma-fields", "gamma-level-above", "gamma-level-0",
             "gamma-duplicate", "edge-fields", "nested-ref", "bpr-fields", "sd-fields",
-            "edge-kind", "empty", "levels-gap", "nested-on-top"])
+            "edge-kind", "empty", "levels-gap", "nested-on-top", "nested-vertex-range"])
     def test_bad_record_exits_1(self, tmp_path, capsys, text, message):
         inst = write_instance(tmp_path / "bad.net", text)
         code = main(["solve", inst, "--model", "stochastic", "--out", str(tmp_path / "o")])

@@ -287,7 +287,7 @@ class TestDualOracle:
     def test_strong_convexity_zero_with_fractional_power(self):
         rng = np.random.default_rng(23)
         net = random_network(rng)  # powers drawn from {0.25, 0.5, 1.0}
-        kinds = {m.bpr_power for m in net.cost_models}
+        kinds = set(net.edges.power.tolist())
         if kinds != {1.0}:
             assert DualOracle(net).strong_convexity() == 0.0
 
@@ -552,7 +552,7 @@ class TestEdgeKinds:
 
     def test_matches_per_edge_reference(self):
         net = self.network()
-        models = net.cost_models
+        models = [m for lg in net.levels for _, _, m in lg.plain_edges]
         t = net.free_flow_times() + np.array([0.3, 0.2, 0.0, 0.0, 0.7, 0.0])
         f = np.array([0.4, 0.9, 0.3, 0.2, 1.1, 0.5])
         terms, conj_grad, tau = [], [], []

@@ -262,6 +262,28 @@ class TestEdgeGroups:
         assert EdgeTable.of([capped, smooth, capped]).groups[1].tolist() == [0, 2]
 
 
+class TestLevelLayouts:
+    def test_layouts_match_their_definitions(self):
+        # parallel edges 0 -> 1, no edge into 0, nested edges after the plain ones
+        m = EdgeCostModel("bpr", 1.0, 1.0, 0.5, 1.0)
+        lg = LevelGraph(4, plain_edges=[(0, 1, m), (0, 1, m), (1, 2, m), (2, 1, m), (0, 2, m)],
+                        nested_edges=[(1, 3, (0, 1)), (0, 3, (0, 1))])
+        edges = lg.plain_edges + lg.nested_edges
+        fan_in = [sum(head == v for _, head, _ in edges) + 1 for v in range(4)]
+        assert fan_in == [1, 4, 3, 3]
+        assert lg.log_fan_in == math.log(max(fan_in))
+        # the slots: each head's in-edges in edge order, then its virtual edge from row 4 + v
+        _, tails, starts, heads = lg.head_groups
+        assert heads.tolist() == [v for v in range(4) for _ in range(fan_in[v])]
+        assert tails.tolist() == [4, 0, 0, 2, 5, 1, 0, 6, 1, 0, 7]
+        assert starts.tolist() == [0, 1, 5, 8]
+        order, starts, vertices, tails, heads = lg.tail_groups
+        assert tails.tolist() == [edges[e][0] for e in order]
+        assert heads.tolist() == [edges[e][1] for e in order]
+        assert tails.tolist() == sorted(e[0] for e in edges)
+        assert vertices.tolist() == [0, 1, 2] and starts.tolist() == [0, 4, 6]
+
+
 class TestLoadNetwork:
     def test_pigou_round_trip(self, tmp_path):
         net = load_network(write_instance(tmp_path / "pigou.net", PIGOU_INSTANCE))
@@ -317,6 +339,20 @@ class TestValidation:
         lg = LevelGraph(2, plain_edges=[(0, 0, loop)])
         bad = validate([lg], {(0, 1): -2.0})
         assert len(bad) >= 3  # self-loop, bad t_free, bad demand
+
+    def test_nested_endpoint_out_of_range(self):
+        # accepted before nested edges shared the plain edges' endpoint rule: the
+        # solve then failed on shapes (3,) and (6,) that could not be broadcast
+        m = EdgeCostModel("bpr", 1.0, 1.0, 0.5, 1.0)
+        inner = LevelGraph(2, plain_edges=[(0, 1, m)])
+        top = LevelGraph(3, plain_edges=[(0, 1, m)], nested_edges=[(0, 5, (0, 1))])
+        with pytest.raises(ValidationError) as err:
+            Network([top, inner], {(0, 1): 1.0})
+        assert err.value.violations == ["level 1 nested edge 0->5: vertex out of range"]
+        # as on a plain edge, the range message follows the self-loop message
+        loop = LevelGraph(3, plain_edges=[(0, 1, m)], nested_edges=[(5, 5, (0, 1))])
+        assert validate([loop, inner], {(0, 1): 1.0}) == [
+            "level 1 nested edge 5->5: self-loop", "level 1 nested edge 5->5: vertex out of range"]
 
     def test_top_level_nested_rejected(self):
         lg = LevelGraph(2, nested_edges=[(0, 1, (0, 1))])
