@@ -14,8 +14,8 @@ The edges of a level, grouped by head, and one virtual edge per vertex
 of LevelGraph.head_groups; a hop reduces the (slots x origins) candidates
 by head with one ufunc.reduceat, so the numpy calls per hop do not grow
 with the origins.  At gamma = 0 a hop is min-plus (a take, an add and the
-minimum), run to its fixed point or n-1 hops: the hard shortest paths of
-hard_shortest, all_or_nothing and gamma = 0 pricing.
+minimum), run to its fixed point or n-1 hops; a gamma = 0 level keeps the
+distances and loads each demand on the tie-broken shortest path read from them.
 
 At gamma > 0 a sweep runs in the linear domain against a reference phi.
 It carries the shifted walk sum Z[v] = sum over walks of
@@ -65,13 +65,11 @@ A sparse backward sweep reads the walk sums of every forward hop,
 the distances settle; origins are swept in chunks whose kept sums fit in
 ROUNDS_CAP_BYTES, the references, at most as many bytes, on top.  A dense
 one keeps Z_H and K, and its power sums need O(V^2 + V x origins) bytes
-whatever H.  assignment_flows runs only the forward sweeps, which
-give the value; the FlowState it returns fills its one flow array on
-first read, by the backward sweeps from the kept hops of level 1 and of
-each deeper level's pricing sweep (beyond one chunk, the forward sweeps
-rerun).  A point whose flows are never read pays for no backward sweep,
-every level is swept forward once per point (by _od_values), and
-gamma = 0 levels load all-or-nothing when their flows are read.
+whatever H; a hard one keeps the distances.  assignment_flows runs only the
+forward sweeps, one per level and point (by _od_values), which give the
+value; the FlowState it returns fills its one flow array on first read,
+by backward sweeps from the kept sweeps of level 1 and of each deeper
+level's pricing (beyond one chunk, soft forward sweeps rerun).
 
 Each level's OD pairs are a PairPlan built once per network (Network.plan,
 LevelGraph.nested_plan), read in one layout: a sweep runs over the plan's
@@ -152,15 +150,17 @@ def _sweep_forward(graph: LevelGraph, weights, origins, gamma, hops, keep=False,
 
     Returns (u, kept): u[v, b] the potential of v seen from origins[b]
     (+inf when unreachable); kept, when keep is set, is what
-    _sweep_backward reads, (Z_H, (K, exp(-w/gamma), origins, hops), "dense") or
+    _sweep_backward reads, (Z_H, (K, exp(-w/gamma), origins, hops), "dense"),
     (Z, refs, "sparse"): the shifted walk sums after hops 0..hops,
     (hops+1, V, B), and the references of hop 0 and of each hop before the
-    distances settle (none at phi = 0); else None.  With gamma = 0, u is
-    the minimum walk length (min-plus hops) and keep is for gamma > 0.
+    distances settle (none at phi = 0), or (u, (origins, level), "hard");
+    else None.  With gamma = 0, u is the minimum walk length (min-plus
+    hops), and a hard sweep loads flows only at hops = n-1.
     """
     weights = np.asarray(weights, dtype=float)
     if gamma == 0:
-        return _min_plus(graph, weights, origins, hops), None
+        dist = _min_plus(graph, weights, origins, hops)
+        return dist, (dist, (origins, level), "hard") if keep else None
     n, batch = graph.n_vertices, len(origins)
     widest = float(np.maximum.reduce(np.abs(weights), initial=0.0))
     flat = hops * (widest / gamma + graph.log_fan_in) <= WALK_SUM_RANGE
@@ -244,8 +244,11 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, cells, demand):
     """Adjoint sweep over the kept hops: route each demand, the sink mass
     at flat cell `cells[i]` of the (V, B) hop state, back to its origin.
 
-    The sparse adjoint recomputes E_h from the kept references, the last
-    serving every later hop.  The dense one gives edge u -> v
+    A hard sweep loads each demand on its origin's tie-broken shortest path,
+    walked back pair by pair (ValueError where a zero- or negative-weight
+    cycle breaks the walk).  The sparse adjoint recomputes E_h from the
+    kept references, the last serving every later hop.  The dense one
+    gives edge u -> v
     exp(-w_e/gamma) T[v, u], T the upper-right block of the power sum of
     [[K^T, Q], [0, K^T]].  As walk terms of phi = 0 sweeps lie in
     [e^-600, e^600], Q is summed in bands (commonly one) of entries within
@@ -253,6 +256,24 @@ def _sweep_backward(graph: LevelGraph, weights, gamma, kept, cells, demand):
     is in [e^-700, H V^2 e^600].  Returns the flows summed over the batch.
     """
     z, held, kind = kept
+    if kind == "hard":
+        (origins, level), n = held, graph.n_vertices
+        pred_edge, flows = _predecessors(graph, weights, z, origins), np.zeros(graph.n_edges)
+        dests, columns = np.divmod(cells, len(origins))
+        for d, b, dem in zip(dests.tolist(), columns.tolist(), demand.tolist()):
+            if not dem:  # handed down, a pair its nested edges gave no flow
+                continue
+            o, v, steps = int(origins[b]), d, 0
+            while v != o:
+                e = pred_edge[v, b]
+                if e < 0 or steps == n - 1:
+                    raise ValueError(
+                        f"level {level}: no shortest path to load for OD {o}->{d}; "
+                        "the weights have a zero- or negative-weight cycle")
+                flows[e] += dem
+                v = graph.tails[e]
+                steps += 1
+        return flows
     if kind == "dense":
         (k, factor, origins, hops), n = held, len(held[0])
         m = np.zeros((2 * n, 2 * n))
@@ -326,16 +347,25 @@ def _total(demand, values):
     return functools.reduce(operator.add, map(operator.mul, demand.tolist(), values.tolist()), 0.0)
 
 
+def _check_level_call(graph: LevelGraph, gamma, hops):
+    """The level API's inputs: a finite gamma >= 0, hops >= 1, and hops = n-1 at gamma = 0."""
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+    if hops < 1:
+        raise ValueError("hop bound must be at least 1")
+    if gamma == 0 and hops != graph.n_vertices - 1:
+        raise ValueError(f"at gamma = 0 the hop bound must be n-1 = {graph.n_vertices - 1}")
+
+
 def softmin_potentials(graph: LevelGraph, weights, origin, gamma, hops):
     """Soft-min potentials from origin over walks of at most `hops` hops.
 
     Unreachable vertices get +inf.  weights is a per-edge array aligned
     with the graph's edge indexing (plain edges first, then nested).
     """
-    if gamma <= 0:
+    if gamma == 0:
         raise ValueError("gamma must be positive; use hard_shortest for gamma=0")
-    if hops < 1:
-        raise ValueError("hop bound must be at least 1")
+    _check_level_call(graph, gamma, hops)
     u, _ = _sweep_forward(graph, weights, [origin], gamma, hops)
     return u[:, 0]
 
@@ -345,19 +375,22 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
 
     demands maps (origin, dest) to a positive demand, or is a PairPlan.
     Returns (value, flows) where value = sum_w d_w * u_dest and flows is the
-    exact gradient of value with respect to the edge weights.
+    exact gradient of value with respect to the edge weights.  At gamma = 0
+    (hops n-1, every origin in one sweep) the value is the hard one and the
+    flows load each demand on its tie-broken shortest path, a subgradient.
 
     `forward`, a kept forward sweep (u, kept) of the same weights, gamma
     and hops from every origin of the plan, replaces the forward sweeps;
     u and kept are those of _sweep_forward.  The value is then None: the
     caller summed it from that sweep.
     """
+    _check_level_call(graph, gamma, hops)
     plan = PairPlan.of(demands)
     if forward is not None:
         # _od_values found every pair reached
         return None, _sweep_backward(graph, weights, gamma, forward[1], plan.cells, plan.demand)
-    # the plan's origins in chunks, each chunk's pairs a run a:b of the plan
-    value, size = 0.0, _chunk_size(graph, hops)
+    # the plan's origins in chunks (one at gamma = 0), each chunk's pairs a run a:b
+    value, size = 0.0, _chunk_size(graph, hops) if gamma > 0 else max(1, len(plan.origins))
     flows = np.zeros(graph.n_edges)
     for lo in range(0, len(plan.origins), size):
         batch = plan.origins[lo:lo + size]
@@ -372,14 +405,11 @@ def softmin_flows(graph: LevelGraph, weights, demands, gamma, hops, level=1, for
     return value, flows
 
 
-def _shortest(graph: LevelGraph, weights, origins):
-    """(dist, pred_edge) of hard_shortest, (V, B) each, from one min-plus sweep.
-
-    pred_edge is the smallest (tail, edge) among the tight in-edges,
-    dist[tail] + w == dist[head], of each reached vertex but the origin.
-    """
+def _predecessors(graph: LevelGraph, weights, dist, origins):
+    """pred_edge of hard_shortest, (V, B), from the min-plus distances of a
+    sweep from origins: the smallest (tail, edge) among the tight in-edges,
+    dist[tail] + w == dist[head], of each reached vertex but the origin."""
     weights = np.asarray(weights, dtype=float)
-    dist, _ = _sweep_forward(graph, weights, origins, 0.0, graph.n_vertices - 1)
     tails, heads, m = graph.tails, graph.heads, graph.n_edges
     at_head = dist[heads]
     e, b = np.nonzero(np.isfinite(at_head) & (dist[tails] + weights[:, None] == at_head))
@@ -388,7 +418,7 @@ def _shortest(graph: LevelGraph, weights, origins):
     np.minimum.at(key, (heads[e], b), tails[e] * m + e)
     pred_edge = np.where(key < none, key % max(m, 1), -1)
     pred_edge[origins, np.arange(len(origins))] = -1
-    return dist, pred_edge
+    return pred_edge
 
 
 def hard_shortest(graph: LevelGraph, weights, origin):
@@ -400,40 +430,17 @@ def hard_shortest(graph: LevelGraph, weights, origin):
     vertex, edge index) pair.  Returns (dist, pred_edge) with
     pred_edge = -1 at the origin and unreachable vertices.
     """
-    dist, pred_edge = _shortest(graph, weights, [origin])
-    return dist[:, 0], pred_edge[:, 0]
+    dist, _ = _sweep_forward(graph, weights, [origin], 0.0, graph.n_vertices - 1)
+    return dist[:, 0], _predecessors(graph, weights, dist, [origin])[:, 0]
 
 
 def all_or_nothing(graph: LevelGraph, weights, demands, level=1):
-    """Load each OD's full demand on its tie-broken shortest path.
-
-    One batched sweep serves every origin; the distances are those of
-    hard_shortest.  Returns (value, flows): value = sum_w d_w * dist_w,
-    flows a valid subgradient element of the hard-min aggregate.  Raises
-    ValueError when an OD pair's predecessors do not lead back to its
-    origin within n-1 edges, which a zero- or negative-weight cycle can
-    cause.
-    """
-    plan = PairPlan.of(demands)
-    dist, pred_edge = _shortest(graph, weights, plan.origins)
-    values = dist.take(plan.cells)
-    _reached(plan, values, level, graph.n_vertices - 1)
-    value = _total(plan.demand, values)
-    flows = np.zeros(graph.n_edges)
-    for (o, d), b, dem in zip(plan.pairs, plan.columns.tolist(), plan.demand.tolist()):
-        if not dem:  # handed down, a pair its nested edges gave no flow
-            continue
-        v, steps = d, 0
-        while v != o:
-            e = pred_edge[v, b]
-            if e < 0 or steps == graph.n_vertices - 1:
-                raise ValueError(
-                    f"level {level}: no shortest path to load for OD {o}->{d}; "
-                    "the weights have a zero- or negative-weight cycle")
-            flows[e] += dem
-            v = graph.tails[e]
-            steps += 1
-    return value, flows
+    """Load each OD's full demand on its tie-broken shortest path (hard_shortest's):
+    softmin_flows at gamma = 0 and n-1 hops, one batched sweep from every origin.
+    Returns (value, flows): value = sum_w d_w * dist_w, flows a valid subgradient
+    element of the hard-min aggregate; ValueError where a zero- or negative-weight
+    cycle keeps an OD pair's predecessors from leading back to its origin."""
+    return softmin_flows(graph, weights, demands, 0.0, graph.n_vertices - 1, level)
 
 
 def _checked_gammas(network: Network, gammas) -> list:
@@ -481,9 +488,9 @@ def _price(network, t, gammas):
 def _od_values(graph, weights, plan, gamma, level):
     """Shortest-path (soft or hard) value over walks of at most n-1 hops of
     each pair of plan, or of each nested edge for a plan of nested
-    references, and the kept soft sweep (u, kept) when its hops fit in one chunk."""
+    references, and the sweep (u, kept), kept at gamma = 0 or when its hops fit in one chunk."""
     hops = graph.n_vertices - 1
-    keep = gamma > 0 and len(plan.origins) <= _chunk_size(graph, hops)
+    keep = gamma == 0 or len(plan.origins) <= _chunk_size(graph, hops)
     u, kept = _sweep_forward(graph, weights, plan.origins, gamma, hops, keep=keep, level=level)
     values = u.take(plan.cells)
     if plan.fold is not None:
@@ -503,8 +510,8 @@ def assignment_flows(network: Network, t, gammas=None, demands=None):
     Returns (value, FlowState) with value the level-1 aggregate.
 
     Only the forward sweeps run here.  The FlowState's one array fills on
-    first read, level by level, from backward sweeps over the kept hops of
-    level 1 and of the deeper levels' pricing sweeps (gamma = 0 levels load then).
+    first read, level by level, from backward sweeps over the kept sweeps of
+    level 1 and of the deeper levels' pricing (beyond one chunk, a rerun).
     """
     gammas = _checked_gammas(network, gammas)
     weights, kept = _price(network, t, gammas)
@@ -516,11 +523,8 @@ def assignment_flows(network: Network, t, gammas=None, demands=None):
         level_plan = plan
         plain, nested = network.flow_slices
         for k, lg in enumerate(network.levels):
-            if gammas[k] > 0:
-                _, edge_flows = softmin_flows(lg, weights[k], level_plan, gammas[k],
-                                              lg.n_vertices - 1, level=k + 1, forward=kept[k])
-            else:
-                _, edge_flows = all_or_nothing(lg, weights[k], level_plan, level=k + 1)
+            _, edge_flows = softmin_flows(lg, weights[k], level_plan, gammas[k],
+                                          lg.n_vertices - 1, level=k + 1, forward=kept[k])
             n_plain = len(lg.plain_edges)
             flows[plain[k]], flows[nested[k]] = edge_flows[:n_plain], edge_flows[n_plain:]
             if not lg.nested_edges:

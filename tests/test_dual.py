@@ -438,6 +438,22 @@ class TestForwardOnlyValue:
         assert v == v2 == v_ref
         assert np.array_equal(g, g_ref)
 
+    @pytest.mark.parametrize("workload,kwargs,gammas", [
+        ("grid_stochastic", dict(k=4, n_od=8), [0.0]),
+        ("nested_multistage", {}, [0.5, 0.0]),
+    ], ids=["grid-hard", "nested-inner-hard"])
+    def test_a_hard_level_is_swept_once_per_point(self, monkeypatch, tmp_path,
+                                                  workload, kwargs, gammas):
+        # its flows load from the distances of the min-plus sweep that valued it
+        from equiflow import softmin
+
+        net = bench_network(tmp_path, workload, f"{workload}:1", **kwargs)
+        sweeps = []
+        real = softmin._min_plus
+        monkeypatch.setattr(softmin, "_min_plus", lambda *a: sweeps.append(1) or real(*a))
+        _, g = DualOracle(net, gammas).value_grad(net.free_flow_times())
+        assert len(sweeps) == 1 and g.any()
+
 
 class TestDualityGap:
     def test_zero_when_times_match_costs(self):

@@ -71,6 +71,61 @@ def simple_path_minima(graph, w, origin):
     return best
 
 
+def hard_loads(graph, w, demands):
+    """Reference hard value and loads, pairs in plan order (origins
+    ascending): simple_path_minima's distances, each demand walked back
+    along the smallest tight (tail, edge) into every vertex of its path."""
+    value, flows = 0.0, np.zeros(graph.n_edges)
+    for o, d in sorted(demands, key=lambda od: od[0]):
+        dist, dem, v = simple_path_minima(graph, w, o), demands[o, d], d
+        value += dem * dist[d]
+        while v != o:
+            _, e = min((graph.tails[e], e) for e in range(graph.n_edges)
+                       if graph.heads[e] == v and dist[graph.tails[e]] + w[e] == dist[v])
+            flows[e] += dem
+            v = graph.tails[e]
+    return value, flows
+
+
+def hard_cases():
+    """The graphs, weights and demands of TestAllOrNothing's references."""
+    rng = np.random.default_rng(8)
+    braess = braess_network(True).levels[0]
+    yield parallel_graph(), np.array([1.0, 0.3]), {(0, 1): 1.0}
+    yield parallel_graph(), np.array([1.0, 1.0]), {(0, 1): 1.0}
+    yield braess, rng.uniform(0.2, 1.5, size=braess.n_edges), {(0, 3): 2.0}
+    rng = np.random.default_rng(9)
+    grid = grid_graph(4)
+    zones = [0, 3, 5, 10, 12, 15]
+    yield (grid, rng.integers(1, 4, size=grid.n_edges).astype(float),
+           {(o, d): float(rng.uniform(0.1, 2.0)) for o in zones for d in zones if o != d})
+
+
+class TestLevelInputs:
+    """softmin_flows and softmin_potentials check gamma and the hop bound."""
+
+    @pytest.mark.parametrize("call, gamma, hops, message", [
+        (softmin_flows, -1.0, 2, "gamma must be finite and nonnegative, got -1.0"),
+        (softmin_flows, math.nan, 2, "gamma must be finite and nonnegative, got nan"),
+        (softmin_flows, math.inf, 2, "gamma must be finite and nonnegative, got inf"),
+        (softmin_flows, 1.0, 0, "hop bound must be at least 1"),
+        (softmin_flows, 1.0, -1, "hop bound must be at least 1"),
+        (softmin_flows, 0.0, 1, "at gamma = 0 the hop bound must be n-1 = 2"),
+        (softmin_flows, 0.0, 3, "at gamma = 0 the hop bound must be n-1 = 2"),
+        (softmin_potentials, -1.0, 2, "gamma must be finite and nonnegative, got -1.0"),
+        (softmin_potentials, math.nan, 2, "gamma must be finite and nonnegative, got nan"),
+        (softmin_potentials, math.inf, 2, "gamma must be finite and nonnegative, got inf"),
+    ], ids=["flows-negative", "flows-nan", "flows-inf", "flows-hops-0", "flows-hops-negative",
+            "flows-hard-short", "flows-hard-long", "potentials-negative", "potentials-nan",
+            "potentials-inf"])
+    def test_rejected(self, call, gamma, hops, message):
+        # on the path 0 -> 1 -> 2: flows to 2, potentials from 0
+        demands_or_origin = {(0, 2): 1.0} if call is softmin_flows else 0
+        with pytest.raises(ValueError) as info:
+            call(chain_graph(), [1.0, 2.0], demands_or_origin, gamma, hops)
+        assert str(info.value) == message
+
+
 class TestPotentials:
     def test_single_walk_equals_plain_min(self):
         u = softmin_potentials(chain_graph(), [1.0, 2.0], 0, gamma=1.0, hops=3)
@@ -322,6 +377,15 @@ class TestAllOrNothing:
         for e in np.flatnonzero(flows):
             t, h = lg.tails[e], lg.heads[e]
             assert any(ref[o][t] + w[e] == ref[o][h] for o in zones)
+
+    @pytest.mark.parametrize("case", range(4), ids=["pigou", "tie", "braess", "grid"])
+    def test_softmin_flows_at_zero_gamma_is_the_reference(self, case):
+        graph, w, demands = list(hard_cases())[case]
+        value, flows = softmin_flows(graph, w, demands, 0.0, graph.n_vertices - 1)
+        ref_value, ref_flows = hard_loads(graph, w, demands)
+        assert value == ref_value and flows.tolist() == ref_flows.tolist()
+        aon_value, aon_flows = all_or_nothing(graph, w, demands)
+        assert aon_value == value and aon_flows.tolist() == flows.tolist()
 
 
 class TestNestedPricing:
