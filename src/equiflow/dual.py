@@ -4,8 +4,9 @@ The equilibrium is found by minimizing, over the box t_e >= t_free_e, the
 sum of the (negated) demand-weighted soft-min travel value and the convex
 conjugates of the edge cost integrals.  Gradients come from the Gibbs
 assignment (exact) or all-or-nothing loading (subgradient); primal flows
-are read off the gradient and certified by per-edge Fenchel gaps together
-with capacity violation and complementarity (see solve_assignment).
+are read off the gradient and certified, under every model, by one
+certificate: the per-edge Fenchel terms plus a route term, beside the
+capacity violation and the complementarity (see solve_assignment).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .softmin import (_checked_gammas, _od_values, _total, all_or_nothing,  # no
 from .solvers import EuclideanProx, SmoothOracle, _check_budget, umt_minimize
 
 # model -> (default smoothing per level, None for the network's own scales;
-#           certified by the Frank-Wolfe gap; a zero smoothing scale allowed)
+#           certified at t = tau(f) as a gamma = 0 equilibrium; zero scale allowed)
 MODEL_DEFAULTS = {
     "beckmann": (1e-6, True, False),
     "beckmann_md": (0.0, True, True),
@@ -198,20 +199,29 @@ def _check_cost_maps(network):
         raise ValueError("equilibrium gap needs BPR cost maps on every edge")
 
 
+def _hard_distances(network, t):
+    """Shortest-path cost of each OD pair (plan order) under times t, hard at every level."""
+    weights = effective_weights(network, t, [0.0] * network.n_levels)
+    return _od_values(network.levels[0], weights[0], network.plan, 0.0, level=1)[0]
+
+
+def _route_term(network, t, flows):
+    """The gamma = 0 route term <t, f> - sum_w d_w * SP_w(t) of flows f, clamped at 0."""
+    return max(0.0, float(t @ flows - _total(network.plan.demand, _hard_distances(network, t))))
+
+
 def frank_wolfe_gap(network, flows):
     """Equilibrium gap <tau(f), f> - sum_w d_w * shortest-path_w(tau(f)).
 
     Valid for single-level networks whose edges all carry a flow-cost
-    map (BPR); zero exactly at equilibrium flows.
+    map (BPR); zero exactly at equilibrium flows.  It is the route term
+    of the certificate at t = tau(f), where every edge's Fenchel term is 0.
     """
     if network.n_levels != 1:
         raise ValueError("equilibrium gap is defined for single-level networks")
     _check_cost_maps(network)
     f = np.asarray(flows, dtype=float)
-    tau = network.edges.cost(f)
-    dist, _ = _od_values(network.levels[0], tau, network.plan, 0.0, level=1)
-    best = _total(network.plan.demand, dist)
-    return max(0.0, float(tau @ f - best))
+    return _route_term(network, network.edges.cost(f), f)
 
 
 def experienced_times(network, t, flows):
@@ -242,35 +252,21 @@ class EquilibriumReport:
     gammas: list
     converged: bool
     solver: object = None
-    # bound on the soft-min Fenchel term of flows that are no route choice
-    # at t (a step-weighted average); total_gap = sum(per_edge_gap) + route_gap
+    # the route term (0 read off a point, an average's Jensen bound or the
+    # Frank-Wolfe gap at tau(f)); total_gap = sum(per_edge_gap) + route_gap
     route_gap: float = 0.0
 
 
 def _build_report(network, model, eps, eps_residual, record, gammas, converged, solver):
     """The report of the winning candidate, from the record of it that the stop test kept."""
     f = record["flows"].plain_flat()
-    if MODEL_DEFAULTS[model][1]:  # Frank-Wolfe: the written times are the costs at the flows
-        t = network.edges.cost(f)
-        per_edge, total = duality_gap(network, t, f)
-        record = dict(record, t=t, per_edge_gap=per_edge, total_gap=total)
     tau = experienced_times(network, record["t"], f)
-    total_time = float(tau @ f)
     # shortest paths under the experienced costs, hard at every level
-    weights = effective_weights(network, tau, [0.0] * network.n_levels)
-    dist, _ = _od_values(network.levels[0], weights[0], network.plan, 0.0, level=1)
-    shortest = dict(zip(network.plan.pairs, dist.tolist()))
+    shortest = dict(zip(network.plan.pairs, _hard_distances(network, tau).tolist()))
     return EquilibriumReport(
-        model=model,
-        eps=eps,
-        eps_residual=eps_residual,
-        multipliers=record["t"] - network.free_flow_times(),
-        total_time=total_time,
-        shortest_costs=shortest,
-        gammas=list(gammas),
-        converged=converged,
-        solver=solver,
-        **record,
+        model=model, eps=eps, eps_residual=eps_residual, gammas=list(gammas),
+        multipliers=record["t"] - network.free_flow_times(), total_time=float(tau @ f),
+        shortest_costs=shortest, converged=converged, solver=solver, **record,
     )
 
 
@@ -294,13 +290,13 @@ def solve_assignment(
     level all-or-nothing).  Only stable_dynamics, mixed and multistage
     take a nested network.
 
-    Every model certified by the Fenchel triple below starts at the costs of
-    the flows loaded at t_free: the dual is evaluated once at t_free (counted
-    in the report's oracle calls), and the run starts at tau_e(f_e) on every
+    Every model but beckmann and beckmann_md starts at the costs of the
+    flows loaded at t_free: the dual is evaluated once at t_free (counted in
+    the report's oracle calls), and the run starts at tau_e(f_e) on every
     smooth (positive-gain BPR) edge and at t_free on the others, clipped to
-    the box.  beckmann and beckmann_md start at t_free: their Frank-Wolfe
-    certificate ran out of steps from the shifted start on a Braess network.
-    On the metric path (a triple-certified model, no capped SD edge, some
+    the box.  beckmann and beckmann_md start at t_free: they ran out of
+    steps from the shifted start on a Braess network.
+    On the metric path (neither beckmann model, no capped SD edge, some
     positive curvature) the prox step, L and mu are measured in
     sum_e w_e * d_e^2, w_e e's conjugate curvature floored at 1/100 of the
     largest, and the run starts in a gradient phase: after step 0, and after
@@ -315,27 +311,25 @@ def solve_assignment(
     constant, so the metric is then the start's bit for bit.
 
     After every step the flows at the gradient point y (with t = y) and at x
-    (with t = x) are certified, each by a duality_gap call of its own, so
-    the gradient at y is always the full assignment: sampled origins would
-    add work, not replace any.  A gradient-phase step after step 0
-    certifies x alone: its y is the last step's x, certified then, and its
-    gap_trace entry is the smaller of x's gap and the last entry.  Off the
-    metric path (capped networks, beckmann and beckmann_md) so is the
-    step-weighted average of the flows at y (with t = x).  The average is no
-    route choice at x, so its Fenchel gap adds a bound on the soft-min term,
-    which flows read off a point meet with equality; the report's total_gap
-    and route_gap carry that bound.  Averaged over a gradient phase's short
-    legs it certified flows 0.005 off the assignment at the written times, so
-    the metric path keeps none.  Certificate: the equilibrium gap
-    <tau(f),f> - sum d_w SP_w(tau(f)) <= eps for beckmann and beckmann_md,
-    which then write t = tau(f), where the report computes their per-edge
-    terms, once; for every other model, Fenchel gap <= eps,
-    capacity violation <= eps_residual and complementarity
-    <= 10*max(eps, eps_residual), so stochastic/multistage may end uncertified
-    on SD edges; their report carries the winner's certificate as the stop
-    test computed it.  A tolerance that is not positive and finite, a negative
-    max_iter, or an SD edge under beckmann or beckmann_md raises a
-    ValueError before any work.
+    (with t = x) are certified, so the gradient at y is always the full
+    assignment: sampled origins would add work, not replace any.  A
+    gradient-phase step after step 0 certifies x alone: its y is the last
+    step's x, certified then, and its gap_trace entry is the smaller of x's
+    gap and the last entry.  Off the metric path (capped networks, beckmann
+    and beckmann_md) so is the step-weighted average of the flows at y (with
+    t = x); averaged over a gradient phase's short legs it certified flows
+    0.005 off the assignment at the written times, so the metric path keeps
+    none.  Every model's certificate is its Fenchel terms (duality_gap) plus
+    a route term <= eps, capacity violation <= eps_residual and
+    complementarity <= 10*max(eps, eps_residual), so stochastic/multistage
+    may end uncertified on SD edges.  The route term is 0 for flows read off
+    a point and the Jensen bound psi/A for the average, which is no route
+    choice at x.  beckmann and beckmann_md certify flows f at t = tau(f),
+    whose edge terms are 0 up to rounding, with the hard route gap (their
+    fw_gap) as the route term.  The report carries the winner's certificate
+    as the stop test computed it.  A tolerance that is not positive and
+    finite, a negative max_iter, or an SD edge under beckmann or
+    beckmann_md raises a ValueError before any work.
     """
     if eps_residual is None:
         eps_residual = eps
@@ -343,8 +337,8 @@ def solve_assignment(
     base_gammas = model_gammas(network, model)  # rejects an unknown model first
     if model in ("stochastic", "beckmann", "beckmann_md") and network.n_levels != 1:
         raise ValueError(f"model {model!r} expects a single-level network")
-    _, fw, zero_ok = MODEL_DEFAULTS[model]
-    if fw:  # certified by the Frank-Wolfe gap
+    _, hard, zero_ok = MODEL_DEFAULTS[model]
+    if hard:  # tau(f) needs a cost map on every edge
         _check_cost_maps(network)
     gammas = base_gammas if gammas is None else _checked_gammas(network, gammas)
     if any(g <= 0 and not (zero_ok and g == 0) for g in gammas):
@@ -359,25 +353,23 @@ def solve_assignment(
     comp_tol = 10.0 * max(eps, eps_residual)
 
     def consider(t_pt, flows, route_gap, conjugate):
-        """Certify (t, flows), route_gap the bound of their soft-min term and
-        conjugate the values of edges.conjugate(t); keep the best."""
+        """Certify flows at t_pt (route term route_gap, conjugate edges.conjugate's values
+        there), or for beckmann and beckmann_md at tau(f) with the hard route term; keep the best."""
         f = flows.plain_flat()
-        if fw:  # the report computes the Fenchel terms, at t = tau(f)
-            cert = gap = frank_wolfe_gap(network, f)
-            ok = gap <= eps
-            record = dict(fw_gap=gap, capacity_violation=0.0, complementarity=0.0)  # no SD edge
-        else:
-            per_edge, gap = duality_gap(network, t_pt, f, conjugate)
-            gap += route_gap
-            viol = capacity_violation(network, f)
-            comp = complementarity_residual(network, t_pt, f)
-            ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
-            cert = max(gap, viol, comp)
-            record = dict(per_edge_gap=per_edge, total_gap=gap, fw_gap=math.nan,
-                          route_gap=route_gap, capacity_violation=viol, complementarity=comp)
+        if hard:  # duality_gap evaluates the conjugate at tau(f)
+            t_pt, conjugate = edges.cost(f), None
+            route_gap = _route_term(network, t_pt, f)
+        per_edge, gap = duality_gap(network, t_pt, f, conjugate)
+        gap += route_gap
+        viol = capacity_violation(network, f)
+        comp = complementarity_residual(network, t_pt, f)
+        ok = gap <= eps and viol <= eps_residual and comp <= comp_tol
+        cert = max(gap, viol, comp)
         if not best or (not ok, cert) < best["rank"]:
-            best.update(rank=(not ok, cert),
-                        record=dict(record, t=np.array(t_pt, dtype=float), flows=flows))
+            best.update(rank=(not ok, cert), record=dict(
+                t=np.array(t_pt, dtype=float), flows=flows, per_edge_gap=per_edge,
+                total_gap=gap, route_gap=route_gap, fw_gap=route_gap if hard else math.nan,
+                capacity_violation=viol, complementarity=comp))
         return gap, ok
 
     def stop(state):
@@ -423,7 +415,7 @@ def solve_assignment(
 
     prox, t0, edges = oracle.prox(), network.free_flow_times(), network.edges
     metric = False  # the metric path (see the docstring) skips the average
-    if not fw:  # start at the BPR costs of the flows loaded at t_free
+    if not hard:  # start at the BPR costs of the flows loaded at t_free
         oracle.value_grad(t0)
         t0 = prox.clip(np.where(edges.smooth, edges.cost(oracle.point(t0)[1].plain_flat()), t0))
         scale = None if edges.capped.any() else curvature_metric(t0, None)  # see docstring
@@ -435,7 +427,7 @@ def solve_assignment(
         oracle, prox, t0, eps,
         mu=oracle.strong_convexity(prox.scale), max_iter=max_iter, stop=stop,
     )
-    if not fw:  # the start's evaluation is an oracle call of the solve
+    if not hard:  # the start's evaluation is an oracle call of the solve
         rep.value_calls += 1
         rep.grad_calls += 1
     return _build_report(

@@ -321,7 +321,8 @@ class TestSolve:
                              ids=["pigou", "braess_base", "braess_shortcut"])
     def test_fw_gap_models_write_a_certified_pair(self, tmp_path, capsys, model, instance):
         # the written times are the costs at the written flows, so the
-        # Fenchel terms are Fenchel-Young equalities: zero up to rounding
+        # Fenchel terms are Fenchel-Young equalities: zero up to rounding;
+        # the total gap adds the Frank-Wolfe gap as its route term
         inst = write_instance(tmp_path / "in.net", instance)
         out = tmp_path / "out"
         code = main(["solve", inst, "--model", model, "--verify", "--out", str(out)])
@@ -334,7 +335,8 @@ class TestSolve:
         t, flows, gaps = rows.T
         assert np.array_equal(t, load_network(inst).edges.cost(flows))
         assert np.abs(gaps).max() <= 1e-6
-        assert gaps.sum() == pytest.approx(float(summary["total_gap"]), abs=1e-15)
+        assert gaps.sum() + float(summary["fw_gap"]) == float(summary["total_gap"])
+        assert summary["route_gap"] == summary["fw_gap"]
 
     @pytest.mark.parametrize("model,shown", [("beckmann_md", True), ("stochastic", False)])
     def test_final_line_shows_fw_gap(self, tmp_path, capsys, model, shown):
@@ -647,6 +649,22 @@ class TestCompare:
         assert times["shortcut"] == pytest.approx(2.0, abs=1e-4)
         assert "base < shortcut" in capsys.readouterr().out
 
+    def test_writes_the_gap_solve_writes(self, tmp_path):
+        # the beckmann_md shortcut's total_gap was Fenchel-Young rounding
+        # noise, 2.2e-16, while its Frank-Wolfe gap stayed above eps
+        base = write_instance(tmp_path / "braess.net", BRAESS_BASE_INSTANCE)
+        shortcut = write_instance(tmp_path / "braess_sc.net", BRAESS_SHORTCUT_INSTANCE)
+        flags = ["--model", "beckmann_md", "--max-iter", "5"]
+        out = tmp_path / "out"
+        assert main(["compare", base, shortcut, *flags, "--out", str(out)]) == 2
+        rows = {r[1]: r for r in (line.split(",") for line in (out / "comparison.csv")
+                                  .read_text(encoding="utf-8").splitlines()[2:])}
+        assert main(["solve", shortcut, *flags, "--out", str(tmp_path / "one")]) == 2
+        summary = json.loads((tmp_path / "one" / "summary.json").read_text(encoding="utf-8"))
+        assert rows["braess_sc"][3] == summary["total_gap"]
+        assert float(summary["total_gap"]) > float(summary["eps"])
+        assert rows["braess_sc"][4] == "0"
+
     def test_identical_scenarios_rank_by_name(self, tmp_path):
         a = write_instance(tmp_path / "a.net", PIGOU_INSTANCE)
         b = write_instance(tmp_path / "b.net", PIGOU_INSTANCE)
@@ -745,6 +763,36 @@ class TestCertifiedOutput:
         assert 0.0 < route <= float(summary["eps"])
         assert summary["total_gap"] == summary["route_gap"]
         assert f"certified gap={summary['total_gap']} " in printed.splitlines()[-1]
+
+    def test_verify_recomputes_the_frank_wolfe_route_term(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # --verify recomputed only the edge terms of a beckmann_md answer, which
+        # are 0 up to rounding at t = tau(f), and took its route term as reported
+        import dataclasses
+
+        from equiflow import cli
+
+        def understated(*args, **kwargs):
+            rep = solve_assignment(*args, **kwargs)
+            return dataclasses.replace(rep, route_gap=rep.route_gap - 1e-3,
+                                       fw_gap=rep.fw_gap - 1e-3, total_gap=rep.total_gap - 1e-3)
+
+        monkeypatch.setattr(cli, "solve_assignment", understated)
+        inst = write_instance(tmp_path / "braess.net", BRAESS_BASE_INSTANCE)
+        code = main(["solve", inst, "--model", "beckmann_md", "--verify",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("verification FAIL: recomputed gap ")
+
+    def test_verify_takes_no_frank_wolfe_term_as_reported(self, tmp_path, capsys):
+        inst = write_instance(tmp_path / "braess.net", BRAESS_BASE_INSTANCE)
+        out = tmp_path / "out"
+        code = main(["solve", inst, "--model", "beckmann_md", "--max-iter", "5", "--verify",
+                     "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert code == 2 and float(summary["route_gap"]) > 0.0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"verification PASS: recomputed gap {summary['total_gap']}"
 
 
 class TestBadInput:

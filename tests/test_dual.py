@@ -758,7 +758,7 @@ class TestOneCertificateRule:
 
 class TestCarriedCertificate:
     """The report carries the winning candidate's certificate as the stop test
-    computed it; the Frank-Wolfe models' report computes it once, at tau(f)."""
+    computed it, under every model."""
 
     CASES = {
         "stochastic": (congested_grid, dict(eps=1e-6)),
@@ -799,8 +799,9 @@ class TestCarriedCertificate:
         assert rep.capacity_violation == capacity_violation(net, f)
         assert rep.complementarity == complementarity_residual(net, rep.t, f)
         if model in ("beckmann", "beckmann_md"):
+            # certified at t = tau(f), with the Frank-Wolfe gap as the route term
             assert np.array_equal(rep.t, net.edges.cost(f))
-            assert rep.fw_gap == frank_wolfe_gap(net, f) and rep.route_gap == 0.0
+            assert rep.route_gap == rep.fw_gap == frank_wolfe_gap(net, f)
         else:
             assert math.isnan(rep.fw_gap)
         if model == "mixed":
@@ -809,9 +810,8 @@ class TestCarriedCertificate:
             assert rep.solver.termination == "max_iter" and not rep.converged
             assert not any(np.array_equal(rep.t, t) for t in last)
 
-    @pytest.mark.parametrize("model,report_calls", [
-        ("beckmann_md", 1), ("stochastic", 0), ("mixed", 0)])
-    def test_only_a_frank_wolfe_report_certifies(self, monkeypatch, model, report_calls):
+    @pytest.mark.parametrize("model", ["beckmann_md", "stochastic", "mixed"])
+    def test_no_report_certifies(self, monkeypatch, model):
         import equiflow.dual as dual
 
         points, steps = count_gap_calls(monkeypatch)
@@ -822,11 +822,11 @@ class TestCarriedCertificate:
         make, kwargs = self.CASES[model]
         rep = solve_assignment(make(), model=model, **kwargs)
         assert rep.solver.iterations > 1
-        # the calls after the last stop test are the report's; each of the stop
-        # test's duality_gap calls comes with one capacity_violation and one
-        # complementarity call, and a Frank-Wolfe model (no SD edge) makes none
+        # the calls after the last stop test are the report's, and there are
+        # none; each of the stop test's duality_gap calls comes with one
+        # capacity_violation and one complementarity call
         checked = sum(n for _, n in steps)
-        assert len(points) - checked == report_calls and len(residuals) == 2 * checked
+        assert len(points) == checked and len(residuals) == 2 * checked
 
 
 class TestGradientPhase:
